@@ -38,8 +38,10 @@
 //!
 //! Simultaneous departures pop in ascending scheduling sequence (drivers
 //! pass the VM's arrival ordinal, preserving trace order even when
-//! departure tokens are recycled arena slots), and simultaneous failures in
-//! ascending drill-plan order, making the whole stream deterministic.
+//! departure tokens are recycled arena slots), simultaneous failures in
+//! ascending drill-plan order, and simultaneous completions of one kind
+//! (release, reconfiguration, migration) in ascending order of the pool
+//! group they carry, making the whole stream deterministic.
 //! Processing events strictly in this order is what guarantees (by
 //! construction) that snapshots never observe the future and that
 //! departures after the final arrival are still drained: the queue is only
@@ -141,6 +143,8 @@ pub enum Event {
     Release {
         /// Completion time in seconds since trace start.
         time: u64,
+        /// The pool group whose pool the slices return to.
+        group: usize,
     },
     /// A QoS-mitigation reconfiguration copy completes: the VM that was
     /// running degraded while its pool memory copied to local DRAM is back
@@ -149,6 +153,8 @@ pub enum Event {
     ReconfigDone {
         /// Copy-completion time in seconds since trace start.
         time: u64,
+        /// The pool group whose QoS pass started the copy.
+        group: usize,
     },
     /// An evacuation-migration copy completes: a VM that was re-homed after
     /// a failure is done copying its memory to the destination and leaves
@@ -159,6 +165,8 @@ pub enum Event {
     MigrationDone {
         /// Copy-completion time in seconds since trace start.
         time: u64,
+        /// The pool group the migrated VM left.
+        group: usize,
     },
     /// A periodic stranding snapshot tick.
     Snapshot {
@@ -185,9 +193,9 @@ impl Event {
             | Event::GroupDecommission { time, .. }
             | Event::GroupExpansion { time, .. }
             | Event::Departure { time, .. }
-            | Event::Release { time }
-            | Event::ReconfigDone { time }
-            | Event::MigrationDone { time }
+            | Event::Release { time, .. }
+            | Event::ReconfigDone { time, .. }
+            | Event::MigrationDone { time, .. }
             | Event::Snapshot { time }
             | Event::Arrival { time, .. } => time,
         }
@@ -347,9 +355,9 @@ pub struct EventQueue<S> {
     decommissions: BinaryHeap<std::cmp::Reverse<(u64, usize)>>,
     expansions: BinaryHeap<std::cmp::Reverse<(u64, usize)>>,
     departures: DepartureCalendar,
-    releases: BinaryHeap<std::cmp::Reverse<u64>>,
-    reconfigs: BinaryHeap<std::cmp::Reverse<u64>>,
-    migrations: BinaryHeap<std::cmp::Reverse<u64>>,
+    releases: BinaryHeap<std::cmp::Reverse<(u64, usize)>>,
+    reconfigs: BinaryHeap<std::cmp::Reverse<(u64, usize)>>,
+    migrations: BinaryHeap<std::cmp::Reverse<(u64, usize)>>,
     next_snapshot: u64,
     snapshot_interval: u64,
     snapshot_horizon: u64,
@@ -453,22 +461,28 @@ impl<S: ArrivalSource> EventQueue<S> {
 
     /// Schedules a migration-copy completion event (called when an evacuated
     /// VM starts copying to its new home; `time` is when the copy finishes
-    /// and the VM leaves its in-migration degraded window).
-    pub fn schedule_migration_done(&mut self, time: u64) {
-        self.migrations.push(std::cmp::Reverse(time));
+    /// and the VM leaves its in-migration degraded window). `group` is
+    /// echoed back in [`Event::MigrationDone`]; simultaneous completions pop
+    /// in ascending `group` order.
+    pub fn schedule_migration_done(&mut self, time: u64, group: usize) {
+        self.migrations.push(std::cmp::Reverse((time, group)));
     }
 
     /// Schedules a release-completion event (called when pool slices start
     /// their asynchronous offlining; `time` is when the offlining finishes).
-    pub fn schedule_release(&mut self, time: u64) {
-        self.releases.push(std::cmp::Reverse(time));
+    /// `group` is echoed back in [`Event::Release`]; simultaneous releases
+    /// pop in ascending `group` order.
+    pub fn schedule_release(&mut self, time: u64, group: usize) {
+        self.releases.push(std::cmp::Reverse((time, group)));
     }
 
     /// Schedules a reconfiguration-copy completion event (called when a QoS
     /// mitigation starts its pool→local copy; `time` is when the copy
-    /// finishes and the VM leaves degraded mode).
-    pub fn schedule_reconfig_done(&mut self, time: u64) {
-        self.reconfigs.push(std::cmp::Reverse(time));
+    /// finishes and the VM leaves degraded mode). `group` is echoed back in
+    /// [`Event::ReconfigDone`]; simultaneous completions pop in ascending
+    /// `group` order.
+    pub fn schedule_reconfig_done(&mut self, time: u64, group: usize) {
+        self.reconfigs.push(std::cmp::Reverse((time, group)));
     }
 
     /// Pops the next event in time order (ties: failure, departure, release,
@@ -531,19 +545,19 @@ impl<S: ArrivalSource> EventQueue<S> {
                 source = Some(Source::Departure);
             }
         }
-        if let Some(&std::cmp::Reverse(time)) = self.releases.peek() {
+        if let Some(&std::cmp::Reverse((time, _))) = self.releases.peek() {
             if (time, 2) < best_key {
                 best_key = (time, 2);
                 source = Some(Source::Release);
             }
         }
-        if let Some(&std::cmp::Reverse(time)) = self.reconfigs.peek() {
+        if let Some(&std::cmp::Reverse((time, _))) = self.reconfigs.peek() {
             if (time, 3) < best_key {
                 best_key = (time, 3);
                 source = Some(Source::Reconfig);
             }
         }
-        if let Some(&std::cmp::Reverse(time)) = self.migrations.peek() {
+        if let Some(&std::cmp::Reverse((time, _))) = self.migrations.peek() {
             if (time, 3) < best_key {
                 best_key = (time, 3);
                 source = Some(Source::Migration);
@@ -584,16 +598,18 @@ impl<S: ArrivalSource> EventQueue<S> {
                 Some(Event::Departure { time, token })
             }
             Source::Release => {
-                let std::cmp::Reverse(time) = self.releases.pop().expect("peeked release");
-                Some(Event::Release { time })
+                let std::cmp::Reverse((time, group)) = self.releases.pop().expect("peeked release");
+                Some(Event::Release { time, group })
             }
             Source::Reconfig => {
-                let std::cmp::Reverse(time) = self.reconfigs.pop().expect("peeked reconfig");
-                Some(Event::ReconfigDone { time })
+                let std::cmp::Reverse((time, group)) =
+                    self.reconfigs.pop().expect("peeked reconfig");
+                Some(Event::ReconfigDone { time, group })
             }
             Source::Migration => {
-                let std::cmp::Reverse(time) = self.migrations.pop().expect("peeked migration");
-                Some(Event::MigrationDone { time })
+                let std::cmp::Reverse((time, group)) =
+                    self.migrations.pop().expect("peeked migration");
+                Some(Event::MigrationDone { time, group })
             }
             Source::Snapshot => {
                 let time = self.next_snapshot;
@@ -640,9 +656,9 @@ pub struct ReferenceEventQueue<'a> {
     decommissions: BinaryHeap<std::cmp::Reverse<(u64, usize)>>,
     expansions: BinaryHeap<std::cmp::Reverse<(u64, usize)>>,
     departures: BinaryHeap<Departure>,
-    releases: BinaryHeap<std::cmp::Reverse<u64>>,
-    reconfigs: BinaryHeap<std::cmp::Reverse<u64>>,
-    migrations: BinaryHeap<std::cmp::Reverse<u64>>,
+    releases: BinaryHeap<std::cmp::Reverse<(u64, usize)>>,
+    reconfigs: BinaryHeap<std::cmp::Reverse<(u64, usize)>>,
+    migrations: BinaryHeap<std::cmp::Reverse<(u64, usize)>>,
     next_snapshot: u64,
     snapshot_interval: u64,
     snapshot_horizon: u64,
@@ -705,20 +721,20 @@ impl<'a> ReferenceEventQueue<'a> {
 
     /// Schedules a migration-copy completion event; same contract as
     /// [`EventQueue::schedule_migration_done`].
-    pub fn schedule_migration_done(&mut self, time: u64) {
-        self.migrations.push(std::cmp::Reverse(time));
+    pub fn schedule_migration_done(&mut self, time: u64, group: usize) {
+        self.migrations.push(std::cmp::Reverse((time, group)));
     }
 
     /// Schedules a release-completion event; same contract as
     /// [`EventQueue::schedule_release`].
-    pub fn schedule_release(&mut self, time: u64) {
-        self.releases.push(std::cmp::Reverse(time));
+    pub fn schedule_release(&mut self, time: u64, group: usize) {
+        self.releases.push(std::cmp::Reverse((time, group)));
     }
 
     /// Schedules a reconfiguration-copy completion event; same contract as
     /// [`EventQueue::schedule_reconfig_done`].
-    pub fn schedule_reconfig_done(&mut self, time: u64) {
-        self.reconfigs.push(std::cmp::Reverse(time));
+    pub fn schedule_reconfig_done(&mut self, time: u64, group: usize) {
+        self.reconfigs.push(std::cmp::Reverse((time, group)));
     }
 
     fn peek_snapshot(&self) -> Option<u64> {
@@ -760,20 +776,20 @@ impl<'a> ReferenceEventQueue<'a> {
                 best = Some(candidate);
             }
         }
-        if let Some(&std::cmp::Reverse(time)) = self.releases.peek() {
-            let candidate = Event::Release { time };
+        if let Some(&std::cmp::Reverse((time, group))) = self.releases.peek() {
+            let candidate = Event::Release { time, group };
             if best.is_none_or(|b| keyed(candidate) < keyed(b)) {
                 best = Some(candidate);
             }
         }
-        if let Some(&std::cmp::Reverse(time)) = self.reconfigs.peek() {
-            let candidate = Event::ReconfigDone { time };
+        if let Some(&std::cmp::Reverse((time, group))) = self.reconfigs.peek() {
+            let candidate = Event::ReconfigDone { time, group };
             if best.is_none_or(|b| keyed(candidate) < keyed(b)) {
                 best = Some(candidate);
             }
         }
-        if let Some(&std::cmp::Reverse(time)) = self.migrations.peek() {
-            let candidate = Event::MigrationDone { time };
+        if let Some(&std::cmp::Reverse((time, group))) = self.migrations.peek() {
+            let candidate = Event::MigrationDone { time, group };
             if best.is_none_or(|b| keyed(candidate) < keyed(b)) {
                 best = Some(candidate);
             }
@@ -954,7 +970,7 @@ mod tests {
         // snapshot ticks at 100; VM 2 arrives at 100.
         let t = trace(vec![request(1, 0, 100), request(2, 100, 50)], 100);
         let mut queue = EventQueue::new(TraceCursor::new(&t), 100);
-        queue.schedule_release(100);
+        queue.schedule_release(100, 0);
         let mut events = Vec::new();
         while let Some(event) = queue.next_event() {
             if let Event::Arrival { request_index, .. } = event {
@@ -968,7 +984,7 @@ mod tests {
             vec![
                 Event::Arrival { time: 0, request_index: 0 },
                 Event::Departure { time: 100, token: 0 },
-                Event::Release { time: 100 },
+                Event::Release { time: 100, group: 0 },
                 Event::Snapshot { time: 100 },
                 Event::Arrival { time: 100, request_index: 1 },
                 Event::Departure { time: 150, token: 1 },
@@ -983,8 +999,8 @@ mod tests {
         // buffer refill and before the snapshot observes the fleet.
         let t = trace(vec![request(1, 100, 50)], 100);
         let mut queue = EventQueue::new(TraceCursor::new(&t), 100);
-        queue.schedule_release(100);
-        queue.schedule_reconfig_done(100);
+        queue.schedule_release(100, 0);
+        queue.schedule_reconfig_done(100, 0);
         let mut events = Vec::new();
         while let Some(event) = queue.next_event() {
             events.push(event);
@@ -992,8 +1008,8 @@ mod tests {
         assert_eq!(
             events,
             vec![
-                Event::Release { time: 100 },
-                Event::ReconfigDone { time: 100 },
+                Event::Release { time: 100, group: 0 },
+                Event::ReconfigDone { time: 100, group: 0 },
                 Event::Snapshot { time: 100 },
                 Event::Arrival { time: 100, request_index: 0 },
             ]
@@ -1004,10 +1020,10 @@ mod tests {
     fn reconfig_completions_pop_earliest_first_and_drain_past_duration() {
         let t = trace(vec![], 100);
         let mut queue = EventQueue::new(TraceCursor::new(&t), 0);
-        queue.schedule_reconfig_done(10_000);
-        queue.schedule_reconfig_done(5_000);
-        assert_eq!(queue.next_event(), Some(Event::ReconfigDone { time: 5_000 }));
-        assert_eq!(queue.next_event(), Some(Event::ReconfigDone { time: 10_000 }));
+        queue.schedule_reconfig_done(10_000, 0);
+        queue.schedule_reconfig_done(5_000, 0);
+        assert_eq!(queue.next_event(), Some(Event::ReconfigDone { time: 5_000, group: 0 }));
+        assert_eq!(queue.next_event(), Some(Event::ReconfigDone { time: 10_000, group: 0 }));
         assert_eq!(queue.next_event(), None);
     }
 
@@ -1015,10 +1031,10 @@ mod tests {
     fn releases_past_the_trace_duration_are_drained() {
         let t = trace(vec![], 100);
         let mut queue = EventQueue::new(TraceCursor::new(&t), 0);
-        queue.schedule_release(10_000);
-        queue.schedule_release(5_000);
-        assert_eq!(queue.next_event(), Some(Event::Release { time: 5_000 }));
-        assert_eq!(queue.next_event(), Some(Event::Release { time: 10_000 }));
+        queue.schedule_release(10_000, 0);
+        queue.schedule_release(5_000, 0);
+        assert_eq!(queue.next_event(), Some(Event::Release { time: 5_000, group: 0 }));
+        assert_eq!(queue.next_event(), Some(Event::Release { time: 10_000, group: 0 }));
         assert_eq!(queue.next_event(), None);
     }
 
@@ -1106,9 +1122,9 @@ mod tests {
         queue.schedule_group_decommission(100, 2);
         queue.schedule_emc_repair(100, 0);
         queue.schedule_emc_failure(100, 0);
-        queue.schedule_release(100);
-        queue.schedule_migration_done(100);
-        queue.schedule_reconfig_done(100);
+        queue.schedule_release(100, 0);
+        queue.schedule_migration_done(100, 0);
+        queue.schedule_reconfig_done(100, 0);
         let mut events = Vec::new();
         while let Some(event) = queue.next_event() {
             if let Event::Arrival { request_index, .. } = event {
@@ -1126,9 +1142,9 @@ mod tests {
                 Event::GroupDecommission { time: 100, group: 2 },
                 Event::GroupExpansion { time: 100, expansion_index: 0 },
                 Event::Departure { time: 100, token: 0 },
-                Event::Release { time: 100 },
-                Event::ReconfigDone { time: 100 },
-                Event::MigrationDone { time: 100 },
+                Event::Release { time: 100, group: 0 },
+                Event::ReconfigDone { time: 100, group: 0 },
+                Event::MigrationDone { time: 100, group: 0 },
                 Event::Snapshot { time: 100 },
                 Event::Arrival { time: 100, request_index: 1 },
                 Event::Departure { time: 150, token: 1 },
@@ -1179,10 +1195,10 @@ mod tests {
     fn migration_completions_pop_earliest_first_and_drain_past_duration() {
         let t = trace(vec![], 100);
         let mut queue = EventQueue::new(TraceCursor::new(&t), 0);
-        queue.schedule_migration_done(10_000);
-        queue.schedule_migration_done(5_000);
-        assert_eq!(queue.next_event(), Some(Event::MigrationDone { time: 5_000 }));
-        assert_eq!(queue.next_event(), Some(Event::MigrationDone { time: 10_000 }));
+        queue.schedule_migration_done(10_000, 0);
+        queue.schedule_migration_done(5_000, 0);
+        assert_eq!(queue.next_event(), Some(Event::MigrationDone { time: 5_000, group: 0 }));
+        assert_eq!(queue.next_event(), Some(Event::MigrationDone { time: 10_000, group: 0 }));
         assert_eq!(queue.next_event(), None);
     }
 
@@ -1309,9 +1325,9 @@ mod tests {
             for (i, &(class, time, index)) in $extras.iter().enumerate() {
                 match class {
                     0 => queue.schedule_emc_failure(time, i),
-                    1 => queue.schedule_release(time),
-                    2 => queue.schedule_reconfig_done(time),
-                    3 => queue.schedule_migration_done(time),
+                    1 => queue.schedule_release(time, index % 4),
+                    2 => queue.schedule_reconfig_done(time, index % 4),
+                    3 => queue.schedule_migration_done(time, index % 4),
                     6 => queue.schedule_emc_repair(time, i),
                     7 => queue.schedule_group_decommission(time, index % 4),
                     8 => queue.schedule_group_expansion(time, i),

@@ -148,6 +148,7 @@ pub struct BorrowedReclaim {
 /// [`PondControlPlane::handle_departure_split`] and
 /// [`PondControlPlane::evacuate_vm_split`]): this plane's own slices start
 /// offlining here, while a borrowed lease must be routed back to its lender.
+#[must_use]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DepartureOutcome {
     /// Completion time of this plane's own slice offlining (`None` for
@@ -188,7 +189,7 @@ pub struct EmcFailureOutcome {
     pub emc: EmcId,
     /// The running VMs that had memory on the device at the failure
     /// instant, in ascending VM-id order. Every one of them must be
-    /// evacuated ([`PondControlPlane::evacuate_vm`]) or killed by the
+    /// evacuated ([`PondControlPlane::evacuate_vm_split`]) or killed by the
     /// caller; they are still pinned on their hosts.
     pub affected: Vec<AffectedVm>,
     /// Slice ownerships (assigned or mid-release) lost with the device.
@@ -833,33 +834,13 @@ impl PondControlPlane {
     }
 
     /// Handles a VM departure: unpins host memory, starts the asynchronous
-    /// release of its pool slices, and feeds the VM's measured untouched
-    /// memory back into the policy's customer history.
+    /// release of the VM's own pool slices, and feeds its measured untouched
+    /// memory back into the policy's customer history. A borrowed lease is
+    /// handed back in [`DepartureOutcome::lease`] for the caller to route to
+    /// the lender's [`PondControlPlane::release_lent`].
     ///
-    /// Returns the time at which the slice offlining completes (`None` for
-    /// all-local VMs); event-driven callers schedule a release event there.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PondError::HostMemory`] when the VM is unknown.
-    pub fn handle_departure(
-        &mut self,
-        vm: VmId,
-        now: Duration,
-    ) -> Result<Option<Duration>, PondError> {
-        let outcome = self.handle_departure_split(vm, now)?;
-        assert!(
-            outcome.lease.is_none(),
-            "{vm} held a borrowed lease: depart it via handle_departure_split \
-             so the slices can be routed back to the lender"
-        );
-        Ok(outcome.release_ready)
-    }
-
-    /// [`PondControlPlane::handle_departure`] for fleets with cross-pod
-    /// borrowing: additionally hands back the VM's borrowed lease (if any)
-    /// so the caller can route it to the lender's
-    /// [`PondControlPlane::release_lent`].
+    /// Event-driven callers schedule a release event at
+    /// [`DepartureOutcome::release_ready`] (`None` for all-local VMs).
     ///
     /// # Errors
     ///
@@ -910,33 +891,13 @@ impl PondControlPlane {
         Ok((DepartureOutcome { release_ready: ready, lease }, record))
     }
 
-    /// Evacuates a running VM off this plane (the failure-drill migration
-    /// path): unpins its host memory, starts the asynchronous release of its
-    /// *surviving* pool slices, and forgets the VM — without feeding the
-    /// policy's completion history, because the VM is moving, not done.
-    ///
-    /// Returns the release-completion time (`None` when the VM held no live
-    /// slices); event-driven callers schedule a release event there and then
-    /// re-place the VM on the destination plane.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PondError::HostMemory`] when the VM is unknown.
-    pub fn evacuate_vm(&mut self, vm: VmId, now: Duration) -> Result<Option<Duration>, PondError> {
-        let outcome = self.evacuate_vm_split(vm, now)?;
-        assert!(
-            outcome.lease.is_none(),
-            "{vm} held a borrowed lease: evacuate it via evacuate_vm_split \
-             so the slices can be routed back to the lender"
-        );
-        Ok(outcome.release_ready)
-    }
-
-    /// [`PondControlPlane::evacuate_vm`] for fleets with cross-pod
-    /// borrowing: additionally hands back the VM's borrowed lease (if any)
-    /// for the caller to route to the lender's
-    /// [`PondControlPlane::release_lent`]. Like `evacuate_vm`, it records
-    /// no completion — the VM is moving, not done.
+    /// Evacuates a running VM off this plane (the relocation path of
+    /// failures, drains, and rebalances): unpins its host memory, starts the
+    /// asynchronous release of its *surviving* own slices, hands back any
+    /// borrowed lease for the caller to route to the lender's
+    /// [`PondControlPlane::release_lent`], and forgets the VM — without
+    /// feeding the policy's completion history, because the VM is moving,
+    /// not done.
     ///
     /// # Errors
     ///
@@ -1247,7 +1208,7 @@ mod tests {
         // Departure returns capacity.
         let before = plane.pool().available();
         for vm in &placed {
-            plane.handle_departure(*vm, Duration::from_secs(1_000_000)).unwrap();
+            let _ = plane.handle_departure_split(*vm, Duration::from_secs(1_000_000)).unwrap();
         }
         assert_eq!(plane.running_vms(), 0);
         // After the offlining delay, the buffer is at least as full as before.
@@ -1259,7 +1220,7 @@ mod tests {
     #[test]
     fn unknown_departure_is_an_error() {
         let (_, mut plane) = setup();
-        assert!(plane.handle_departure(VmId(12345), Duration::ZERO).is_err());
+        assert!(plane.handle_departure_split(VmId(12345), Duration::ZERO).is_err());
     }
 
     #[test]
@@ -1364,10 +1325,10 @@ mod tests {
         // Evacuating an affected VM unpins its host memory; with no live
         // slices left there is nothing to release.
         let vm = outcome.affected[0].vm;
-        let ready = plane.evacuate_vm(vm, now).unwrap();
+        let ready = plane.evacuate_vm_split(vm, now).unwrap().release_ready;
         assert_eq!(ready, None);
         assert_eq!(plane.running_vms(), running_before - 1);
-        assert!(plane.evacuate_vm(vm, now).is_err(), "an evacuated VM is gone");
+        assert!(plane.evacuate_vm_split(vm, now).is_err(), "an evacuated VM is gone");
         plane.assert_pool_conserved();
         // A failed pool serves no further pooled placements, but all-local
         // re-homes still work.
@@ -1390,7 +1351,11 @@ mod tests {
         let (vm, pool) = pooled_vm.expect("a pooled placement");
         let now = Duration::from_secs(500);
         let before = plane.pool().pending_release();
-        let ready = plane.evacuate_vm(vm, now).unwrap().expect("live slices must offline");
+        let ready = plane
+            .evacuate_vm_split(vm, now)
+            .unwrap()
+            .release_ready
+            .expect("live slices must offline");
         assert!(ready > now, "offlining takes 10-100 ms/GiB");
         assert_eq!(plane.pool().pending_release(), before + pool);
         plane.assert_pool_conserved();
@@ -1401,7 +1366,7 @@ mod tests {
 
     #[test]
     fn a_drained_vm_that_departs_normally_records_exactly_one_completion() {
-        // The drain-vs-kill feedback contract: `evacuate_vm` deliberately
+        // The drain-vs-kill feedback contract: `evacuate_vm_split` deliberately
         // skips `record_completion` (correct for kills — the VM never
         // finished), but a VM drained off a decommissioning group and
         // re-placed elsewhere is still running, and when it later departs
@@ -1427,7 +1392,7 @@ mod tests {
         let before_dest = dest.policy().history().count(customer);
 
         let now = Duration::from_secs(1_000);
-        source.evacuate_vm(VmId(request.id), now).unwrap();
+        let _ = source.evacuate_vm_split(VmId(request.id), now).unwrap();
         assert_eq!(
             source.policy().history().count(customer),
             before_source,
@@ -1440,7 +1405,7 @@ mod tests {
             before_dest,
             "placement records nothing"
         );
-        dest.handle_departure(VmId(request.id), Duration::from_secs(2_000)).unwrap();
+        let _ = dest.handle_departure_split(VmId(request.id), Duration::from_secs(2_000)).unwrap();
         assert_eq!(
             dest.policy().history().count(customer),
             before_dest + 1,

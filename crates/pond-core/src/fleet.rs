@@ -18,21 +18,25 @@
 //! arrival time, and the whole replay is deterministic. Pool-accounting
 //! conservation (every slice is free, pinned, or mid-offlining) is
 //! debug-asserted after every event.
+//!
+//! This module owns the single-pool configuration, the outcome type, and the
+//! accounting rules; the event loop itself is the multi-pool engine in
+//! [`crate::multipool`], which [`run_fleet`] runs on one symmetric group.
+//! [`run_fleet_reference`] keeps the original heap-per-source loop as the
+//! bit-for-bit oracle for that engine.
 
-use crate::arena::LiveVmArena;
 use crate::control_plane::{ControlPlaneConfig, PondControlPlane};
 use crate::error::PondError;
+use crate::multipool::{run_multipool_source_observed, GroupSchedulerKind, MultiPoolConfig};
 use crate::policy::PondPolicy;
-use cluster_sim::event::{Event, EventQueue, ReferenceEventQueue};
+use cluster_sim::event::{Event, ReferenceEventQueue};
 use cluster_sim::source::{ArrivalSource, TraceCursor, TraceHeader};
 use cluster_sim::sweep;
 use cluster_sim::trace::ClusterTrace;
+use cxl_hw::topology::PodStyle;
 use cxl_hw::units::Bytes;
 use hypervisor_sim::vm::VmId;
-use pond_metrics::{
-    DecisionTrace, FallbackReason, GroupSample, LadderRung, NullObserver, QosPassTrace,
-    ReplayObserver,
-};
+use pond_metrics::{NullObserver, ReplayObserver};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 use workload_model::spill::SpillModel;
@@ -140,10 +144,12 @@ pub struct FleetOutcome {
     pub emc_failures: u64,
     /// VMs that survived an EMC failure by migrating — re-homed to a
     /// reachable pod (pooled or all-local) with their copy charged on the
-    /// event timeline. Attributed to the group that suffered the failure.
+    /// event timeline. Attributed to the group the VM left: the pod that
+    /// lost the device, or the borrower whose lease died with a lender's.
     pub vms_migrated: u64,
-    /// VMs lost to an EMC failure: no reachable pod could re-home them.
-    /// Attributed to the group that suffered the failure.
+    /// VMs that had to move and found no rung to hold them: lost to an EMC
+    /// failure, or (as a last resort) to a drain. Attributed to the group
+    /// the VM ran in.
     pub vms_killed: u64,
     /// Migration-copy completion events processed: each migrated VM's
     /// in-migration degraded window ends with one `MigrationDone` event.
@@ -153,8 +159,9 @@ pub struct FleetOutcome {
     pub evacuation_copy_time: Duration,
     /// VMs drained off a decommissioning group by migration. Disjoint from
     /// [`FleetOutcome::vms_migrated`] (failure evacuations): a graceful
-    /// decommission never kills, it drains. Attributed to the group that
-    /// was decommissioned.
+    /// decommission never kills, it drains. Attributed to the group the VM
+    /// left: the decommissioned pod, or the borrower whose lease on it was
+    /// recalled.
     pub vms_drained: u64,
     /// VMs moved by proactive QoS-cadence rebalancing — migrated from a
     /// pool-starved pod to its ring neighbour before a failure or arrival
@@ -435,8 +442,9 @@ impl std::fmt::Display for FleetOutcome {
 
 /// Event times are whole seconds; releases and reconfiguration copies
 /// complete at millisecond granularity, so their events land on the next
-/// whole second. Shared with [`crate::multipool`], which must round
-/// identically for the single-group equivalence to hold.
+/// whole second. Shared by the replay engine in [`crate::multipool`] and
+/// [`run_fleet_reference`], which must round identically for the oracle
+/// comparison to hold.
 pub(crate) fn ceil_secs(duration: Duration) -> u64 {
     duration.as_secs() + u64::from(duration.subsec_nanos() > 0)
 }
@@ -445,15 +453,16 @@ pub(crate) fn ceil_secs(duration: Duration) -> u64 {
 /// closed. A double decrement means a completion was attributed to the
 /// wrong group (or delivered twice) — that must fail loudly in debug builds
 /// instead of being masked by saturation; release builds still saturate
-/// rather than wrap. Shared by [`run_fleet`] and
-/// [`crate::multipool::run_multipool_fleet`].
+/// rather than wrap. Shared by the replay engine and
+/// [`run_fleet_reference`].
 pub(crate) fn checked_decrement(counter: &mut u64, what: &str) {
     debug_assert!(*counter > 0, "double decrement of {what}: a completion event was misattributed");
     *counter = counter.saturating_sub(1);
 }
 
-/// Which shared-queue event a replay just scheduled — the attribution hook
-/// the multi-pool replay uses to route the completion back to its group.
+/// Which completion event a QoS pass just asked for — the hook that lets
+/// the replay engine and [`run_fleet_reference`], which run on different
+/// queues, share [`ReplayAccounting::record_qos_pass`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ScheduledEvent {
     /// An asynchronous slice-release completion.
@@ -462,11 +471,11 @@ pub(crate) enum ScheduledEvent {
     ReconfigDone,
 }
 
-/// The per-event outcome accounting shared by [`run_fleet`] and
-/// [`crate::multipool::run_multipool_fleet`]. Both replays charge
-/// placements, mitigations, and provisioning peaks through these helpers,
-/// so the two loops cannot silently diverge — which is what keeps the
-/// single-group multipool replay bit-for-bit equal to the single-pool one.
+/// The per-event outcome accounting shared by the replay engine
+/// ([`crate::multipool`], which also runs [`run_fleet`]) and the oracle
+/// [`run_fleet_reference`]: both charge placements and mitigations through
+/// these helpers, so the oracle checks the event core and bookkeeping, not
+/// a second copy of the accounting rules.
 #[derive(Debug)]
 pub(crate) struct ReplayAccounting {
     scenario: cxl_hw::latency::LatencyScenario,
@@ -595,11 +604,17 @@ pub(crate) fn track_peaks_touched(
 /// Replays a trace through the full Pond control plane on the time-ordered
 /// event core and returns the aggregated outcome.
 ///
+/// The replay builds its pool from whole 1 GiB slices, so a fractional
+/// `pool_capacity` replays as its floor.
+///
 /// # Errors
 ///
-/// Propagates control-plane construction failures (unsupported pool
-/// topology) and any error other than the expected placement failures
-/// (`NoFeasibleHost`, and `PoolExhausted` when the fallback is disabled).
+/// * [`PondError::Hardware`] wrapping
+///   [`CxlError::InvalidGroupTopology`](cxl_hw::CxlError::InvalidGroupTopology)
+///   when `pool_capacity` is below one slice (a zero pool included), and
+///   other control-plane construction failures (unsupported pool topology).
+/// * Any error other than the expected placement failures
+///   (`NoFeasibleHost`, and `PoolExhausted` when the fallback is disabled).
 pub fn run_fleet(trace: &ClusterTrace, config: &FleetConfig) -> Result<FleetOutcome, PondError> {
     let policy = PondPolicy::train(trace, &config.control.policy, config.seed);
     run_fleet_with_policy(trace, config, policy)
@@ -621,7 +636,8 @@ pub fn run_fleet_with_policy(
 
 /// [`run_fleet`] over any streaming [`ArrivalSource`]: arrivals come off the
 /// source cursor one at a time, departures live in an incremental per-second
-/// calendar, and every per-VM fact sits in a [`LiveVmArena`] slot that is
+/// calendar, and every per-VM fact sits in a
+/// [`LiveVmArena`](crate::arena::LiveVmArena) slot that is
 /// recycled at departure — so replay memory is O(live VMs + hosts), not
 /// O(trace length). Bit-identical to the materialized replay on the same
 /// request stream: arrival ordinals feed the same simultaneous-departure
@@ -639,16 +655,18 @@ pub fn run_fleet_source<S: ArrivalSource>(
     run_fleet_source_observed(source, config, policy, &mut NullObserver)
 }
 
-/// [`run_fleet_source`] with a [`ReplayObserver`] wired into the loop: the
-/// observer sees every popped event, every placement decision, every QoS
-/// pass, and a single-group [`GroupSample`] at each snapshot tick.
+/// [`run_fleet_source`] with a [`ReplayObserver`] wired into the replay:
+/// the observer sees every popped event, every placement decision, every QoS
+/// pass, and a single-group [`GroupSample`](pond_metrics::GroupSample) at
+/// each snapshot tick.
 ///
-/// Observers are read-only, so the observed outcome is bit-identical to
-/// [`run_fleet_source`] on the same `(source, config, policy)`. With
-/// [`NullObserver`] (whose [`ReplayObserver::ENABLED`] is `false`) every
-/// hook and payload construction compiles out, so [`run_fleet_source`]
-/// monomorphizes to the pre-observability loop — which is what keeps the
-/// `bench_fleet` throughput floor honest.
+/// The single-pool replay *is* the multi-pool engine on one symmetric group
+/// ([`run_multipool_source_observed`]): with one group the placement ladder
+/// degenerates to the control plane's pooled → all-local fallback, and the
+/// fleet aggregate is that group's outcome. [`run_fleet_reference`] stays
+/// the independent oracle. Observers are read-only, so the observed outcome
+/// is bit-identical to [`run_fleet_source`]; with [`NullObserver`] every
+/// hook compiles out.
 ///
 /// # Errors
 ///
@@ -659,190 +677,19 @@ pub fn run_fleet_source_observed<S: ArrivalSource, O: ReplayObserver>(
     policy: PondPolicy,
     observer: &mut O,
 ) -> Result<FleetOutcome, PondError> {
-    let mut plane = PondControlPlane::with_policy(config.control.clone(), policy)?;
-    let accounting = ReplayAccounting::new(&config.control);
-
-    let hosts = plane.hosts().len();
-    let mut peak_local = vec![Bytes::ZERO; hosts];
-    let mut peak_host_pool = vec![Bytes::ZERO; hosts];
-    let mut peak_total = vec![Bytes::ZERO; hosts];
-    let mut outcome = FleetOutcome::default();
-    let mut arena = LiveVmArena::new();
-    let mut pooled_host = vec![false; hosts];
-    let mut pooled_host_count: u64 = 0;
-    let mut degraded: u64 = 0;
-
-    let mut events = EventQueue::new(source, config.qos_interval);
-    while let Some(event) = events.next_event() {
-        if O::ENABLED {
-            observer.on_event(&event);
-        }
-        let now = Duration::from_secs(event.time());
-        let mut snapshot_time = None;
-        match event {
-            Event::Arrival { request_index, .. } => {
-                let request = events.take_arrival();
-                match plane.handle_request(&request, now) {
-                    Ok(summary) => {
-                        accounting.record_placement(&mut outcome, &request, &summary);
-                        if O::ENABLED {
-                            let (rung, reason) = if summary.fallback_all_local {
-                                (LadderRung::AllLocalHome, FallbackReason::PoolRungsExhausted)
-                            } else {
-                                (LadderRung::PooledHome, FallbackReason::None)
-                            };
-                            observer.on_decision(&DecisionTrace {
-                                time: request.arrival,
-                                vm: Some(summary.vm.0),
-                                home_group: 0,
-                                group: Some(0),
-                                rung,
-                                reason,
-                                memory: request.memory,
-                                lifetime: request.lifetime,
-                            });
-                        }
-                        if !summary.pool.is_zero() && !pooled_host[summary.host] {
-                            pooled_host[summary.host] = true;
-                            pooled_host_count += 1;
-                        }
-                        let departure = request.departure();
-                        let token = arena.alloc(request, request_index as u64);
-                        events.schedule_departure(departure, request_index as u64, token);
-                    }
-                    Err(PondError::NoFeasibleHost { .. })
-                    | Err(PondError::PoolExhausted { .. }) => {
-                        outcome.rejected_vms += 1;
-                        if O::ENABLED {
-                            observer.on_decision(&DecisionTrace {
-                                time: request.arrival,
-                                vm: None,
-                                home_group: 0,
-                                group: None,
-                                rung: LadderRung::Rejected,
-                                reason: FallbackReason::NoRungHeld,
-                                memory: request.memory,
-                                lifetime: request.lifetime,
-                            });
-                        }
-                    }
-                    Err(other) => return Err(other),
-                }
-            }
-            Event::Departure { token, .. } => {
-                // Each token was scheduled exactly once at its allocation,
-                // so the slot is live and this free cannot alias.
-                let vm = VmId(arena.request(token).id);
-                arena.free(token);
-                if let Some(ready) = plane.handle_departure(vm, now)? {
-                    events.schedule_release(ceil_secs(ready));
-                }
-            }
-            Event::Release { .. } => {
-                plane.complete_releases(now);
-                outcome.releases_completed += 1;
-            }
-            Event::ReconfigDone { .. } => {
-                checked_decrement(&mut degraded, "in-flight mitigation copies");
-                outcome.reconfig_completions += 1;
-            }
-            // The single-pool replay runs no failure or lifecycle drills and
-            // therefore never schedules failure, lifecycle, or migration
-            // events.
-            Event::EmcFailure { .. }
-            | Event::EmcRepair { .. }
-            | Event::GroupDecommission { .. }
-            | Event::GroupExpansion { .. }
-            | Event::MigrationDone { .. } => {
-                unreachable!("run_fleet schedules no failure-drill or lifecycle events")
-            }
-            Event::Snapshot { time } => {
-                let pass = plane.run_qos_pass(now)?;
-                if O::ENABLED {
-                    observer.on_qos_pass(&QosPassTrace {
-                        time,
-                        group: 0,
-                        reconfigured: pass.reconfigured,
-                        copy_time: pass.copy_time,
-                    });
-                    snapshot_time = Some(time);
-                }
-                accounting.record_qos_pass(
-                    &mut outcome,
-                    pass,
-                    time,
-                    |id| arena.departure_of(id),
-                    &mut degraded,
-                    |kind, at| match kind {
-                        ScheduledEvent::Release => events.schedule_release(at),
-                        ScheduledEvent::ReconfigDone => events.schedule_reconfig_done(at),
-                    },
-                );
-                // The full O(pool + hosts) conservation scan runs only at
-                // snapshot ticks (and end of replay) in debug builds.
-                #[cfg(debug_assertions)]
-                plane.assert_pool_conserved_full();
-            }
-        }
-
-        track_peaks_touched(
-            &mut plane,
-            &mut outcome,
-            &mut peak_local,
-            &mut peak_host_pool,
-            &mut peak_total,
-        );
-
-        if O::ENABLED {
-            if let Some(time) = snapshot_time {
-                let sample = GroupSample {
-                    group: 0,
-                    state: cxl_hw::pool::GroupState::Online,
-                    pool_free: plane.pool().available(),
-                    pool_offlining: plane.pool().pending_release(),
-                    pool_pinned: plane.pinned_pool(),
-                    pool_live: plane.pool().pool().live_capacity(),
-                    pool_lent: plane.lent_pool(),
-                    pool_borrowed: plane.borrowed_pool(),
-                    running_vms: plane.running_vms() as u64,
-                    scheduled_vms: outcome.scheduled_vms,
-                    rejected_vms: outcome.rejected_vms,
-                    vms_killed: outcome.vms_killed,
-                    sum_total_peaks: peak_total.iter().copied().sum(),
-                    sum_host_pool_peaks: peak_host_pool.iter().copied().sum(),
-                    pool_peak: outcome.pool_peak,
-                };
-                observer.on_snapshot(time, std::slice::from_ref(&sample));
-            }
-        }
-
-        // Conservation of pool accounting, checked at every event in debug
-        // builds: free + offlining + pinned must equal the pool's capacity.
-        #[cfg(debug_assertions)]
-        plane.assert_pool_conserved();
-    }
-    if let Some(error) = events.source_error() {
-        return Err(PondError::TraceStream(error.to_string()));
-    }
-
-    #[cfg(debug_assertions)]
-    plane.assert_pool_conserved_full();
-    debug_assert_eq!(plane.running_vms(), 0, "every placed VM must have departed");
-    debug_assert!(
-        plane.pool().pending_release().is_zero(),
-        "every release event must have been delivered and processed"
-    );
-    debug_assert_eq!(degraded, 0, "every mitigation copy must have completed as an event");
-    debug_assert_eq!(
-        outcome.reconfig_completions, outcome.mitigations,
-        "one ReconfigDone event per mitigation"
-    );
-
-    outcome.pooled_host_count = pooled_host_count;
-    outcome.sum_local_peaks = peak_local.iter().copied().sum();
-    outcome.sum_host_pool_peaks = peak_host_pool.iter().copied().sum();
-    outcome.sum_total_peaks = peak_total.iter().copied().sum();
-    Ok(outcome)
+    let single_pool = MultiPoolConfig {
+        pod: PodStyle::Symmetric,
+        groups: 1,
+        control: config.control.clone(),
+        scheduler: GroupSchedulerKind::RoundRobin,
+        qos_interval: config.qos_interval,
+        seed: config.seed,
+        drill: None,
+        lifecycle: None,
+        rebalance: None,
+        borrowing: false,
+    };
+    Ok(run_multipool_source_observed(source, &single_pool, policy, observer)?.fleet)
 }
 
 /// The pre-refactor replay loop, retained deliberately: the five-heap
@@ -915,8 +762,8 @@ pub fn run_fleet_reference_with_policy(
             Event::Departure { token: request_index, .. } => {
                 if placed.remove(&request_index) {
                     let vm = VmId(trace.requests[request_index].id);
-                    if let Some(ready) = plane.handle_departure(vm, now)? {
-                        events.schedule_release(ceil_secs(ready));
+                    if let Some(ready) = plane.handle_departure_split(vm, now)?.release_ready {
+                        events.schedule_release(ceil_secs(ready), 0);
                     }
                 }
             }
@@ -944,8 +791,8 @@ pub fn run_fleet_reference_with_policy(
                     |id| departure_of.get(&id).copied(),
                     &mut degraded,
                     |kind, at| match kind {
-                        ScheduledEvent::Release => events.schedule_release(at),
-                        ScheduledEvent::ReconfigDone => events.schedule_reconfig_done(at),
+                        ScheduledEvent::Release => events.schedule_release(at, 0),
+                        ScheduledEvent::ReconfigDone => events.schedule_reconfig_done(at, 0),
                     },
                 );
             }
@@ -1064,12 +911,41 @@ mod tests {
     #[test]
     fn optimized_replay_matches_the_reference_replay_bit_for_bit() {
         let trace = small_trace();
-        // Pool sizes spanning heavy mitigation traffic (tiny) to none.
-        for fraction in [0.02, 0.20, 0.40] {
-            let config = FleetConfig::for_trace(&trace, fraction, 7);
-            let optimized = run_fleet(&trace, &config).unwrap();
-            let reference = run_fleet_reference(&trace, &config).unwrap();
-            assert_eq!(optimized, reference, "pool fraction {fraction}");
+        // Pool sizes spanning heavy mitigation traffic (tiny) to none; with
+        // the all-local fallback off, both replays must reject the same
+        // pool-exhausted VMs instead of placing them.
+        for fallback in [true, false] {
+            for fraction in [0.02, 0.20, 0.40] {
+                let mut config = FleetConfig::for_trace(&trace, fraction, 7);
+                config.control.fallback_all_local = fallback;
+                let optimized = run_fleet(&trace, &config).unwrap();
+                let reference = run_fleet_reference(&trace, &config).unwrap();
+                assert_eq!(optimized, reference, "pool fraction {fraction}, fallback {fallback}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_replay_pool_is_whole_slices() {
+        let trace = small_trace();
+        let whole = FleetConfig::for_trace(&trace, 0.20, 7);
+        // A fractional pool replays as its floor, exactly as the reference
+        // replays the floored pool.
+        let mut fractional = whole.clone();
+        fractional.control.pool_capacity = whole.control.pool_capacity + Bytes::from_mib(512);
+        assert_eq!(
+            run_fleet(&trace, &fractional).unwrap(),
+            run_fleet_reference(&trace, &whole).unwrap()
+        );
+        // A pool below one slice is not a pool the replay can build.
+        for below_one_slice in [Bytes::ZERO, Bytes::from_mib(512)] {
+            let mut config = whole.clone();
+            config.control.pool_capacity = below_one_slice;
+            let err = run_fleet(&trace, &config).unwrap_err();
+            assert!(
+                matches!(err, PondError::Hardware(cxl_hw::CxlError::InvalidGroupTopology { .. })),
+                "{below_one_slice:?}: {err:?}"
+            );
         }
     }
 

@@ -56,19 +56,19 @@
 //! feasibility pre-check so a rebalance can never kill.
 //!
 //! All groups run on the *single* time-ordered [`EventQueue`]: one merged
-//! stream of
-//! arrivals, departures, per-group release completions, reconfiguration
-//! completions, lifecycle events, and QoS ticks. After every event,
-//! per-group pool-accounting
-//! conservation is debug-asserted
+//! stream of arrivals, departures, release and copy completions (each
+//! carrying the group it belongs to), lifecycle events, and QoS ticks. After
+//! every event, per-group pool-accounting conservation is debug-asserted
 //! ([`PondControlPlane::assert_pool_conserved`]) along with the fleet-wide
 //! invariant ([`assert_fleet_conserved`]): summed over groups, every slice
 //! is exactly one of free, pinned, or mid-offlining.
 //!
-//! With a single group, [`run_multipool_fleet`] reproduces
-//! [`run_fleet`](crate::fleet::run_fleet) bit for bit — the ladder above
-//! degenerates to exactly the control plane's internal fallback — which the
-//! integration suite checks outcome-for-outcome.
+//! This is the one replay engine: the single-pool
+//! [`run_fleet`](crate::fleet::run_fleet) runs it on one symmetric group.
+//! Every VM move — failure evacuation, the fan-out of a lender's failure to
+//! its borrowers, decommission drain, lease recall, rebalance — takes the
+//! same relocation path, and every counter, copy completion, and trace of a
+//! move is attributed to the group the VM leaves.
 
 use crate::arena::{LiveVmArena, NO_GROUP};
 use crate::control_plane::{
@@ -84,7 +84,7 @@ use cluster_sim::event::{Event, EventQueue};
 use cluster_sim::source::{ArrivalSource, TraceCursor, TraceHeader};
 use cluster_sim::sweep;
 use cluster_sim::trace::{ClusterTrace, VmRequest};
-use cxl_hw::pool::GroupState;
+use cxl_hw::pool::{GroupState, SliceLease};
 use cxl_hw::topology::{PodStyle, PoolGroupTopology};
 use cxl_hw::units::{Bytes, EmcId};
 use hypervisor_sim::reconfig::ReconfigurationEngine;
@@ -96,7 +96,6 @@ use pond_metrics::{
 use rand::{Rng, SeedableRng};
 use rand_pcg::Pcg64;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;
 
 /// A per-arrival snapshot of one pool group, offered to [`GroupScheduler`]s.
@@ -460,8 +459,7 @@ impl MultiPoolConfig {
     /// A multi-pool fleet sized to a trace, mirroring
     /// [`FleetConfig::for_trace`] and then sharding it into `groups` pods:
     /// with `groups == 1` the derived per-group control plane is *identical*
-    /// to the single-pool fleet's, which is what makes the bit-for-bit
-    /// equivalence test possible.
+    /// to the single-pool fleet's.
     pub fn for_trace(
         trace: &ClusterTrace,
         pod: PodStyle,
@@ -548,9 +546,9 @@ pub struct MultiPoolOutcome {
     /// Fleet-wide aggregate. Summable fields are sums over groups;
     /// `pool_peak` is the sum of per-group pool peaks (each pool provisions
     /// for its own peak); `qos_passes`, `releases_completed`, and
-    /// `reconfig_completions` count events on the shared queue. With one
-    /// group this equals [`run_fleet`](crate::fleet::run_fleet)'s outcome
-    /// bit for bit.
+    /// `reconfig_completions` count events on the shared queue.
+    /// [`run_fleet`](crate::fleet::run_fleet) is this aggregate for one
+    /// symmetric group.
     pub fleet: FleetOutcome,
     /// Per-group breakdown, indexed by group.
     pub per_group: Vec<FleetOutcome>,
@@ -620,173 +618,41 @@ pub fn assert_fleet_conserved_full(planes: &[PondControlPlane]) {
     assert_fleet_conserved(planes);
 }
 
-/// FIFO attribution of shared-queue events back to the group that scheduled
-/// them: release and reconfiguration events carry only a time, so each
-/// schedule records `(time → group)` and each pop consumes the front entry
-/// at that time.
-#[derive(Debug, Default)]
-struct EventAttribution {
-    by_time: BTreeMap<u64, VecDeque<usize>>,
+/// Why a running VM leaves its group: the counter the move lands in and the
+/// lifecycle trace it emits. Every kind runs the same [`Replay::relocate`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Relocation {
+    /// An EMC failure stripped the VM's pool memory, in its own pod or in a
+    /// lender's (`vms_migrated`).
+    Migrated,
+    /// A graceful decommission drained the VM off the pod, or recalled the
+    /// lease it held on the pod (`vms_drained`).
+    Drained,
+    /// A proactive rebalance moved the VM to its ring neighbour
+    /// (`vms_rebalanced`). The ladder's all-local rung always runs for it.
+    Rebalanced,
 }
 
-impl EventAttribution {
-    fn push(&mut self, time: u64, group: usize) {
-        self.by_time.entry(time).or_default().push_back(group);
-    }
-
-    fn pop(&mut self, time: u64) -> usize {
-        let queue = self.by_time.get_mut(&time).expect("event was scheduled with attribution");
-        let group = queue.pop_front().expect("one attribution per scheduled event");
-        if queue.is_empty() {
-            self.by_time.remove(&time);
+impl Relocation {
+    fn count(self, outcome: &mut FleetOutcome) {
+        match self {
+            Relocation::Migrated => outcome.vms_migrated += 1,
+            Relocation::Drained => outcome.vms_drained += 1,
+            Relocation::Rebalanced => outcome.vms_rebalanced += 1,
         }
-        group
     }
-}
 
-/// Cross-pod borrowing context for [`place_on_ladder`]'s BorrowedNeighbour
-/// rung. `None` at the call site disables the rung and reproduces the
-/// historical slices-follow-host ladder instruction for instruction.
-struct BorrowRung<'a> {
-    topology: &'a PoolGroupTopology,
-    /// Lender-side async releases started by a borrow that could not be
-    /// committed: the caller must schedule each entry as a `Release` event
-    /// attributed to the lender group (the ladder has no queue access).
-    orphan_releases: &'a mut Vec<(usize, u64)>,
-}
-
-/// The BorrowedNeighbour rung: keep the VM on a home-pod host and lease its
-/// pool share from the first reachable lender with capacity. The home plane
-/// plans its pooled share exactly as the failed pooled-home attempt did
-/// (the decision path is pure, so re-planning is bit-stable), the lease is
-/// attributed to the home pod's synthetic cross-pod port on the lender, and
-/// the commit pins the VM on the home host with the borrowed slices.
-///
-/// # Errors
-///
-/// Propagates any error other than the expected placement failures.
-fn try_borrow_rung(
-    planes: &mut [PondControlPlane],
-    order: &[usize],
-    request: &VmRequest,
-    now: Duration,
-    ctx: &mut BorrowRung<'_>,
-) -> Result<Option<(usize, PlacementSummary)>, PondError> {
-    let home = order[0];
-    let plan = planes[home].plan_pooled(request, now)?;
-    // Borrowing only helps when the home plane *wants* pool slices and has
-    // a host for the local share: a zero-pool plan or no feasible host would
-    // fail identically with borrowed slices.
-    if plan.pool.is_zero() || !planes[home].has_feasible_host(request.memory - plan.pool) {
-        return Ok(None);
-    }
-    // The host the commit below will pick. Nothing mutates the home plane
-    // between this probe and the commit (only lender planes are touched),
-    // so the most-free host is stable across the gap.
-    let Some((host, _)) = planes[home].most_free_host() else {
-        return Ok(None);
-    };
-    let port_host = ctx.topology.borrow_port_host(home, host as u16);
-    for &lender in &order[1..] {
-        // Only a pod wired to the home pod can lend it slices; `order` may
-        // spill beyond the home pod's reach (the decommission drain ladder).
-        if lender == home || ctx.topology.borrow_hops(home, lender).is_none() {
-            continue;
-        }
-        let lease = match planes[lender].lend(lender, port_host, plan.pool, now) {
-            Ok(lease) => lease,
-            Err(PondError::PoolExhausted { .. }) => continue,
-            Err(other) => return Err(other),
-        };
-        match planes[home].commit_borrowed(request, plan, lease, now) {
-            Ok(summary) => return Ok(Some((home, summary))),
-            Err((error, lease)) => {
-                // Unreachable via the feasibility pre-check above, but a
-                // failed commit must hand the slices straight back to the
-                // lender rather than strand the lease.
-                if let Some(ready) = planes[lender].release_lent(lease, now)? {
-                    ctx.orphan_releases.push((lender, ceil_secs(ready)));
-                }
-                match error {
-                    PondError::PoolExhausted { .. } | PondError::NoFeasibleHost { .. } => {}
-                    other => return Err(other),
-                }
+    fn trace(self, dest: Option<usize>, copy: Duration) -> LifecycleOpKind {
+        match (self, dest) {
+            (Relocation::Drained, dest) => LifecycleOpKind::VmDrained { dest, copy },
+            (Relocation::Rebalanced, Some(dest)) => LifecycleOpKind::VmRebalanced { dest, copy },
+            // A rebalance is pre-checked against its destination, so a
+            // killed one is a broken contract (debug builds assert it in
+            // `relocate`); a release build traces it like a failure's kill.
+            (Relocation::Migrated | Relocation::Rebalanced, dest) => {
+                LifecycleOpKind::VmEvacuated { dest, copy }
             }
         }
-    }
-    Ok(None)
-}
-
-/// Runs the fixed fallback ladder over `order` (a pod's reachable groups,
-/// home first): pooled in the home group, the cross-pod BorrowedNeighbour
-/// rung (only when `borrow` is provided), pooled in the remaining groups,
-/// then — only when `allow_all_local` is on — all-local in the same order.
-/// Returns the landing group and summary, or `None` when no rung holds the
-/// VM. Shared by the arrival path, the failure-evacuation planner, and the
-/// decommission drain, so a re-homed VM walks exactly the ladder a fresh
-/// arrival would.
-///
-/// # Errors
-///
-/// Propagates any error other than the expected placement failures
-/// (`PoolExhausted` on the pooled rungs, `NoFeasibleHost` on both).
-fn place_on_ladder(
-    planes: &mut [PondControlPlane],
-    order: &[usize],
-    request: &VmRequest,
-    now: Duration,
-    allow_all_local: bool,
-    mut borrow: Option<BorrowRung<'_>>,
-) -> Result<Option<(usize, PlacementSummary)>, PondError> {
-    for (i, &g) in order.iter().enumerate() {
-        match planes[g].handle_request_pooled(request, now) {
-            Ok(summary) => return Ok(Some((g, summary))),
-            Err(PondError::PoolExhausted { .. }) | Err(PondError::NoFeasibleHost { .. }) => {}
-            Err(other) => return Err(other),
-        }
-        // The BorrowedNeighbour rung sits strictly between pooled-home and
-        // the re-homing rungs: host locality is worth more than pool
-        // locality, so a lease is tried before the VM moves pods.
-        if i == 0 && order.len() > 1 {
-            if let Some(ctx) = borrow.as_mut() {
-                if let Some(placed) = try_borrow_rung(planes, order, request, now, ctx)? {
-                    return Ok(Some(placed));
-                }
-            }
-        }
-    }
-    if allow_all_local {
-        for &g in order {
-            match planes[g].handle_request_all_local(request, now) {
-                Ok(summary) => return Ok(Some((g, summary))),
-                Err(PondError::NoFeasibleHost { .. }) => {}
-                Err(other) => return Err(other),
-            }
-        }
-    }
-    Ok(None)
-}
-
-/// Completes a graceful decommission once nothing is left in flight: a
-/// `Draining` group becomes `Decommissioned` only when its last VM has been
-/// drained, its last pending async release has been delivered, *and* every
-/// slice it lent to other pods has been recalled — the slice ledger must be
-/// fully settled before the pod is struck off, or a late [`Event::Release`]
-/// (or a lease still held by a foreign VM) would free slices of a dead
-/// pool. Checked at the end of the decommission event and again after every
-/// release completion.
-fn finish_decommission_if_drained(
-    plane: &PondControlPlane,
-    state: &mut GroupState,
-    outcome: &mut FleetOutcome,
-) {
-    if *state == GroupState::Draining
-        && plane.running_vms() == 0
-        && plane.pool().pending_release().is_zero()
-        && plane.lent_pool().is_zero()
-    {
-        *state = GroupState::Decommissioned;
-        outcome.groups_decommissioned += 1;
     }
 }
 
@@ -850,86 +716,103 @@ pub fn run_multipool_source_observed<S: ArrivalSource, O: ReplayObserver>(
     policy: PondPolicy,
     observer: &mut O,
 ) -> Result<MultiPoolOutcome, PondError> {
-    let topology = config.group_topology()?;
-    let groups = topology.group_count();
-    let mut planes = Vec::with_capacity(groups);
-    for g in 0..groups {
-        let group_config = ControlPlaneConfig {
+    Replay::new(source, config, policy, observer)?.run()
+}
+
+/// The state of one multi-pool replay, built once and driven by
+/// [`Replay::run`]: one method per event class, and one relocation path
+/// ([`Replay::relocate`]) behind every VM move.
+struct Replay<'a, S, O> {
+    config: &'a MultiPoolConfig,
+    observer: &'a mut O,
+    topology: PoolGroupTopology,
+    planes: Vec<PondControlPlane>,
+    scheduler: Box<dyn GroupScheduler>,
+    accounting: ReplayAccounting,
+    events: EventQueue<S>,
+    /// Which group each live VM runs in, plus the request itself (QoS
+    /// take-backs and relocations resolve ids through it). Slots are
+    /// recycled as departures pop, so the bookkeeping stays O(live VMs)
+    /// however long the stream runs.
+    arena: LiveVmArena,
+    /// Relocation copies reuse the QoS-mitigation machinery: the same
+    /// 50 ms/GiB reconfiguration engine, charged on the event timeline.
+    evacuation_engine: ReconfigurationEngine,
+    per_group: Vec<FleetOutcome>,
+    peak_local: Vec<Vec<Bytes>>,
+    peak_host_pool: Vec<Vec<Bytes>>,
+    peak_total: Vec<Vec<Bytes>>,
+    pooled_host: Vec<Vec<bool>>,
+    pooled_count: Vec<u64>,
+    /// Mitigation copies in flight, per group and fleet-wide.
+    degraded_of: Vec<u64>,
+    degraded_fleet: u64,
+    peak_degraded_fleet: u64,
+    /// Relocation copies in flight, per group the VM left.
+    migrating_of: Vec<u64>,
+    cross_group_placements: u64,
+    snapshot_ticks: u64,
+    /// Each group starts `Online`; decommissions drain it through
+    /// `Draining` to `Decommissioned`, and an expansion can bring a
+    /// decommissioned pod back.
+    group_state: Vec<GroupState>,
+    drill_plan: Vec<PlannedEmcFailure>,
+    repair_plan: Vec<PlannedEmcRepair>,
+    expansion_plan: Vec<PlannedExpansion>,
+    /// Per-arrival buffers, reused: the online groups, their views, and
+    /// the ladder order (also lent to the lifecycle paths).
+    online: Vec<usize>,
+    views: Vec<GroupView>,
+    order: Vec<usize>,
+}
+
+impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
+    fn new(
+        source: S,
+        config: &'a MultiPoolConfig,
+        policy: PondPolicy,
+        observer: &'a mut O,
+    ) -> Result<Self, PondError> {
+        let topology = config.group_topology()?;
+        let groups = topology.group_count();
+        let group_config = |g: usize| ControlPlaneConfig {
             hosts: topology.hosts_in(g),
             pool_capacity: topology.pool(g).total_capacity(),
             ..config.control.clone()
         };
-        planes.push(PondControlPlane::with_policy(group_config, policy.clone())?);
-    }
-    let mut scheduler = config.scheduler.build();
-    let accounting = ReplayAccounting::new(&config.control);
+        // Every plane but the last learns from a clone of the trained
+        // policy; the last takes the policy itself.
+        let mut planes = Vec::with_capacity(groups);
+        for g in 0..groups - 1 {
+            planes.push(PondControlPlane::with_policy(group_config(g), policy.clone())?);
+        }
+        planes.push(PondControlPlane::with_policy(group_config(groups - 1), policy)?);
+        let host_peaks: Vec<Vec<Bytes>> =
+            planes.iter().map(|p| vec![Bytes::ZERO; p.hosts().len()]).collect();
 
-    let mut per_group: Vec<FleetOutcome> = vec![FleetOutcome::default(); groups];
-    let mut peak_local: Vec<Vec<Bytes>> =
-        planes.iter().map(|p| vec![Bytes::ZERO; p.hosts().len()]).collect();
-    let mut peak_host_pool = peak_local.clone();
-    let mut peak_total = peak_local.clone();
-    let mut pooled_host: Vec<Vec<bool>> =
-        planes.iter().map(|p| vec![false; p.hosts().len()]).collect();
-    let mut pooled_count: Vec<u64> = vec![0; groups];
-    let mut degraded_of: Vec<u64> = vec![0; groups];
-
-    let mut cross_group_placements = 0u64;
-    let mut snapshot_ticks = 0u64;
-    let mut degraded_fleet = 0u64;
-    let mut peak_degraded_fleet = 0u64;
-    let mut migrating_of: Vec<u64> = vec![0; groups];
-
-    // Lender-side releases a failed borrow commit started inside the ladder
-    // (the ladder has no queue access); drained into `Release` events right
-    // after every ladder call. Empty on every path that can actually run —
-    // the borrow rung pre-checks feasibility — but a stranded lease must
-    // still land as an event, not leak.
-    let mut orphan_releases: Vec<(usize, u64)> = Vec::new();
-
-    // The live-VM arena: which group each live VM currently runs in, plus
-    // the request itself (QoS take-backs and EMC blast radii resolve ids
-    // through it). Slots are recycled as departures pop, so the bookkeeping
-    // stays O(live VMs) however long the stream runs.
-    let mut arena = LiveVmArena::new();
-    let mut release_attribution = EventAttribution::default();
-    let mut reconfig_attribution = EventAttribution::default();
-    let mut migration_attribution = EventAttribution::default();
-
-    // Evacuation copies reuse the QoS-mitigation machinery: the same
-    // 50 ms/GiB reconfiguration engine, charged on the event timeline.
-    let mut evacuation_engine = ReconfigurationEngine::default();
-
-    // The failure drill is planned once, up front, deterministically from
-    // the spec (the header's duration is all it needs): every failure is
-    // already an event before the replay starts.
-    let drill_plan = match &config.drill {
-        Some(spec) => plan_drill(spec, source.header().duration, &topology),
-        None => Vec::new(),
-    };
-
-    // Lifecycle planning: the drill's repair echo first (one repair per
-    // planned failure, `mttr_secs` later — no random draws, so the failure
-    // schedule is untouched), then the explicit plan's operations. Each
-    // group starts `Online`; decommissions drain it through `Draining` to
-    // `Decommissioned`, and an expansion can bring a decommissioned pod
-    // back.
-    let mut group_state = vec![GroupState::Online; groups];
-    let mut repair_plan: Vec<PlannedEmcRepair> = Vec::new();
-    if let Some(spec) = &config.drill {
-        if let DrillKind::EmcWithRepair { mttr_secs } = spec.kind {
+        // The failure drill is planned once, up front, deterministically
+        // from the spec (the header's duration is all it needs): every
+        // failure is already an event before the replay starts. Then the
+        // drill's repair echo (one repair per planned failure, `mttr_secs`
+        // later — no random draws, so the failure schedule is untouched),
+        // then the explicit plan's operations.
+        let drill_plan = match &config.drill {
+            Some(spec) => plan_drill(spec, source.header().duration, &topology),
+            None => Vec::new(),
+        };
+        let mut repair_plan: Vec<PlannedEmcRepair> = Vec::new();
+        if let Some(FailureDrillSpec { kind: DrillKind::EmcWithRepair { mttr_secs }, .. }) =
+            config.drill
+        {
             repair_plan.extend(drill_plan.iter().map(|failure| PlannedEmcRepair {
                 time: failure.time.saturating_add(mttr_secs),
                 group: failure.group,
                 emc: failure.emc,
             }));
         }
-    }
-    let mut expansion_plan: Vec<PlannedExpansion> = Vec::new();
-    let mut expansion_times: Vec<u64> = Vec::new();
-    let mut decommissions: Vec<(u64, usize)> = Vec::new();
-    if let Some(plan) = &config.lifecycle {
-        for event in &plan.events {
+        let mut events = EventQueue::new(source, config.qos_interval);
+        let mut expansion_plan: Vec<PlannedExpansion> = Vec::new();
+        for event in config.lifecycle.iter().flat_map(|plan| &plan.events) {
             match event.op {
                 LifecycleOp::RepairEmc { group, emc } => {
                     assert!(group < groups, "lifecycle repair of group {group} of {groups}");
@@ -937,1022 +820,796 @@ pub fn run_multipool_source_observed<S: ArrivalSource, O: ReplayObserver>(
                 }
                 LifecycleOp::DecommissionGroup { group } => {
                     assert!(group < groups, "lifecycle decommission of group {group} of {groups}");
-                    decommissions.push((event.time, group));
+                    events.schedule_group_decommission(event.time, group);
                 }
                 LifecycleOp::ExpandGroup { group, capacity } => {
                     assert!(group < groups, "lifecycle expansion of group {group} of {groups}");
+                    events.schedule_group_expansion(event.time, expansion_plan.len());
                     expansion_plan.push(PlannedExpansion { group, capacity });
-                    expansion_times.push(event.time);
                 }
             }
         }
-    }
-
-    let mut events = EventQueue::new(source, config.qos_interval);
-    for (failure_index, failure) in drill_plan.iter().enumerate() {
-        events.schedule_emc_failure(failure.time, failure_index);
-    }
-    for (repair_index, repair) in repair_plan.iter().enumerate() {
-        events.schedule_emc_repair(repair.time, repair_index);
-    }
-    for &(time, group) in &decommissions {
-        events.schedule_group_decommission(time, group);
-    }
-    for (expansion_index, &time) in expansion_times.iter().enumerate() {
-        events.schedule_group_expansion(time, expansion_index);
-    }
-    while let Some(event) = events.next_event() {
-        if O::ENABLED {
-            observer.on_event(&event);
+        for (failure_index, failure) in drill_plan.iter().enumerate() {
+            events.schedule_emc_failure(failure.time, failure_index);
         }
-        let now = Duration::from_secs(event.time());
-        let mut snapshot_time = None;
-        match event {
-            Event::Arrival { request_index, .. } => {
-                let request = events.take_arrival();
-                // Only `Online` groups take placements; with every group
-                // online (the common case and the whole no-lifecycle path)
-                // this is exactly the historical all-groups flow, index for
-                // index, so lifecycle-free replays stay bit-identical.
-                let online: Vec<usize> =
-                    (0..groups).filter(|&g| group_state[g].accepts_placements()).collect();
-                if online.is_empty() {
-                    // Every group is draining or gone: nothing can take the
-                    // VM. Attributed to group 0 for want of a home.
-                    per_group[0].rejected_vms += 1;
-                    if O::ENABLED {
-                        observer.on_decision(&DecisionTrace {
-                            time: request.arrival,
-                            vm: None,
-                            home_group: 0,
-                            group: None,
-                            rung: LadderRung::Rejected,
-                            reason: FallbackReason::NoOnlineGroup,
-                            memory: request.memory,
-                            lifetime: request.lifetime,
-                        });
-                    }
-                    continue;
-                }
-                let views: Vec<GroupView> =
-                    online.iter().map(|&g| GroupView::of(&planes[g], &request)).collect();
-                let choice = scheduler.choose(&request, &views);
-                assert!(choice < views.len(), "scheduler chose view {choice} of {}", views.len());
-                let home = online[choice];
-                let order: Vec<usize> = topology
-                    .reachable(home)
-                    .iter()
-                    .copied()
-                    .filter(|&g| group_state[g].accepts_placements())
-                    .collect();
+        for (repair_index, repair) in repair_plan.iter().enumerate() {
+            events.schedule_emc_repair(repair.time, repair_index);
+        }
 
-                // The fallback ladder: pooled in home, the BorrowedNeighbour
-                // lease (borrowing only), pooled in reachable neighbours
-                // (cross-group), then — only when the config enables it,
-                // exactly like `run_fleet` — all-local in the same order.
-                let placed = place_on_ladder(
-                    &mut planes,
-                    &order,
-                    &request,
-                    now,
-                    config.control.fallback_all_local,
-                    config.borrowing.then_some(BorrowRung {
-                        topology: &topology,
-                        orphan_releases: &mut orphan_releases,
-                    }),
-                )?;
-                for (lender, ready) in orphan_releases.drain(..) {
-                    events.schedule_release(ready);
-                    release_attribution.push(ready, lender);
-                }
+        Ok(Replay {
+            config,
+            observer,
+            scheduler: config.scheduler.build(),
+            accounting: ReplayAccounting::new(&config.control),
+            events,
+            arena: LiveVmArena::new(),
+            evacuation_engine: ReconfigurationEngine::default(),
+            per_group: vec![FleetOutcome::default(); groups],
+            peak_local: host_peaks.clone(),
+            peak_host_pool: host_peaks.clone(),
+            pooled_host: planes.iter().map(|p| vec![false; p.hosts().len()]).collect(),
+            peak_total: host_peaks,
+            pooled_count: vec![0; groups],
+            degraded_of: vec![0; groups],
+            degraded_fleet: 0,
+            peak_degraded_fleet: 0,
+            migrating_of: vec![0; groups],
+            cross_group_placements: 0,
+            snapshot_ticks: 0,
+            group_state: vec![GroupState::Online; groups],
+            drill_plan,
+            repair_plan,
+            expansion_plan,
+            online: Vec::with_capacity(groups),
+            views: Vec::with_capacity(groups),
+            order: Vec::with_capacity(groups),
+            topology,
+            planes,
+        })
+    }
 
-                let Some((group, summary)) = placed else {
-                    per_group[home].rejected_vms += 1;
-                    if O::ENABLED {
-                        observer.on_decision(&DecisionTrace {
-                            time: request.arrival,
-                            vm: None,
-                            home_group: home,
-                            group: None,
-                            rung: LadderRung::Rejected,
-                            reason: FallbackReason::NoRungHeld,
-                            memory: request.memory,
-                            lifetime: request.lifetime,
-                        });
-                    }
-                    continue;
-                };
-                cross_group_placements += u64::from(group != home);
-                accounting.record_placement(&mut per_group[group], &request, &summary);
-                if summary.borrowed_from.is_some() {
-                    per_group[group].vms_borrowed += 1;
-                    per_group[group].borrowed_gib_hours +=
-                        summary.pool.as_gib_f64() * request.lifetime as f64 / 3600.0;
-                }
-                if O::ENABLED {
-                    let (rung, reason) = if summary.borrowed_from.is_some() {
-                        (LadderRung::BorrowedNeighbor, FallbackReason::HomePoolFull)
-                    } else {
-                        match (group == home, summary.fallback_all_local) {
-                            (true, false) => (LadderRung::PooledHome, FallbackReason::None),
-                            (false, false) => {
-                                (LadderRung::PooledNeighbor, FallbackReason::HomePoolFull)
-                            }
-                            (true, true) => {
-                                (LadderRung::AllLocalHome, FallbackReason::PoolRungsExhausted)
-                            }
-                            (false, true) => {
-                                (LadderRung::AllLocalNeighbor, FallbackReason::PoolRungsExhausted)
-                            }
-                        }
-                    };
-                    observer.on_decision(&DecisionTrace {
-                        time: request.arrival,
-                        vm: Some(summary.vm.0),
-                        home_group: home,
-                        group: Some(group),
-                        rung,
-                        reason,
-                        memory: request.memory,
-                        lifetime: request.lifetime,
-                    });
-                }
-                if !summary.pool.is_zero() && !pooled_host[group][summary.host] {
-                    pooled_host[group][summary.host] = true;
-                    pooled_count[group] += 1;
-                }
-                let departure = request.departure();
-                let token = arena.alloc(request, request_index as u64);
-                arena.set_group(token, group as u32);
-                events.schedule_departure(departure, request_index as u64, token);
+    /// Drains the event queue, then aggregates the outcome.
+    fn run(mut self) -> Result<MultiPoolOutcome, PondError> {
+        while let Some(event) = self.events.next_event() {
+            if O::ENABLED {
+                self.observer.on_event(&event);
             }
-            Event::Departure { token, .. } => {
-                // The slot is freed here and only here — a killed VM kept
-                // its (groupless) slot alive until this no-op pop, so the
-                // token could not have been recycled under the event.
-                let vm = VmId(arena.request(token).id);
-                let group = arena.free(token);
-                if group != NO_GROUP {
-                    let group = group as usize;
-                    let outcome = planes[group].handle_departure_split(vm, now)?;
-                    if let Some(ready) = outcome.release_ready {
-                        let time = ceil_secs(ready);
-                        events.schedule_release(time);
-                        release_attribution.push(time, group);
-                    }
-                    // A borrowed VM's slices flow back to the *lender's*
-                    // pool: the offlining release is scheduled against the
-                    // lender group, not the group the VM ran in.
-                    if let Some(lease) = outcome.lease {
-                        let lender = lease.lender;
-                        if let Some(ready) = planes[lender].release_lent(lease, now)? {
-                            let time = ceil_secs(ready);
-                            events.schedule_release(time);
-                            release_attribution.push(time, lender);
-                        }
-                    }
+            let now = Duration::from_secs(event.time());
+            match event {
+                Event::Arrival { request_index, .. } => self.arrival(request_index, now)?,
+                Event::Departure { token, .. } => self.departure(token, now)?,
+                Event::Release { group, .. } => self.release(group, now),
+                Event::ReconfigDone { group, .. } => self.reconfig_done(group),
+                Event::MigrationDone { group, .. } => self.migration_done(group),
+                Event::EmcFailure { failure_index, .. } => self.emc_failure(failure_index, now)?,
+                Event::EmcRepair { repair_index, .. } => self.emc_repair(repair_index, now)?,
+                Event::GroupDecommission { group, .. } => self.decommission(group, now)?,
+                Event::GroupExpansion { expansion_index, .. } => {
+                    self.expansion(expansion_index, now)
                 }
+                Event::Snapshot { time } => self.snapshot(time, now)?,
             }
-            Event::Release { time } => {
-                let group = release_attribution.pop(time);
-                planes[group].complete_releases(now);
-                per_group[group].releases_completed += 1;
-                // A draining group's last pending release may have just
-                // landed — only now may the pod be struck off.
-                let was_draining = group_state[group] == GroupState::Draining;
-                finish_decommission_if_drained(
-                    &planes[group],
-                    &mut group_state[group],
-                    &mut per_group[group],
+
+            // Provisioning peaks after every event: each group samples only
+            // the hosts the event touched (usually none).
+            for (group, plane) in self.planes.iter_mut().enumerate() {
+                track_peaks_touched(
+                    plane,
+                    &mut self.per_group[group],
+                    &mut self.peak_local[group],
+                    &mut self.peak_host_pool[group],
+                    &mut self.peak_total[group],
                 );
-                if O::ENABLED && was_draining && group_state[group] == GroupState::Decommissioned {
-                    observer.on_lifecycle_op(&LifecycleTrace {
-                        time,
-                        group,
-                        kind: LifecycleOpKind::DecommissionComplete,
-                    });
+            }
+            if O::ENABLED {
+                if let Event::Snapshot { time } = event {
+                    self.observe_snapshot(time);
                 }
             }
-            Event::ReconfigDone { time } => {
-                let group = reconfig_attribution.pop(time);
-                checked_decrement(&mut degraded_of[group], "per-group mitigation copies");
-                per_group[group].reconfig_completions += 1;
-                checked_decrement(&mut degraded_fleet, "fleet-wide mitigation copies");
-            }
-            Event::EmcFailure { failure_index, time } => {
-                let failure = &drill_plan[failure_index];
-                let source = failure.group;
-                let outcome = planes[source].handle_emc_failure(failure.emc, now)?;
-                per_group[source].emc_failures += 1;
-                if O::ENABLED {
-                    observer.on_lifecycle_op(&LifecycleTrace {
-                        time,
-                        group: source,
-                        kind: LifecycleOpKind::EmcFailure {
-                            affected: outcome.affected.len() as u64,
-                        },
-                    });
-                }
+            // Per-group + fleet-wide conservation, checked at every event in
+            // debug builds — O(groups) now that the counters are incremental.
+            #[cfg(debug_assertions)]
+            assert_fleet_conserved(&self.planes);
+        }
+        if let Some(error) = self.events.source_error() {
+            return Err(PondError::TraceStream(error.to_string()));
+        }
+        Ok(self.finish())
+    }
 
-                // The evacuation planner: every VM in the blast radius is
-                // re-homed through the same fallback ladder arrivals use —
-                // pooled over the pod's reachable *online* groups (the home
-                // pod's surviving EMCs first, then the Octopus neighbours),
-                // then all-local in the same order — or killed when no rung
-                // holds it.
-                let order: Vec<usize> = topology
-                    .reachable(source)
-                    .iter()
-                    .copied()
-                    .filter(|&g| group_state[g].accepts_placements())
-                    .collect();
-                for affected in outcome.affected {
-                    let token = arena
-                        .slot_of(affected.vm.0)
-                        .expect("a running VM's id resolves to a live arena slot");
-                    // Owned copy: the ladder and the group update below need
-                    // the arena free while the request is in hand.
-                    let request = arena.request(token).clone();
+    /// Places one arriving VM: the scheduler picks a home among the online
+    /// groups, then the fallback ladder runs over the home pod's reachable
+    /// online groups.
+    fn arrival(&mut self, request_index: usize, now: Duration) -> Result<(), PondError> {
+        let request = self.events.take_arrival();
+        // Only `Online` groups take placements; with every group online
+        // (the common case and the whole no-lifecycle path) this is exactly
+        // the historical all-groups flow, index for index, so lifecycle-free
+        // replays stay bit-identical.
+        self.online.clear();
+        self.online
+            .extend((0..self.planes.len()).filter(|&g| self.group_state[g].accepts_placements()));
+        if self.online.is_empty() {
+            // Every group is draining or gone: nothing can take the VM.
+            // Attributed to group 0 for want of a home.
+            self.per_group[0].rejected_vms += 1;
+            let reason = FallbackReason::NoOnlineGroup;
+            self.decided(&request, 0, None, LadderRung::Rejected, reason);
+            return Ok(());
+        }
+        self.views.clear();
+        self.views.extend(self.online.iter().map(|&g| GroupView::of(&self.planes[g], &request)));
+        let choice = self.scheduler.choose(&request, &self.views);
+        assert!(choice < self.views.len(), "scheduler chose view {choice} of {}", self.views.len());
+        let home = self.online[choice];
 
-                    if let Some(ready) = planes[source].evacuate_vm(affected.vm, now)? {
-                        let ready = ceil_secs(ready);
-                        events.schedule_release(ready);
-                        release_attribution.push(ready, source);
+        // The fallback ladder: pooled in home, the BorrowedNeighbour lease
+        // (borrowing only), pooled in reachable neighbours (cross-group),
+        // then — only when the config enables it — all-local in the same
+        // order.
+        let mut order = std::mem::take(&mut self.order);
+        self.reachable_online(home, &mut order);
+        let placed = self.ladder(&order, &request, now, self.config.control.fallback_all_local);
+        self.order = order;
+        let Some((group, summary)) = placed? else {
+            self.per_group[home].rejected_vms += 1;
+            let reason = FallbackReason::NoRungHeld;
+            self.decided(&request, home, None, LadderRung::Rejected, reason);
+            return Ok(());
+        };
+        self.cross_group_placements += u64::from(group != home);
+        self.accounting.record_placement(&mut self.per_group[group], &request, &summary);
+        if summary.borrowed_from.is_some() {
+            self.per_group[group].vms_borrowed += 1;
+            self.per_group[group].borrowed_gib_hours +=
+                summary.pool.as_gib_f64() * request.lifetime as f64 / 3600.0;
+        }
+        if O::ENABLED {
+            let (rung, reason) = if summary.borrowed_from.is_some() {
+                (LadderRung::BorrowedNeighbor, FallbackReason::HomePoolFull)
+            } else {
+                match (group == home, summary.fallback_all_local) {
+                    (true, false) => (LadderRung::PooledHome, FallbackReason::None),
+                    (false, false) => (LadderRung::PooledNeighbor, FallbackReason::HomePoolFull),
+                    (true, true) => (LadderRung::AllLocalHome, FallbackReason::PoolRungsExhausted),
+                    (false, true) => {
+                        (LadderRung::AllLocalNeighbor, FallbackReason::PoolRungsExhausted)
                     }
-                    // The arrival charged this VM's full lifetime to the
-                    // source group; take back the part it will no longer
-                    // serve there (the destination re-charges its share).
-                    let remaining_hours = request.departure().saturating_sub(time) as f64 / 3600.0;
-                    per_group[source].pool_gib_hours -=
-                        affected.pool_before.as_gib_f64() * remaining_hours;
-                    per_group[source].total_gib_hours -=
-                        request.memory.as_gib_f64() * remaining_hours;
+                }
+            };
+            self.decided(&request, home, Some((summary.vm.0, group)), rung, reason);
+        }
+        self.mark_pooled_host(group, &summary);
+        let departure = request.departure();
+        let token = self.arena.alloc(request, request_index as u64);
+        self.arena.set_group(token, group as u32);
+        self.events.schedule_departure(departure, request_index as u64, token);
+        Ok(())
+    }
 
-                    let placed = place_on_ladder(
-                        &mut planes,
-                        &order,
-                        &request,
-                        now,
-                        config.control.fallback_all_local,
-                        config.borrowing.then_some(BorrowRung {
-                            topology: &topology,
-                            orphan_releases: &mut orphan_releases,
-                        }),
-                    )?;
-                    for (lender, ready) in orphan_releases.drain(..) {
-                        events.schedule_release(ready);
-                        release_attribution.push(ready, lender);
-                    }
-
-                    match placed {
-                        Some((dest, summary)) => {
-                            // The migration copies the VM's full memory to
-                            // its new home at the mitigation engine's
-                            // 50 ms/GiB; the VM runs degraded until the
-                            // MigrationDone event closes the window.
-                            let copy = evacuation_engine.charge_copy(request.memory);
-                            let done = ceil_secs(now + copy);
-                            events.schedule_migration_done(done);
-                            migration_attribution.push(done, source);
-                            migrating_of[source] += 1;
-                            per_group[source].vms_migrated += 1;
-                            per_group[source].evacuation_copy_time += copy;
-                            per_group[dest].pool_gib_hours +=
-                                summary.pool.as_gib_f64() * remaining_hours;
-                            per_group[dest].total_gib_hours +=
-                                request.memory.as_gib_f64() * remaining_hours;
-                            if summary.borrowed_from.is_some() {
-                                per_group[dest].vms_borrowed += 1;
-                                per_group[dest].borrowed_gib_hours +=
-                                    summary.pool.as_gib_f64() * remaining_hours;
-                            }
-                            if !summary.pool.is_zero() && !pooled_host[dest][summary.host] {
-                                pooled_host[dest][summary.host] = true;
-                                pooled_count[dest] += 1;
-                            }
-                            arena.set_group(token, dest as u32);
-                            if O::ENABLED {
-                                observer.on_lifecycle_op(&LifecycleTrace {
-                                    time,
-                                    group: source,
-                                    kind: LifecycleOpKind::VmEvacuated { dest: Some(dest), copy },
-                                });
-                            }
-                        }
-                        None => {
-                            // No reachable pod can hold the VM: it dies
-                            // with the device. The slot stays allocated but
-                            // groupless until its already-scheduled
-                            // departure event pops as a no-op and frees it.
-                            per_group[source].vms_killed += 1;
-                            arena.set_group(token, NO_GROUP);
-                            if O::ENABLED {
-                                observer.on_lifecycle_op(&LifecycleTrace {
-                                    time,
-                                    group: source,
-                                    kind: LifecycleOpKind::VmEvacuated {
-                                        dest: None,
-                                        copy: Duration::ZERO,
-                                    },
-                                });
-                            }
-                        }
-                    }
-                }
-
-                // Split ownership widens the blast radius: slices this pool
-                // had lent out died with the device too, degrading VMs homed
-                // in *other* pods. Each borrower pod strips the dead slices
-                // from its leases and evacuates the struck VMs through its
-                // own reachable ladder — the lender-pod failure reaches
-                // hosts it never owned.
-                if config.borrowing {
-                    for borrower in 0..groups {
-                        if borrower == source {
-                            continue;
-                        }
-                        let struck = planes[borrower].strip_borrowed(source, failure.emc);
-                        if struck.is_empty() {
-                            continue;
-                        }
-                        let order: Vec<usize> = topology
-                            .reachable(borrower)
-                            .iter()
-                            .copied()
-                            .filter(|&g| group_state[g].accepts_placements())
-                            .collect();
-                        for affected in struck {
-                            let token = arena
-                                .slot_of(affected.vm.0)
-                                .expect("a running VM's id resolves to a live arena slot");
-                            let request = arena.request(token).clone();
-                            let outcome = planes[borrower].evacuate_vm_split(affected.vm, now)?;
-                            if let Some(ready) = outcome.release_ready {
-                                let ready = ceil_secs(ready);
-                                events.schedule_release(ready);
-                                release_attribution.push(ready, borrower);
-                            }
-                            // The lease's surviving slices flow back to the
-                            // lender that is mid-failure; the dead ones left
-                            // the ledger with the device.
-                            if let Some(lease) = outcome.lease {
-                                let lender = lease.lender;
-                                if let Some(ready) = planes[lender].release_lent(lease, now)? {
-                                    let ready = ceil_secs(ready);
-                                    events.schedule_release(ready);
-                                    release_attribution.push(ready, lender);
-                                }
-                            }
-                            let remaining_hours =
-                                request.departure().saturating_sub(time) as f64 / 3600.0;
-                            per_group[borrower].pool_gib_hours -=
-                                affected.pool_before.as_gib_f64() * remaining_hours;
-                            per_group[borrower].borrowed_gib_hours -=
-                                affected.pool_before.as_gib_f64() * remaining_hours;
-                            per_group[borrower].total_gib_hours -=
-                                request.memory.as_gib_f64() * remaining_hours;
-                            let placed = place_on_ladder(
-                                &mut planes,
-                                &order,
-                                &request,
-                                now,
-                                config.control.fallback_all_local,
-                                Some(BorrowRung {
-                                    topology: &topology,
-                                    orphan_releases: &mut orphan_releases,
-                                }),
-                            )?;
-                            for (lender, ready) in orphan_releases.drain(..) {
-                                events.schedule_release(ready);
-                                release_attribution.push(ready, lender);
-                            }
-                            match placed {
-                                Some((dest, summary)) => {
-                                    let copy = evacuation_engine.charge_copy(request.memory);
-                                    let done = ceil_secs(now + copy);
-                                    events.schedule_migration_done(done);
-                                    migration_attribution.push(done, borrower);
-                                    migrating_of[borrower] += 1;
-                                    per_group[borrower].vms_migrated += 1;
-                                    per_group[borrower].evacuation_copy_time += copy;
-                                    per_group[dest].pool_gib_hours +=
-                                        summary.pool.as_gib_f64() * remaining_hours;
-                                    per_group[dest].total_gib_hours +=
-                                        request.memory.as_gib_f64() * remaining_hours;
-                                    if summary.borrowed_from.is_some() {
-                                        per_group[dest].vms_borrowed += 1;
-                                        per_group[dest].borrowed_gib_hours +=
-                                            summary.pool.as_gib_f64() * remaining_hours;
-                                    }
-                                    if !summary.pool.is_zero() && !pooled_host[dest][summary.host] {
-                                        pooled_host[dest][summary.host] = true;
-                                        pooled_count[dest] += 1;
-                                    }
-                                    arena.set_group(token, dest as u32);
-                                    if O::ENABLED {
-                                        observer.on_lifecycle_op(&LifecycleTrace {
-                                            time,
-                                            group: borrower,
-                                            kind: LifecycleOpKind::VmEvacuated {
-                                                dest: Some(dest),
-                                                copy,
-                                            },
-                                        });
-                                    }
-                                }
-                                None => {
-                                    per_group[borrower].vms_killed += 1;
-                                    arena.set_group(token, NO_GROUP);
-                                    if O::ENABLED {
-                                        observer.on_lifecycle_op(&LifecycleTrace {
-                                            time,
-                                            group: borrower,
-                                            kind: LifecycleOpKind::VmEvacuated {
-                                                dest: None,
-                                                copy: Duration::ZERO,
-                                            },
-                                        });
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
+    fn departure(&mut self, token: usize, now: Duration) -> Result<(), PondError> {
+        // The slot is freed here and only here — a killed VM kept its
+        // (groupless) slot alive until this no-op pop, so the token could
+        // not have been recycled under the event.
+        let vm = VmId(self.arena.request(token).id);
+        let group = self.arena.free(token);
+        if group != NO_GROUP {
+            let group = group as usize;
+            let outcome = self.planes[group].handle_departure_split(vm, now)?;
+            if let Some(ready) = outcome.release_ready {
+                self.schedule_release(group, ready);
             }
-            Event::MigrationDone { time } => {
-                let group = migration_attribution.pop(time);
-                checked_decrement(&mut migrating_of[group], "in-flight migration copies");
-                per_group[group].migration_completions += 1;
-            }
-            Event::EmcRepair { repair_index, .. } => {
-                let repair = &repair_plan[repair_index];
-                // The replacement device rejoins the pool empty: live and
-                // free capacity grow by exactly the same amount, so the
-                // conservation invariant holds through the repair. A repair
-                // of a healthy device is a recorded no-op (zero restored).
-                let restored = planes[repair.group].repair_emc(repair.emc)?;
-                if !restored.is_zero() {
-                    per_group[repair.group].emcs_repaired += 1;
-                }
-                if O::ENABLED {
-                    observer.on_lifecycle_op(&LifecycleTrace {
-                        time: now.as_secs(),
-                        group: repair.group,
-                        kind: LifecycleOpKind::EmcRepair { restored },
-                    });
-                }
-            }
-            Event::GroupDecommission { group, time } => {
-                // Idempotent: only an online group can start draining.
-                if group_state[group] == GroupState::Online {
-                    group_state[group] = GroupState::Draining;
-                    // The drain ladder: the pod's reachable online groups
-                    // first (the source no longer accepts, so it is already
-                    // excluded), then every other online group ascending —
-                    // a drain may spill beyond the ring because the whole
-                    // pod is leaving, not just one device.
-                    let mut order: Vec<usize> = topology
-                        .reachable(group)
-                        .iter()
-                        .copied()
-                        .filter(|&g| group_state[g].accepts_placements())
-                        .collect();
-                    for (g, state) in group_state.iter().enumerate() {
-                        if state.accepts_placements() && !order.contains(&g) {
-                            order.push(g);
-                        }
-                    }
-                    // Every running VM is drained through the ladder — the
-                    // same evacuation path failures use, but counted as
-                    // `vms_drained`, not `vms_migrated`: nothing died here.
-                    let footprints = planes[group].running_vm_footprints();
-                    if O::ENABLED {
-                        observer.on_lifecycle_op(&LifecycleTrace {
-                            time,
-                            group,
-                            kind: LifecycleOpKind::DecommissionStarted {
-                                running: footprints.len() as u64,
-                            },
-                        });
-                    }
-                    for (vm, pool_before) in footprints {
-                        let token = arena
-                            .slot_of(vm.0)
-                            .expect("a running VM's id resolves to a live arena slot");
-                        let request = arena.request(token).clone();
-                        let evacuated = planes[group].evacuate_vm_split(vm, now)?;
-                        if let Some(ready) = evacuated.release_ready {
-                            let ready = ceil_secs(ready);
-                            events.schedule_release(ready);
-                            release_attribution.push(ready, group);
-                        }
-                        // A draining VM may itself be leaning on another
-                        // pod's pool: its lease flows back to that lender.
-                        let was_borrowed = evacuated.lease.is_some();
-                        if let Some(lease) = evacuated.lease {
-                            let lender = lease.lender;
-                            if let Some(ready) = planes[lender].release_lent(lease, now)? {
-                                let ready = ceil_secs(ready);
-                                events.schedule_release(ready);
-                                release_attribution.push(ready, lender);
-                            }
-                        }
-                        let remaining_hours =
-                            request.departure().saturating_sub(time) as f64 / 3600.0;
-                        per_group[group].pool_gib_hours -=
-                            pool_before.as_gib_f64() * remaining_hours;
-                        if was_borrowed {
-                            per_group[group].borrowed_gib_hours -=
-                                pool_before.as_gib_f64() * remaining_hours;
-                        }
-                        per_group[group].total_gib_hours -=
-                            request.memory.as_gib_f64() * remaining_hours;
-                        let placed = place_on_ladder(
-                            &mut planes,
-                            &order,
-                            &request,
-                            now,
-                            config.control.fallback_all_local,
-                            config.borrowing.then_some(BorrowRung {
-                                topology: &topology,
-                                orphan_releases: &mut orphan_releases,
-                            }),
-                        )?;
-                        for (lender, ready) in orphan_releases.drain(..) {
-                            events.schedule_release(ready);
-                            release_attribution.push(ready, lender);
-                        }
-                        match placed {
-                            Some((dest, summary)) => {
-                                let copy = evacuation_engine.charge_copy(request.memory);
-                                let done = ceil_secs(now + copy);
-                                events.schedule_migration_done(done);
-                                migration_attribution.push(done, group);
-                                migrating_of[group] += 1;
-                                per_group[group].vms_drained += 1;
-                                per_group[group].evacuation_copy_time += copy;
-                                per_group[dest].pool_gib_hours +=
-                                    summary.pool.as_gib_f64() * remaining_hours;
-                                per_group[dest].total_gib_hours +=
-                                    request.memory.as_gib_f64() * remaining_hours;
-                                if summary.borrowed_from.is_some() {
-                                    per_group[dest].vms_borrowed += 1;
-                                    per_group[dest].borrowed_gib_hours +=
-                                        summary.pool.as_gib_f64() * remaining_hours;
-                                }
-                                if !summary.pool.is_zero() && !pooled_host[dest][summary.host] {
-                                    pooled_host[dest][summary.host] = true;
-                                    pooled_count[dest] += 1;
-                                }
-                                arena.set_group(token, dest as u32);
-                                if O::ENABLED {
-                                    observer.on_lifecycle_op(&LifecycleTrace {
-                                        time,
-                                        group,
-                                        kind: LifecycleOpKind::VmDrained { dest: Some(dest), copy },
-                                    });
-                                }
-                            }
-                            None => {
-                                // No online group anywhere holds the VM: a
-                                // graceful drain degrades to a kill only as
-                                // the absolute last resort.
-                                per_group[group].vms_killed += 1;
-                                arena.set_group(token, NO_GROUP);
-                                if O::ENABLED {
-                                    observer.on_lifecycle_op(&LifecycleTrace {
-                                        time,
-                                        group,
-                                        kind: LifecycleOpKind::VmDrained {
-                                            dest: None,
-                                            copy: Duration::ZERO,
-                                        },
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    // A draining pod must also recall the slices it *lent*:
-                    // VMs homed in other pods still lean on this pool, and
-                    // the pod cannot be struck off while a single lease is
-                    // outstanding. Each borrower's VM is drained through the
-                    // borrower's own ladder (the draining pod no longer
-                    // accepts, so it is excluded automatically), and its
-                    // lease flows back as a pending release here.
-                    if config.borrowing {
-                        for borrower in 0..groups {
-                            if borrower == group {
-                                continue;
-                            }
-                            let leaning = planes[borrower].borrowers_of(group);
-                            if leaning.is_empty() {
-                                continue;
-                            }
-                            let order: Vec<usize> = topology
-                                .reachable(borrower)
-                                .iter()
-                                .copied()
-                                .filter(|&g| group_state[g].accepts_placements())
-                                .collect();
-                            for (vm, pool_before) in leaning {
-                                let token = arena
-                                    .slot_of(vm.0)
-                                    .expect("a running VM's id resolves to a live arena slot");
-                                let request = arena.request(token).clone();
-                                let evacuated = planes[borrower].evacuate_vm_split(vm, now)?;
-                                if let Some(ready) = evacuated.release_ready {
-                                    let ready = ceil_secs(ready);
-                                    events.schedule_release(ready);
-                                    release_attribution.push(ready, borrower);
-                                }
-                                if let Some(lease) = evacuated.lease {
-                                    let lender = lease.lender;
-                                    if let Some(ready) = planes[lender].release_lent(lease, now)? {
-                                        let ready = ceil_secs(ready);
-                                        events.schedule_release(ready);
-                                        release_attribution.push(ready, lender);
-                                    }
-                                }
-                                let remaining_hours =
-                                    request.departure().saturating_sub(time) as f64 / 3600.0;
-                                per_group[borrower].pool_gib_hours -=
-                                    pool_before.as_gib_f64() * remaining_hours;
-                                per_group[borrower].borrowed_gib_hours -=
-                                    pool_before.as_gib_f64() * remaining_hours;
-                                per_group[borrower].total_gib_hours -=
-                                    request.memory.as_gib_f64() * remaining_hours;
-                                let placed = place_on_ladder(
-                                    &mut planes,
-                                    &order,
-                                    &request,
-                                    now,
-                                    config.control.fallback_all_local,
-                                    Some(BorrowRung {
-                                        topology: &topology,
-                                        orphan_releases: &mut orphan_releases,
-                                    }),
-                                )?;
-                                for (lender, ready) in orphan_releases.drain(..) {
-                                    events.schedule_release(ready);
-                                    release_attribution.push(ready, lender);
-                                }
-                                match placed {
-                                    Some((dest, summary)) => {
-                                        let copy = evacuation_engine.charge_copy(request.memory);
-                                        let done = ceil_secs(now + copy);
-                                        events.schedule_migration_done(done);
-                                        migration_attribution.push(done, group);
-                                        migrating_of[group] += 1;
-                                        per_group[group].vms_drained += 1;
-                                        per_group[group].evacuation_copy_time += copy;
-                                        per_group[dest].pool_gib_hours +=
-                                            summary.pool.as_gib_f64() * remaining_hours;
-                                        per_group[dest].total_gib_hours +=
-                                            request.memory.as_gib_f64() * remaining_hours;
-                                        if summary.borrowed_from.is_some() {
-                                            per_group[dest].vms_borrowed += 1;
-                                            per_group[dest].borrowed_gib_hours +=
-                                                summary.pool.as_gib_f64() * remaining_hours;
-                                        }
-                                        if !summary.pool.is_zero()
-                                            && !pooled_host[dest][summary.host]
-                                        {
-                                            pooled_host[dest][summary.host] = true;
-                                            pooled_count[dest] += 1;
-                                        }
-                                        arena.set_group(token, dest as u32);
-                                        if O::ENABLED {
-                                            observer.on_lifecycle_op(&LifecycleTrace {
-                                                time,
-                                                group,
-                                                kind: LifecycleOpKind::VmDrained {
-                                                    dest: Some(dest),
-                                                    copy,
-                                                },
-                                            });
-                                        }
-                                    }
-                                    None => {
-                                        // Even a recall degrades to a kill
-                                        // only as the absolute last resort.
-                                        per_group[group].vms_killed += 1;
-                                        arena.set_group(token, NO_GROUP);
-                                        if O::ENABLED {
-                                            observer.on_lifecycle_op(&LifecycleTrace {
-                                                time,
-                                                group,
-                                                kind: LifecycleOpKind::VmDrained {
-                                                    dest: None,
-                                                    copy: Duration::ZERO,
-                                                },
-                                            });
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    // With no pending releases and no outstanding leases the
-                    // pod is already done; otherwise the last Release event
-                    // completes it.
-                    finish_decommission_if_drained(
-                        &planes[group],
-                        &mut group_state[group],
-                        &mut per_group[group],
-                    );
-                    if O::ENABLED && group_state[group] == GroupState::Decommissioned {
-                        observer.on_lifecycle_op(&LifecycleTrace {
-                            time,
-                            group,
-                            kind: LifecycleOpKind::DecommissionComplete,
-                        });
-                    }
-                }
-            }
-            Event::GroupExpansion { expansion_index, .. } => {
-                let expansion = &expansion_plan[expansion_index];
-                planes[expansion.group].expand_pool(expansion.capacity);
-                per_group[expansion.group].groups_expanded += 1;
-                if O::ENABLED {
-                    observer.on_lifecycle_op(&LifecycleTrace {
-                        time: now.as_secs(),
-                        group: expansion.group,
-                        kind: LifecycleOpKind::Expansion { capacity: expansion.capacity },
-                    });
-                }
-                // Growing a decommissioned pod is the replacement case: the
-                // new hardware brings the group back online. A draining pod
-                // stays draining — new capacity does not cancel a planned
-                // decommission.
-                if group_state[expansion.group] == GroupState::Decommissioned {
-                    group_state[expansion.group] = GroupState::Online;
-                }
-            }
-            Event::Snapshot { time } => {
-                snapshot_ticks += 1;
-                snapshot_time = Some(time);
-                let mut reclaimed: Vec<(usize, BorrowedReclaim)> = Vec::new();
-                for (group, plane) in planes.iter_mut().enumerate() {
-                    let mut pass = plane.run_qos_pass(now)?;
-                    // A mitigated *borrowed* VM hands its lease back to the
-                    // lending plane, which we cannot touch while iterating —
-                    // park the reclaims and route them after the loop.
-                    reclaimed.extend(
-                        std::mem::take(&mut pass.borrowed_reclaims)
-                            .into_iter()
-                            .map(|reclaim| (group, reclaim)),
-                    );
-                    if O::ENABLED {
-                        observer.on_qos_pass(&QosPassTrace {
-                            time,
-                            group,
-                            reconfigured: pass.reconfigured,
-                            copy_time: pass.copy_time,
-                        });
-                    }
-                    accounting.record_qos_pass(
-                        &mut per_group[group],
-                        pass,
-                        time,
-                        |id| arena.departure_of(id),
-                        &mut degraded_of[group],
-                        |kind, at| match kind {
-                            ScheduledEvent::ReconfigDone => {
-                                events.schedule_reconfig_done(at);
-                                reconfig_attribution.push(at, group);
-                                degraded_fleet += 1;
-                                peak_degraded_fleet = peak_degraded_fleet.max(degraded_fleet);
-                            }
-                            ScheduledEvent::Release => {
-                                events.schedule_release(at);
-                                release_attribution.push(at, group);
-                            }
-                        },
-                    );
-                }
-                for (group, reclaim) in reclaimed {
-                    let moved = reclaim.lease.capacity();
-                    let remaining_hours = arena
-                        .departure_of(reclaim.vm.0)
-                        .map_or(0, |departure| departure.saturating_sub(time))
-                        as f64
-                        / 3600.0;
-                    per_group[group].borrowed_gib_hours -= moved.as_gib_f64() * remaining_hours;
-                    let lender = reclaim.lease.lender;
-                    if let Some(ready) =
-                        planes[lender].release_lent(reclaim.lease, reclaim.copy_done)?
-                    {
-                        let ready = ceil_secs(ready);
-                        events.schedule_release(ready);
-                        release_attribution.push(ready, lender);
-                    }
-                }
-                // Proactive rebalancing rides the same QoS cadence, after
-                // the monitoring passes: each pool-starved online group
-                // moves a few VMs to its ring neighbour before pressure
-                // turns into rejections. Every move is pre-checked against
-                // the destination, so a rebalance can never kill a VM.
-                if let Some(spec) = &config.rebalance {
-                    for g in 0..groups {
-                        if group_state[g] != GroupState::Online {
-                            continue;
-                        }
-                        // The ring neighbour is the second reachable group;
-                        // symmetric pods have none and never rebalance.
-                        let Some(&dest) = topology.reachable(g).get(1) else {
-                            continue;
-                        };
-                        if !group_state[dest].accepts_placements() {
-                            continue;
-                        }
-                        let available = planes[g].pool().available();
-                        let live = planes[g].pool().pool().live_capacity();
-                        let starved =
-                            available.as_gib_f64() < spec.starved_fraction * live.as_gib_f64();
-                        // Move only downhill: the neighbour must have
-                        // strictly more free pool than the starved source.
-                        if !starved || planes[dest].pool().available() <= available {
-                            continue;
-                        }
-                        let candidates: Vec<(VmId, Bytes)> = planes[g]
-                            .running_vm_footprints()
-                            .into_iter()
-                            .filter(|(_, pool)| !pool.is_zero())
-                            .take(spec.max_moves_per_pass as usize)
-                            .collect();
-                        for (vm, pool_before) in candidates {
-                            let token = arena
-                                .slot_of(vm.0)
-                                .expect("a running VM's id resolves to a live arena slot");
-                            let request = arena.request(token).clone();
-                            // The never-kill pre-check: skip the VM unless
-                            // the neighbour could hold it entirely in local
-                            // DRAM — the all-local rung below then cannot
-                            // fail even if its pool is tight.
-                            if planes[dest].tightest_feasible_host(request.memory).is_none() {
-                                continue;
-                            }
-                            let evacuated = planes[g].evacuate_vm_split(vm, now)?;
-                            if let Some(ready) = evacuated.release_ready {
-                                let ready = ceil_secs(ready);
-                                events.schedule_release(ready);
-                                release_attribution.push(ready, g);
-                            }
-                            let was_borrowed = evacuated.lease.is_some();
-                            if let Some(lease) = evacuated.lease {
-                                let lender = lease.lender;
-                                if let Some(ready) = planes[lender].release_lent(lease, now)? {
-                                    let ready = ceil_secs(ready);
-                                    events.schedule_release(ready);
-                                    release_attribution.push(ready, lender);
-                                }
-                            }
-                            let remaining_hours =
-                                request.departure().saturating_sub(time) as f64 / 3600.0;
-                            per_group[g].pool_gib_hours -=
-                                pool_before.as_gib_f64() * remaining_hours;
-                            if was_borrowed {
-                                per_group[g].borrowed_gib_hours -=
-                                    pool_before.as_gib_f64() * remaining_hours;
-                            }
-                            per_group[g].total_gib_hours -=
-                                request.memory.as_gib_f64() * remaining_hours;
-                            // The borrow rung stays off here: the order is a
-                            // single pre-checked group and the move exists to
-                            // relieve pressure, not to spread new leases.
-                            let order = [dest];
-                            let (landed, summary) =
-                                place_on_ladder(&mut planes, &order, &request, now, true, None)?
-                                    .expect("rebalance pre-checked destination feasibility");
-                            let copy = evacuation_engine.charge_copy(request.memory);
-                            let done = ceil_secs(now + copy);
-                            events.schedule_migration_done(done);
-                            migration_attribution.push(done, g);
-                            migrating_of[g] += 1;
-                            per_group[g].vms_rebalanced += 1;
-                            per_group[g].evacuation_copy_time += copy;
-                            per_group[landed].pool_gib_hours +=
-                                summary.pool.as_gib_f64() * remaining_hours;
-                            per_group[landed].total_gib_hours +=
-                                request.memory.as_gib_f64() * remaining_hours;
-                            if !summary.pool.is_zero() && !pooled_host[landed][summary.host] {
-                                pooled_host[landed][summary.host] = true;
-                                pooled_count[landed] += 1;
-                            }
-                            arena.set_group(token, landed as u32);
-                            if O::ENABLED {
-                                observer.on_lifecycle_op(&LifecycleTrace {
-                                    time,
-                                    group: g,
-                                    kind: LifecycleOpKind::VmRebalanced { dest: landed, copy },
-                                });
-                            }
-                        }
-                    }
-                }
-
-                // The deep per-group recount runs only at snapshot ticks
-                // (and end of replay) in debug builds.
-                #[cfg(debug_assertions)]
-                assert_fleet_conserved_full(&planes);
+            // A borrowed VM's slices flow back to the *lender's* pool.
+            if let Some(lease) = outcome.lease {
+                self.return_lease(lease, now)?;
             }
         }
+        Ok(())
+    }
 
-        // Provisioning peaks after every event: each group samples only the
-        // hosts the event touched (usually none).
-        for (group, plane) in planes.iter_mut().enumerate() {
-            track_peaks_touched(
-                plane,
+    fn release(&mut self, group: usize, now: Duration) {
+        self.planes[group].complete_releases(now);
+        self.per_group[group].releases_completed += 1;
+        // A draining group's last pending release may have just landed —
+        // only now may the pod be struck off.
+        self.finish_decommission_if_drained(group, now);
+    }
+
+    fn reconfig_done(&mut self, group: usize) {
+        checked_decrement(&mut self.degraded_of[group], "per-group mitigation copies");
+        self.per_group[group].reconfig_completions += 1;
+        checked_decrement(&mut self.degraded_fleet, "fleet-wide mitigation copies");
+    }
+
+    fn migration_done(&mut self, group: usize) {
+        checked_decrement(&mut self.migrating_of[group], "in-flight migration copies");
+        self.per_group[group].migration_completions += 1;
+    }
+
+    /// One EMC dies: every VM in the blast radius is re-homed through the
+    /// same fallback ladder arrivals use — pooled over the pod's reachable
+    /// *online* groups (the home pod's surviving EMCs first, then the
+    /// neighbours), then all-local in the same order — or killed when no
+    /// rung holds it.
+    fn emc_failure(&mut self, failure_index: usize, now: Duration) -> Result<(), PondError> {
+        let PlannedEmcFailure { group: source, emc, .. } = self.drill_plan[failure_index];
+        let outcome = self.planes[source].handle_emc_failure(emc, now)?;
+        self.per_group[source].emc_failures += 1;
+        let affected = outcome.affected.len() as u64;
+        self.lifecycle_op(source, now, LifecycleOpKind::EmcFailure { affected });
+
+        let mut order = std::mem::take(&mut self.order);
+        self.reachable_online(source, &mut order);
+        for affected in outcome.affected {
+            self.relocate(
+                affected.vm,
+                source,
+                affected.pool_before,
+                &order,
+                Relocation::Migrated,
+                now,
+            )?;
+        }
+        // Split ownership widens the blast radius: slices this pool had lent
+        // out died with the device too, degrading VMs homed in *other* pods.
+        // Each borrower pod strips the dead slices from its leases and
+        // evacuates the struck VMs through its own reachable ladder.
+        if self.config.borrowing {
+            for borrower in (0..self.planes.len()).filter(|&g| g != source) {
+                let struck = self.planes[borrower].strip_borrowed(source, emc);
+                if struck.is_empty() {
+                    continue;
+                }
+                self.reachable_online(borrower, &mut order);
+                for affected in struck {
+                    let kind = Relocation::Migrated;
+                    self.relocate(affected.vm, borrower, affected.pool_before, &order, kind, now)?;
+                }
+            }
+        }
+        self.order = order;
+        Ok(())
+    }
+
+    fn emc_repair(&mut self, repair_index: usize, now: Duration) -> Result<(), PondError> {
+        let PlannedEmcRepair { group, emc, .. } = self.repair_plan[repair_index];
+        // The replacement device rejoins the pool empty: live and free
+        // capacity grow by exactly the same amount, so the conservation
+        // invariant holds through the repair. A repair of a healthy device
+        // is a recorded no-op (zero restored).
+        let restored = self.planes[group].repair_emc(emc)?;
+        if !restored.is_zero() {
+            self.per_group[group].emcs_repaired += 1;
+        }
+        self.lifecycle_op(group, now, LifecycleOpKind::EmcRepair { restored });
+        Ok(())
+    }
+
+    /// Starts a graceful decommission (idempotent: only an online group can
+    /// start draining). Every running VM drains through the ladder — counted
+    /// as `vms_drained`, not `vms_migrated`: nothing died here — and, with
+    /// borrowing on, every lease the pod lent is recalled.
+    fn decommission(&mut self, group: usize, now: Duration) -> Result<(), PondError> {
+        if self.group_state[group] != GroupState::Online {
+            return Ok(());
+        }
+        self.group_state[group] = GroupState::Draining;
+        // The drain ladder: the pod's reachable online groups first (the
+        // source no longer accepts, so it is already excluded), then every
+        // other online group ascending — a drain may spill beyond the ring
+        // because the whole pod is leaving, not just one device.
+        let mut order = std::mem::take(&mut self.order);
+        self.reachable_online(group, &mut order);
+        for (g, state) in self.group_state.iter().enumerate() {
+            if state.accepts_placements() && !order.contains(&g) {
+                order.push(g);
+            }
+        }
+        let footprints = self.planes[group].running_vm_footprints();
+        let running = footprints.len() as u64;
+        self.lifecycle_op(group, now, LifecycleOpKind::DecommissionStarted { running });
+        for (vm, pool_before) in footprints {
+            self.relocate(vm, group, pool_before, &order, Relocation::Drained, now)?;
+        }
+        // A draining pod must also recall the slices it *lent*: the pod
+        // cannot be struck off while a single lease is outstanding. Each
+        // borrower's VM drains through the borrower's own ladder (the
+        // draining pod no longer accepts, so it is excluded automatically),
+        // and its lease flows back as a pending release here.
+        if self.config.borrowing {
+            for borrower in (0..self.planes.len()).filter(|&g| g != group) {
+                let leaning = self.planes[borrower].borrowers_of(group);
+                if leaning.is_empty() {
+                    continue;
+                }
+                self.reachable_online(borrower, &mut order);
+                for (vm, pool_before) in leaning {
+                    self.relocate(vm, borrower, pool_before, &order, Relocation::Drained, now)?;
+                }
+            }
+        }
+        self.order = order;
+        // With no pending releases and no outstanding leases the pod is
+        // already done; otherwise the last Release event completes it.
+        self.finish_decommission_if_drained(group, now);
+        Ok(())
+    }
+
+    fn expansion(&mut self, expansion_index: usize, now: Duration) {
+        let PlannedExpansion { group, capacity } = self.expansion_plan[expansion_index];
+        self.planes[group].expand_pool(capacity);
+        self.per_group[group].groups_expanded += 1;
+        self.lifecycle_op(group, now, LifecycleOpKind::Expansion { capacity });
+        // Growing a decommissioned pod is the replacement case: the new
+        // hardware brings the group back online. A draining pod stays
+        // draining — new capacity does not cancel a planned decommission.
+        if self.group_state[group] == GroupState::Decommissioned {
+            self.group_state[group] = GroupState::Online;
+        }
+    }
+
+    /// A QoS tick: one monitoring pass per group, lease reclaims routed to
+    /// their lenders, then proactive rebalancing.
+    fn snapshot(&mut self, time: u64, now: Duration) -> Result<(), PondError> {
+        self.snapshot_ticks += 1;
+        let mut reclaimed: Vec<(usize, BorrowedReclaim)> = Vec::new();
+        for group in 0..self.planes.len() {
+            let mut pass = self.planes[group].run_qos_pass(now)?;
+            // A mitigated *borrowed* VM hands its lease back to the lending
+            // plane; park the reclaims and route them after every pass.
+            reclaimed.extend(
+                std::mem::take(&mut pass.borrowed_reclaims).into_iter().map(|r| (group, r)),
+            );
+            if O::ENABLED {
+                self.observer.on_qos_pass(&QosPassTrace {
+                    time,
+                    group,
+                    reconfigured: pass.reconfigured,
+                    copy_time: pass.copy_time,
+                });
+            }
+            let Replay {
+                accounting,
+                per_group,
+                arena,
+                degraded_of,
+                events,
+                degraded_fleet,
+                peak_degraded_fleet,
+                ..
+            } = &mut *self;
+            accounting.record_qos_pass(
                 &mut per_group[group],
-                &mut peak_local[group],
-                &mut peak_host_pool[group],
-                &mut peak_total[group],
+                pass,
+                time,
+                |id| arena.departure_of(id),
+                &mut degraded_of[group],
+                |kind, at| match kind {
+                    ScheduledEvent::ReconfigDone => {
+                        events.schedule_reconfig_done(at, group);
+                        *degraded_fleet += 1;
+                        *peak_degraded_fleet = (*peak_degraded_fleet).max(*degraded_fleet);
+                    }
+                    ScheduledEvent::Release => events.schedule_release(at, group),
+                },
             );
         }
+        for (group, reclaim) in reclaimed {
+            let remaining_hours =
+                self.arena
+                    .departure_of(reclaim.vm.0)
+                    .map_or(0, |departure| departure.saturating_sub(time)) as f64
+                    / 3600.0;
+            self.per_group[group].borrowed_gib_hours -=
+                reclaim.lease.capacity().as_gib_f64() * remaining_hours;
+            self.return_lease(reclaim.lease, reclaim.copy_done)?;
+        }
+        if let Some(spec) = self.config.rebalance {
+            self.rebalance(spec, now)?;
+        }
+        // The deep per-group recount runs only at snapshot ticks (and end
+        // of replay) in debug builds.
+        #[cfg(debug_assertions)]
+        assert_fleet_conserved_full(&self.planes);
+        Ok(())
+    }
 
-        if O::ENABLED {
-            if let Some(time) = snapshot_time {
-                let samples: Vec<GroupSample> = (0..groups)
-                    .map(|g| GroupSample {
-                        group: g,
-                        state: group_state[g],
-                        pool_free: planes[g].pool().available(),
-                        pool_offlining: planes[g].pool().pending_release(),
-                        pool_pinned: planes[g].pinned_pool(),
-                        pool_live: planes[g].pool().pool().live_capacity(),
-                        pool_lent: planes[g].lent_pool(),
-                        pool_borrowed: planes[g].borrowed_pool(),
-                        running_vms: planes[g].running_vms() as u64,
-                        scheduled_vms: per_group[g].scheduled_vms,
-                        rejected_vms: per_group[g].rejected_vms,
-                        vms_killed: per_group[g].vms_killed,
-                        sum_total_peaks: peak_total[g].iter().copied().sum(),
-                        sum_host_pool_peaks: peak_host_pool[g].iter().copied().sum(),
-                        pool_peak: per_group[g].pool_peak,
-                    })
-                    .collect();
-                observer.on_snapshot(time, &samples);
+    /// Proactive rebalancing rides the QoS cadence, after the monitoring
+    /// passes: each pool-starved online group moves a few VMs to its ring
+    /// neighbour before pressure turns into rejections. Every move is
+    /// pre-checked against the destination, so a rebalance can never kill.
+    fn rebalance(&mut self, spec: RebalanceSpec, now: Duration) -> Result<(), PondError> {
+        for g in 0..self.planes.len() {
+            if self.group_state[g] != GroupState::Online {
+                continue;
+            }
+            // The ring neighbour is the second reachable group; symmetric
+            // pods have none and never rebalance.
+            let Some(&dest) = self.topology.reachable(g).get(1) else {
+                continue;
+            };
+            if !self.group_state[dest].accepts_placements() {
+                continue;
+            }
+            let available = self.planes[g].pool().available();
+            let live = self.planes[g].pool().pool().live_capacity();
+            let starved = available.as_gib_f64() < spec.starved_fraction * live.as_gib_f64();
+            // Move only downhill: the neighbour must have strictly more free
+            // pool than the starved source.
+            if !starved || self.planes[dest].pool().available() <= available {
+                continue;
+            }
+            let candidates: Vec<(VmId, Bytes)> = self.planes[g]
+                .running_vm_footprints()
+                .into_iter()
+                .filter(|(_, pool)| !pool.is_zero())
+                .take(spec.max_moves_per_pass as usize)
+                .collect();
+            for (vm, pool_before) in candidates {
+                // The never-kill pre-check: skip the VM unless the neighbour
+                // could hold it entirely in local DRAM — the all-local rung
+                // then cannot fail even if its pool is tight.
+                let memory = self.arena.request(self.slot(vm)).memory;
+                if self.planes[dest].tightest_feasible_host(memory).is_none() {
+                    continue;
+                }
+                self.relocate(vm, g, pool_before, &[dest], Relocation::Rebalanced, now)?;
             }
         }
+        Ok(())
+    }
 
-        // Per-group + fleet-wide conservation, checked at every event in
-        // debug builds — O(groups) now that the counters are incremental.
+    /// The one relocation path: moves running VM `vm` off group `from` and
+    /// re-places it through the ladder over `order`. `pool_before` is the
+    /// pool footprint the VM's GiB-hours are still accruing (the failure
+    /// paths measure it before stripping the dead slices).
+    ///
+    /// Every counter, the `MigrationDone` completion, and the lifecycle
+    /// trace are attributed to `from`, the group the VM leaves — so a
+    /// group's `availability()` counts kills where the VMs ran. The
+    /// destination is credited only with the GiB-hours it will serve.
+    fn relocate(
+        &mut self,
+        vm: VmId,
+        from: usize,
+        pool_before: Bytes,
+        order: &[usize],
+        kind: Relocation,
+        now: Duration,
+    ) -> Result<(), PondError> {
+        let time = now.as_secs();
+        let token = self.slot(vm);
+        // Owned copy: the ladder and the group update below need the arena
+        // free while the request is in hand.
+        let request = self.arena.request(token).clone();
+        let evacuated = self.planes[from].evacuate_vm_split(vm, now)?;
+        if let Some(ready) = evacuated.release_ready {
+            self.schedule_release(from, ready);
+        }
+        let was_borrowed = evacuated.lease.is_some();
+        if let Some(lease) = evacuated.lease {
+            self.return_lease(lease, now)?;
+        }
+        // The arrival charged this VM's full lifetime to `from`; take back
+        // the part it will no longer serve there.
+        let hours = request.departure().saturating_sub(time) as f64 / 3600.0;
+        let source = &mut self.per_group[from];
+        source.pool_gib_hours -= pool_before.as_gib_f64() * hours;
+        if was_borrowed {
+            source.borrowed_gib_hours -= pool_before.as_gib_f64() * hours;
+        }
+        source.total_gib_hours -= request.memory.as_gib_f64() * hours;
+
+        let all_local = self.config.control.fallback_all_local || kind == Relocation::Rebalanced;
+        let (dest, copy) = match self.ladder(order, &request, now, all_local)? {
+            Some((dest, summary)) => {
+                // The copy moves the VM's full memory at the mitigation
+                // engine's 50 ms/GiB; the VM runs degraded until the
+                // MigrationDone event closes the window.
+                let copy = self.evacuation_engine.charge_copy(request.memory);
+                self.events.schedule_migration_done(ceil_secs(now + copy), from);
+                self.migrating_of[from] += 1;
+                kind.count(&mut self.per_group[from]);
+                self.per_group[from].evacuation_copy_time += copy;
+                let landed = &mut self.per_group[dest];
+                landed.pool_gib_hours += summary.pool.as_gib_f64() * hours;
+                landed.total_gib_hours += request.memory.as_gib_f64() * hours;
+                if summary.borrowed_from.is_some() {
+                    landed.vms_borrowed += 1;
+                    landed.borrowed_gib_hours += summary.pool.as_gib_f64() * hours;
+                }
+                self.mark_pooled_host(dest, &summary);
+                self.arena.set_group(token, dest as u32);
+                (Some(dest), copy)
+            }
+            None => {
+                // No rung holds the VM: it dies. The slot stays allocated
+                // but groupless until its already-scheduled departure pops
+                // as a no-op and frees it.
+                debug_assert!(
+                    kind != Relocation::Rebalanced,
+                    "rebalance pre-checked destination feasibility"
+                );
+                self.per_group[from].vms_killed += 1;
+                self.arena.set_group(token, NO_GROUP);
+                (None, Duration::ZERO)
+            }
+        };
+        self.lifecycle_op(from, now, kind.trace(dest, copy));
+        Ok(())
+    }
+
+    /// Runs the fixed fallback ladder over `order` (a pod's reachable
+    /// groups, home first): pooled in the home group, the cross-pod
+    /// BorrowedNeighbour rung (only with [`MultiPoolConfig::borrowing`]),
+    /// pooled in the remaining groups, then — only when `allow_all_local` is
+    /// on — all-local in the same order. Returns the landing group and
+    /// summary, or `None` when no rung holds the VM. Arrivals and
+    /// relocations share it, so a moved VM walks exactly the ladder a fresh
+    /// arrival would.
+    ///
+    /// # Errors
+    ///
+    /// Propagates any error other than the expected placement failures
+    /// (`PoolExhausted` on the pooled rungs, `NoFeasibleHost` on both).
+    fn ladder(
+        &mut self,
+        order: &[usize],
+        request: &VmRequest,
+        now: Duration,
+        allow_all_local: bool,
+    ) -> Result<Option<(usize, PlacementSummary)>, PondError> {
+        for (i, &g) in order.iter().enumerate() {
+            match self.planes[g].handle_request_pooled(request, now) {
+                Ok(summary) => return Ok(Some((g, summary))),
+                Err(PondError::PoolExhausted { .. }) | Err(PondError::NoFeasibleHost { .. }) => {}
+                Err(other) => return Err(other),
+            }
+            // The BorrowedNeighbour rung sits strictly between pooled-home
+            // and the re-homing rungs: host locality is worth more than pool
+            // locality, so a lease is tried before the VM moves pods.
+            if i == 0 && order.len() > 1 && self.config.borrowing {
+                if let Some(placed) = self.borrow(order, request, now)? {
+                    return Ok(Some(placed));
+                }
+            }
+        }
+        if allow_all_local {
+            for &g in order {
+                match self.planes[g].handle_request_all_local(request, now) {
+                    Ok(summary) => return Ok(Some((g, summary))),
+                    Err(PondError::NoFeasibleHost { .. }) => {}
+                    Err(other) => return Err(other),
+                }
+            }
+        }
+        Ok(None)
+    }
+
+    /// The BorrowedNeighbour rung: keep the VM on a home-pod host and lease
+    /// its pool share from the first reachable lender with capacity. The
+    /// home plane plans its pooled share exactly as the failed pooled-home
+    /// attempt did (the decision path is pure, so re-planning is
+    /// bit-stable), the lease is attributed to the home pod's synthetic
+    /// cross-pod port on the lender, and the commit pins the VM on the home
+    /// host with the borrowed slices.
+    fn borrow(
+        &mut self,
+        order: &[usize],
+        request: &VmRequest,
+        now: Duration,
+    ) -> Result<Option<(usize, PlacementSummary)>, PondError> {
+        let home = order[0];
+        let plan = self.planes[home].plan_pooled(request, now)?;
+        // Borrowing only helps when the home plane *wants* pool slices and
+        // has a host for the local share: a zero-pool plan or no feasible
+        // host would fail identically with borrowed slices.
+        if plan.pool.is_zero() || !self.planes[home].has_feasible_host(request.memory - plan.pool) {
+            return Ok(None);
+        }
+        // The host the commit below will pick. Nothing mutates the home
+        // plane between this probe and the commit (only lender planes are
+        // touched), so the most-free host is stable across the gap.
+        let Some((host, _)) = self.planes[home].most_free_host() else {
+            return Ok(None);
+        };
+        let port_host = self.topology.borrow_port_host(home, host as u16);
+        for &lender in &order[1..] {
+            // Only a pod wired to the home pod can lend it slices; `order`
+            // may spill beyond the home pod's reach (the drain ladder).
+            if lender == home || self.topology.borrow_hops(home, lender).is_none() {
+                continue;
+            }
+            let lease = match self.planes[lender].lend(lender, port_host, plan.pool, now) {
+                Ok(lease) => lease,
+                Err(PondError::PoolExhausted { .. }) => continue,
+                Err(other) => return Err(other),
+            };
+            match self.planes[home].commit_borrowed(request, plan, lease, now) {
+                Ok(summary) => return Ok(Some((home, summary))),
+                Err((error, lease)) => {
+                    // Unreachable via the feasibility pre-check above, but a
+                    // failed commit must hand the slices straight back to
+                    // the lender rather than strand the lease.
+                    self.return_lease(lease, now)?;
+                    match error {
+                        PondError::PoolExhausted { .. } | PondError::NoFeasibleHost { .. } => {}
+                        other => return Err(other),
+                    }
+                }
+            }
+        }
+        Ok(None)
+    }
+
+    /// The arena slot of a running VM.
+    fn slot(&self, vm: VmId) -> usize {
+        self.arena.slot_of(vm.0).expect("a running VM's id resolves to a live arena slot")
+    }
+
+    /// Fills `order` with `group`'s reachable groups that accept
+    /// placements, in reach order.
+    fn reachable_online(&self, group: usize, order: &mut Vec<usize>) {
+        order.clear();
+        order.extend(
+            self.topology
+                .reachable(group)
+                .iter()
+                .copied()
+                .filter(|&g| self.group_state[g].accepts_placements()),
+        );
+    }
+
+    /// Schedules the `Release` event of offlining in `group`'s pool that
+    /// completes at `ready`.
+    fn schedule_release(&mut self, group: usize, ready: Duration) {
+        self.events.schedule_release(ceil_secs(ready), group);
+    }
+
+    /// Hands a lease back to its lender, whose pool starts offlining the
+    /// surviving slices at `at`.
+    fn return_lease(&mut self, lease: SliceLease, at: Duration) -> Result<(), PondError> {
+        let lender = lease.lender;
+        if let Some(ready) = self.planes[lender].release_lent(lease, at)? {
+            self.schedule_release(lender, ready);
+        }
+        Ok(())
+    }
+
+    fn mark_pooled_host(&mut self, group: usize, summary: &PlacementSummary) {
+        if !summary.pool.is_zero() && !self.pooled_host[group][summary.host] {
+            self.pooled_host[group][summary.host] = true;
+            self.pooled_count[group] += 1;
+        }
+    }
+
+    /// Completes a graceful decommission once nothing is left in flight: a
+    /// `Draining` group becomes `Decommissioned` only when its last VM has
+    /// been drained, its last pending async release has been delivered,
+    /// *and* every slice it lent to other pods has been recalled — the
+    /// slice ledger must be fully settled before the pod is struck off, or
+    /// a late [`Event::Release`] (or a lease still held by a foreign VM)
+    /// would free slices of a dead pool. Checked at the end of the
+    /// decommission event and again after every release completion.
+    fn finish_decommission_if_drained(&mut self, group: usize, now: Duration) {
+        let plane = &self.planes[group];
+        if self.group_state[group] == GroupState::Draining
+            && plane.running_vms() == 0
+            && plane.pool().pending_release().is_zero()
+            && plane.lent_pool().is_zero()
+        {
+            self.group_state[group] = GroupState::Decommissioned;
+            self.per_group[group].groups_decommissioned += 1;
+            self.lifecycle_op(group, now, LifecycleOpKind::DecommissionComplete);
+        }
+    }
+
+    fn decided(
+        &mut self,
+        request: &VmRequest,
+        home_group: usize,
+        placed: Option<(u64, usize)>,
+        rung: LadderRung,
+        reason: FallbackReason,
+    ) {
+        if O::ENABLED {
+            self.observer.on_decision(&DecisionTrace {
+                time: request.arrival,
+                vm: placed.map(|(vm, _)| vm),
+                home_group,
+                group: placed.map(|(_, group)| group),
+                rung,
+                reason,
+                memory: request.memory,
+                lifetime: request.lifetime,
+            });
+        }
+    }
+
+    fn lifecycle_op(&mut self, group: usize, now: Duration, kind: LifecycleOpKind) {
+        if O::ENABLED {
+            self.observer.on_lifecycle_op(&LifecycleTrace { time: now.as_secs(), group, kind });
+        }
+    }
+
+    fn observe_snapshot(&mut self, time: u64) {
+        let samples: Vec<GroupSample> = (0..self.planes.len())
+            .map(|g| {
+                let plane = &self.planes[g];
+                GroupSample {
+                    group: g,
+                    state: self.group_state[g],
+                    pool_free: plane.pool().available(),
+                    pool_offlining: plane.pool().pending_release(),
+                    pool_pinned: plane.pinned_pool(),
+                    pool_live: plane.pool().pool().live_capacity(),
+                    pool_lent: plane.lent_pool(),
+                    pool_borrowed: plane.borrowed_pool(),
+                    running_vms: plane.running_vms() as u64,
+                    scheduled_vms: self.per_group[g].scheduled_vms,
+                    rejected_vms: self.per_group[g].rejected_vms,
+                    vms_killed: self.per_group[g].vms_killed,
+                    sum_total_peaks: self.peak_total[g].iter().copied().sum(),
+                    sum_host_pool_peaks: self.peak_host_pool[g].iter().copied().sum(),
+                    pool_peak: self.per_group[g].pool_peak,
+                }
+            })
+            .collect();
+        self.observer.on_snapshot(time, &samples);
+    }
+
+    /// Closes the books once the queue is drained: end-of-replay checks,
+    /// per-group peaks, and the fleet aggregate.
+    fn finish(mut self) -> MultiPoolOutcome {
         #[cfg(debug_assertions)]
-        assert_fleet_conserved(&planes);
-    }
-    if let Some(error) = events.source_error() {
-        return Err(PondError::TraceStream(error.to_string()));
-    }
+        assert_fleet_conserved_full(&self.planes);
+        for (group, outcome) in self.per_group.iter_mut().enumerate() {
+            let plane = &self.planes[group];
+            debug_assert_eq!(plane.running_vms(), 0, "group {group}: every VM must have departed");
+            debug_assert!(
+                plane.pool().pending_release().is_zero(),
+                "group {group}: every release event must have been delivered"
+            );
+            debug_assert_eq!(
+                self.degraded_of[group], 0,
+                "group {group}: every copy must have completed"
+            );
+            debug_assert_eq!(
+                self.migrating_of[group], 0,
+                "group {group}: every migration copy must have completed"
+            );
+            debug_assert_eq!(
+                outcome.migration_completions,
+                outcome.vms_migrated + outcome.vms_drained + outcome.vms_rebalanced,
+                "group {group}: one MigrationDone event per migration copy — \
+                 failure evacuations, drains, and rebalances alike"
+            );
+            outcome.pooled_host_count = self.pooled_count[group];
+            outcome.sum_local_peaks = self.peak_local[group].iter().copied().sum();
+            outcome.sum_host_pool_peaks = self.peak_host_pool[group].iter().copied().sum();
+            outcome.sum_total_peaks = self.peak_total[group].iter().copied().sum();
+        }
 
-    #[cfg(debug_assertions)]
-    assert_fleet_conserved_full(&planes);
-    for (group, plane) in planes.iter().enumerate() {
-        debug_assert_eq!(plane.running_vms(), 0, "group {group}: every VM must have departed");
-        debug_assert!(
-            plane.pool().pending_release().is_zero(),
-            "group {group}: every release event must have been delivered"
-        );
-        debug_assert_eq!(degraded_of[group], 0, "group {group}: every copy must have completed");
-        debug_assert_eq!(
-            migrating_of[group], 0,
-            "group {group}: every migration copy must have completed"
-        );
-        debug_assert_eq!(
-            per_group[group].migration_completions,
-            per_group[group].vms_migrated
-                + per_group[group].vms_drained
-                + per_group[group].vms_rebalanced,
-            "group {group}: one MigrationDone event per migration copy — \
-             failure evacuations, drains, and rebalances alike"
-        );
-    }
+        // The aggregate absorbs every per-group outcome field by field
+        // (release, reconfig, and rejection counts are attributed to exactly
+        // one group, so their sums equal the event totals), then overwrites
+        // the two non-additive fields: shared snapshot ticks and the
+        // fleet-wide peak.
+        let mut fleet = FleetOutcome::default();
+        for outcome in &self.per_group {
+            fleet.absorb(outcome);
+        }
+        fleet.qos_passes = self.snapshot_ticks;
+        fleet.peak_degraded_vms = self.peak_degraded_fleet;
 
-    for group in 0..groups {
-        let outcome = &mut per_group[group];
-        outcome.pooled_host_count = pooled_count[group];
-        outcome.sum_local_peaks = peak_local[group].iter().copied().sum();
-        outcome.sum_host_pool_peaks = peak_host_pool[group].iter().copied().sum();
-        outcome.sum_total_peaks = peak_total[group].iter().copied().sum();
+        MultiPoolOutcome {
+            fleet,
+            per_group: self.per_group,
+            cross_group_placements: self.cross_group_placements,
+            scheduler: self.scheduler.name().to_string(),
+            pod: self.config.pod,
+        }
     }
-
-    // The aggregate absorbs every per-group outcome field by field (release,
-    // reconfig, and rejection counts are attributed to exactly one group, so
-    // their sums equal the event totals), then overwrites the two
-    // non-additive fields: shared snapshot ticks and the fleet-wide peak.
-    let mut fleet = FleetOutcome::default();
-    for outcome in &per_group {
-        fleet.absorb(outcome);
-    }
-    fleet.qos_passes = snapshot_ticks;
-    fleet.peak_degraded_vms = peak_degraded_fleet;
-
-    Ok(MultiPoolOutcome {
-        fleet,
-        per_group,
-        cross_group_placements,
-        scheduler: scheduler.name().to_string(),
-        pod: config.pod,
-    })
 }
 
 /// One cell of a (pod style × group count × pool fraction × scheduler ×
@@ -2596,22 +2253,65 @@ mod tests {
         );
     }
 
+    /// Records every drain the replay traces: `(group the VM left, dest)`.
+    #[derive(Default)]
+    struct DrainLog(Vec<(usize, Option<usize>)>);
+
+    impl ReplayObserver for DrainLog {
+        fn on_lifecycle_op(&mut self, op: &LifecycleTrace) {
+            if let LifecycleOpKind::VmDrained { dest, .. } = op.kind {
+                self.0.push((op.group, dest));
+            }
+        }
+    }
+
     #[test]
     fn decommissioning_a_lender_recalls_its_leases() {
         let trace = small_trace();
-        // Decommission a pod early, while it still holds outstanding leases
-        // to neighbours: the drain must recall every lent slice before the
-        // pod is struck off (the end-of-replay asserts would trip on any
-        // leaked lease).
+        // Pod 2 is decommissioned on day 2 while pod 1 borrows from it: the
+        // drain must recall that lease before the pod is struck off (the
+        // end-of-replay asserts would trip on any leaked lease).
         let cfg = borrow_pressure_config().with_lifecycle(plan(vec![LifecycleEvent {
-            time: 86_400,
-            op: LifecycleOp::DecommissionGroup { group: 1 },
+            time: 2 * 86_400,
+            op: LifecycleOp::DecommissionGroup { group: 2 },
         }]));
-        let a = run_multipool_fleet(&trace, &cfg).unwrap();
-        let b = run_multipool_fleet(&trace, &cfg).unwrap();
+        let policy = PondPolicy::train(&trace, &cfg.control.policy, cfg.seed);
+        let mut drains = DrainLog::default();
+        let a = run_multipool_source_observed(
+            TraceCursor::new(&trace),
+            &cfg,
+            policy.clone(),
+            &mut drains,
+        )
+        .unwrap();
+        let b = run_multipool_source(TraceCursor::new(&trace), &cfg, policy).unwrap();
         assert_eq!(a, b, "lender decommissions must be deterministic");
         assert_eq!(a.fleet.groups_decommissioned, 1, "{a:?}");
         assert!(a.fleet.vms_borrowed > 0, "{a:?}");
+
+        // A drain traced against any group but the decommissioned one is a
+        // recalled lease, and it is charged to that borrower — the group
+        // the VM ran in — not to the draining lender.
+        let recalls: Vec<_> = drains.0.iter().filter(|&&(group, _)| group != 2).collect();
+        assert!(!recalls.is_empty(), "a lease must be recalled: {:?}", drains.0);
+        for (g, outcome) in a.per_group.iter().enumerate() {
+            let moved = drains.0.iter().filter(|&&(group, dest)| group == g && dest.is_some());
+            let killed = drains.0.iter().filter(|&&(group, dest)| group == g && dest.is_none());
+            assert_eq!(outcome.vms_drained, moved.count() as u64, "group {g}: {a:?}");
+            assert!(outcome.vms_killed >= killed.count() as u64, "group {g}: {a:?}");
+            assert_eq!(
+                outcome.migration_completions,
+                outcome.vms_migrated + outcome.vms_drained + outcome.vms_rebalanced,
+                "group {g}: one MigrationDone per move, on the group the VM left: {a:?}"
+            );
+        }
+        let recalled_from_1 = recalls.iter().filter(|&&&(group, _)| group == 1).count() as u64;
+        assert!(recalled_from_1 > 0, "pod 1 borrows from pod 2: {:?}", drains.0);
+        assert_eq!(
+            a.per_group[1].vms_drained + a.per_group[1].vms_killed,
+            recalled_from_1,
+            "pod 1 is never decommissioned, so every drain or kill it counts is a recall: {a:?}"
+        );
     }
 
     #[test]

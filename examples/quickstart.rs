@@ -59,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 5. Departures release pool slices asynchronously.
     for (vm, departure) in placed {
-        plane.handle_departure(vm, Duration::from_secs(departure))?;
+        let _ = plane.handle_departure_split(vm, Duration::from_secs(departure))?;
     }
     println!(
         "all VMs departed; {} of pool capacity still offlining, {} free",

@@ -102,7 +102,7 @@ fn control_plane_accounting_is_consistent() {
     // QoS pass and departures leave the system consistent.
     plane.run_qos_pass(Duration::from_secs(7200)).unwrap();
     for vm in placed {
-        plane.handle_departure(vm, Duration::from_secs(1_000_000)).unwrap();
+        let _ = plane.handle_departure_split(vm, Duration::from_secs(1_000_000)).unwrap();
     }
     assert_eq!(plane.running_vms(), 0);
 }

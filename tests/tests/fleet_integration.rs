@@ -43,7 +43,7 @@ fn drive_directly(trace: &ClusterTrace, config: &FleetConfig) -> (u64, u64, u64,
             }
             pending_departures.remove(0);
             let vm = VmId(trace.requests[dep_index].id);
-            plane.handle_departure(vm, Duration::from_secs(dep_time)).unwrap();
+            let _ = plane.handle_departure_split(vm, Duration::from_secs(dep_time)).unwrap();
             plane.assert_pool_conserved();
         }
         let request = &trace.requests[index];
@@ -63,7 +63,7 @@ fn drive_directly(trace: &ClusterTrace, config: &FleetConfig) -> (u64, u64, u64,
     pending_departures.sort_unstable();
     for (dep_time, dep_index) in pending_departures {
         let vm = VmId(trace.requests[dep_index].id);
-        plane.handle_departure(vm, Duration::from_secs(dep_time)).unwrap();
+        let _ = plane.handle_departure_split(vm, Duration::from_secs(dep_time)).unwrap();
         plane.assert_pool_conserved();
     }
     assert_eq!(plane.running_vms(), 0);

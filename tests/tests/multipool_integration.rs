@@ -1,5 +1,5 @@
 //! Integration tests for the sharded multi-pool fleet: a single group must
-//! reproduce the single-pool fleet replay bit for bit, multi-group replays
+//! reproduce the single-pool reference replay bit for bit, multi-group replays
 //! must conserve pool accounting per group and fleet-wide at every event
 //! (debug-asserted inside the run loop), sweeps must be deterministic on the
 //! parallel runner, and the host-port lifecycle must let a long trace cycle
@@ -10,7 +10,7 @@ use cluster_sim::tracegen::{ClusterConfig, TraceGenerator};
 use cluster_sim::ClusterTrace;
 use cxl_hw::topology::PodStyle;
 use cxl_hw::units::Bytes;
-use pond_core::fleet::{run_fleet, FleetConfig};
+use pond_core::fleet::{run_fleet, run_fleet_reference, FleetConfig};
 use pond_core::multipool::{
     failure_drill_sweep, multipool_sweep, run_multipool_fleet, DrillKind, FailureDrillSpec,
     FailureDrillSweepSpec, GroupSchedulerKind, MultiPoolConfig, MultiPoolSweepSpec,
@@ -20,11 +20,14 @@ fn small_trace() -> ClusterTrace {
     TraceGenerator::new(ClusterConfig::small(), 1).generate(0)
 }
 
-/// With one group, `run_multipool_fleet` and `run_fleet` drive the same
-/// control plane through the same event stream with the same fallback
-/// ladder, so every field of the outcome — placements, rejections,
-/// violations, peaks, GiB-hours, event counts — must agree bit for bit, and
-/// the single group's breakdown must equal the fleet aggregate.
+/// `run_fleet` is the multi-pool engine on one symmetric round-robin group,
+/// so any one-group config — whatever its scheduler or pod style — must
+/// match it. The independent check is `run_fleet_reference`, the separate
+/// single-pool loop: with one group the ladder degenerates to the control
+/// plane's pooled → all-local fallback, so every field of the outcome —
+/// placements, rejections, violations, peaks, GiB-hours, event counts —
+/// must agree with it bit for bit, and the single group's breakdown must
+/// equal the fleet aggregate.
 #[test]
 fn single_group_multipool_reproduces_run_fleet_bit_for_bit() {
     let trace = small_trace();
@@ -38,7 +41,8 @@ fn single_group_multipool_reproduces_run_fleet_bit_for_bit() {
     ] {
         let mut fleet_config = FleetConfig::for_trace(&trace, 0.20, 7);
         fleet_config.control.fallback_all_local = fallback;
-        let fleet_outcome = run_fleet(&trace, &fleet_config).unwrap();
+        let fleet_outcome = run_fleet_reference(&trace, &fleet_config).unwrap();
+        assert_eq!(run_fleet(&trace, &fleet_config).unwrap(), fleet_outcome);
         let mut config = MultiPoolConfig::for_trace(&trace, pod, 1, 0.20, scheduler, 7);
         config.control.fallback_all_local = fallback;
         let multi = run_multipool_fleet(&trace, &config).unwrap();

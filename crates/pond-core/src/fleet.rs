@@ -576,31 +576,6 @@ pub(crate) fn track_peaks(
     outcome.pool_peak = outcome.pool_peak.max(plane.pool().pool().assigned_capacity());
 }
 
-/// Incremental peak tracking: samples only the hosts the last event touched.
-/// Bit-identical to [`track_peaks`] — an untouched host's allocations are
-/// unchanged since its previous sample, so resampling it cannot move a
-/// running maximum — and the pool's assigned capacity only grows at
-/// placements, which always mark the plane pool-dirty, so the pool peak is
-/// resampled exactly when it can move.
-pub(crate) fn track_peaks_touched(
-    plane: &mut PondControlPlane,
-    outcome: &mut FleetOutcome,
-    peak_local: &mut [Bytes],
-    peak_host_pool: &mut [Bytes],
-    peak_total: &mut [Bytes],
-) {
-    let pool_dirty = plane.drain_touched(|i, host| {
-        let local = host.local_allocated();
-        let host_pool = host.pool_allocated();
-        peak_local[i] = peak_local[i].max(local);
-        peak_host_pool[i] = peak_host_pool[i].max(host_pool);
-        peak_total[i] = peak_total[i].max(local + host_pool);
-    });
-    if pool_dirty {
-        outcome.pool_peak = outcome.pool_peak.max(plane.pool().pool().assigned_capacity());
-    }
-}
-
 /// Replays a trace through the full Pond control plane on the time-ordered
 /// event core and returns the aggregated outcome.
 ///

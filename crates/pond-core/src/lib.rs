@@ -43,6 +43,7 @@ pub mod combined;
 pub mod control_plane;
 pub mod error;
 pub mod fleet;
+mod group_index;
 pub mod multipool;
 pub mod policy;
 pub mod pool_manager;

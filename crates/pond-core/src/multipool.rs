@@ -76,9 +76,9 @@ use crate::control_plane::{
 };
 use crate::error::PondError;
 use crate::fleet::{
-    ceil_secs, checked_decrement, track_peaks_touched, FleetConfig, FleetOutcome, ReplayAccounting,
-    ScheduledEvent,
+    ceil_secs, checked_decrement, FleetConfig, FleetOutcome, ReplayAccounting, ScheduledEvent,
 };
+use crate::group_index::{scheduler_choice, GroupIndex, Planes};
 use crate::policy::PondPolicy;
 use cluster_sim::event::{Event, EventQueue};
 use cluster_sim::source::{ArrivalSource, TraceCursor, TraceHeader};
@@ -87,6 +87,7 @@ use cluster_sim::trace::{ClusterTrace, VmRequest};
 use cxl_hw::pool::{GroupState, SliceLease};
 use cxl_hw::topology::{PodStyle, PoolGroupTopology};
 use cxl_hw::units::{Bytes, EmcId};
+use cxl_hw::CxlError;
 use hypervisor_sim::reconfig::ReconfigurationEngine;
 use hypervisor_sim::vm::VmId;
 use pond_metrics::{
@@ -113,7 +114,7 @@ pub struct GroupView {
 }
 
 impl GroupView {
-    fn of(plane: &PondControlPlane, request: &VmRequest) -> GroupView {
+    pub(crate) fn of(plane: &PondControlPlane, request: &VmRequest) -> GroupView {
         GroupView {
             pool_free: plane.pool().available(),
             most_free_host: plane.most_free_host().map_or(Bytes::ZERO, |(_, free)| free),
@@ -125,10 +126,10 @@ impl GroupView {
 
 /// Chooses the home pool group for every arriving VM.
 ///
-/// Implementations may keep state (round-robin cursors, learned load);
-/// [`run_multipool_fleet`] calls [`GroupScheduler::choose`] once per
-/// arrival, in event order, so stateful schedulers see a deterministic
-/// sequence.
+/// Implementations may keep state (round-robin cursors, learned load). The
+/// built-in schedulers specify home-group choice: the replay answers it from
+/// a fleet-wide index of what they read, and only debug builds call
+/// [`GroupScheduler::choose`], once per arrival in event order, to check it.
 pub trait GroupScheduler {
     /// Picks the home group for `request`. `views` holds one snapshot per
     /// group; the returned index must be within `views`.
@@ -666,7 +667,8 @@ impl Relocation {
 /// # Errors
 ///
 /// Propagates topology/construction failures and any error other than the
-/// expected placement failures.
+/// expected placement failures. A lifecycle operation naming a group the
+/// fleet does not have is [`CxlError::InvalidGroupTopology`].
 pub fn run_multipool_fleet(
     trace: &ClusterTrace,
     config: &MultiPoolConfig,
@@ -726,7 +728,9 @@ struct Replay<'a, S, O> {
     config: &'a MultiPoolConfig,
     observer: &'a mut O,
     topology: PoolGroupTopology,
-    planes: Vec<PondControlPlane>,
+    planes: Planes,
+    index: GroupIndex,
+    /// The index's specification, consulted in debug builds only.
     scheduler: Box<dyn GroupScheduler>,
     accounting: ReplayAccounting,
     events: EventQueue<S>,
@@ -754,15 +758,12 @@ struct Replay<'a, S, O> {
     snapshot_ticks: u64,
     /// Each group starts `Online`; decommissions drain it through
     /// `Draining` to `Decommissioned`, and an expansion can bring a
-    /// decommissioned pod back.
+    /// decommissioned pod back. Changed only through [`Replay::set_state`].
     group_state: Vec<GroupState>,
     drill_plan: Vec<PlannedEmcFailure>,
     repair_plan: Vec<PlannedEmcRepair>,
     expansion_plan: Vec<PlannedExpansion>,
-    /// Per-arrival buffers, reused: the online groups, their views, and
-    /// the ladder order (also lent to the lifecycle paths).
-    online: Vec<usize>,
-    views: Vec<GroupView>,
+    /// The ladder order, reused by arrivals and the lifecycle paths.
     order: Vec<usize>,
 }
 
@@ -813,17 +814,24 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
         let mut events = EventQueue::new(source, config.qos_interval);
         let mut expansion_plan: Vec<PlannedExpansion> = Vec::new();
         for event in config.lifecycle.iter().flat_map(|plan| &plan.events) {
+            let (LifecycleOp::RepairEmc { group, .. }
+            | LifecycleOp::DecommissionGroup { group }
+            | LifecycleOp::ExpandGroup { group, .. }) = event.op;
+            if group >= groups {
+                let detail = format!(
+                    "lifecycle {:?} at {} s: the fleet has {groups} groups",
+                    event.op, event.time
+                );
+                return Err(CxlError::InvalidGroupTopology { detail }.into());
+            }
             match event.op {
                 LifecycleOp::RepairEmc { group, emc } => {
-                    assert!(group < groups, "lifecycle repair of group {group} of {groups}");
                     repair_plan.push(PlannedEmcRepair { time: event.time, group, emc });
                 }
                 LifecycleOp::DecommissionGroup { group } => {
-                    assert!(group < groups, "lifecycle decommission of group {group} of {groups}");
                     events.schedule_group_decommission(event.time, group);
                 }
                 LifecycleOp::ExpandGroup { group, capacity } => {
-                    assert!(group < groups, "lifecycle expansion of group {group} of {groups}");
                     events.schedule_group_expansion(event.time, expansion_plan.len());
                     expansion_plan.push(PlannedExpansion { group, capacity });
                 }
@@ -839,6 +847,7 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
         Ok(Replay {
             config,
             observer,
+            index: GroupIndex::of_planes(config.scheduler, &planes),
             scheduler: config.scheduler.build(),
             accounting: ReplayAccounting::new(&config.control),
             events,
@@ -860,11 +869,9 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
             drill_plan,
             repair_plan,
             expansion_plan,
-            online: Vec::with_capacity(groups),
-            views: Vec::with_capacity(groups),
             order: Vec::with_capacity(groups),
             topology,
-            planes,
+            planes: Planes::new(planes),
         })
     }
 
@@ -890,17 +897,7 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
                 Event::Snapshot { time } => self.snapshot(time, now)?,
             }
 
-            // Provisioning peaks after every event: each group samples only
-            // the hosts the event touched (usually none).
-            for (group, plane) in self.planes.iter_mut().enumerate() {
-                track_peaks_touched(
-                    plane,
-                    &mut self.per_group[group],
-                    &mut self.peak_local[group],
-                    &mut self.peak_host_pool[group],
-                    &mut self.peak_total[group],
-                );
-            }
+            self.settle_touched();
             if O::ENABLED {
                 if let Event::Snapshot { time } = event {
                     self.observe_snapshot(time);
@@ -917,31 +914,25 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
         Ok(self.finish())
     }
 
-    /// Places one arriving VM: the scheduler picks a home among the online
-    /// groups, then the fallback ladder runs over the home pod's reachable
-    /// online groups.
+    /// Places one arriving VM: the group index picks a home among the
+    /// online groups, then the fallback ladder runs over the home pod's
+    /// reachable online groups.
     fn arrival(&mut self, request_index: usize, now: Duration) -> Result<(), PondError> {
         let request = self.events.take_arrival();
-        // Only `Online` groups take placements; with every group online
-        // (the common case and the whole no-lifecycle path) this is exactly
-        // the historical all-groups flow, index for index, so lifecycle-free
-        // replays stay bit-identical.
-        self.online.clear();
-        self.online
-            .extend((0..self.planes.len()).filter(|&g| self.group_state[g].accepts_placements()));
-        if self.online.is_empty() {
+        let home = self.index.choose(request.memory);
+        if cfg!(debug_assertions) {
+            let spec =
+                scheduler_choice(&mut *self.scheduler, &self.planes, &self.group_state, &request);
+            assert_eq!(home, spec, "the group index left its spec");
+        }
+        let Some(home) = home else {
             // Every group is draining or gone: nothing can take the VM.
             // Attributed to group 0 for want of a home.
             self.per_group[0].rejected_vms += 1;
             let reason = FallbackReason::NoOnlineGroup;
             self.decided(&request, 0, None, LadderRung::Rejected, reason);
             return Ok(());
-        }
-        self.views.clear();
-        self.views.extend(self.online.iter().map(|&g| GroupView::of(&self.planes[g], &request)));
-        let choice = self.scheduler.choose(&request, &self.views);
-        assert!(choice < self.views.len(), "scheduler chose view {choice} of {}", self.views.len());
-        let home = self.online[choice];
+        };
 
         // The fallback ladder: pooled in home, the BorrowedNeighbour lease
         // (borrowing only), pooled in reachable neighbours (cross-group),
@@ -995,7 +986,7 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
         let group = self.arena.free(token);
         if group != NO_GROUP {
             let group = group as usize;
-            let outcome = self.planes[group].handle_departure_split(vm, now)?;
+            let outcome = self.planes.touch(group).handle_departure_split(vm, now)?;
             if let Some(ready) = outcome.release_ready {
                 self.schedule_release(group, ready);
             }
@@ -1008,7 +999,7 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
     }
 
     fn release(&mut self, group: usize, now: Duration) {
-        self.planes[group].complete_releases(now);
+        self.planes.touch(group).complete_releases(now);
         self.per_group[group].releases_completed += 1;
         // A draining group's last pending release may have just landed —
         // only now may the pod be struck off.
@@ -1033,7 +1024,7 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
     /// rung holds it.
     fn emc_failure(&mut self, failure_index: usize, now: Duration) -> Result<(), PondError> {
         let PlannedEmcFailure { group: source, emc, .. } = self.drill_plan[failure_index];
-        let outcome = self.planes[source].handle_emc_failure(emc, now)?;
+        let outcome = self.planes.touch(source).handle_emc_failure(emc, now)?;
         self.per_group[source].emc_failures += 1;
         let affected = outcome.affected.len() as u64;
         self.lifecycle_op(source, now, LifecycleOpKind::EmcFailure { affected });
@@ -1056,7 +1047,7 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
         // evacuates the struck VMs through its own reachable ladder.
         if self.config.borrowing {
             for borrower in (0..self.planes.len()).filter(|&g| g != source) {
-                let struck = self.planes[borrower].strip_borrowed(source, emc);
+                let struck = self.planes.touch(borrower).strip_borrowed(source, emc);
                 if struck.is_empty() {
                     continue;
                 }
@@ -1077,7 +1068,7 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
         // capacity grow by exactly the same amount, so the conservation
         // invariant holds through the repair. A repair of a healthy device
         // is a recorded no-op (zero restored).
-        let restored = self.planes[group].repair_emc(emc)?;
+        let restored = self.planes.touch(group).repair_emc(emc)?;
         if !restored.is_zero() {
             self.per_group[group].emcs_repaired += 1;
         }
@@ -1093,7 +1084,7 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
         if self.group_state[group] != GroupState::Online {
             return Ok(());
         }
-        self.group_state[group] = GroupState::Draining;
+        self.set_state(group, GroupState::Draining);
         // The drain ladder: the pod's reachable online groups first (the
         // source no longer accepts, so it is already excluded), then every
         // other online group ascending — a drain may spill beyond the ring
@@ -1137,14 +1128,14 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
 
     fn expansion(&mut self, expansion_index: usize, now: Duration) {
         let PlannedExpansion { group, capacity } = self.expansion_plan[expansion_index];
-        self.planes[group].expand_pool(capacity);
+        self.planes.touch(group).expand_pool(capacity);
         self.per_group[group].groups_expanded += 1;
         self.lifecycle_op(group, now, LifecycleOpKind::Expansion { capacity });
         // Growing a decommissioned pod is the replacement case: the new
         // hardware brings the group back online. A draining pod stays
         // draining — new capacity does not cancel a planned decommission.
         if self.group_state[group] == GroupState::Decommissioned {
-            self.group_state[group] = GroupState::Online;
+            self.set_state(group, GroupState::Online);
         }
     }
 
@@ -1154,7 +1145,7 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
         self.snapshot_ticks += 1;
         let mut reclaimed: Vec<(usize, BorrowedReclaim)> = Vec::new();
         for group in 0..self.planes.len() {
-            let mut pass = self.planes[group].run_qos_pass(now)?;
+            let mut pass = self.planes.touch(group).run_qos_pass(now)?;
             // A mitigated *borrowed* VM hands its lease back to the lending
             // plane; park the reclaims and route them after every pass.
             reclaimed.extend(
@@ -1282,7 +1273,7 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
         // Owned copy: the ladder and the group update below need the arena
         // free while the request is in hand.
         let request = self.arena.request(token).clone();
-        let evacuated = self.planes[from].evacuate_vm_split(vm, now)?;
+        let evacuated = self.planes.touch(from).evacuate_vm_split(vm, now)?;
         if let Some(ready) = evacuated.release_ready {
             self.schedule_release(from, ready);
         }
@@ -1360,7 +1351,7 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
         allow_all_local: bool,
     ) -> Result<Option<(usize, PlacementSummary)>, PondError> {
         for (i, &g) in order.iter().enumerate() {
-            match self.planes[g].handle_request_pooled(request, now) {
+            match self.planes.touch(g).handle_request_pooled(request, now) {
                 Ok(summary) => return Ok(Some((g, summary))),
                 Err(PondError::PoolExhausted { .. }) | Err(PondError::NoFeasibleHost { .. }) => {}
                 Err(other) => return Err(other),
@@ -1376,7 +1367,7 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
         }
         if allow_all_local {
             for &g in order {
-                match self.planes[g].handle_request_all_local(request, now) {
+                match self.planes.touch(g).handle_request_all_local(request, now) {
                     Ok(summary) => return Ok(Some((g, summary))),
                     Err(PondError::NoFeasibleHost { .. }) => {}
                     Err(other) => return Err(other),
@@ -1400,7 +1391,7 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
         now: Duration,
     ) -> Result<Option<(usize, PlacementSummary)>, PondError> {
         let home = order[0];
-        let plan = self.planes[home].plan_pooled(request, now)?;
+        let plan = self.planes.touch(home).plan_pooled(request, now)?;
         // Borrowing only helps when the home plane *wants* pool slices and
         // has a host for the local share: a zero-pool plan or no feasible
         // host would fail identically with borrowed slices.
@@ -1420,12 +1411,12 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
             if lender == home || self.topology.borrow_hops(home, lender).is_none() {
                 continue;
             }
-            let lease = match self.planes[lender].lend(lender, port_host, plan.pool, now) {
+            let lease = match self.planes.touch(lender).lend(lender, port_host, plan.pool, now) {
                 Ok(lease) => lease,
                 Err(PondError::PoolExhausted { .. }) => continue,
                 Err(other) => return Err(other),
             };
-            match self.planes[home].commit_borrowed(request, plan, lease, now) {
+            match self.planes.touch(home).commit_borrowed(request, plan, lease, now) {
                 Ok(summary) => return Ok(Some((home, summary))),
                 Err((error, lease)) => {
                     // Unreachable via the feasibility pre-check above, but a
@@ -1440,6 +1431,37 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
             }
         }
         Ok(None)
+    }
+
+    /// Moves `group` to `state`, taking it into or out of the index's
+    /// online set.
+    fn set_state(&mut self, group: usize, state: GroupState) {
+        self.group_state[group] = state;
+        self.index.set_online(group, state.accepts_placements());
+    }
+
+    /// The end of every event, over only the groups it touched: the index
+    /// re-files them, and the provisioning peaks sample the hosts that
+    /// changed. That is bit-identical to sampling every host, because an
+    /// unchanged host would only repeat its previous sample into the running
+    /// maximum; the pool peak is resampled when assigned capacity may have
+    /// grown (placements and lends mark the plane pool-dirty).
+    fn settle_touched(&mut self) {
+        let Replay { planes, index, per_group, peak_local, peak_host_pool, peak_total, .. } = self;
+        planes.drain_touched(|group, plane| {
+            let (local, host_pool) = (&mut peak_local[group], &mut peak_host_pool[group]);
+            let total = &mut peak_total[group];
+            let pool_dirty = index.refresh(group, plane, |i, host| {
+                let (l, p) = (host.local_allocated(), host.pool_allocated());
+                local[i] = local[i].max(l);
+                host_pool[i] = host_pool[i].max(p);
+                total[i] = total[i].max(l + p);
+            });
+            if pool_dirty {
+                let outcome = &mut per_group[group];
+                outcome.pool_peak = outcome.pool_peak.max(plane.pool().pool().assigned_capacity());
+            }
+        });
     }
 
     /// The arena slot of a running VM.
@@ -1470,7 +1492,7 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
     /// surviving slices at `at`.
     fn return_lease(&mut self, lease: SliceLease, at: Duration) -> Result<(), PondError> {
         let lender = lease.lender;
-        if let Some(ready) = self.planes[lender].release_lent(lease, at)? {
+        if let Some(ready) = self.planes.touch(lender).release_lent(lease, at)? {
             self.schedule_release(lender, ready);
         }
         Ok(())
@@ -1498,7 +1520,7 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
             && plane.pool().pending_release().is_zero()
             && plane.lent_pool().is_zero()
         {
-            self.group_state[group] = GroupState::Decommissioned;
+            self.set_state(group, GroupState::Decommissioned);
             self.per_group[group].groups_decommissioned += 1;
             self.lifecycle_op(group, now, LifecycleOpKind::DecommissionComplete);
         }
@@ -2152,6 +2174,36 @@ mod tests {
             back.per_group[1].scheduled_vms > gone.per_group[1].scheduled_vms,
             "revived group must schedule post-expansion arrivals: {back:?} vs {gone:?}"
         );
+    }
+
+    /// Replays the small trace on four pods with one lifecycle operation.
+    fn replay_with(op: LifecycleOp) -> Result<MultiPoolOutcome, PondError> {
+        let cfg = config(PodStyle::Octopus, 4, GroupSchedulerKind::RoundRobin)
+            .with_lifecycle(plan(vec![LifecycleEvent { time: 3_600, op }]));
+        run_multipool_fleet(&small_trace(), &cfg)
+    }
+
+    fn is_invalid_topology(result: Result<MultiPoolOutcome, PondError>) -> bool {
+        matches!(result, Err(PondError::Hardware(CxlError::InvalidGroupTopology { .. })))
+    }
+
+    #[test]
+    fn a_repair_in_a_group_past_the_fleet_is_an_error() {
+        assert!(is_invalid_topology(replay_with(LifecycleOp::RepairEmc {
+            group: 4,
+            emc: EmcId(0)
+        })));
+    }
+
+    #[test]
+    fn a_decommission_of_a_group_past_the_fleet_is_an_error() {
+        assert!(is_invalid_topology(replay_with(LifecycleOp::DecommissionGroup { group: 4 })));
+    }
+
+    #[test]
+    fn an_expansion_of_a_group_past_the_fleet_is_an_error() {
+        let op = LifecycleOp::ExpandGroup { group: usize::MAX, capacity: Bytes::from_gib(64) };
+        assert!(is_invalid_topology(replay_with(op)));
     }
 
     #[test]

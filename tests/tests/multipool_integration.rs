@@ -5,6 +5,7 @@
 //! parallel runner, and the host-port lifecycle must let a long trace cycle
 //! more hosts through a pool than the pool has CXL ports.
 
+use cluster_sim::source::TraceCursor;
 use cluster_sim::sweep;
 use cluster_sim::tracegen::{ClusterConfig, TraceGenerator};
 use cluster_sim::ClusterTrace;
@@ -12,9 +13,11 @@ use cxl_hw::topology::PodStyle;
 use cxl_hw::units::Bytes;
 use pond_core::fleet::{run_fleet, run_fleet_reference, FleetConfig};
 use pond_core::multipool::{
-    failure_drill_sweep, multipool_sweep, run_multipool_fleet, DrillKind, FailureDrillSpec,
-    FailureDrillSweepSpec, GroupSchedulerKind, MultiPoolConfig, MultiPoolSweepSpec,
+    failure_drill_sweep, multipool_sweep, run_multipool_fleet, run_multipool_source, DrillKind,
+    FailureDrillSpec, FailureDrillSweepSpec, GroupSchedulerKind, LifecycleEvent, LifecycleOp,
+    LifecyclePlan, MultiPoolConfig, MultiPoolSweepSpec,
 };
+use pond_core::policy::PondPolicy;
 
 fn small_trace() -> ClusterTrace {
     TraceGenerator::new(ClusterConfig::small(), 1).generate(0)
@@ -381,4 +384,90 @@ fn borrowing_recovers_more_dram_savings_than_rehoming_on_the_bench_trace() {
         borrowing.fleet.dram_savings_fraction(),
         sharded.fleet.dram_savings_fraction(),
     );
+}
+
+/// Many small pods, every scheduler: 64 two-host Octopus pods with
+/// borrowing on, pod 5 decommissioned at hour 12 and expanded back at hour
+/// 36, so the set of online groups shrinks and regrows mid-replay. Pinned
+/// per scheduler kind from the replay before the fleet-wide group index, so
+/// the index's home-group choice is held to the per-arrival group scan it
+/// replaced — at 64 groups, where ties across identical pods are the norm.
+#[test]
+fn many_two_host_pods_reproduce_the_pinned_outcome_for_every_scheduler() {
+    let trace = TraceGenerator::new(
+        ClusterConfig { servers: 128, duration_days: 2, ..ClusterConfig::small() },
+        1,
+    )
+    .generate(0);
+    let plan = LifecyclePlan {
+        events: vec![
+            LifecycleEvent { time: 12 * 3_600, op: LifecycleOp::DecommissionGroup { group: 5 } },
+            LifecycleEvent {
+                time: 36 * 3_600,
+                op: LifecycleOp::ExpandGroup { group: 5, capacity: Bytes::from_gib(64) },
+            },
+        ],
+    };
+    let config = |scheduler| {
+        MultiPoolConfig::for_trace(&trace, PodStyle::Octopus, 64, 0.20, scheduler, 7)
+            .with_borrowing(true)
+            .with_lifecycle(plan.clone())
+    };
+    let any = config(GroupSchedulerKind::RoundRobin);
+    let policy = PondPolicy::train(&trace, &any.control.policy, any.seed);
+    for (scheduler, fleet, cross_group) in [
+        (
+            GroupSchedulerKind::RoundRobin,
+            "FleetOutcome { scheduled_vms: 1638, rejected_vms: 16, fallback_all_local: 469, \
+            violations: 20, mitigations: 233, mitigation_copy_time: 81.55s, \
+            reconfig_completions: 233, peak_degraded_vms: 62, qos_passes: 8, \
+            releases_completed: 1166, emc_failures: 0, vms_migrated: 0, vms_killed: 0, \
+            migration_completions: 13, evacuation_copy_time: 23.4s, vms_drained: 13, \
+            vms_rebalanced: 0, emcs_repaired: 0, groups_decommissioned: 1, groups_expanded: 1, \
+            pooled_host_count: 128, sum_local_peaks: Bytes(34063385624576), \
+            sum_host_pool_peaks: Bytes(12473658769408), sum_total_peaks: Bytes(44374528360448), \
+            pool_peak: Bytes(10496900071424), pool_gib_hours: 1584166.713888889, \
+            total_gib_hours: 5963953.315833333, vms_borrowed: 224, \
+            borrowed_gib_hours: 340249.65944444435 }",
+            10,
+        ),
+        (
+            GroupSchedulerKind::MostFreePool,
+            "FleetOutcome { scheduled_vms: 1633, rejected_vms: 21, fallback_all_local: 285, \
+            violations: 22, mitigations: 239, mitigation_copy_time: 79.85s, \
+            reconfig_completions: 239, peak_degraded_vms: 61, qos_passes: 8, \
+            releases_completed: 1347, emc_failures: 0, vms_migrated: 0, vms_killed: 0, \
+            migration_completions: 16, evacuation_copy_time: 27.05s, vms_drained: 16, \
+            vms_rebalanced: 0, emcs_repaired: 0, groups_decommissioned: 1, groups_expanded: 1, \
+            pooled_host_count: 126, sum_local_peaks: Bytes(30942018142208), \
+            sum_host_pool_peaks: Bytes(12151536222208), sum_total_peaks: Bytes(40928890847232), \
+            pool_peak: Bytes(10511932456960), pool_gib_hours: 1670523.1238888884, \
+            total_gib_hours: 5842981.039166667, vms_borrowed: 2, \
+            borrowed_gib_hours: 5721.0025000000005 }",
+            21,
+        ),
+        (
+            GroupSchedulerKind::TightestFit,
+            "FleetOutcome { scheduled_vms: 1645, rejected_vms: 9, fallback_all_local: 836, \
+            violations: 11, mitigations: 179, mitigation_copy_time: 59.1s, \
+            reconfig_completions: 179, peak_degraded_vms: 31, qos_passes: 8, \
+            releases_completed: 811, emc_failures: 0, vms_migrated: 0, vms_killed: 1, \
+            migration_completions: 23, evacuation_copy_time: 51s, vms_drained: 23, \
+            vms_rebalanced: 0, emcs_repaired: 0, groups_decommissioned: 1, groups_expanded: 1, \
+            pooled_host_count: 80, sum_local_peaks: Bytes(31390842224640), \
+            sum_host_pool_peaks: Bytes(8506182729728), sum_total_peaks: Bytes(39089571102720), \
+            pool_peak: Bytes(6793564520448), pool_gib_hours: 1001933.7319444442, \
+            total_gib_hours: 5974205.110833334, vms_borrowed: 438, \
+            borrowed_gib_hours: 736987.1586111112 }",
+            0,
+        ),
+    ] {
+        let outcome =
+            run_multipool_source(TraceCursor::new(&trace), &config(scheduler), policy.clone())
+                .unwrap();
+        assert_eq!(outcome.fleet.groups_decommissioned, 1, "{scheduler:?}");
+        assert_eq!(outcome.fleet.groups_expanded, 1, "{scheduler:?}");
+        assert_eq!(format!("{:?}", outcome.fleet), fleet, "{scheduler:?}");
+        assert_eq!(outcome.cross_group_placements, cross_group, "{scheduler:?}");
+    }
 }

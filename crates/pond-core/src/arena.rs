@@ -64,8 +64,10 @@ impl LiveVmArena {
     /// Allocates a slot for a placed VM and returns its token, recycling a
     /// freed slot when one is available. `seq` is the VM's arrival ordinal.
     /// On a duplicate id the later allocation wins the id lookup (matching
-    /// the hash-map bookkeeping this replaces), though validated streams
-    /// never produce one.
+    /// the hash-map bookkeeping this replaces). Streaming validation does
+    /// not catch a duplicate, so the multipool replay checks
+    /// [`LiveVmArena::slot_of`] itself and refuses an arrival whose id is
+    /// still live.
     pub fn alloc(&mut self, request: VmRequest, seq: u64) -> usize {
         let id = request.id;
         let slot = Slot { request, seq, group: NO_GROUP };

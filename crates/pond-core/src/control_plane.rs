@@ -51,14 +51,6 @@ pub struct ControlPlaneConfig {
     /// scheduler's behaviour) instead of failing with
     /// [`PondError::PoolExhausted`].
     pub fallback_all_local: bool,
-    /// Optional cap on the number of post-training untouched-memory
-    /// observations kept per customer (a windowed reservoir over VM
-    /// completions). On trace-length runs the customer history is the one
-    /// deliberate unbounded memory term; a window bounds it without
-    /// touching the training-seeded history. `None` (the default) keeps
-    /// every completion — the frozen-policy goldens depend on that.
-    #[serde(default)]
-    pub history_window: Option<usize>,
 }
 
 impl Default for ControlPlaneConfig {
@@ -72,7 +64,6 @@ impl Default for ControlPlaneConfig {
             policy: PondPolicyConfig::default(),
             mitigation_budget: 0.05,
             fallback_all_local: false,
-            history_window: None,
         }
     }
 }
@@ -100,16 +91,33 @@ pub struct PlacementSummary {
     pub borrowed_from: Option<usize>,
 }
 
-/// An arrival-time pooled-placement decision that has not yet been committed
-/// to a host or pool: the Figure 13 prediction pipeline's output, shared by
-/// the home-pool commit and the cross-pod borrow path (which serves the same
-/// plan from a lender group's pool).
+/// A pooled-placement decision not yet committed to a host or pool: the
+/// Figure 13 prediction pipeline's output ([`PondControlPlane::plan_pooled`]).
+/// One plan backs either commit of the same VM on the same plane —
+/// [`Backing::Own`] from this plane's pool, or [`Backing::Lease`] from a
+/// lender group's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PooledPlan {
     /// Pool share to online, aligned to whole 1 GiB slices.
     pub pool: Bytes,
     /// Predicted untouched memory handed to the QoS monitor.
     pub predicted_untouched: Bytes,
+}
+
+/// Where a placement's pool share comes from: the one choice
+/// [`PondControlPlane::place`] commits.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Backing {
+    /// Slices of this plane's own pool, onlined for the plan's share.
+    Own(PooledPlan),
+    /// Slices another group's pool lent for the plan's share
+    /// ([`PondControlPlane::lend`] on the lender). The VM's record keeps the
+    /// lease, so departure, mitigation, and failure paths route the slices
+    /// back to the lender.
+    Lease(PooledPlan, SliceLease),
+    /// No pool memory: the ladder's last rung, which bypasses the prediction
+    /// models. The summary reports `fallback_all_local`.
+    AllLocal,
 }
 
 /// What one QoS-monitoring pass did (returned by
@@ -298,11 +306,7 @@ impl PondControlPlane {
     /// # Errors
     ///
     /// Returns a hardware error if the pool topology is unsupported.
-    pub fn with_policy(
-        config: ControlPlaneConfig,
-        mut policy: PondPolicy,
-    ) -> Result<Self, PondError> {
-        policy.set_history_window(config.history_window);
+    pub fn with_policy(config: ControlPlaneConfig, policy: PondPolicy) -> Result<Self, PondError> {
         let topology = PoolTopology::pond_with_capacity(config.pool_sockets, config.pool_capacity)?;
         let monitor = QosMonitor::new(policy.sensitivity_model().clone());
         let hosts: Vec<HostMemory> = (0..config.hosts)
@@ -390,10 +394,11 @@ impl PondControlPlane {
         self.running.len()
     }
 
-    /// Number of placement calls that failed with `NoFeasibleHost` or
-    /// `PoolExhausted`. A multi-pool driver that runs the fallback ladder
-    /// through the staged entry points counts each failed stage, so a VM
-    /// that eventually lands elsewhere may still appear here.
+    /// Number of [`PondControlPlane::handle_request`] calls that failed with
+    /// `NoFeasibleHost` or `PoolExhausted`. A refused
+    /// [`PondControlPlane::place`] is not counted here: the multi-pool
+    /// replay, which commits through `place` rung by rung, counts its
+    /// rejections per group.
     pub fn rejected_vms(&self) -> u64 {
         self.rejected
     }
@@ -421,105 +426,55 @@ impl PondControlPlane {
     /// Handles a VM request end to end: prediction → host selection → pool
     /// onlining → memory pinning → zNUMA exposure.
     ///
-    /// This is the two-stage ladder of the production scheduler: first a
-    /// pooled placement ([`PondControlPlane::handle_request_pooled`]); if the
-    /// pool cannot cover the predicted share and
-    /// [`ControlPlaneConfig::fallback_all_local`] is on, an all-local
-    /// placement ([`PondControlPlane::handle_request_all_local`]). Multi-pool
-    /// fleets call the two stages explicitly, inserting cross-group attempts
-    /// between them.
+    /// This is the two-rung ladder of the production scheduler:
+    /// [`PondControlPlane::plan_pooled`] and [`PondControlPlane::place`]
+    /// with [`Backing::Own`]; if the pool cannot cover the predicted share
+    /// and [`ControlPlaneConfig::fallback_all_local`] is on, `place` again
+    /// with [`Backing::AllLocal`]. Multi-pool fleets commit through `place`
+    /// themselves, inserting cross-group rungs between the two.
     ///
     /// # Errors
     ///
     /// * [`PondError::NoFeasibleHost`] when no host has enough local DRAM.
     /// * [`PondError::PoolExhausted`] when the pool buffer cannot cover the
     ///   pool share and the all-local fallback is off.
+    /// * Any other error of [`PondControlPlane::plan_pooled`] or
+    ///   [`PondControlPlane::place`].
     pub fn handle_request(
         &mut self,
         request: &VmRequest,
         now: Duration,
     ) -> Result<PlacementSummary, PondError> {
-        let result = match self.place_pooled(request, now) {
+        let pooled = self.plan_pooled(request).and_then(|plan| {
+            self.place(request, Backing::Own(plan), now).map_err(|(error, _)| error)
+        });
+        let result = match pooled {
             Err(PondError::PoolExhausted { .. }) if self.config.fallback_all_local => {
-                self.place_all_local(request, now)
+                self.place(request, Backing::AllLocal, now).map_err(|(error, _)| error)
             }
             other => other,
         };
-        self.count_rejection(&result);
-        result
-    }
-
-    /// Handles a VM request with the Figure 13 prediction pipeline but
-    /// *without* the all-local fallback, regardless of
-    /// [`ControlPlaneConfig::fallback_all_local`]: a pool that cannot cover
-    /// the predicted share fails with [`PondError::PoolExhausted`], letting
-    /// a multi-pool scheduler try another group before giving up on pooling.
-    ///
-    /// # Errors
-    ///
-    /// * [`PondError::NoFeasibleHost`] when no host has enough local DRAM.
-    /// * [`PondError::PoolExhausted`] when the host-reachable pool buffer
-    ///   cannot cover the pool share.
-    pub fn handle_request_pooled(
-        &mut self,
-        request: &VmRequest,
-        now: Duration,
-    ) -> Result<PlacementSummary, PondError> {
-        let result = self.place_pooled(request, now);
-        self.count_rejection(&result);
-        result
-    }
-
-    /// Places a VM with all-local memory, bypassing the prediction models
-    /// (the last rung of the fallback ladder). The summary reports
-    /// `fallback_all_local: true`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PondError::NoFeasibleHost`] when no host can hold the VM's
-    /// full memory locally.
-    pub fn handle_request_all_local(
-        &mut self,
-        request: &VmRequest,
-        now: Duration,
-    ) -> Result<PlacementSummary, PondError> {
-        let result = self.place_all_local(request, now);
-        self.count_rejection(&result);
-        result
-    }
-
-    fn count_rejection(&mut self, result: &Result<PlacementSummary, PondError>) {
-        if matches!(
-            result,
-            Err(PondError::NoFeasibleHost { .. }) | Err(PondError::PoolExhausted { .. })
-        ) {
+        if matches!(result, Err(PondError::NoFeasibleHost { .. } | PondError::PoolExhausted { .. }))
+        {
             self.rejected += 1;
         }
+        result
     }
 
-    /// Runs the arrival-time half of a pooled placement — release
-    /// processing and the Figure 13 prediction pipeline — without touching
-    /// any host or pool state. The returned plan can be committed against
-    /// this plane's own pool (the ordinary pooled path) or served from a
-    /// reachable lender's pool via [`PondControlPlane::lend`] on the lender
-    /// and [`PondControlPlane::commit_borrowed`] here.
+    /// The Figure 13 prediction pipeline for one request, without touching
+    /// any host or pool state. The plan is committed by
+    /// [`PondControlPlane::place`], against this plane's own pool
+    /// ([`Backing::Own`]) or a lender's ([`Backing::Lease`]).
     ///
-    /// The decision path is pure (`try_decide` takes `&self`), so planning
-    /// twice for the same request at the same instant returns the same plan
-    /// and perturbs nothing.
+    /// The decision reads only the policy (`try_decide` takes `&self`), so
+    /// until a departure feeds the customer history again, re-planning the
+    /// request would return the same plan.
     ///
     /// # Errors
     ///
     /// Returns [`PondError::Model`] when a prediction model rejects its
     /// feature row.
-    pub fn plan_pooled(
-        &mut self,
-        request: &VmRequest,
-        now: Duration,
-    ) -> Result<PooledPlan, PondError> {
-        // Finish any offlining that has completed so the buffer is current.
-        self.pool.process_releases(now);
-
+    pub fn plan_pooled(&self, request: &VmRequest) -> Result<PooledPlan, PondError> {
         // The validating decision path: a feature-schema drift in either
         // model propagates as `PondError::Model` instead of panicking the
         // replay mid sweep.
@@ -537,60 +492,78 @@ impl PondControlPlane {
         Ok(PooledPlan { pool, predicted_untouched })
     }
 
-    fn place_pooled(
-        &mut self,
-        request: &VmRequest,
-        now: Duration,
-    ) -> Result<PlacementSummary, PondError> {
-        let plan = self.plan_pooled(request, now)?;
-        self.place(request, plan.pool, plan.predicted_untouched, false, now)
-    }
-
-    fn place_all_local(
-        &mut self,
-        request: &VmRequest,
-        now: Duration,
-    ) -> Result<PlacementSummary, PondError> {
-        self.pool.process_releases(now);
-        self.place(request, Bytes::ZERO, Bytes::ZERO, true, now)
-    }
-
-    /// The placement core shared by the pooled and all-local paths: host
-    /// selection via the free-DRAM index (hosts here have no core model, so
-    /// the fleet-wide `host_selection_key` reduces to most-free-DRAM with a
-    /// lowest-index tie-break — exactly the index's order), pool slice
-    /// onlining, memory pinning, and zNUMA exposure.
+    /// The one placement commit, for every rung of the fallback ladder:
+    /// picks the most-free host that fits the local share, backs the pool
+    /// share as `backing` says, pins the VM's memory, and exposes its zNUMA
+    /// node.
     ///
-    /// The pool share arrives already clamped and floored to whole 1 GiB
-    /// slices ([`align_pool_memory`]), so host-side byte accounting and EMC
-    /// slice ownership stay in lockstep and the decision matches what the
-    /// cluster simulator would apply for the same request.
-    fn place(
+    /// Host selection reads the free-DRAM index: hosts here have no core
+    /// model, so the fleet-wide `host_selection_key` reduces to
+    /// most-free-DRAM with a lowest-index tie-break, exactly the index's
+    /// order. A plan's share is whole 1 GiB slices ([`align_pool_memory`]),
+    /// so host-side byte accounting and EMC slice ownership stay in lockstep
+    /// and the decision matches what the cluster simulator would apply for
+    /// the same request.
+    ///
+    /// # Errors
+    ///
+    /// On any error the plane is left as it was, and the lease of a
+    /// [`Backing::Lease`] comes back with the error: the caller must hand
+    /// it to the lender's [`PondControlPlane::release_lent`].
+    ///
+    /// * [`PondError::HostMemory`] when a VM with the request's id already
+    ///   runs on this plane.
+    /// * [`PondError::NoFeasibleHost`] when no host has the local share free.
+    /// * [`PondError::PoolExhausted`] when the buffer this plane's pool
+    ///   offers the chosen host cannot cover a [`Backing::Own`] share.
+    pub fn place(
         &mut self,
         request: &VmRequest,
-        pool: Bytes,
-        predicted_untouched: Bytes,
-        fallback_all_local: bool,
+        backing: Backing,
         now: Duration,
-    ) -> Result<PlacementSummary, PondError> {
-        let local = request.memory - pool;
+    ) -> Result<PlacementSummary, (PondError, Option<SliceLease>)> {
+        let fallback_all_local = matches!(backing, Backing::AllLocal);
+        let (plan, lease) = match backing {
+            Backing::Own(plan) => (plan, None),
+            Backing::Lease(plan, lease) => {
+                debug_assert_eq!(plan.pool, lease.capacity(), "the lease must cover the share");
+                (plan, Some(lease))
+            }
+            Backing::AllLocal => {
+                (PooledPlan { pool: Bytes::ZERO, predicted_untouched: Bytes::ZERO }, None)
+            }
+        };
+        if self.running.contains_key(&request.id) {
+            let error = PondError::HostMemory(format!("{} is already running", VmId(request.id)));
+            return Err((error, lease));
+        }
+        // Finish any offlining that has completed so the buffer is current.
+        self.pool.process_releases(now);
+        let (pool, local) = (plan.pool, request.memory - plan.pool);
         // The most-free host is feasible iff any host is: taking the index
         // maximum is identical to filtering on `local_free() >= local` and
         // minimizing the selection key over the survivors.
         let Some((host_index, old_free)) = self.most_free_host().filter(|&(_, free)| free >= local)
         else {
-            return Err(PondError::NoFeasibleHost { vm: request.id });
+            return Err((PondError::NoFeasibleHost { vm: request.id }, lease));
+        };
+        // Borrowed slices live in the lender's ledger, never in this pool.
+        let slices = match lease {
+            Some(_) => Vec::new(),
+            None => {
+                self.pool.allocate(HostId(host_index as u16), pool, now).map_err(|e| (e, None))?
+            }
         };
 
-        let slices = self.pool.allocate(HostId(host_index as u16), pool, now)?;
         let host = &mut self.hosts[host_index];
         host.online_pool(pool);
         host.pin_vm(VmId(request.id), local, pool)
-            .map_err(|e| PondError::HostMemory(e.to_string()))?;
+            .expect("the id is new to this plane and the host fits the local share");
         self.touch_host(host_index, old_free);
         self.pinned_slices += slices.len() as u64;
-        // Assigned pool capacity only ever grows here, so this is the one
-        // site that forces a pool-peak resample.
+        self.borrowed_slices += lease.as_ref().map_or(0, |lease| lease.slices.len() as u64);
+        // Assigned pool capacity only grows here and in `lend`, so these are
+        // the sites that force a pool-peak resample.
         self.pool_dirty = true;
 
         let workload = self
@@ -611,7 +584,7 @@ impl PondControlPlane {
             pool,
             has_znuma: !pool.is_zero(),
             fallback_all_local,
-            borrowed_from: None,
+            borrowed_from: lease.as_ref().map(|lease| lease.lender),
         };
         self.running.insert(
             request.id,
@@ -619,22 +592,14 @@ impl PondControlPlane {
                 vm,
                 host: host_index,
                 slices,
-                borrowed: None,
-                predicted_untouched,
+                borrowed: lease,
+                predicted_untouched: plan.predicted_untouched,
                 customer: request.customer,
                 untouched_fraction: request.untouched_fraction,
                 workload_index: request.workload_index,
             },
         );
         Ok(summary)
-    }
-
-    /// Whether some host still has at least `local` free DRAM — the
-    /// host-side feasibility probe the borrow rung runs before asking a
-    /// lender for slices, so a lease is never minted for a VM that cannot
-    /// be pinned anyway.
-    pub fn has_feasible_host(&self, local: Bytes) -> bool {
-        self.most_free_host().is_some_and(|(_, free)| free >= local)
     }
 
     /// Onlines `amount` of this plane's own pool capacity on behalf of a VM
@@ -667,81 +632,6 @@ impl PondControlPlane {
         // pool peak even though no local VM was placed.
         self.pool_dirty = true;
         Ok(SliceLease { lender, port_host, slices })
-    }
-
-    /// Commits a planned placement whose pool share is served by `lease`
-    /// (minted by a lender's [`PondControlPlane::lend`]): pins the VM on
-    /// the most-free feasible host, onlines the borrowed capacity as its
-    /// zNUMA node, and records the lease so departure, mitigation, and
-    /// failure paths route the slices back to the lender.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PondError::NoFeasibleHost`] *with the lease* when no host
-    /// fits the local share — the caller must hand it back to the lender
-    /// via [`PondControlPlane::release_lent`] (probing
-    /// [`PondControlPlane::has_feasible_host`] first avoids the round
-    /// trip).
-    pub fn commit_borrowed(
-        &mut self,
-        request: &VmRequest,
-        plan: PooledPlan,
-        lease: SliceLease,
-        _now: Duration,
-    ) -> Result<PlacementSummary, (PondError, SliceLease)> {
-        let pool = plan.pool;
-        debug_assert_eq!(pool, lease.capacity(), "the lease must cover exactly the planned share");
-        let local = request.memory - pool;
-        let Some((host_index, old_free)) = self.most_free_host().filter(|&(_, free)| free >= local)
-        else {
-            return Err((PondError::NoFeasibleHost { vm: request.id }, lease));
-        };
-
-        let host = &mut self.hosts[host_index];
-        host.online_pool(pool);
-        if let Err(e) = host.pin_vm(VmId(request.id), local, pool) {
-            host.offline_pool(pool).expect("onlined just above");
-            return Err((PondError::HostMemory(e.to_string()), lease));
-        }
-        self.touch_host(host_index, old_free);
-        // The slices live in the lender's ledger (`lent_slices` there), not
-        // in this plane's pinned count; only the borrowed mirror moves.
-        self.borrowed_slices += lease.slices.len() as u64;
-
-        let workload = self
-            .suite
-            .at(request.workload_index % self.suite.len())
-            .expect("workload index is taken modulo the suite size")
-            .clone();
-        let vm = VirtualMachine::launch(
-            request.id,
-            VmConfig { cores: request.cores, memory: request.memory, pool_memory: pool },
-            workload,
-        );
-
-        let summary = PlacementSummary {
-            vm: vm.id(),
-            host: host_index,
-            local,
-            pool,
-            has_znuma: !pool.is_zero(),
-            fallback_all_local: false,
-            borrowed_from: Some(lease.lender),
-        };
-        self.running.insert(
-            request.id,
-            VmRecord {
-                vm,
-                host: host_index,
-                slices: Vec::new(),
-                borrowed: Some(lease),
-                predicted_untouched: plan.predicted_untouched,
-                customer: request.customer,
-                untouched_fraction: request.untouched_fraction,
-                workload_index: request.workload_index,
-            },
-        );
-        Ok(summary)
     }
 
     /// Takes a lease's slices back into this plane's pool — the lender side
@@ -1332,7 +1222,7 @@ mod tests {
         plane.assert_pool_conserved();
         // A failed pool serves no further pooled placements, but all-local
         // re-homes still work.
-        assert!(plane.handle_request_all_local(&trace.requests[0], now).is_ok());
+        assert!(plane.place(&trace.requests[0], Backing::AllLocal, now).is_ok());
     }
 
     #[test]
@@ -1452,5 +1342,86 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Places the trace's first request that gets a pooled placement.
+    fn place_first_pooled(trace: &ClusterTrace, plane: &mut PondControlPlane) -> VmRequest {
+        trace
+            .requests
+            .iter()
+            .find(|r| {
+                plane.handle_request(r, Duration::from_secs(r.arrival)).is_ok_and(|s| s.has_znuma)
+            })
+            .expect("a pooled placement")
+            .clone()
+    }
+
+    #[test]
+    fn one_id_placed_twice_on_a_multi_host_plane_is_refused() {
+        let (trace, mut plane) = setup();
+        let request = place_first_pooled(&trace, &mut plane);
+        let running = plane.running_vms();
+        let now = Duration::from_secs(request.arrival);
+        let error = plane.handle_request(&request, now).unwrap_err();
+        assert!(matches!(error, PondError::HostMemory(_)), "{error}");
+        assert_eq!(plane.running_vms(), running);
+        plane.assert_pool_conserved_full();
+    }
+
+    #[test]
+    fn one_id_placed_twice_on_a_one_host_plane_keeps_the_pool_conserved() {
+        let trace = TraceGenerator::new(ClusterConfig::small(), 1).generate(0);
+        let config = ControlPlaneConfig { hosts: 1, ..Default::default() };
+        let mut plane = PondControlPlane::new(&trace, config, 5).unwrap();
+        let request = place_first_pooled(&trace, &mut plane);
+        let pinned = plane.pinned_pool();
+        let plan = plane.plan_pooled(&request).unwrap();
+        let now = Duration::from_secs(request.arrival);
+        let (error, lease) = plane.place(&request, Backing::Own(plan), now).unwrap_err();
+        assert!(matches!(error, PondError::HostMemory(_)), "{error}");
+        assert!(lease.is_none());
+        assert_eq!(plane.pinned_pool(), pinned);
+        plane.assert_pool_conserved_full();
+    }
+
+    #[test]
+    fn a_lease_that_fits_no_host_comes_back_with_the_error() {
+        let (trace, mut lender) = setup();
+        let mut home =
+            PondControlPlane::with_policy(lender.config().clone(), lender.policy().clone())
+                .unwrap();
+        // Far more memory than any host has, with a one-slice pool share.
+        let request = VmRequest { memory: Bytes::from_gib(1024), ..trace.requests[0].clone() };
+        let plan = PooledPlan { pool: Bytes::from_gib(1), predicted_untouched: Bytes::ZERO };
+        let now = Duration::from_secs(60);
+        // A port id past the lender's own hosts, as a cross-pod borrow uses.
+        let port_host = HostId(lender.config().hosts);
+        let lease = lender.lend(0, port_host, plan.pool, now).unwrap();
+        let (error, returned) =
+            home.place(&request, Backing::Lease(plan, lease.clone()), now).unwrap_err();
+        assert_eq!(error, PondError::NoFeasibleHost { vm: request.id });
+        assert_eq!(returned.as_ref(), Some(&lease));
+        assert_eq!(home.running_vms(), 0);
+        assert_eq!(home.borrowed_pool(), Bytes::ZERO);
+        assert_eq!(lender.lent_pool(), plan.pool, "the lease is still out");
+        lender.release_lent(lease, now).unwrap();
+        lender.assert_pool_conserved_full();
+        home.assert_pool_conserved_full();
+    }
+
+    #[test]
+    fn all_local_pins_no_pool_and_reports_the_fallback() {
+        let (trace, mut plane) = setup();
+        let request = &trace.requests[0];
+        let summary =
+            plane.place(request, Backing::AllLocal, Duration::from_secs(request.arrival)).unwrap();
+        assert!(summary.fallback_all_local);
+        assert!(!summary.has_znuma);
+        assert_eq!((summary.local, summary.pool), (request.memory, Bytes::ZERO));
+        assert_eq!(summary.borrowed_from, None);
+        assert_eq!(plane.pinned_pool(), Bytes::ZERO);
+        assert_eq!(plane.pool().pool().assigned_capacity(), Bytes::ZERO);
+        assert_eq!(plane.hosts()[summary.host].pool_allocated(), Bytes::ZERO);
+        plane.assert_pool_conserved_full();
     }
 }

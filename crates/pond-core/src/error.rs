@@ -41,6 +41,11 @@ pub enum PondError {
     /// The streaming arrival source feeding a replay failed (malformed or
     /// unreadable trace stream).
     TraceStream(String),
+    /// A configuration field holds a value outside its domain.
+    InvalidConfig {
+        /// The field and the value it held.
+        detail: String,
+    },
 }
 
 impl fmt::Display for PondError {
@@ -58,6 +63,7 @@ impl fmt::Display for PondError {
             PondError::Hardware(e) => write!(f, "hardware error: {e}"),
             PondError::HostMemory(e) => write!(f, "host memory error: {e}"),
             PondError::TraceStream(e) => write!(f, "trace stream error: {e}"),
+            PondError::InvalidConfig { detail } => write!(f, "invalid config: {detail}"),
         }
     }
 }

@@ -10,14 +10,17 @@
 //! rings (each pod's hosts also reach the next pod's pool).
 //!
 //! A [`GroupScheduler`] chooses a home group per arriving VM; placement then
-//! runs a fixed fallback ladder over the home pod's *reachable* groups:
+//! runs a fixed fallback ladder over the home pod's *reachable* groups. Each
+//! group plans the VM's pooled share once ([`PondControlPlane::plan_pooled`]),
+//! and every rung commits through the one [`PondControlPlane::place`]:
 //!
-//! 1. **Pooled, home group** — the full Figure 13 prediction pipeline.
+//! 1. **Pooled, home group** — the full Figure 13 prediction pipeline,
+//!    committed with [`Backing::Own`].
 //! 2. **Borrowed neighbour** (only with [`MultiPoolConfig::borrowing`] on) —
-//!    *split ownership*: the VM's host stays in the home pod, but its pool
-//!    slices are leased from a reachable lender pod's pool
-//!    ([`PondControlPlane::lend`] on the lender,
-//!    [`PondControlPlane::commit_borrowed`] on the home plane). The lease
+//!    *split ownership*: the VM's host stays in the home pod, but the home
+//!    plan's pool slices are leased from a reachable lender pod's pool
+//!    ([`PondControlPlane::lend`] on the lender, then [`Backing::Lease`] on
+//!    the home plane). The lease
 //!    consumes a real CXL port on the lender's EMCs through the synthetic
 //!    cross-pod port id
 //!    ([`PoolGroupTopology::borrow_port_host`]), and each ring hop adds the
@@ -72,7 +75,7 @@
 
 use crate::arena::{LiveVmArena, NO_GROUP};
 use crate::control_plane::{
-    BorrowedReclaim, ControlPlaneConfig, PlacementSummary, PondControlPlane,
+    Backing, BorrowedReclaim, ControlPlaneConfig, PlacementSummary, PondControlPlane, PooledPlan,
 };
 use crate::error::PondError;
 use crate::fleet::{
@@ -668,7 +671,10 @@ impl Relocation {
 ///
 /// Propagates topology/construction failures and any error other than the
 /// expected placement failures. A lifecycle operation naming a group the
-/// fleet does not have is [`CxlError::InvalidGroupTopology`].
+/// fleet does not have is [`CxlError::InvalidGroupTopology`]; a drill rate
+/// that is not finite and >= 0, or a rebalance fraction outside [0, 1], is
+/// [`PondError::InvalidConfig`]; a second live VM with one id is
+/// [`PondError::TraceStream`].
 pub fn run_multipool_fleet(
     trace: &ClusterTrace,
     config: &MultiPoolConfig,
@@ -774,6 +780,20 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
         policy: PondPolicy,
         observer: &'a mut O,
     ) -> Result<Self, PondError> {
+        // A malformed drill or rebalance spec is refused, not replayed as if
+        // there were no drill or no rebalance.
+        if let Some(FailureDrillSpec { rate_per_day: rate, .. }) = config.drill {
+            if !(rate.is_finite() && rate >= 0.0) {
+                let detail = format!("drill rate_per_day {rate} is not a finite rate >= 0");
+                return Err(PondError::InvalidConfig { detail });
+            }
+        }
+        if let Some(RebalanceSpec { starved_fraction: fraction, .. }) = config.rebalance {
+            if !(0.0..=1.0).contains(&fraction) {
+                let detail = format!("rebalance starved_fraction {fraction} is outside [0, 1]");
+                return Err(PondError::InvalidConfig { detail });
+            }
+        }
         let topology = config.group_topology()?;
         let groups = topology.group_count();
         let group_config = |g: usize| ControlPlaneConfig {
@@ -919,6 +939,14 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
     /// reachable online groups.
     fn arrival(&mut self, request_index: usize, now: Duration) -> Result<(), PondError> {
         let request = self.events.take_arrival();
+        // Ids resolve QoS take-backs and relocations to their requests, so a
+        // second live VM with one id would be mistaken for the first.
+        if self.arena.slot_of(request.id).is_some() {
+            return Err(PondError::TraceStream(format!(
+                "vm {} arrives at {} s while a vm with that id is still live",
+                request.id, request.arrival
+            )));
+        }
         let home = self.index.choose(request.memory);
         if cfg!(debug_assertions) {
             let spec =
@@ -1342,7 +1370,7 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
     /// # Errors
     ///
     /// Propagates any error other than the expected placement failures
-    /// (`PoolExhausted` on the pooled rungs, `NoFeasibleHost` on both).
+    /// (`PoolExhausted` and `NoFeasibleHost`).
     fn ladder(
         &mut self,
         order: &[usize],
@@ -1351,57 +1379,77 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
         allow_all_local: bool,
     ) -> Result<Option<(usize, PlacementSummary)>, PondError> {
         for (i, &g) in order.iter().enumerate() {
-            match self.planes.touch(g).handle_request_pooled(request, now) {
-                Ok(summary) => return Ok(Some((g, summary))),
-                Err(PondError::PoolExhausted { .. }) | Err(PondError::NoFeasibleHost { .. }) => {}
-                Err(other) => return Err(other),
+            let plan = self.planes[g].plan_pooled(request)?;
+            if let Some(summary) = self.commit(g, request, Backing::Own(plan), now)? {
+                return Ok(Some((g, summary)));
             }
             // The BorrowedNeighbour rung sits strictly between pooled-home
             // and the re-homing rungs: host locality is worth more than pool
             // locality, so a lease is tried before the VM moves pods.
             if i == 0 && order.len() > 1 && self.config.borrowing {
-                if let Some(placed) = self.borrow(order, request, now)? {
+                if let Some(placed) = self.borrow(order, request, plan, now)? {
                     return Ok(Some(placed));
                 }
             }
         }
         if allow_all_local {
             for &g in order {
-                match self.planes.touch(g).handle_request_all_local(request, now) {
-                    Ok(summary) => return Ok(Some((g, summary))),
-                    Err(PondError::NoFeasibleHost { .. }) => {}
-                    Err(other) => return Err(other),
+                if let Some(summary) = self.commit(g, request, Backing::AllLocal, now)? {
+                    return Ok(Some((g, summary)));
                 }
             }
         }
         Ok(None)
     }
 
+    /// Commits `backing` on group `g`'s plane: `None` when the plane has no
+    /// host or pool for it. A refused lease goes straight back to its lender.
+    fn commit(
+        &mut self,
+        g: usize,
+        request: &VmRequest,
+        backing: Backing,
+        now: Duration,
+    ) -> Result<Option<PlacementSummary>, PondError> {
+        let (error, lease) = match self.planes.touch(g).place(request, backing, now) {
+            Ok(summary) => return Ok(Some(summary)),
+            Err(refused) => refused,
+        };
+        if let Some(lease) = lease {
+            self.return_lease(lease, now)?;
+        }
+        match error {
+            PondError::PoolExhausted { .. } | PondError::NoFeasibleHost { .. } => Ok(None),
+            other => Err(other),
+        }
+    }
+
     /// The BorrowedNeighbour rung: keep the VM on a home-pod host and lease
-    /// its pool share from the first reachable lender with capacity. The
-    /// home plane plans its pooled share exactly as the failed pooled-home
-    /// attempt did (the decision path is pure, so re-planning is
-    /// bit-stable), the lease is attributed to the home pod's synthetic
-    /// cross-pod port on the lender, and the commit pins the VM on the home
-    /// host with the borrowed slices.
+    /// its pool share from the first reachable lender with capacity. `plan`
+    /// is the home plane's plan from the failed pooled-home attempt, still
+    /// valid because planning is pure and nothing has touched the home plane
+    /// since. The lease is attributed to the home pod's synthetic cross-pod
+    /// port on the lender, and the commit pins the VM on the home host with
+    /// the borrowed slices.
     fn borrow(
         &mut self,
         order: &[usize],
         request: &VmRequest,
+        plan: PooledPlan,
         now: Duration,
     ) -> Result<Option<(usize, PlacementSummary)>, PondError> {
         let home = order[0];
-        let plan = self.planes.touch(home).plan_pooled(request, now)?;
         // Borrowing only helps when the home plane *wants* pool slices and
         // has a host for the local share: a zero-pool plan or no feasible
-        // host would fail identically with borrowed slices.
-        if plan.pool.is_zero() || !self.planes[home].has_feasible_host(request.memory - plan.pool) {
+        // host would fail identically with borrowed slices, after minting a
+        // lease for nothing. The host found here is the one the commit picks:
+        // only lender planes are touched in between.
+        if plan.pool.is_zero() {
             return Ok(None);
         }
-        // The host the commit below will pick. Nothing mutates the home
-        // plane between this probe and the commit (only lender planes are
-        // touched), so the most-free host is stable across the gap.
-        let Some((host, _)) = self.planes[home].most_free_host() else {
+        let local = request.memory - plan.pool;
+        let Some((host, _)) = self.planes[home].most_free_host().filter(|&(_, free)| free >= local)
+        else {
             return Ok(None);
         };
         let port_host = self.topology.borrow_port_host(home, host as u16);
@@ -1416,18 +1464,8 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
                 Err(PondError::PoolExhausted { .. }) => continue,
                 Err(other) => return Err(other),
             };
-            match self.planes.touch(home).commit_borrowed(request, plan, lease, now) {
-                Ok(summary) => return Ok(Some((home, summary))),
-                Err((error, lease)) => {
-                    // Unreachable via the feasibility pre-check above, but a
-                    // failed commit must hand the slices straight back to
-                    // the lender rather than strand the lease.
-                    self.return_lease(lease, now)?;
-                    match error {
-                        PondError::PoolExhausted { .. } | PondError::NoFeasibleHost { .. } => {}
-                        other => return Err(other),
-                    }
-                }
+            if let Some(summary) = self.commit(home, request, Backing::Lease(plan, lease), now)? {
+                return Ok(Some((home, summary)));
             }
         }
         Ok(None)
@@ -2185,6 +2223,61 @@ mod tests {
 
     fn is_invalid_topology(result: Result<MultiPoolOutcome, PondError>) -> bool {
         matches!(result, Err(PondError::Hardware(CxlError::InvalidGroupTopology { .. })))
+    }
+
+    fn is_invalid_config(result: Result<MultiPoolOutcome, PondError>) -> bool {
+        matches!(result, Err(PondError::InvalidConfig { .. }))
+    }
+
+    fn replay_drilled_at(rate_per_day: f64) -> Result<MultiPoolOutcome, PondError> {
+        let cfg = config(PodStyle::Octopus, 4, GroupSchedulerKind::RoundRobin)
+            .with_drill(drill(rate_per_day));
+        run_multipool_fleet(&small_trace(), &cfg)
+    }
+
+    fn replay_rebalanced_at(starved_fraction: f64) -> Result<MultiPoolOutcome, PondError> {
+        let cfg = config(PodStyle::Octopus, 4, GroupSchedulerKind::RoundRobin)
+            .with_rebalance(RebalanceSpec { starved_fraction, max_moves_per_pass: 4 });
+        run_multipool_fleet(&small_trace(), &cfg)
+    }
+
+    #[test]
+    fn a_nan_drill_rate_is_an_error() {
+        assert!(is_invalid_config(replay_drilled_at(f64::NAN)));
+    }
+
+    #[test]
+    fn an_infinite_drill_rate_is_an_error() {
+        assert!(is_invalid_config(replay_drilled_at(f64::INFINITY)));
+    }
+
+    #[test]
+    fn a_negative_drill_rate_is_an_error() {
+        assert!(is_invalid_config(replay_drilled_at(-1.0)));
+    }
+
+    #[test]
+    fn a_nan_starved_fraction_is_an_error() {
+        assert!(is_invalid_config(replay_rebalanced_at(f64::NAN)));
+    }
+
+    #[test]
+    fn a_starved_fraction_above_one_is_an_error() {
+        assert!(is_invalid_config(replay_rebalanced_at(1.5)));
+    }
+
+    #[test]
+    fn a_negative_starved_fraction_is_an_error() {
+        assert!(is_invalid_config(replay_rebalanced_at(-0.5)));
+    }
+
+    #[test]
+    fn a_second_live_vm_with_one_id_is_a_stream_error() {
+        let mut trace = small_trace();
+        trace.requests[1].id = trace.requests[0].id;
+        let cfg = config(PodStyle::Symmetric, 2, GroupSchedulerKind::RoundRobin);
+        let result = run_multipool_fleet(&trace, &cfg);
+        assert!(matches!(result, Err(PondError::TraceStream(_))), "{result:?}");
     }
 
     #[test]

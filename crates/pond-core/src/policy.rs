@@ -228,16 +228,6 @@ impl PondPolicy {
         &self.history
     }
 
-    /// Applies a windowed-reservoir cap to the per-customer completion
-    /// history ([`CustomerHistory::set_window`]): completions recorded from
-    /// now on evict the customer's oldest windowed observation once the cap
-    /// is reached. The training-seeded history is untouched. `None` (the
-    /// default) keeps every completion — frozen-policy replay goldens
-    /// depend on that.
-    pub fn set_history_window(&mut self, window: Option<usize>) {
-        self.history.set_window(window);
-    }
-
     /// The Figure 13 decision for one request, without mutating statistics,
     /// with both models' feature schemas validated. This is the online
     /// serving entry point: the control plane calls it once per VM arrival,

@@ -13,7 +13,7 @@ use pond_ml::dataset::Dataset;
 use pond_ml::gbm::{GbmConfig, GradientBoostedTrees};
 use pond_ml::MlError;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 /// Per-customer record of previously observed untouched-memory fractions.
 ///
@@ -23,21 +23,11 @@ use std::collections::{BTreeMap, VecDeque};
 /// customer's whole history — on long traces a popular customer accumulates
 /// thousands of observations and that sort used to dominate arrival cost.
 ///
-/// By default the history grows with the trace — the one deliberate
-/// trace-length memory term in a streamed replay. [`CustomerHistory::set_window`]
-/// bounds it with a windowed reservoir: only the most recent `window`
-/// observations recorded *after* the window was set are kept per customer
-/// (recording the `window+1`-th evicts the oldest), so multi-million-VM
-/// streams run in O(customers × window) instead of O(completions).
+/// The history grows with the trace: it is the one trace-length memory term
+/// in a streamed replay.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CustomerHistory {
     observations: BTreeMap<CustomerId, Vec<f64>>,
-    /// Cap on windowed observations per customer (`None`: unbounded).
-    window: Option<usize>,
-    /// Per-customer windowed observations in arrival order — the eviction
-    /// queue backing the cap. Empty while `window` is `None`, so the
-    /// unbounded (default) path carries no extra state.
-    arrivals: BTreeMap<CustomerId, VecDeque<f64>>,
 }
 
 impl CustomerHistory {
@@ -46,42 +36,10 @@ impl CustomerHistory {
         Self::default()
     }
 
-    /// Caps the number of observations kept per customer from this point
-    /// on: each [`CustomerHistory::record`] beyond the cap evicts the
-    /// customer's oldest windowed observation. Observations recorded
-    /// *before* the window was set (e.g. the training-seeded history, which
-    /// is bounded by the training prefix already) are never evicted.
-    /// `Some(0)` discards every future observation; `None` restores
-    /// unbounded recording without restoring evicted values.
-    pub fn set_window(&mut self, window: Option<usize>) {
-        self.window = window;
-    }
-
-    /// The windowed-reservoir cap currently in force.
-    pub fn window(&self) -> Option<usize> {
-        self.window
-    }
-
     /// Records the untouched fraction observed for a completed VM,
-    /// maintaining the customer's observations in sorted order and evicting
-    /// the oldest windowed observation when a cap is set.
+    /// maintaining the customer's observations in sorted order.
     pub fn record(&mut self, customer: CustomerId, untouched_fraction: f64) {
         let value = untouched_fraction.clamp(0.0, 1.0);
-        if let Some(window) = self.window {
-            if window == 0 {
-                return;
-            }
-            let arrivals = self.arrivals.entry(customer).or_default();
-            if arrivals.len() == window {
-                let evicted = arrivals.pop_front().expect("window is positive");
-                let values =
-                    self.observations.get_mut(&customer).expect("every arrival has an observation");
-                let at = values.partition_point(|&v| v < evicted);
-                debug_assert_eq!(values.get(at), Some(&evicted));
-                values.remove(at);
-            }
-            arrivals.push_back(value);
-        }
         let values = self.observations.entry(customer).or_default();
         let at = values.partition_point(|&v| v < value);
         values.insert(at, value);
@@ -388,29 +346,6 @@ mod tests {
             assert!(pair[1] >= pair[0]);
         }
         assert_eq!(history.count(CustomerId(1)), 5);
-    }
-
-    #[test]
-    fn windowed_history_evicts_oldest_and_spares_the_seed() {
-        let mut history = CustomerHistory::new();
-        assert_eq!(history.window(), None);
-        // Seeded before the window: never evicted.
-        history.record(CustomerId(1), 0.1);
-        history.record(CustomerId(1), 0.9);
-        history.set_window(Some(2));
-        history.record(CustomerId(1), 0.5);
-        history.record(CustomerId(1), 0.6);
-        assert_eq!(history.count(CustomerId(1)), 4);
-        // The third windowed observation evicts 0.5 — the oldest windowed
-        // one, not the smallest and not a seed.
-        history.record(CustomerId(1), 0.7);
-        assert_eq!(history.count(CustomerId(1)), 4);
-        let p = history.percentiles(CustomerId(1)).unwrap();
-        assert_eq!([p[0], p[1], p[2], p[4]], [0.1, 0.6, 0.7, 0.9]);
-        // A zero window discards every new observation.
-        history.set_window(Some(0));
-        history.record(CustomerId(1), 0.2);
-        assert_eq!(history.count(CustomerId(1)), 4);
     }
 
     #[test]

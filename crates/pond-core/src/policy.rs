@@ -106,6 +106,12 @@ impl PondPolicy {
     /// untouched-memory model trains on the first
     /// [`PondPolicyConfig::training_fraction`] of the provided trace; the
     /// remaining requests are what simulations should evaluate on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace has no requests: there is nothing to train the
+    /// untouched-memory model on. [`PondPolicy::train_source`] returns an
+    /// error instead.
     pub fn train(trace: &ClusterTrace, config: &PondPolicyConfig, seed: u64) -> Self {
         let train_slice = &trace.requests[..Self::train_len(trace.requests.len(), config)];
         Self::train_requests(train_slice, config, seed)
@@ -123,7 +129,9 @@ impl PondPolicy {
     ///
     /// # Errors
     ///
-    /// Propagates any [`SourceError`] the stream raises.
+    /// Propagates any [`SourceError`] the stream raises, and returns
+    /// [`SourceError::Malformed`] when the stream yields no request: there is
+    /// nothing to train on.
     pub fn train_source<S, F>(
         mut make: F,
         config: &PondPolicyConfig,
@@ -153,6 +161,11 @@ impl PondPolicy {
                 Some(request) => train_slice.push(request),
                 None => break,
             }
+        }
+        if train_slice.is_empty() {
+            return Err(SourceError::Malformed(
+                "the stream has no requests: nothing to train on".into(),
+            ));
         }
         Ok(Self::train_requests(&train_slice, config, seed))
     }
@@ -347,12 +360,36 @@ mod tests {
     use super::*;
     use cluster_sim::scheduler::FixedPoolFraction;
     use cluster_sim::simulation::{Simulation, SimulationConfig};
+    use cluster_sim::source::{TraceCursor, Validated};
     use cluster_sim::tracegen::{ClusterConfig, TraceGenerator};
 
     fn trace() -> ClusterTrace {
         // Mid-sized trace (~1000 VMs) so the learned models have signal.
         let config = ClusterConfig { servers: 24, duration_days: 12, ..ClusterConfig::small() };
         TraceGenerator::new(config, 1).generate(0)
+    }
+
+    #[test]
+    fn training_on_an_empty_stream_is_an_error() {
+        let empty = ClusterTrace {
+            cluster_id: 0,
+            servers: 2,
+            cores_per_server: 16,
+            dram_per_server: Bytes::from_gib(128),
+            duration: 3600,
+            requests: Vec::new(),
+        };
+        let result = PondPolicy::train_source(
+            || Validated::new(TraceCursor::new(&empty)),
+            &PondPolicyConfig::default(),
+            0,
+        );
+        match result {
+            Err(SourceError::Malformed(detail)) => {
+                assert!(detail.contains("nothing to train on"), "{detail}");
+            }
+            other => panic!("an empty stream must be malformed, got {:?}", other.err()),
+        }
     }
 
     #[test]

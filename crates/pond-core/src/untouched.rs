@@ -146,7 +146,8 @@ impl UntouchedMemoryModel {
     ///
     /// # Panics
     ///
-    /// Panics if `requests` is empty.
+    /// Panics if `requests` is empty, or if a request's untouched fraction is
+    /// not finite (validated requests have theirs in `[0, 1]`).
     pub fn train(requests: &[VmRequest], config: &UntouchedModelConfig, seed: u64) -> Self {
         assert!(!requests.is_empty(), "training requires at least one VM request");
         let mut history = CustomerHistory::new();

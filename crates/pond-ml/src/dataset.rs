@@ -24,6 +24,9 @@ impl Dataset {
     /// * [`MlError::LabelMismatch`] if `labels.len() != rows.len()`.
     /// * [`MlError::InconsistentRow`] if any row's length differs from the
     ///   number of feature names.
+    /// * [`MlError::NonFinite`] for the first NaN or infinite feature value
+    ///   or label, in row order: the tree learners order every feature
+    ///   column, which needs finite values.
     pub fn new(
         feature_names: Vec<String>,
         rows: Vec<Vec<f64>>,
@@ -42,6 +45,15 @@ impl Dataset {
                     got: row.len(),
                     expected: feature_names.len(),
                 });
+            }
+        }
+        for (i, (row, label)) in rows.iter().zip(&labels).enumerate() {
+            if let Some(feature) = row.iter().position(|v| !v.is_finite()) {
+                let feature = Some(feature_names[feature].clone());
+                return Err(MlError::NonFinite { row: i, feature });
+            }
+            if !label.is_finite() {
+                return Err(MlError::NonFinite { row: i, feature: None });
             }
         }
         Ok(Dataset { feature_names, rows, labels })
@@ -187,6 +199,25 @@ mod tests {
             Dataset::new(vec!["a".into()], vec![vec![1.0, 2.0]], vec![0.0]),
             Err(MlError::InconsistentRow { row: 0, got: 2, expected: 1 })
         );
+    }
+
+    #[test]
+    fn construction_rejects_non_finite_values() {
+        let names = || vec!["a".to_string(), "b".to_string()];
+        assert_eq!(
+            Dataset::new(names(), vec![vec![1.0, 2.0], vec![3.0, f64::NAN]], vec![0.0, 1.0]),
+            Err(MlError::NonFinite { row: 1, feature: Some("b".into()) })
+        );
+        assert_eq!(
+            Dataset::new(names(), vec![vec![1.0, 2.0], vec![3.0, 4.0]], vec![f64::INFINITY, 1.0]),
+            Err(MlError::NonFinite { row: 0, feature: None })
+        );
+        assert_eq!(
+            Dataset::new(names(), vec![vec![f64::NEG_INFINITY, 2.0]], vec![f64::NAN]),
+            Err(MlError::NonFinite { row: 0, feature: Some("a".into()) })
+        );
+        // Signed zeros are finite.
+        assert!(Dataset::new(names(), vec![vec![-0.0, 0.0]], vec![-0.0]).is_ok());
     }
 
     #[test]

@@ -25,6 +25,14 @@ pub enum MlError {
         /// Number of labels.
         labels: usize,
     },
+    /// A feature value or a label is NaN or infinite. Tree training orders
+    /// every feature column, which needs finite values.
+    NonFinite {
+        /// Index of the offending row.
+        row: usize,
+        /// Name of the offending feature, or `None` when the label is.
+        feature: Option<String>,
+    },
     /// A parameter was outside its valid range.
     InvalidParameter {
         /// Name of the parameter.
@@ -51,6 +59,12 @@ impl fmt::Display for MlError {
             MlError::LabelMismatch { rows, labels } => {
                 write!(f, "dataset has {rows} rows but {labels} labels")
             }
+            MlError::NonFinite { row, feature: Some(name) } => {
+                write!(f, "row {row} has a non-finite value for feature {name}")
+            }
+            MlError::NonFinite { row, feature: None } => {
+                write!(f, "row {row} has a non-finite label")
+            }
             MlError::InvalidParameter { name, reason } => {
                 write!(f, "invalid parameter {name}: {reason}")
             }
@@ -72,6 +86,12 @@ mod tests {
         assert_eq!(MlError::EmptyDataset.to_string(), "dataset has no rows");
         let err = MlError::InconsistentRow { row: 3, got: 2, expected: 5 };
         assert!(err.to_string().contains("row 3"));
+        let err = MlError::NonFinite { row: 4, feature: Some("cores".into()) };
+        assert_eq!(err.to_string(), "row 4 has a non-finite value for feature cores");
+        assert_eq!(
+            MlError::NonFinite { row: 2, feature: None }.to_string(),
+            "row 2 has a non-finite label"
+        );
         let err = MlError::InvalidParameter { name: "trees", reason: "must be > 0".into() };
         assert!(err.to_string().contains("trees"));
     }

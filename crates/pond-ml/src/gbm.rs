@@ -10,7 +10,7 @@
 
 use crate::dataset::Dataset;
 use crate::error::MlError;
-use crate::tree::{DecisionTree, TreeConfig};
+use crate::tree::{DecisionTree, Presorted, TreeConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -122,6 +122,7 @@ impl GradientBoostedTrees {
             }
         };
 
+        let presorted = Presorted::new(data);
         let mut predictions = vec![base_prediction; data.len()];
         let mut trees = Vec::with_capacity(config.rounds);
 
@@ -139,7 +140,7 @@ impl GradientBoostedTrees {
 
             let tree_seed = seed.wrapping_mul(0x2545_F491_4F6C_DD1D).wrapping_add(round as u64);
             let mut tree =
-                DecisionTree::fit_with_targets(data, &residuals, &config.tree, tree_seed);
+                DecisionTree::fit_presorted(&presorted, &residuals, &config.tree, tree_seed);
 
             if let Loss::Quantile(q) = config.loss {
                 // Replace leaf means of the gradient with the per-leaf

@@ -4,6 +4,27 @@
 //! Trees are grown greedily with variance-reduction (MSE) splits. Binary
 //! classification reuses the same machinery by encoding labels as 0.0/1.0 and
 //! reading leaf means as probabilities.
+//!
+//! # Split search
+//!
+//! The search is the exact presorted one of SLIQ and XGBoost ("exact
+//! greedy"): every feature's row ids are sorted once per dataset, by (value,
+//! row id), and each node is one contiguous range of every such order. A
+//! split stably partitions that range of each order, so the children's ranges
+//! keep the (value, row id) order and a whole tree level costs
+//! O(features × rows) instead of a sort per node and feature.
+//! [`GradientBoostedTrees::fit`](crate::gbm::GradientBoostedTrees::fit)
+//! sorts once for all of its rounds; [`DecisionTree::fit`] and
+//! [`DecisionTree::fit_with_targets`] sort per call.
+//!
+//! The trees are bit-identical to those of a per-node stable sort, which the
+//! tests keep as the oracle: values tie under `partial_cmp` (so −0.0 and 0.0
+//! tie) and ties keep ascending row id; the scan accumulates the left child's
+//! sums in (value, row id) order; leaf and parent sums run in ascending row
+//! order; and nodes are built depth first, left first, so `max_features`
+//! draws from the RNG in the same order. The presort needs a total order on
+//! every feature column, so feature values must be finite; [`Dataset::new`]
+//! rejects NaN and infinite features and labels.
 
 use crate::dataset::Dataset;
 use rand::seq::SliceRandom;
@@ -73,88 +94,161 @@ pub struct DecisionTree {
     n_leaves: usize,
 }
 
+/// A row index inside the split search: 32 bits, so the partitions move half
+/// the bytes a `usize` would.
+type RowId = u32;
+
+/// A dataset's feature columns, each with its row ids sorted once by
+/// (value, row id): the input of the presorted split search. Sorting is
+/// stable over ascending row ids with `partial_cmp`, so −0.0 and 0.0 tie and
+/// keep row order, as the per-node sort did; that needs finite values, which
+/// [`Dataset::new`] guarantees.
+#[derive(Debug)]
+pub(crate) struct Presorted {
+    /// Stored rather than read off a column: a dataset may have no features.
+    n_rows: usize,
+    /// `columns[feature][row]`.
+    columns: Vec<Vec<f64>>,
+    /// `orders[feature]`: every row id, sorted by (value, row id).
+    orders: Vec<Vec<RowId>>,
+}
+
+impl Presorted {
+    /// # Panics
+    ///
+    /// Panics if the dataset has more than `u32::MAX` rows.
+    pub(crate) fn new(data: &Dataset) -> Self {
+        let n_rows = data.len();
+        let ids = RowId::try_from(n_rows).expect("the split search indexes rows with 32 bits");
+        let columns: Vec<Vec<f64>> = (0..data.n_features())
+            .map(|feature| data.rows().iter().map(|row| row[feature]).collect())
+            .collect();
+        let orders = columns
+            .iter()
+            .map(|column| {
+                let mut order: Vec<RowId> = (0..ids).collect();
+                order.sort_by(|&a, &b| {
+                    column[a as usize]
+                        .partial_cmp(&column[b as usize])
+                        .expect("dataset values are finite")
+                });
+                order
+            })
+            .collect();
+        Presorted { n_rows, columns, orders }
+    }
+}
+
+/// Grows one tree. A node is one range `lo..hi`, the same in `rows` and in
+/// every `orders[feature]`: splitting it stably partitions that range of
+/// each, so a child's range stays sorted like its parent's.
 struct Builder<'a> {
-    rows: &'a [Vec<f64>],
+    data: &'a Presorted,
     targets: &'a [f64],
     config: &'a TreeConfig,
     rng: Pcg64,
     next_leaf_id: usize,
+    /// Row ids in ascending order: leaf and parent sums run in this order.
+    rows: Vec<RowId>,
+    /// Per feature, row ids in (value, row id) order: the split scan's order.
+    orders: Vec<Vec<RowId>>,
+    /// Per row, whether it goes left at the split being applied.
+    goes_left: Vec<bool>,
+    /// The right child's ids during a partition.
+    scratch: Vec<RowId>,
 }
 
 impl<'a> Builder<'a> {
-    fn leaf(&mut self, indices: &[usize]) -> Node {
-        let value = if indices.is_empty() {
+    fn new(data: &'a Presorted, targets: &'a [f64], config: &'a TreeConfig, seed: u64) -> Self {
+        Builder {
+            data,
+            targets,
+            config,
+            rng: Pcg64::seed_from_u64(seed),
+            next_leaf_id: 0,
+            rows: (0..data.n_rows as RowId).collect(),
+            orders: data.orders.clone(),
+            goes_left: vec![false; data.n_rows],
+            scratch: vec![0; data.n_rows],
+        }
+    }
+
+    fn leaf(&mut self, lo: usize, hi: usize) -> Node {
+        let rows = &self.rows[lo..hi];
+        let value = if rows.is_empty() {
             0.0
         } else {
-            indices.iter().map(|&i| self.targets[i]).sum::<f64>() / indices.len() as f64
+            rows.iter().map(|&i| self.targets[i as usize]).sum::<f64>() / rows.len() as f64
         };
         let id = self.next_leaf_id;
         self.next_leaf_id += 1;
-        Node::Leaf { id, value, samples: indices.len() }
+        Node::Leaf { id, value, samples: rows.len() }
     }
 
-    fn build(&mut self, indices: &mut [usize], depth: usize) -> Node {
+    /// Builds the subtree of node `lo..hi`, depth first and left first, so
+    /// `max_features` draws from the RNG in node order.
+    fn build(&mut self, lo: usize, hi: usize, depth: usize) -> Node {
+        let len = hi - lo;
         if depth >= self.config.max_depth
-            || indices.len() < self.config.min_samples_split
-            || indices.len() < 2 * self.config.min_samples_leaf
+            || len < self.config.min_samples_split
+            || len < 2 * self.config.min_samples_leaf
         {
-            return self.leaf(indices);
+            return self.leaf(lo, hi);
         }
-        match self.best_split(indices) {
-            None => self.leaf(indices),
-            Some((feature, threshold)) => {
-                let (mut left, mut right): (Vec<usize>, Vec<usize>) =
-                    indices.iter().partition(|&&i| self.rows[i][feature] <= threshold);
-                if left.len() < self.config.min_samples_leaf
-                    || right.len() < self.config.min_samples_leaf
-                {
-                    return self.leaf(indices);
-                }
-                let left_node = self.build(&mut left, depth + 1);
-                let right_node = self.build(&mut right, depth + 1);
-                Node::Split {
-                    feature,
-                    threshold,
-                    left: Box::new(left_node),
-                    right: Box::new(right_node),
-                }
+        let Some((feature, threshold)) = self.best_split(lo, hi) else {
+            return self.leaf(lo, hi);
+        };
+        let column = &self.data.columns[feature];
+        let mut n_left = 0;
+        for &row in &self.rows[lo..hi] {
+            let left = column[row as usize] <= threshold;
+            self.goes_left[row as usize] = left;
+            n_left += usize::from(left);
+        }
+        if n_left < self.config.min_samples_leaf || len - n_left < self.config.min_samples_leaf {
+            return self.leaf(lo, hi);
+        }
+        stable_partition(&mut self.rows[lo..hi], &self.goes_left, &mut self.scratch);
+        // Children at the depth limit are leaves, which read only `rows`.
+        if depth + 1 < self.config.max_depth {
+            for order in &mut self.orders {
+                stable_partition(&mut order[lo..hi], &self.goes_left, &mut self.scratch);
             }
         }
+        let left_node = self.build(lo, lo + n_left, depth + 1);
+        let right_node = self.build(lo + n_left, hi, depth + 1);
+        Node::Split { feature, threshold, left: Box::new(left_node), right: Box::new(right_node) }
     }
 
     /// Finds the (feature, threshold) pair with the greatest reduction in the
     /// sum of squared errors, or `None` when no split improves on the parent.
-    fn best_split(&mut self, indices: &[usize]) -> Option<(usize, f64)> {
-        let n_features = self.rows[indices[0]].len();
+    fn best_split(&mut self, lo: usize, hi: usize) -> Option<(usize, f64)> {
+        let n_features = self.data.columns.len();
         let mut candidates: Vec<usize> = (0..n_features).collect();
         if let Some(k) = self.config.max_features {
             candidates.shuffle(&mut self.rng);
             candidates.truncate(k.max(1).min(n_features));
         }
 
-        let total_sum: f64 = indices.iter().map(|&i| self.targets[i]).sum();
-        let total_sq: f64 = indices.iter().map(|&i| self.targets[i].powi(2)).sum();
-        let n = indices.len() as f64;
+        let rows = &self.rows[lo..hi];
+        let total_sum: f64 = rows.iter().map(|&i| self.targets[i as usize]).sum();
+        let total_sq: f64 = rows.iter().map(|&i| self.targets[i as usize].powi(2)).sum();
+        let n = rows.len() as f64;
         let parent_sse = total_sq - total_sum * total_sum / n;
 
         let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, sse)
         for &feature in &candidates {
-            let mut order: Vec<usize> = indices.to_vec();
-            order.sort_by(|&a, &b| {
-                self.rows[a][feature]
-                    .partial_cmp(&self.rows[b][feature])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-
+            let order = &self.orders[feature][lo..hi];
+            let column = &self.data.columns[feature];
             let mut left_sum = 0.0;
             let mut left_sq = 0.0;
             for split_at in 1..order.len() {
-                let prev = order[split_at - 1];
+                let prev = order[split_at - 1] as usize;
                 left_sum += self.targets[prev];
                 left_sq += self.targets[prev].powi(2);
 
-                let prev_val = self.rows[prev][feature];
-                let cur_val = self.rows[order[split_at]][feature];
+                let prev_val = column[prev];
+                let cur_val = column[order[split_at] as usize];
                 if prev_val == cur_val {
                     continue; // cannot split between identical values
                 }
@@ -183,18 +277,38 @@ impl<'a> Builder<'a> {
     }
 }
 
+/// Moves the ids with `goes_left` set to the front of `ids`, keeping the
+/// order within each side. Branch-free: every id is written to both sides'
+/// next slot and only the side it belongs to advances, since which side an
+/// id takes is as good as random. The left slot never passes the id being
+/// read, so no write lands on an unread id.
+fn stable_partition(ids: &mut [RowId], goes_left: &[bool], scratch: &mut [RowId]) {
+    let mut n_left = 0;
+    let mut n_right = 0;
+    for k in 0..ids.len() {
+        let id = ids[k];
+        let left = goes_left[id as usize];
+        ids[n_left] = id;
+        scratch[n_right] = id;
+        n_left += usize::from(left);
+        n_right += usize::from(!left);
+    }
+    ids[n_left..].copy_from_slice(&scratch[..n_right]);
+}
+
 impl DecisionTree {
     /// Fits a tree on the dataset's own labels.
     pub fn fit(data: &Dataset, config: &TreeConfig, seed: u64) -> Self {
         Self::fit_with_targets(data, data.labels(), config, seed)
     }
 
-    /// Fits a tree predicting arbitrary `targets` (one per dataset row) —
-    /// the entry point gradient boosting uses to fit pseudo-residuals.
+    /// Fits a tree predicting arbitrary `targets` (one per dataset row),
+    /// such as gradient boosting's pseudo-residuals.
     ///
     /// # Panics
     ///
-    /// Panics if `targets.len()` differs from the number of rows.
+    /// Panics if `targets.len()` differs from the number of rows, or if the
+    /// dataset has more than `u32::MAX` rows.
     pub fn fit_with_targets(
         data: &Dataset,
         targets: &[f64],
@@ -202,20 +316,21 @@ impl DecisionTree {
         seed: u64,
     ) -> Self {
         assert_eq!(targets.len(), data.len(), "one target per row is required");
-        let mut builder = Builder {
-            rows: data.rows(),
-            targets,
-            config,
-            rng: Pcg64::seed_from_u64(seed),
-            next_leaf_id: 0,
-        };
-        let mut indices: Vec<usize> = (0..data.len()).collect();
-        let root = if indices.is_empty() {
-            builder.leaf(&indices)
-        } else {
-            builder.build(&mut indices, 0)
-        };
-        DecisionTree { root, n_features: data.n_features(), n_leaves: builder.next_leaf_id }
+        Self::fit_presorted(&Presorted::new(data), targets, config, seed)
+    }
+
+    /// [`DecisionTree::fit_with_targets`] over an already presorted dataset,
+    /// so a caller fitting many trees on one dataset sorts it once.
+    pub(crate) fn fit_presorted(
+        data: &Presorted,
+        targets: &[f64],
+        config: &TreeConfig,
+        seed: u64,
+    ) -> Self {
+        assert_eq!(targets.len(), data.n_rows, "one target per row is required");
+        let mut builder = Builder::new(data, targets, config, seed);
+        let root = builder.build(0, data.n_rows, 0);
+        DecisionTree { root, n_features: data.columns.len(), n_leaves: builder.next_leaf_id }
     }
 
     /// Predicts the value for a feature vector.
@@ -305,10 +420,270 @@ impl DecisionTree {
     }
 }
 
+/// The per-node-sort builder the presorted search replaced: every node copies
+/// its row ids and stably sorts them again for each candidate feature. Kept
+/// as the oracle the presorted trees must match bit for bit.
+#[cfg(test)]
+mod reference {
+    use super::{DecisionTree, Node, TreeConfig};
+    use crate::dataset::Dataset;
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
+    use rand_pcg::Pcg64;
+
+    struct Builder<'a> {
+        rows: &'a [Vec<f64>],
+        targets: &'a [f64],
+        config: &'a TreeConfig,
+        rng: Pcg64,
+        next_leaf_id: usize,
+    }
+
+    impl Builder<'_> {
+        fn leaf(&mut self, indices: &[usize]) -> Node {
+            let value = if indices.is_empty() {
+                0.0
+            } else {
+                indices.iter().map(|&i| self.targets[i]).sum::<f64>() / indices.len() as f64
+            };
+            let id = self.next_leaf_id;
+            self.next_leaf_id += 1;
+            Node::Leaf { id, value, samples: indices.len() }
+        }
+
+        fn build(&mut self, indices: &mut [usize], depth: usize) -> Node {
+            if depth >= self.config.max_depth
+                || indices.len() < self.config.min_samples_split
+                || indices.len() < 2 * self.config.min_samples_leaf
+            {
+                return self.leaf(indices);
+            }
+            match self.best_split(indices) {
+                None => self.leaf(indices),
+                Some((feature, threshold)) => {
+                    let (mut left, mut right): (Vec<usize>, Vec<usize>) =
+                        indices.iter().partition(|&&i| self.rows[i][feature] <= threshold);
+                    if left.len() < self.config.min_samples_leaf
+                        || right.len() < self.config.min_samples_leaf
+                    {
+                        return self.leaf(indices);
+                    }
+                    let left_node = self.build(&mut left, depth + 1);
+                    let right_node = self.build(&mut right, depth + 1);
+                    Node::Split {
+                        feature,
+                        threshold,
+                        left: Box::new(left_node),
+                        right: Box::new(right_node),
+                    }
+                }
+            }
+        }
+
+        fn best_split(&mut self, indices: &[usize]) -> Option<(usize, f64)> {
+            let n_features = self.rows[indices[0]].len();
+            let mut candidates: Vec<usize> = (0..n_features).collect();
+            if let Some(k) = self.config.max_features {
+                candidates.shuffle(&mut self.rng);
+                candidates.truncate(k.max(1).min(n_features));
+            }
+
+            let total_sum: f64 = indices.iter().map(|&i| self.targets[i]).sum();
+            let total_sq: f64 = indices.iter().map(|&i| self.targets[i].powi(2)).sum();
+            let n = indices.len() as f64;
+            let parent_sse = total_sq - total_sum * total_sum / n;
+
+            let mut best: Option<(usize, f64, f64)> = None;
+            for &feature in &candidates {
+                let mut order: Vec<usize> = indices.to_vec();
+                order.sort_by(|&a, &b| {
+                    self.rows[a][feature]
+                        .partial_cmp(&self.rows[b][feature])
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                });
+
+                let mut left_sum = 0.0;
+                let mut left_sq = 0.0;
+                for split_at in 1..order.len() {
+                    let prev = order[split_at - 1];
+                    left_sum += self.targets[prev];
+                    left_sq += self.targets[prev].powi(2);
+
+                    let prev_val = self.rows[prev][feature];
+                    let cur_val = self.rows[order[split_at]][feature];
+                    if prev_val == cur_val {
+                        continue;
+                    }
+                    let left_n = split_at as f64;
+                    let right_n = n - left_n;
+                    if (split_at < self.config.min_samples_leaf)
+                        || ((order.len() - split_at) < self.config.min_samples_leaf)
+                    {
+                        continue;
+                    }
+                    let right_sum = total_sum - left_sum;
+                    let right_sq = total_sq - left_sq;
+                    let sse = (left_sq - left_sum * left_sum / left_n)
+                        + (right_sq - right_sum * right_sum / right_n);
+                    if best.is_none_or(|(_, _, b)| sse < b) {
+                        best = Some((feature, (prev_val + cur_val) / 2.0, sse));
+                    }
+                }
+            }
+            match best {
+                Some((feature, threshold, sse)) if sse < parent_sse - 1e-12 => {
+                    Some((feature, threshold))
+                }
+                _ => None,
+            }
+        }
+    }
+
+    pub(super) fn fit_with_targets(
+        data: &Dataset,
+        targets: &[f64],
+        config: &TreeConfig,
+        seed: u64,
+    ) -> DecisionTree {
+        let mut builder = Builder {
+            rows: data.rows(),
+            targets,
+            config,
+            rng: Pcg64::seed_from_u64(seed),
+            next_leaf_id: 0,
+        };
+        let mut indices: Vec<usize> = (0..data.len()).collect();
+        let root = if indices.is_empty() {
+            builder.leaf(&indices)
+        } else {
+            builder.build(&mut indices, 0)
+        };
+        DecisionTree { root, n_features: data.n_features(), n_leaves: builder.next_leaf_id }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use rand::Rng;
+
+    fn same_nodes(a: &Node, b: &Node) -> bool {
+        match (a, b) {
+            (
+                Node::Leaf { id: id_a, value: value_a, samples: samples_a },
+                Node::Leaf { id: id_b, value: value_b, samples: samples_b },
+            ) => id_a == id_b && value_a.to_bits() == value_b.to_bits() && samples_a == samples_b,
+            (
+                Node::Split { feature: f_a, threshold: t_a, left: l_a, right: r_a },
+                Node::Split { feature: f_b, threshold: t_b, left: l_b, right: r_b },
+            ) => {
+                f_a == f_b
+                    && t_a.to_bits() == t_b.to_bits()
+                    && same_nodes(l_a, l_b)
+                    && same_nodes(r_a, r_b)
+            }
+            _ => false,
+        }
+    }
+
+    /// Fits `targets` with the presorted search and with the per-node-sort
+    /// oracle, and asserts the two trees match bit for bit (`PartialEq` on
+    /// `f64` would let −0.0 pass for 0.0).
+    fn assert_matches_oracle(data: &Dataset, targets: &[f64], config: &TreeConfig, seed: u64) {
+        let tree = DecisionTree::fit_with_targets(data, targets, config, seed);
+        let oracle = reference::fit_with_targets(data, targets, config, seed);
+        assert!(
+            same_nodes(&tree.root, &oracle.root)
+                && tree.n_features == oracle.n_features
+                && tree.n_leaves == oracle.n_leaves,
+            "presorted tree {tree:?}\ndiffers from the per-node sort's {oracle:?}\nconfig {config:?}"
+        );
+    }
+
+    /// Columns of four kinds chosen per feature: heavily tied small
+    /// integers, mixed ±0.0 (equal under `partial_cmp`, distinct in bits),
+    /// continuous values, and a constant. The labels are one of: the two
+    /// quantile residuals {q, q − 1}, small integers, or continuous values.
+    fn oracle_dataset(n_rows: usize, n_features: usize, label_kind: u8, seed: u64) -> Dataset {
+        let mut rng = Pcg64::seed_from_u64(seed);
+        let kinds: Vec<u8> = (0..n_features).map(|_| rng.gen_range(0..4)).collect();
+        let rows: Vec<Vec<f64>> = (0..n_rows)
+            .map(|_| {
+                kinds
+                    .iter()
+                    .map(|kind| match kind {
+                        0 => rng.gen_range(0..4) as f64,
+                        1 => [-0.0, 0.0, 1.0, -1.0][rng.gen_range(0..4)],
+                        2 => rng.gen::<f64>() * 20.0 - 10.0,
+                        _ => 7.0,
+                    })
+                    .collect()
+            })
+            .collect();
+        let q = rng.gen::<f64>();
+        let labels: Vec<f64> = (0..n_rows)
+            .map(|_| match label_kind {
+                0 => {
+                    if rng.gen::<bool>() {
+                        q
+                    } else {
+                        q - 1.0
+                    }
+                }
+                1 => rng.gen_range(0..3) as f64,
+                _ => rng.gen::<f64>() * 100.0 - 50.0,
+            })
+            .collect();
+        let names = (0..n_features).map(|f| format!("f{f}")).collect();
+        Dataset::new(names, rows, labels).unwrap()
+    }
+
+    #[test]
+    fn a_single_row_matches_the_oracle() {
+        let data =
+            Dataset::new(vec!["x".into(), "y".into()], vec![vec![-0.0, 3.0]], vec![0.25]).unwrap();
+        let no_rows = data.subset(&[]);
+        let loose = TreeConfig { min_samples_split: 0, min_samples_leaf: 0, ..Default::default() };
+        for config in [TreeConfig::default(), loose] {
+            assert_matches_oracle(&data, data.labels(), &config, 0);
+            assert_matches_oracle(&no_rows, no_rows.labels(), &config, 0);
+        }
+        let tree = DecisionTree::fit(&data, &TreeConfig::default(), 0);
+        assert_eq!((tree.n_leaves(), tree.predict(&[5.0, 5.0])), (1, 0.25));
+    }
+
+    #[test]
+    fn zero_feature_columns_fit_the_mean_of_every_row() {
+        let labels = vec![1.0, 2.0, 6.0];
+        let data = Dataset::new(vec![], vec![vec![]; 3], labels).unwrap();
+        let config = TreeConfig { max_features: Some(2), ..Default::default() };
+        assert_matches_oracle(&data, data.labels(), &config, 4);
+        let tree = DecisionTree::fit(&data, &config, 4);
+        assert_eq!((tree.n_leaves(), tree.n_features(), tree.predict(&[])), (1, 0, 3.0));
+    }
+
+    #[test]
+    fn signed_zeros_tie_and_keep_row_order() {
+        // Column b is column a with two of its zeros negated, so both columns
+        // give the same split. Under the per-node sort the zeros tie in row
+        // order, both scans add 0.1 + 0.1 + 1.0 and feature a wins the tie.
+        // Under `total_cmp` b would add 0.1 + 1.0 + 0.1, which rounds to a
+        // smaller error, and the root would split on b.
+        let rows = vec![
+            vec![0.0, -0.0],
+            vec![0.0, 0.0],
+            vec![1.0, 1.0],
+            vec![1.0, 1.0],
+            vec![0.0, -0.0],
+            vec![1.0, 1.0],
+        ];
+        let labels = vec![0.1, 0.1, 0.1, 0.2, 1.0, 0.1];
+        let data = Dataset::new(vec!["a".into(), "b".into()], rows, labels).unwrap();
+        assert_matches_oracle(&data, data.labels(), &TreeConfig::default(), 0);
+        let tree = DecisionTree::fit(&data, &TreeConfig::default(), 0);
+        assert_eq!(tree.feature_split_counts(), vec![1, 0]);
+    }
 
     fn step_dataset(n: usize) -> Dataset {
         let rows: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64, 1.0]).collect();
@@ -440,6 +815,35 @@ mod tests {
                 (0..data.len()).map(|i| (t.predict(data.row(i)) - data.label(i)).powi(2)).sum::<f64>() / data.len() as f64
             };
             prop_assert!(mse(&deep) <= mse(&shallow) + 1e-9);
+        }
+
+        /// The presorted search grows exactly the per-node sort's tree, and
+        /// one `Presorted` serves any number of fits unchanged (the boosting
+        /// rounds share one).
+        #[test]
+        fn presorted_search_matches_the_per_node_sort(
+            (n_rows, n_features, label_kind) in (1usize..90, 0usize..6, 0u8..3),
+            (max_depth, min_samples_split, min_samples_leaf) in (0usize..7, 0usize..9, 0usize..6),
+            max_features in 0usize..7,
+            seed in 0u64..u64::MAX,
+        ) {
+            let data = oracle_dataset(n_rows, n_features, label_kind, seed);
+            let config = TreeConfig {
+                max_depth,
+                min_samples_split,
+                min_samples_leaf,
+                max_features: (max_features > 0).then_some(max_features),
+            };
+            assert_matches_oracle(&data, data.labels(), &config, seed);
+
+            let presorted = Presorted::new(&data);
+            let residuals: Vec<f64> =
+                data.labels().iter().map(|&y| if y > 0.0 { 0.3 } else { -0.7 }).collect();
+            for targets in [data.labels(), &residuals] {
+                let tree = DecisionTree::fit_presorted(&presorted, targets, &config, seed);
+                let oracle = reference::fit_with_targets(&data, targets, &config, seed);
+                prop_assert!(same_nodes(&tree.root, &oracle.root));
+            }
         }
     }
 }

@@ -12,7 +12,7 @@
 use crate::error::PondError;
 use crate::policy::{PondDecision, PondPolicy, PondPolicyConfig};
 use crate::pool_manager::PondPoolManager;
-use crate::qos::{MitigationManager, QosMonitor, VmObservation};
+use crate::qos::{MitigationManager, VmObservation};
 use cluster_sim::scheduler::align_pool_memory;
 use cluster_sim::trace::{ClusterTrace, CustomerId, VmRequest};
 use cxl_hw::emc::EmcConfig;
@@ -26,7 +26,6 @@ use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
-use workload_model::WorkloadSuite;
 
 /// Static configuration of a control-plane instance.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -246,10 +245,8 @@ pub struct PondControlPlane {
     hosts: Vec<HostMemory>,
     pool: PondPoolManager,
     policy: PondPolicy,
-    monitor: QosMonitor,
     mitigation: MitigationManager,
     telemetry: HypervisorTelemetry,
-    suite: WorkloadSuite,
     running: BTreeMap<u64, VmRecord>,
     rejected: u64,
     /// Incremental mirror of the slice count summed over
@@ -289,7 +286,7 @@ impl PondControlPlane {
     ///
     /// # Errors
     ///
-    /// Returns a hardware error if the pool topology is unsupported.
+    /// Same as [`PondControlPlane::with_policy`].
     pub fn new(
         training_trace: &ClusterTrace,
         config: ControlPlaneConfig,
@@ -300,15 +297,24 @@ impl PondControlPlane {
     }
 
     /// Builds a control plane around an already-trained policy. Multi-pool
-    /// fleets ([`crate::multipool`]) train the models once and clone the
-    /// policy into every group, instead of retraining per pool.
+    /// fleets ([`crate::multipool`]) train the models once and hand every
+    /// group a clone of the policy. The plane's QoS monitor and workload
+    /// suite are the policy's, so every clone reads one copy of the models,
+    /// the suite and the training history, and a plane owns only the
+    /// completions it records.
     ///
     /// # Errors
     ///
-    /// Returns a hardware error if the pool topology is unsupported.
+    /// Returns [`PondError::InvalidConfig`] if the mitigation budget is NaN
+    /// or outside [0, 1], and a hardware error if the pool topology is
+    /// unsupported.
     pub fn with_policy(config: ControlPlaneConfig, policy: PondPolicy) -> Result<Self, PondError> {
+        let budget = config.mitigation_budget;
+        if !(0.0..=1.0).contains(&budget) {
+            let detail = format!("mitigation_budget {budget} is outside [0, 1]");
+            return Err(PondError::InvalidConfig { detail });
+        }
         let topology = PoolTopology::pond_with_capacity(config.pool_sockets, config.pool_capacity)?;
-        let monitor = QosMonitor::new(policy.sensitivity_model().clone());
         let hosts: Vec<HostMemory> = (0..config.hosts)
             .map(|_| HostMemory::new(config.local_dram_per_host, config.hypervisor_private))
             .collect();
@@ -316,13 +322,11 @@ impl PondControlPlane {
             hosts.iter().enumerate().map(|(i, h)| (h.local_free(), Reverse(i))).collect();
         let host_touched = vec![false; hosts.len()];
         Ok(PondControlPlane {
-            mitigation: MitigationManager::new(config.mitigation_budget),
+            mitigation: MitigationManager::new(budget),
             pool: PondPoolManager::new(&topology),
             telemetry: HypervisorTelemetry::default(),
-            suite: WorkloadSuite::standard(),
             hosts,
             policy,
-            monitor,
             running: BTreeMap::new(),
             rejected: 0,
             pinned_slices: 0,
@@ -566,11 +570,7 @@ impl PondControlPlane {
         // the sites that force a pool-peak resample.
         self.pool_dirty = true;
 
-        let workload = self
-            .suite
-            .at(request.workload_index % self.suite.len())
-            .expect("workload index is taken modulo the suite size")
-            .clone();
+        let workload = self.policy.workload(request.workload_index).clone();
         let vm = VirtualMachine::launch(
             request.id,
             VmConfig { cores: request.cores, memory: request.memory, pool_memory: pool },
@@ -925,7 +925,7 @@ impl PondControlPlane {
             let host = &mut self.hosts[host_index];
             let mitigated = if let Some(report) = self
                 .mitigation
-                .try_process(&self.monitor, &observation, host, &mut record.vm)
+                .try_process(self.policy.qos_monitor(), &observation, host, &mut record.vm)
                 .map_err(|e| PondError::Model { detail: e.to_string() })?
             {
                 // The freed pool capacity goes back to the Pool Manager once
@@ -1303,6 +1303,58 @@ mod tests {
         );
         source.assert_pool_conserved();
         dest.assert_pool_conserved();
+    }
+
+    #[test]
+    fn clones_of_one_policy_share_the_trained_half_but_not_completions() {
+        // Two planes built from clones of one trained policy read one copy
+        // of the models, the suite and the seeded history, but a completion
+        // recorded on one plane feeds that plane's history alone.
+        let (trace, mut recorder) = setup();
+        let bystander =
+            PondControlPlane::with_policy(recorder.config().clone(), recorder.policy().clone())
+                .unwrap();
+        let request = trace
+            .requests
+            .iter()
+            .find(|r| recorder.handle_request(r, Duration::from_secs(r.arrival)).is_ok())
+            .expect("a placement");
+        let customer = request.customer;
+        let bits = |plane: &PondControlPlane| {
+            let history = plane.policy().history();
+            (history.count(customer), history.percentiles(customer).map(|p| p.map(f64::to_bits)))
+        };
+        let before = bits(&bystander);
+        assert_eq!(bits(&recorder), before, "both start from the same seeded history");
+
+        let _ = recorder.handle_departure_split(VmId(request.id), Duration::from_secs(2_000));
+        assert_eq!(recorder.policy().history().count(customer), before.0 + 1);
+        assert_eq!(bits(&bystander), before, "another plane's completion is not this plane's");
+        assert!(recorder.policy().shares_trained_with(bystander.policy()));
+    }
+
+    fn with_budget(budget: f64) -> Result<PondControlPlane, PondError> {
+        let (_, plane) = setup();
+        let config = ControlPlaneConfig { mitigation_budget: budget, ..plane.config().clone() };
+        PondControlPlane::with_policy(config, plane.policy().clone())
+    }
+
+    #[test]
+    fn a_nan_mitigation_budget_is_an_error() {
+        assert!(matches!(with_budget(f64::NAN), Err(PondError::InvalidConfig { .. })));
+    }
+
+    #[test]
+    fn a_mitigation_budget_above_one_is_an_error() {
+        let error = with_budget(1.5).unwrap_err();
+        assert!(matches!(error, PondError::InvalidConfig { .. }), "{error}");
+        assert!(error.to_string().contains("mitigation_budget 1.5"), "{error}");
+    }
+
+    #[test]
+    fn a_negative_mitigation_budget_is_an_error() {
+        assert!(matches!(with_budget(-0.1), Err(PondError::InvalidConfig { .. })));
+        assert!(with_budget(0.0).is_ok() && with_budget(1.0).is_ok(), "the ends are valid");
     }
 
     #[test]

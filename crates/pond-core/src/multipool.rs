@@ -663,17 +663,17 @@ impl Relocation {
 /// Replays a trace through N pool groups on one time-ordered event queue and
 /// returns per-group and fleet-wide outcomes.
 ///
-/// The prediction models are trained once and cloned into every group's
-/// control plane (each group then learns its own online customer history
-/// from the departures it sees).
+/// The prediction models are trained once and shared by every group's
+/// control plane, with the training prefix's customer history; each group
+/// adds only the completions of the departures it sees.
 ///
 /// # Errors
 ///
 /// Propagates topology/construction failures and any error other than the
 /// expected placement failures. A lifecycle operation naming a group the
 /// fleet does not have is [`CxlError::InvalidGroupTopology`]; a drill rate
-/// that is not finite and >= 0, or a rebalance fraction outside [0, 1], is
-/// [`PondError::InvalidConfig`]; a second live VM with one id is
+/// that is not finite and >= 0, or a rebalance fraction or mitigation budget
+/// outside [0, 1], is [`PondError::InvalidConfig`]; a second live VM with one id is
 /// [`PondError::TraceStream`].
 pub fn run_multipool_fleet(
     trace: &ClusterTrace,
@@ -801,13 +801,11 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
             pool_capacity: topology.pool(g).total_capacity(),
             ..config.control.clone()
         };
-        // Every plane but the last learns from a clone of the trained
-        // policy; the last takes the policy itself.
-        let mut planes = Vec::with_capacity(groups);
-        for g in 0..groups - 1 {
-            planes.push(PondControlPlane::with_policy(group_config(g), policy.clone())?);
-        }
-        planes.push(PondControlPlane::with_policy(group_config(groups - 1), policy)?);
+        // Every plane learns from its own clone of the trained policy; the
+        // clones share the models, the suite and the training history.
+        let planes = (0..groups)
+            .map(|g| PondControlPlane::with_policy(group_config(g), policy.clone()))
+            .collect::<Result<Vec<_>, _>>()?;
         let host_peaks: Vec<Vec<Bytes>> =
             planes.iter().map(|p| vec![Bytes::ZERO; p.hosts().len()]).collect();
 
@@ -2239,6 +2237,18 @@ mod tests {
         let cfg = config(PodStyle::Octopus, 4, GroupSchedulerKind::RoundRobin)
             .with_rebalance(RebalanceSpec { starved_fraction, max_moves_per_pass: 4 });
         run_multipool_fleet(&small_trace(), &cfg)
+    }
+
+    #[test]
+    fn a_mitigation_budget_outside_the_unit_interval_is_an_error() {
+        let trace = small_trace();
+        let mut cfg = config(PodStyle::Octopus, 4, GroupSchedulerKind::RoundRobin);
+        let policy = PondPolicy::train(&trace, &cfg.control.policy, cfg.seed);
+        for budget in [f64::NAN, 1.5, -0.1] {
+            cfg.control.mitigation_budget = budget;
+            let result = run_multipool_source(TraceCursor::new(&trace), &cfg, policy.clone());
+            assert!(is_invalid_config(result), "budget {budget}");
+        }
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! experiments.
 
 use crate::error::PondError;
+use crate::qos::QosMonitor;
 use crate::sensitivity::{SensitivityModel, SensitivityModelConfig};
 use crate::untouched::{CustomerHistory, UntouchedMemoryModel, UntouchedModelConfig};
 use cluster_sim::scheduler::MemoryPolicy;
@@ -24,8 +25,9 @@ use cxl_hw::latency::LatencyScenario;
 use cxl_hw::units::Bytes;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use workload_model::telemetry::TelemetrySampler;
-use workload_model::WorkloadSuite;
+use workload_model::{WorkloadProfile, WorkloadSuite};
 
 /// Configuration of the full Pond policy.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -85,16 +87,35 @@ impl PolicyStats {
 }
 
 /// The trained Pond policy.
+///
+/// Training builds a read-only half once — both models, the workload suite,
+/// the telemetry sampler, and the training prefix's customer history and
+/// per-customer workload sets — and every clone shares it by reference
+/// count. A clone owns only the completions recorded on it since and its
+/// [`PolicyStats`], so a fleet replay hands each pod a clone for the price
+/// of its own completions.
 #[derive(Debug, Clone)]
 pub struct PondPolicy {
-    config: PondPolicyConfig,
-    sensitivity: SensitivityModel,
-    untouched: UntouchedMemoryModel,
+    trained: Arc<TrainedPolicy>,
+    /// The training prefix's history, shared as the history's seed run,
+    /// plus this copy's completions.
     history: CustomerHistory,
+    /// Workloads customers completed on this copy since training.
+    workload_history: BTreeMap<CustomerId, BTreeSet<usize>>,
+    stats: PolicyStats,
+}
+
+/// The read-only half of a [`PondPolicy`], shared by all its clones.
+#[derive(Debug)]
+struct TrainedPolicy {
+    config: PondPolicyConfig,
+    /// The sensitivity forest, in the QoS monitor that also serves it.
+    monitor: QosMonitor,
+    untouched: UntouchedMemoryModel,
+    /// The workloads each customer ran in the training prefix.
     workload_history: BTreeMap<CustomerId, BTreeSet<usize>>,
     suite: WorkloadSuite,
     sampler: TelemetrySampler,
-    stats: PolicyStats,
 }
 
 impl PondPolicy {
@@ -202,20 +223,23 @@ impl PondPolicy {
         }
 
         PondPolicy {
-            config: config.clone(),
-            sensitivity,
-            untouched,
-            history,
-            workload_history,
-            suite,
-            sampler: TelemetrySampler::default(),
+            trained: Arc::new(TrainedPolicy {
+                config: config.clone(),
+                monitor: QosMonitor::new(sensitivity),
+                untouched,
+                workload_history,
+                suite,
+                sampler: TelemetrySampler::default(),
+            }),
+            history: history.into_shared(),
+            workload_history: BTreeMap::new(),
             stats: PolicyStats::default(),
         }
     }
 
     /// The policy's configuration.
     pub fn config(&self) -> &PondPolicyConfig {
-        &self.config
+        &self.trained.config
     }
 
     /// Decision statistics accumulated so far.
@@ -225,18 +249,42 @@ impl PondPolicy {
 
     /// The trained sensitivity model.
     pub fn sensitivity_model(&self) -> &SensitivityModel {
-        &self.sensitivity
+        self.trained.monitor.sensitivity()
     }
 
     /// The trained untouched-memory model.
     pub fn untouched_model(&self) -> &UntouchedMemoryModel {
-        &self.untouched
+        &self.trained.untouched
+    }
+
+    /// The QoS monitor around the trained sensitivity model: the control
+    /// plane's mitigation passes consult the same shared forest the
+    /// arrival-time decision does.
+    pub(crate) fn qos_monitor(&self) -> &QosMonitor {
+        &self.trained.monitor
+    }
+
+    /// The workload suite entry a request's workload index names (taken
+    /// modulo the suite size).
+    pub(crate) fn workload(&self, workload_index: usize) -> &WorkloadProfile {
+        let suite = &self.trained.suite;
+        suite
+            .at(workload_index % suite.len())
+            .expect("workload index is taken modulo the suite size")
+    }
+
+    /// Whether both policies read one trained half and one seed history.
+    #[cfg(test)]
+    pub(crate) fn shares_trained_with(&self, other: &PondPolicy) -> bool {
+        Arc::ptr_eq(&self.trained, &other.trained) && self.history.shares_seed_with(&other.history)
     }
 
     /// The per-customer completion history feeding the online untouched
-    /// predictions. Exposed so tests can pin exactly how many observations
-    /// a customer fed back — e.g. that a drained VM which later departs
-    /// normally records exactly one completion.
+    /// predictions: the training prefix's observations, shared with every
+    /// clone, plus the completions recorded on this copy. Exposed so tests
+    /// can pin exactly how many observations a customer fed back — e.g. that
+    /// a drained VM which later departs normally records exactly one
+    /// completion.
     pub fn history(&self) -> &CustomerHistory {
         &self.history
     }
@@ -256,25 +304,22 @@ impl PondPolicy {
         // "Workload history" means the same customer has run this workload
         // before (the paper matches on customer id, VM type, and workload
         // name); only then does Pond trust a sensitivity prediction.
-        let has_history = self
-            .workload_history
-            .get(&request.customer)
-            .is_some_and(|seen| seen.contains(&request.workload_index));
-        if has_history {
-            let workload = self
-                .suite
-                .at(request.workload_index % self.suite.len())
-                .expect("workload index is taken modulo the suite size");
-            let counters = self.sampler.sample(workload, request.id);
+        let trained = &*self.trained;
+        let ran = |workloads: &BTreeMap<CustomerId, BTreeSet<usize>>| {
+            workloads.get(&request.customer).is_some_and(|w| w.contains(&request.workload_index))
+        };
+        if ran(&trained.workload_history) || ran(&self.workload_history) {
+            let counters =
+                trained.sampler.sample(self.workload(request.workload_index), request.id);
             let insensitive = self
-                .sensitivity
+                .sensitivity_model()
                 .try_is_insensitive(&counters)
                 .map_err(|e| PondError::Model { detail: e.to_string() })?;
             if insensitive {
                 return Ok(PondDecision::FullyPool);
             }
         }
-        let pool = self
+        let pool = trained
             .untouched
             .try_pool_memory(request, &self.history)
             .map_err(|e| PondError::Model { detail: e.to_string() })?;
@@ -291,7 +336,8 @@ impl PondPolicy {
     /// Feeds one completed VM back into the policy's online state: its
     /// measured untouched fraction extends the customer's history (used by
     /// the untouched-memory features) and the workload joins the customer's
-    /// known-workload set (which gates the fully-pool path).
+    /// known-workload set (which gates the fully-pool path). Both land in
+    /// this copy's own half: clones sharing the trained half do not see it.
     ///
     /// [`MemoryPolicy::observe_outcome`] delegates here; the control plane
     /// calls it directly on VM departure, when the access-bit scans have

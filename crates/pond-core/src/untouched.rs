@@ -13,21 +13,35 @@ use pond_ml::dataset::Dataset;
 use pond_ml::gbm::{GbmConfig, GradientBoostedTrees};
 use pond_ml::MlError;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+
+/// One run of untouched fractions per customer, sorted ascending with the
+/// later observation first among equal values.
+type Runs = BTreeMap<CustomerId, Vec<f64>>;
 
 /// Per-customer record of previously observed untouched-memory fractions.
 ///
-/// Each customer's observations are kept sorted as they arrive (one binary
-/// insertion per completed VM), so the percentile features read at every
-/// scheduling decision are O(1) lookups instead of a clone-and-sort of the
-/// customer's whole history — on long traces a popular customer accumulates
-/// thousands of observations and that sort used to dominate arrival cost.
+/// Each customer's observations sit in two sorted runs: a *seed* run that
+/// every clone shares through an `Arc` (a trained policy seeds it once from
+/// its training prefix), and an *own* run of the observations
+/// [`CustomerHistory::record`] added to this copy since, one binary
+/// insertion each. So every pod of a fleet replay reads one copy of the
+/// training history and owns only the completions it saw.
+///
+/// The two runs read as one sorted sequence in which equal values keep
+/// their arrival order reversed: own before seed, and the later observation
+/// first within a run. That is exactly the order one sorted `Vec` with
+/// insert-before-equal would hold, so the percentile features — each a rank
+/// select over the two runs, O(log n) — and `==` (equal merged sequences,
+/// however they are split) are unchanged by the split.
 ///
 /// The history grows with the trace: it is the one trace-length memory term
 /// in a streamed replay.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct CustomerHistory {
-    observations: BTreeMap<CustomerId, Vec<f64>>,
+    seed: Arc<Runs>,
+    own: Runs,
 }
 
 impl CustomerHistory {
@@ -37,17 +51,38 @@ impl CustomerHistory {
     }
 
     /// Records the untouched fraction observed for a completed VM,
-    /// maintaining the customer's observations in sorted order.
+    /// maintaining the customer's own run in sorted order.
     pub fn record(&mut self, customer: CustomerId, untouched_fraction: f64) {
         let value = untouched_fraction.clamp(0.0, 1.0);
-        let values = self.observations.entry(customer).or_default();
+        let values = self.own.entry(customer).or_default();
         let at = values.partition_point(|&v| v < value);
         values.insert(at, value);
     }
 
+    /// The same history with every observation in the shared seed run, so
+    /// its clones share them instead of copying them. Counts, percentiles
+    /// and `==` are unchanged.
+    pub(crate) fn into_shared(self) -> Self {
+        let mut seed = Arc::unwrap_or_clone(self.seed);
+        for (customer, own) in self.own {
+            let run = seed.entry(customer).or_default();
+            *run = merged(&own, run).collect();
+        }
+        CustomerHistory { seed: Arc::new(seed), own: Runs::new() }
+    }
+
+    /// The customer's own and seed runs (empty when it has none).
+    fn runs(&self, customer: CustomerId) -> (&[f64], &[f64]) {
+        fn run(runs: &Runs, customer: CustomerId) -> &[f64] {
+            runs.get(&customer).map_or(&[], Vec::as_slice)
+        }
+        (run(&self.own, customer), run(&self.seed, customer))
+    }
+
     /// Number of observations for a customer.
     pub fn count(&self, customer: CustomerId) -> usize {
-        self.observations.get(&customer).map_or(0, Vec::len)
+        let (own, seed) = self.runs(customer);
+        own.len() + seed.len()
     }
 
     /// Whether the customer has any history at all.
@@ -59,15 +94,84 @@ impl CustomerHistory {
     /// fractions (Figure 14 lists these as the model's key features).
     /// Returns `None` when the customer has no history.
     pub fn percentiles(&self, customer: CustomerId) -> Option<[f64; 5]> {
-        let sorted = self.observations.get(&customer)?;
-        if sorted.is_empty() {
-            return None;
-        }
-        let pick = |q: f64| {
-            let pos = (q * (sorted.len() - 1) as f64).round() as usize;
-            sorted[pos]
-        };
+        let (own, seed) = self.runs(customer);
+        let last = (own.len() + seed.len()).checked_sub(1)?;
+        let pick = |q: f64| select(own, seed, (q * last as f64).round() as usize);
         Some([pick(0.0), pick(0.25), pick(0.5), pick(0.75), pick(1.0)])
+    }
+
+    /// Whether `other` reads the same shared seed run (not merely an equal
+    /// one).
+    #[cfg(test)]
+    pub(crate) fn shares_seed_with(&self, other: &CustomerHistory) -> bool {
+        Arc::ptr_eq(&self.seed, &other.seed)
+    }
+}
+
+impl PartialEq for CustomerHistory {
+    fn eq(&self, other: &Self) -> bool {
+        let customers =
+            |h: &Self| h.seed.keys().chain(h.own.keys()).copied().collect::<BTreeSet<_>>();
+        let mine = customers(self);
+        mine == customers(other)
+            && mine.into_iter().all(|c| {
+                let ((a_own, a_seed), (b_own, b_seed)) = (self.runs(c), other.runs(c));
+                merged(a_own, a_seed).eq(merged(b_own, b_seed))
+            })
+    }
+}
+
+/// The two runs as one sorted sequence, `own` first among equal values.
+fn merged<'a>(own: &'a [f64], seed: &'a [f64]) -> impl Iterator<Item = f64> + 'a {
+    let (mut i, mut j) = (0, 0);
+    std::iter::from_fn(move || {
+        let take_own = i < own.len() && (j == seed.len() || own[i] <= seed[j]);
+        let next = *if take_own { own.get(i) } else { seed.get(j) }?;
+        if take_own {
+            i += 1;
+        } else {
+            j += 1;
+        }
+        Some(next)
+    })
+}
+
+/// The value at 0-based `rank` of [`merged`]`(own, seed)`, without merging:
+/// O(log n). `rank` must be below the runs' total length.
+fn select(own: &[f64], seed: &[f64], rank: usize) -> f64 {
+    // With one run empty, the other is the sequence.
+    if own.is_empty() {
+        return seed[rank];
+    }
+    if seed.is_empty() {
+        return own[rank];
+    }
+    // Of an own value and a seed value, the one merged later.
+    let later = |own: f64, seed: f64| if own <= seed { seed } else { own };
+    // The ends are the runs' ends.
+    if rank == 0 {
+        return if own[0] <= seed[0] { own[0] } else { seed[0] };
+    }
+    if rank == own.len() + seed.len() - 1 {
+        return later(own[own.len() - 1], seed[seed.len() - 1]);
+    }
+    // Of the first `taken` merged values, `i` come from `own`: the most for
+    // which `own[i - 1]` still precedes `seed[taken - i]`.
+    let taken = rank + 1;
+    let (mut lo, mut hi) = (taken.saturating_sub(seed.len()), taken.min(own.len()));
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if own[mid] <= seed[taken - 1 - mid] {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    let (i, j) = (lo, taken - lo);
+    match (i, j) {
+        (0, _) => seed[j - 1],
+        (_, 0) => own[i - 1],
+        _ => later(own[i - 1], seed[j - 1]),
     }
 }
 
@@ -324,6 +428,146 @@ pub fn replay_history(requests: &[VmRequest]) -> CustomerHistory {
 mod tests {
     use super::*;
     use cluster_sim::tracegen::{ClusterConfig, TraceGenerator};
+    use proptest::prelude::*;
+
+    /// The single-run history the two-run one replaced, kept as its oracle:
+    /// each customer's observations in one `Vec`, sorted by binary insertion
+    /// before equal values.
+    #[derive(Default)]
+    struct SortedHistory {
+        observations: BTreeMap<CustomerId, Vec<f64>>,
+    }
+
+    impl SortedHistory {
+        fn record(&mut self, customer: CustomerId, untouched_fraction: f64) {
+            let value = untouched_fraction.clamp(0.0, 1.0);
+            let values = self.observations.entry(customer).or_default();
+            let at = values.partition_point(|&v| v < value);
+            values.insert(at, value);
+        }
+
+        fn count(&self, customer: CustomerId) -> usize {
+            self.observations.get(&customer).map_or(0, Vec::len)
+        }
+
+        fn percentiles(&self, customer: CustomerId) -> Option<[f64; 5]> {
+            let sorted = self.observations.get(&customer)?;
+            if sorted.is_empty() {
+                return None;
+            }
+            let pick = |q: f64| {
+                let pos = (q * (sorted.len() - 1) as f64).round() as usize;
+                sorted[pos]
+            };
+            Some([pick(0.0), pick(0.25), pick(0.5), pick(0.75), pick(1.0)])
+        }
+    }
+
+    /// One generated observation: a customer out of three and a value drawn
+    /// mostly from a few ties (±0.0, 0.5, 1, out of range) or else uniform.
+    type Observation = (u32, u8, f64);
+
+    fn observation() -> impl Strategy<Value = Observation> {
+        (0u32..3, 0u8..10, 0.0f64..1.0)
+    }
+
+    fn value(&(_, kind, uniform): &Observation) -> f64 {
+        match kind {
+            0 => -0.0,
+            1 => 0.0,
+            2 | 3 => 0.5,
+            4 => 1.0,
+            5 => 1.5,
+            6 => -0.25,
+            _ => uniform,
+        }
+    }
+
+    /// The two-run history (`seed` shared, then `own` recorded) and the
+    /// oracle fed the same observations in the same order.
+    fn both(seed: &[Observation], own: &[Observation]) -> (CustomerHistory, SortedHistory) {
+        let (mut history, mut oracle) = (CustomerHistory::new(), SortedHistory::default());
+        for o in seed {
+            history.record(CustomerId(o.0), value(o));
+            oracle.record(CustomerId(o.0), value(o));
+        }
+        let mut history = history.into_shared();
+        for o in own {
+            history.record(CustomerId(o.0), value(o));
+            oracle.record(CustomerId(o.0), value(o));
+        }
+        (history, oracle)
+    }
+
+    /// `count` and all five percentiles, bit for bit, for every customer
+    /// (customer 3 never has history).
+    fn assert_matches_oracle(history: &CustomerHistory, oracle: &SortedHistory) {
+        let bits = |p: Option<[f64; 5]>| p.map(|p| p.map(f64::to_bits));
+        for customer in (0..4).map(CustomerId) {
+            assert_eq!(history.count(customer), oracle.count(customer), "{customer:?}");
+            assert_eq!(
+                bits(history.percentiles(customer)),
+                bits(oracle.percentiles(customer)),
+                "{customer:?}"
+            );
+        }
+    }
+
+    proptest! {
+        /// Any split of the observations into a shared seed run and an own
+        /// run reads exactly like the one sorted run, at every step of the
+        /// own run; sharing a split history again changes nothing, and `==`
+        /// sees only the merged content.
+        #[test]
+        fn the_two_run_history_matches_one_sorted_run(
+            seed in proptest::collection::vec(observation(), 0..40),
+            own in proptest::collection::vec(observation(), 0..40),
+        ) {
+            for step in 0..=own.len() {
+                let (history, oracle) = both(&seed, &own[..step]);
+                assert_matches_oracle(&history, &oracle);
+            }
+            let (history, oracle) = both(&seed, &own);
+            let all: Vec<Observation> = seed.iter().chain(&own).copied().collect();
+            let (unshared, _) = both(&[], &all);
+            prop_assert!(history == unshared);
+            let shared = history.clone().into_shared();
+            assert_matches_oracle(&shared, &oracle);
+            prop_assert!(shared == history);
+        }
+    }
+
+    #[test]
+    fn an_empty_run_on_either_side_reads_the_other_directly() {
+        let seed = [(0, 7, 0.3), (0, 2, 0.0), (0, 7, 0.1)];
+        for (seed, own) in [(&seed[..], &[][..]), (&[][..], &seed[..]), (&[][..], &[][..])] {
+            let (history, oracle) = both(seed, own);
+            assert_matches_oracle(&history, &oracle);
+        }
+    }
+
+    #[test]
+    fn a_single_observation_is_every_percentile() {
+        for (seed, own) in [(&[(1, 7, 0.3)][..], &[][..]), (&[][..], &[(1, 7, 0.3)][..])] {
+            let (history, oracle) = both(seed, own);
+            assert_eq!(history.percentiles(CustomerId(1)), Some([0.3; 5]));
+            assert_matches_oracle(&history, &oracle);
+        }
+    }
+
+    #[test]
+    fn a_signed_zero_tie_across_the_runs_puts_the_own_zero_first() {
+        // ±0.0 compare equal, so the later (own) observation sorts first:
+        // p0 is the own run's zero and p100 the seed's.
+        let (neg, pos) = ((0, 0, 0.0), (0, 1, 0.0));
+        for (seed, own) in [(neg, pos), (pos, neg)] {
+            let (history, oracle) = both(&[seed], &[own]);
+            let p = history.percentiles(CustomerId(0)).unwrap();
+            assert_eq!(p[0].to_bits(), value(&own).to_bits());
+            assert_eq!(p[4].to_bits(), value(&seed).to_bits());
+            assert_matches_oracle(&history, &oracle);
+        }
+    }
 
     fn requests() -> Vec<VmRequest> {
         // A mid-sized trace: enough VMs (~1000) for the GBM to learn the

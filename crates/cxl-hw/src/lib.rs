@@ -56,7 +56,7 @@ pub mod units;
 
 pub use error::CxlError;
 pub use latency::{Latency, LatencyModel};
-pub use pool::{PoolEvent, PoolState};
+pub use pool::PoolState;
 pub use slice::{SliceId, SliceState};
 pub use topology::{PodStyle, PoolGroupTopology, PoolTopology};
 pub use units::{Bytes, HostId, SocketId};

@@ -48,64 +48,6 @@ impl SliceLease {
     }
 }
 
-/// Control-plane events emitted by the pool, mirroring the interrupt flows in
-/// §4.2 ("Add_capacity(host, slice)" / "Release_capacity(host, slice)").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum PoolEvent {
-    /// A slice was assigned to a host; the host driver should online it.
-    AddCapacity {
-        /// The receiving host.
-        host: HostId,
-        /// The slice that was assigned.
-        slice: PoolSlice,
-    },
-    /// A slice release was requested; the host driver should offline it.
-    ReleaseCapacity {
-        /// The releasing host.
-        host: HostId,
-        /// The slice being released.
-        slice: PoolSlice,
-    },
-    /// A release completed and the slice returned to the free pool.
-    ReleaseCompleted {
-        /// The host that released the slice.
-        host: HostId,
-        /// The slice that was freed.
-        slice: PoolSlice,
-    },
-    /// A host's last slice on an EMC was freed, so its CXL port was released
-    /// for another host (the detach half of the port lifecycle).
-    PortDetached {
-        /// The host whose port was released.
-        host: HostId,
-        /// The EMC the port belonged to.
-        emc: EmcId,
-    },
-    /// An EMC failed: its capacity left the pool, its live slice ownerships
-    /// were torn down, and its ports were released (dead, not reusable).
-    EmcFailed {
-        /// The EMC that failed.
-        emc: EmcId,
-        /// Slices that were owned (assigned or mid-release) when it died.
-        slices_lost: u64,
-    },
-    /// A failed EMC was repaired (replaced): its capacity rejoined the pool
-    /// empty — all slices free, all ports available.
-    EmcRepaired {
-        /// The EMC that came back.
-        emc: EmcId,
-        /// The capacity that rejoined the pool.
-        capacity: Bytes,
-    },
-    /// A new EMC was attached to the pool live (capacity expansion).
-    EmcAttached {
-        /// The id the new EMC was given.
-        emc: EmcId,
-        /// The capacity it added.
-        capacity: Bytes,
-    },
-}
-
 /// Lifecycle state of one pool group, ordered by operational health à la
 /// mayastor's `Online > Degraded > Faulted` pool states: an [`Online`]
 /// group accepts placements, a [`Draining`] group is being gracefully
@@ -233,7 +175,6 @@ impl TransitionTiming {
 pub struct PoolState {
     emcs: BTreeMap<EmcId, Emc>,
     timing: TransitionTiming,
-    events: Vec<PoolEvent>,
 }
 
 impl PoolState {
@@ -247,7 +188,7 @@ impl PoolState {
             .enumerate()
             .map(|(i, cfg)| (EmcId(i as u16), Emc::new(EmcId(i as u16), cfg)))
             .collect();
-        PoolState { emcs, timing: TransitionTiming::default(), events: Vec::new() }
+        PoolState { emcs, timing: TransitionTiming::default() }
     }
 
     /// Builds pool state matching a [`PoolTopology`].
@@ -321,11 +262,6 @@ impl PoolState {
         self.emcs.values().map(|e| e.capacity_of(host)).sum()
     }
 
-    /// Drains the event log accumulated since the last call.
-    pub fn drain_events(&mut self) -> Vec<PoolEvent> {
-        std::mem::take(&mut self.events)
-    }
-
     /// Assigns `amount` (rounded up to whole slices) to `host`.
     ///
     /// To minimize the blast radius of an EMC failure, the allocation is
@@ -335,8 +271,7 @@ impl PoolState {
     /// are all held by *other* hosts is exhausted from this host's view even
     /// if slices are free.
     ///
-    /// Returns the assigned slices and records one
-    /// [`PoolEvent::AddCapacity`] per slice.
+    /// Returns the assigned slices.
     ///
     /// # Errors
     ///
@@ -377,11 +312,7 @@ impl PoolState {
                 continue;
             }
             let slices = emc.assign_slices(host, take)?;
-            for slice in slices {
-                let ps = PoolSlice { emc: emc_id, slice };
-                self.events.push(PoolEvent::AddCapacity { host, slice: ps });
-                assigned.push(ps);
-            }
+            assigned.extend(slices.into_iter().map(|slice| PoolSlice { emc: emc_id, slice }));
             remaining -= take;
         }
         debug_assert_eq!(remaining, 0, "free capacity was checked up front");
@@ -406,7 +337,6 @@ impl PoolState {
         for ps in slices {
             let emc = self.emcs.get_mut(&ps.emc).ok_or(CxlError::UnknownEmc { emc: ps.emc })?;
             emc.begin_release(host, ps.slice)?;
-            self.events.push(PoolEvent::ReleaseCapacity { host, slice: *ps });
         }
         Ok(self.timing.offline_time_max(Bytes::from_gib(slices.len() as u64)))
     }
@@ -422,7 +352,6 @@ impl PoolState {
         for ps in slices {
             let emc = self.emcs.get_mut(&ps.emc).ok_or(CxlError::UnknownEmc { emc: ps.emc })?;
             emc.complete_release(host, ps.slice)?;
-            self.events.push(PoolEvent::ReleaseCompleted { host, slice: *ps });
         }
         let touched: std::collections::BTreeSet<EmcId> = slices.iter().map(|ps| ps.emc).collect();
         for emc_id in touched {
@@ -433,11 +362,10 @@ impl PoolState {
 
     /// Detaches the host's port on `emc_id` if the host no longer owns any
     /// slice there (assigned or mid-release — [`Emc::detach_host`] refuses
-    /// otherwise), recording a [`PoolEvent::PortDetached`].
+    /// otherwise).
     fn detach_if_idle(&mut self, host: HostId, emc_id: EmcId) {
-        let Some(emc) = self.emcs.get_mut(&emc_id) else { return };
-        if emc.detach_host(host).unwrap_or(false) {
-            self.events.push(PoolEvent::PortDetached { host, emc: emc_id });
+        if let Some(emc) = self.emcs.get_mut(&emc_id) {
+            let _ = emc.detach_host(host);
         }
     }
 
@@ -447,8 +375,7 @@ impl PoolState {
     /// ownerships come back in the report so the layers above can map the
     /// blast radius to VMs and prune their own in-flight state.
     ///
-    /// Records one [`PoolEvent::EmcFailed`]. Idempotent: failing a dead EMC
-    /// loses nothing.
+    /// Idempotent: failing a dead EMC loses nothing.
     ///
     /// # Errors
     ///
@@ -461,7 +388,6 @@ impl PoolState {
             .into_iter()
             .map(|(host, slice)| (host, PoolSlice { emc: emc_id, slice }))
             .collect();
-        self.events.push(PoolEvent::EmcFailed { emc: emc_id, slices_lost: lost.len() as u64 });
         Ok(EmcFailureReport { emc: emc_id, lost, ports_lost })
     }
 
@@ -473,31 +399,21 @@ impl PoolState {
     /// `free_capacity` and `live_capacity` grow by, keeping the
     /// free + pending + pinned = live conservation identity intact.
     ///
-    /// Records one [`PoolEvent::EmcRepaired`]. Idempotent: repairing a
-    /// healthy EMC restores [`Bytes::ZERO`] and records nothing.
+    /// Idempotent: repairing a healthy EMC restores [`Bytes::ZERO`].
     ///
     /// # Errors
     ///
     /// Returns [`CxlError::UnknownEmc`] when the EMC does not exist.
     pub fn restore_emc(&mut self, emc_id: EmcId) -> Result<Bytes, CxlError> {
         let emc = self.emcs.get_mut(&emc_id).ok_or(CxlError::UnknownEmc { emc: emc_id })?;
-        if !emc.repair() {
-            return Ok(Bytes::ZERO);
-        }
-        let capacity = emc.capacity();
-        self.events.push(PoolEvent::EmcRepaired { emc: emc_id, capacity });
-        Ok(capacity)
+        Ok(if emc.repair() { emc.capacity() } else { Bytes::ZERO })
     }
 
     /// Attaches a brand-new EMC to the pool live (capacity expansion): the
     /// device gets the next unused id and joins with its full capacity free.
-    /// Records one [`PoolEvent::EmcAttached`].
     pub fn attach_emc(&mut self, config: EmcConfig) -> EmcId {
         let id = EmcId(self.emcs.keys().next_back().map_or(0, |last| last.0 + 1));
-        let emc = Emc::new(id, config);
-        let capacity = emc.capacity();
-        self.emcs.insert(id, emc);
-        self.events.push(PoolEvent::EmcAttached { emc: id, capacity });
+        self.emcs.insert(id, Emc::new(id, config));
         id
     }
 
@@ -509,12 +425,6 @@ impl PoolState {
         for emc_id in emc_ids {
             let slices = self.emcs.get_mut(&emc_id).expect("known id").release_all(host);
             reclaimed += slices.len() as u64;
-            for slice in slices {
-                self.events.push(PoolEvent::ReleaseCompleted {
-                    host,
-                    slice: PoolSlice { emc: emc_id, slice },
-                });
-            }
             self.detach_if_idle(host, emc_id);
         }
         reclaimed
@@ -537,12 +447,23 @@ impl PoolState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slice::SliceState;
     use proptest::prelude::*;
 
     fn pool_8x16() -> PoolState {
         // 8-socket pool with 16 GiB total capacity.
         let topo = PoolTopology::pond_with_capacity(8, Bytes::from_gib(16)).unwrap();
         PoolState::from_topology(&topo)
+    }
+
+    /// The permission-table entry of one pool slice.
+    fn state_of(pool: &PoolState, ps: PoolSlice) -> SliceState {
+        pool.emc(ps.emc).unwrap().permission_table().get(ps.slice).unwrap()
+    }
+
+    /// The hosts holding a CXL port on `emc`.
+    fn ports_of(pool: &PoolState, emc: EmcId) -> Vec<HostId> {
+        pool.emc(emc).unwrap().attached_hosts().to_vec()
     }
 
     #[test]
@@ -557,7 +478,8 @@ mod tests {
     fn add_capacity_zero_is_a_noop() {
         let mut pool = pool_8x16();
         assert!(pool.add_capacity(HostId(0), Bytes::ZERO).unwrap().is_empty());
-        assert!(pool.drain_events().is_empty());
+        assert_eq!(pool.assigned_capacity(), Bytes::ZERO);
+        assert!(ports_of(&pool, EmcId(0)).is_empty(), "no slice, no port");
     }
 
     #[test]
@@ -585,18 +507,21 @@ mod tests {
 
     #[test]
     fn events_record_the_figure9_flow() {
+        // Each step of Figure 9's flow leaves its mark on the slice and port
+        // state: Add_capacity assigns the slice and attaches the host,
+        // Release_capacity starts offlining it, the completion frees it.
         let mut pool = pool_8x16();
         let slices = pool.add_capacity(HostId(1), Bytes::from_gib(1)).unwrap();
+        let ps = slices[0];
+        assert_eq!(state_of(&pool, ps), SliceState::Assigned(HostId(1)));
+        assert_eq!(ports_of(&pool, ps.emc), [HostId(1)]);
         pool.begin_release(HostId(1), &slices).unwrap();
+        assert_eq!(state_of(&pool, ps), SliceState::Releasing(HostId(1)));
+        assert_eq!(ports_of(&pool, ps.emc), [HostId(1)], "offlining still holds the port");
         pool.complete_release(HostId(1), &slices).unwrap();
-        let events = pool.drain_events();
-        assert_eq!(events.len(), 4);
-        assert!(matches!(events[0], PoolEvent::AddCapacity { host: HostId(1), .. }));
-        assert!(matches!(events[1], PoolEvent::ReleaseCapacity { host: HostId(1), .. }));
-        assert!(matches!(events[2], PoolEvent::ReleaseCompleted { host: HostId(1), .. }));
+        assert_eq!(state_of(&pool, ps), SliceState::Unassigned);
         // Releasing the host's last slice on the EMC frees its CXL port.
-        assert!(matches!(events[3], PoolEvent::PortDetached { host: HostId(1), .. }));
-        assert!(pool.drain_events().is_empty(), "drain consumes the log");
+        assert!(ports_of(&pool, ps.emc).is_empty());
     }
 
     #[test]
@@ -609,6 +534,7 @@ mod tests {
             c.ports = 2;
             c
         }));
+        assert_eq!(pool.emc_count(), 1);
         let mut held: std::collections::VecDeque<(HostId, Vec<PoolSlice>)> = Default::default();
         for h in 0..6u16 {
             let host = HostId(h);
@@ -618,14 +544,9 @@ mod tests {
                 let (old, old_slices) = held.pop_front().unwrap();
                 pool.begin_release(old, &old_slices).unwrap();
                 pool.complete_release(old, &old_slices).unwrap();
+                assert_eq!(ports_of(&pool, EmcId(0)), [host], "{old:?} gave its port back");
             }
         }
-        let detached = pool
-            .drain_events()
-            .iter()
-            .filter(|e| matches!(e, PoolEvent::PortDetached { .. }))
-            .count();
-        assert_eq!(detached, 5, "every drained host gave its port back");
     }
 
     #[test]
@@ -707,8 +628,10 @@ mod tests {
         assert_eq!(pool.live_capacity(), Bytes::from_gib(6));
         assert_eq!(pool.total_capacity(), Bytes::from_gib(8), "provisioned capacity is history");
         assert_eq!(pool.capacity_of(HostId(0)), Bytes::ZERO);
-        let events = pool.drain_events();
-        assert!(events.iter().any(|e| matches!(e, PoolEvent::EmcFailed { slices_lost: 2, .. })));
+        let emc = pool.emc(dead).unwrap();
+        assert!(emc.is_failed());
+        assert!(emc.attached_hosts().is_empty(), "a dead device holds no port");
+        assert!(emc.permission_table().iter().all(|(_, state)| state.is_free()));
         // Idempotent: the second failure loses nothing.
         assert!(pool.fail_emc(dead).unwrap().lost.is_empty());
         assert!(pool.fail_emc(EmcId(42)).is_err());
@@ -730,12 +653,13 @@ mod tests {
         // survives, and the capacity is all free.
         assert_eq!(pool.capacity_of(HostId(0)), Bytes::ZERO);
         assert_eq!(pool.free_capacity(), pool.live_capacity());
-        assert!(pool.drain_events().iter().any(
-            |e| matches!(e, PoolEvent::EmcRepaired { capacity, .. } if *capacity == restored)
-        ));
-        // Idempotent: repairing a healthy EMC restores nothing.
+        assert!(!pool.emc(dead).unwrap().is_failed());
+        assert!(ports_of(&pool, dead).is_empty(), "every port comes back free");
+        // Idempotent: repairing a healthy EMC restores nothing and changes
+        // nothing.
         assert_eq!(pool.restore_emc(dead).unwrap(), Bytes::ZERO);
-        assert!(pool.drain_events().is_empty());
+        assert_eq!(pool.live_capacity(), pool.total_capacity());
+        assert_eq!(pool.free_capacity(), pool.live_capacity());
         assert!(pool.restore_emc(EmcId(42)).is_err());
         // The restored capacity is allocatable again.
         assert!(pool.add_capacity(HostId(1), Bytes::from_gib(8)).is_ok());
@@ -754,11 +678,9 @@ mod tests {
         assert_eq!(pool.total_capacity(), Bytes::from_gib(20));
         assert_eq!(pool.live_capacity(), Bytes::from_gib(20));
         assert_eq!(pool.free_capacity(), Bytes::from_gib(4));
-        assert!(pool
-            .drain_events()
-            .iter()
-            .any(|e| matches!(e, PoolEvent::EmcAttached { emc, capacity }
-                if *emc == id && *capacity == Bytes::from_gib(4))));
+        let emc = pool.emc(id).unwrap();
+        assert_eq!((emc.id(), emc.capacity()), (id, Bytes::from_gib(4)));
+        assert_eq!(emc.free_capacity(), emc.capacity(), "the new device joins empty");
         // The new capacity serves a previously-starved host.
         assert_eq!(pool.add_capacity(HostId(1), Bytes::from_gib(4)).unwrap().len(), 4);
         // Ids never collide, even after interleaved failures.

@@ -487,6 +487,13 @@ impl PoolGroupTopology {
         self.reach[borrower].iter().position(|&g| g == lender).map(|p| p as u32)
     }
 
+    /// The pods other than `lender` whose reach includes it, ascending: the
+    /// only pods that can hold a lease on `lender`'s slices, since a borrow
+    /// needs [`PoolGroupTopology::borrow_hops`] to be `Some`.
+    pub fn borrowers_of(&self, lender: usize) -> Vec<usize> {
+        (0..self.reach.len()).filter(|&g| g != lender && self.reach[g].contains(&lender)).collect()
+    }
+
     /// Added access latency of borrowed slices over home-pool slices: each
     /// ring hop crosses one extra switch stage (two CXL port traversals,
     /// arbitration, a NoC hop) on a retimed electrical segment, composed
@@ -512,9 +519,9 @@ impl PoolGroupTopology {
     ///
     /// # Panics
     ///
-    /// Panics when the offset identity overflows `u16` (a fleet of more
-    /// than ~32k hosts cannot express borrowed ports; the control plane
-    /// clamps host counts to `u16::MAX` already).
+    /// Panics when the offset identity overflows `u16`: a fleet of more
+    /// than 32,768 hosts cannot express borrowed ports, so the multipool
+    /// replay refuses such a fleet when borrowing is on.
     pub fn borrow_port_host(&self, borrower: usize, host: u16) -> HostId {
         let start: u32 = self.hosts_per_group[..borrower].iter().map(|&h| u32::from(h)).sum();
         let id = u32::from(self.host_count()) + start + u32::from(host);
@@ -692,6 +699,25 @@ mod tests {
         assert!(one > Latency::ZERO);
         assert!(two > one, "each ring hop adds a switch stage");
         assert!(topo.borrow_added_latency(0, 3).is_none());
+    }
+
+    #[test]
+    fn borrowers_of_lists_exactly_the_pods_that_reach_the_lender() {
+        let ring = PoolGroupTopology::k_regular(2, 4, 8, 16, Bytes::from_gib(64)).unwrap();
+        assert_eq!(ring.borrowers_of(0), [2, 3]);
+        assert_eq!(ring.borrowers_of(1), [0, 3]);
+        let octopus =
+            PoolGroupTopology::new(PodStyle::Octopus, 4, 8, 16, Bytes::from_gib(64)).unwrap();
+        let symmetric =
+            PoolGroupTopology::new(PodStyle::Symmetric, 4, 8, 16, Bytes::from_gib(64)).unwrap();
+        for topo in [&ring, &octopus, &symmetric] {
+            for lender in 0..4 {
+                let expected: Vec<usize> = (0..4)
+                    .filter(|&g| g != lender && topo.borrow_hops(g, lender).is_some())
+                    .collect();
+                assert_eq!(topo.borrowers_of(lender), expected, "{:?}", topo.style());
+            }
+        }
     }
 
     #[test]

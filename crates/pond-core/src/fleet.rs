@@ -613,8 +613,10 @@ pub fn run_fleet_with_policy(
 /// source cursor one at a time, departures live in an incremental per-second
 /// calendar, and every per-VM fact sits in a
 /// [`LiveVmArena`](crate::arena::LiveVmArena) slot that is
-/// recycled at departure — so replay memory is O(live VMs + hosts), not
-/// O(trace length). Bit-identical to the materialized replay on the same
+/// recycled at departure — so replay bookkeeping is O(live VMs + hosts),
+/// not O(trace length). The one term that grows with the trace is the
+/// policy's [`CustomerHistory`](crate::untouched::CustomerHistory): 8 B per
+/// completed VM. Bit-identical to the materialized replay on the same
 /// request stream: arrival ordinals feed the same simultaneous-departure
 /// tie-break the trace index used to.
 ///

@@ -673,8 +673,9 @@ impl Relocation {
 /// expected placement failures. A lifecycle operation naming a group the
 /// fleet does not have is [`CxlError::InvalidGroupTopology`]; a drill rate
 /// that is not finite and >= 0, or a rebalance fraction or mitigation budget
-/// outside [0, 1], is [`PondError::InvalidConfig`]; a second live VM with one id is
-/// [`PondError::TraceStream`].
+/// outside [0, 1], is [`PondError::InvalidConfig`], and so is a borrowing fleet
+/// of more than 32,768 hosts, whose borrowed-port host ids would overflow
+/// `u16`; a second live VM with one id is [`PondError::TraceStream`].
 pub fn run_multipool_fleet(
     trace: &ClusterTrace,
     config: &MultiPoolConfig,
@@ -687,9 +688,12 @@ pub fn run_multipool_fleet(
 /// already-trained policy: the sharded-replay twin of
 /// [`crate::fleet::run_fleet_source`]. Per-VM bookkeeping (current group,
 /// departure time, EMC blast-radius resolution) lives in a [`LiveVmArena`]
-/// whose slots are recycled at departure, so replay memory is
-/// O(live VMs + hosts + groups) regardless of trace length. Bit-identical
-/// to the materialized replay on the same request stream.
+/// whose slots are recycled at departure, and each pool keeps its slices'
+/// current owners, not a log of their moves, so the replay's bookkeeping
+/// is O(live VMs + hosts + groups) regardless of trace length. The one term
+/// that grows with the trace is the policy's
+/// [`CustomerHistory`](crate::untouched::CustomerHistory): 8 B per completed
+/// VM. Bit-identical to the materialized replay on the same request stream.
 ///
 /// # Errors
 ///
@@ -793,6 +797,19 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
                 let detail = format!("rebalance starved_fraction {fraction} is outside [0, 1]");
                 return Err(PondError::InvalidConfig { detail });
             }
+        }
+        // A borrow's port id is the fleet host count plus the borrower's
+        // fleet-wide host index, so the largest, 2 × hosts − 1, must fit a
+        // `HostId`.
+        let hosts = u32::from(config.control.hosts);
+        if config.borrowing && 2 * hosts > u32::from(u16::MAX) + 1 {
+            let detail = format!(
+                "a borrowing fleet of {hosts} hosts needs borrowed-port host ids up to {}, \
+                 past the largest host id {}",
+                2 * hosts - 1,
+                u16::MAX
+            );
+            return Err(PondError::InvalidConfig { detail });
         }
         let topology = config.group_topology()?;
         let groups = topology.group_count();
@@ -1069,10 +1086,11 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
         }
         // Split ownership widens the blast radius: slices this pool had lent
         // out died with the device too, degrading VMs homed in *other* pods.
-        // Each borrower pod strips the dead slices from its leases and
-        // evacuates the struck VMs through its own reachable ladder.
+        // Each pod that can borrow from the source (no other pod holds its
+        // leases) strips the dead slices from its leases and evacuates the
+        // struck VMs through its own reachable ladder.
         if self.config.borrowing {
-            for borrower in (0..self.planes.len()).filter(|&g| g != source) {
+            for borrower in self.topology.borrowers_of(source) {
                 let struck = self.planes.touch(borrower).strip_borrowed(source, emc);
                 if struck.is_empty() {
                     continue;
@@ -1134,7 +1152,7 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
         // draining pod no longer accepts, so it is excluded automatically),
         // and its lease flows back as a pending release here.
         if self.config.borrowing {
-            for borrower in (0..self.planes.len()).filter(|&g| g != group) {
+            for borrower in self.topology.borrowers_of(group) {
                 let leaning = self.planes[borrower].borrowers_of(group);
                 if leaning.is_empty() {
                     continue;
@@ -2237,6 +2255,35 @@ mod tests {
         let cfg = config(PodStyle::Octopus, 4, GroupSchedulerKind::RoundRobin)
             .with_rebalance(RebalanceSpec { starved_fraction, max_moves_per_pass: 4 });
         run_multipool_fleet(&small_trace(), &cfg)
+    }
+
+    #[test]
+    fn a_borrowing_fleet_too_large_for_port_ids_is_an_error() {
+        // A borrow's port id runs up to 2 × hosts − 1, so 32,768 hosts is
+        // the largest borrowing fleet. The replay refuses a larger one up
+        // front, even on a trace with no arrival that would borrow.
+        let shape = small_trace();
+        let cfg = config(PodStyle::Octopus, 4, GroupSchedulerKind::RoundRobin);
+        let policy = PondPolicy::train(&shape, &cfg.control.policy, cfg.seed);
+        let replay = |servers: u32, groups: u16, borrowing: bool| {
+            let empty = ClusterTrace {
+                servers,
+                requests: Vec::new(),
+                cluster_id: shape.cluster_id,
+                cores_per_server: shape.cores_per_server,
+                dram_per_server: shape.dram_per_server,
+                duration: shape.duration,
+            };
+            let scheduler = GroupSchedulerKind::RoundRobin;
+            let cfg =
+                MultiPoolConfig::for_trace(&empty, PodStyle::Octopus, groups, 0.20, scheduler, 7)
+                    .with_borrowing(borrowing);
+            run_multipool_source(TraceCursor::new(&empty), &cfg, policy.clone())
+        };
+        assert!(is_invalid_config(replay(40_000, 2_500, true)));
+        assert!(is_invalid_config(replay(32_769, 16, true)));
+        assert!(replay(32_768, 16, true).is_ok());
+        assert!(replay(32_769, 16, false).is_ok(), "without borrowing no port id is minted");
     }
 
     #[test]

@@ -23,32 +23,7 @@ use std::time::Duration;
 struct PendingRelease {
     host: HostId,
     slices: Vec<PoolSlice>,
-    initiated_at: Duration,
     ready_at: Duration,
-}
-
-/// A completed release, recorded for offlining-rate analysis (Finding 10).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ReleaseRecord {
-    /// When the release was initiated.
-    pub initiated_at: Duration,
-    /// When the slices became reusable.
-    pub completed_at: Duration,
-    /// Amount released.
-    pub amount: Bytes,
-}
-
-impl ReleaseRecord {
-    /// Effective offlining rate in GiB per second (1 GiB slices over wall
-    /// time; the paper's Finding 10 quotes the same quantity in "GB/s").
-    pub fn rate_gib_per_sec(&self) -> f64 {
-        let elapsed = self.completed_at.saturating_sub(self.initiated_at).as_secs_f64();
-        if elapsed <= 0.0 {
-            f64::INFINITY
-        } else {
-            self.amount.as_gib_f64() / elapsed
-        }
-    }
 }
 
 /// The Pool Manager.
@@ -56,7 +31,6 @@ impl ReleaseRecord {
 pub struct PondPoolManager {
     pool: PoolState,
     pending: VecDeque<PendingRelease>,
-    releases: Vec<ReleaseRecord>,
     // Incremental mirror of the slice count summed over `pending`, so
     // `pending_release()` — called by every conservation check and pool
     // exhaustion message — is O(1).
@@ -74,7 +48,6 @@ impl PondPoolManager {
         PondPoolManager {
             pool: PoolState::from_topology(topology),
             pending: VecDeque::new(),
-            releases: Vec::new(),
             pending_slices: 0,
             next_ready: Duration::MAX,
         }
@@ -128,11 +101,6 @@ impl PondPoolManager {
 
     fn earliest_pending(&self) -> Duration {
         self.pending.iter().map(|p| p.ready_at).min().unwrap_or(Duration::MAX)
-    }
-
-    /// Completed release records.
-    pub fn release_records(&self) -> &[ReleaseRecord] {
-        &self.releases
     }
 
     /// Allocates pool capacity for a VM start at time `now`.
@@ -194,7 +162,7 @@ impl PondPoolManager {
         let ready_at = now + offline_time;
         self.pending_slices += slices.len() as u64;
         self.next_ready = self.next_ready.min(ready_at);
-        self.pending.push_back(PendingRelease { host, slices, initiated_at: now, ready_at });
+        self.pending.push_back(PendingRelease { host, slices, ready_at });
         Ok(Some(ready_at))
     }
 
@@ -215,11 +183,6 @@ impl PondPoolManager {
                 self.pool.complete_release(pending.host, &pending.slices).expect(
                     "pending releases reference slices this manager put into releasing state",
                 );
-                self.releases.push(ReleaseRecord {
-                    initiated_at: pending.initiated_at,
-                    completed_at: pending.ready_at,
-                    amount,
-                });
                 freed += amount;
             } else {
                 remaining.push_back(pending);
@@ -301,19 +264,6 @@ impl PondPoolManager {
         self.next_ready = self.earliest_pending();
         self.pool.release_host(host)
     }
-
-    /// Percentile of the observed offlining rates (GiB/s) across completed
-    /// releases; Finding 10 reports the 99.99th and 99.999th percentiles of
-    /// the rates needed at VM start.
-    pub fn release_rate_percentile(&self, percentile: f64) -> Option<f64> {
-        if self.releases.is_empty() {
-            return None;
-        }
-        let mut rates: Vec<f64> = self.releases.iter().map(|r| r.rate_gib_per_sec()).collect();
-        rates.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let pos = (percentile.clamp(0.0, 1.0) * (rates.len() - 1) as f64).round() as usize;
-        Some(rates[pos])
-    }
 }
 
 #[cfg(test)]
@@ -358,21 +308,18 @@ mod tests {
 
     #[test]
     fn release_records_track_rates() {
+        // 4 GiB at the default worst-case 100 ms/GiB offline in 400 ms
+        // (10 GiB/s), whenever the release starts.
         let mut m = manager();
         for i in 0..4u64 {
-            let slices = m.allocate(HostId(0), Bytes::from_gib(4), Duration::from_secs(i)).unwrap();
-            m.release_async(HostId(0), slices, Duration::from_secs(i)).unwrap();
+            let now = Duration::from_secs(i);
+            let slices = m.allocate(HostId(0), Bytes::from_gib(4), now).unwrap();
+            let ready = m.release_async(HostId(0), slices, now).unwrap();
+            assert_eq!(ready, Some(now + Duration::from_millis(400)));
         }
-        m.process_releases(Duration::from_secs(100));
-        assert_eq!(m.release_records().len(), 4);
-        for record in m.release_records() {
-            assert_eq!(record.completed_at.saturating_sub(record.initiated_at).as_millis(), 400);
-        }
-        let p50 = m.release_rate_percentile(0.5).unwrap();
-        // 4 GiB in 0.4 s = 10 GiB/s with the default worst-case timing.
-        assert!(p50 > 1.0, "offlining rate {p50} GiB/s");
-        assert!(m.release_rate_percentile(1.0).unwrap() >= p50);
-        assert!(manager().release_rate_percentile(0.5).is_none());
+        assert_eq!(m.pending_release(), Bytes::from_gib(16));
+        assert_eq!(m.process_releases(Duration::from_secs(100)), Bytes::from_gib(16));
+        assert_eq!(m.pending_release(), Bytes::ZERO);
     }
 
     #[test]

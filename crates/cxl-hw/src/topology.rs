@@ -287,7 +287,9 @@ impl PodStyle {
 pub struct PoolGroupTopology {
     style: PodStyle,
     pools: Vec<PoolTopology>,
-    hosts_per_group: Vec<u16>,
+    /// Pod `g`'s hosts are `host_starts[g]..host_starts[g + 1]`; the last
+    /// of the `groups + 1` entries is the fleet's host count.
+    host_starts: Vec<u16>,
     reach: Vec<Vec<usize>>,
 }
 
@@ -346,8 +348,7 @@ impl PoolGroupTopology {
             .collect::<Result<Vec<_>, _>>()?;
         let base = hosts / groups as u16;
         let remainder = (hosts % groups as u16) as usize;
-        let hosts_per_group =
-            (0..groups).map(|g| base + u16::from(g < remainder)).collect::<Vec<_>>();
+        let host_starts = (0..=groups).map(|g| base * g as u16 + g.min(remainder) as u16).collect();
         let reach = (0..groups)
             .map(|g| match style {
                 PodStyle::Symmetric => vec![g],
@@ -369,7 +370,7 @@ impl PoolGroupTopology {
                 }
             })
             .collect();
-        Ok(PoolGroupTopology { style, pools, hosts_per_group, reach })
+        Ok(PoolGroupTopology { style, pools, host_starts, reach })
     }
 
     /// [`PoolGroupTopology::new`] with a [`PodStyle::KRegular`] ring of
@@ -417,7 +418,7 @@ impl PoolGroupTopology {
 
     /// Total number of hosts across all pods.
     pub fn host_count(&self) -> u16 {
-        self.hosts_per_group.iter().sum()
+        self.host_starts[self.group_count()]
     }
 
     /// Number of hosts in pod `group`.
@@ -426,7 +427,7 @@ impl PoolGroupTopology {
     ///
     /// Panics when `group` is out of range.
     pub fn hosts_in(&self, group: usize) -> u16 {
-        self.hosts_per_group[group]
+        self.host_starts[group + 1] - self.host_starts[group]
     }
 
     /// The pool topology of pod `group`.
@@ -445,14 +446,11 @@ impl PoolGroupTopology {
 
     /// The home pod of a fleet-wide host index, or `None` when out of range.
     pub fn home_group(&self, host: u16) -> Option<usize> {
-        let mut first = 0;
-        for (g, &count) in self.hosts_per_group.iter().enumerate() {
-            if host < first + count {
-                return Some(g);
-            }
-            first += count;
-        }
-        None
+        // Every pod owns at least one host, so the starts strictly ascend and
+        // the last start at or below `host` opens its pod (`host_starts[0]`
+        // is 0, so there always is one).
+        let group = self.host_starts.partition_point(|&start| start <= host) - 1;
+        (group < self.group_count()).then_some(group)
     }
 
     /// Pool groups reachable from pod `group`'s hosts, home pod first.
@@ -523,7 +521,7 @@ impl PoolGroupTopology {
     /// than 32,768 hosts cannot express borrowed ports, so the multipool
     /// replay refuses such a fleet when borrowing is on.
     pub fn borrow_port_host(&self, borrower: usize, host: u16) -> HostId {
-        let start: u32 = self.hosts_per_group[..borrower].iter().map(|&h| u32::from(h)).sum();
+        let start = u32::from(self.host_starts[borrower]);
         let id = u32::from(self.host_count()) + start + u32::from(host);
         assert!(id <= u32::from(u16::MAX), "borrowed-port host id {id} overflows u16");
         HostId(id as u16)
@@ -722,17 +720,37 @@ mod tests {
 
     #[test]
     fn borrow_port_hosts_are_unique_and_disjoint_from_pod_local_indices() {
-        let topo = PoolGroupTopology::new(PodStyle::Octopus, 3, 9, 8, Bytes::from_gib(64)).unwrap();
-        let mut seen = std::collections::BTreeSet::new();
-        for borrower in 0..3 {
-            for host in 0..topo.hosts_in(borrower) {
-                let port = topo.borrow_port_host(borrower, host);
-                // Never collides with any pod-local host index (0..hosts_in).
-                assert!(port.0 >= topo.host_count());
-                assert!(seen.insert(port), "duplicate borrowed-port id {port:?}");
+        let shapes = [
+            PoolGroupTopology::new(PodStyle::Octopus, 3, 9, 8, Bytes::from_gib(64)).unwrap(),
+            // The type-level example's uneven split: 9 + 9 + 8 + 8 hosts.
+            PoolGroupTopology::new(PodStyle::Octopus, 4, 34, 16, Bytes::from_gib(1026)).unwrap(),
+            // The `wide` benchmark fleet's shape: 8,192 hosts in 512 pods.
+            PoolGroupTopology::new(PodStyle::Octopus, 512, 8192, 16, Bytes::from_gib(8192))
+                .unwrap(),
+        ];
+        for topo in &shapes {
+            let mut seen = std::collections::BTreeSet::new();
+            // Σ hosts_in(..borrower): the borrower's first fleet-wide host index.
+            let mut first = 0;
+            for borrower in 0..topo.group_count() {
+                for host in 0..topo.hosts_in(borrower) {
+                    let port = topo.borrow_port_host(borrower, host);
+                    assert_eq!(port.0, topo.host_count() + first + host);
+                    // Never collides with any pod-local host index (0..hosts_in).
+                    assert!(port.0 >= topo.host_count());
+                    assert!(seen.insert(port), "duplicate borrowed-port id {port:?}");
+                    assert_eq!(topo.home_group(first + host), Some(borrower));
+                }
+                first += topo.hosts_in(borrower);
             }
+            assert_eq!(first, topo.host_count());
+            assert_eq!(topo.home_group(first), None, "past the last host");
+            assert_eq!(
+                seen.len(),
+                usize::from(topo.host_count()),
+                "one distinct port identity per borrower host"
+            );
         }
-        assert_eq!(seen.len(), 9, "one distinct port identity per borrower host");
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! and the Criterion micro-benchmarks (`benches/`).
 //!
 //! Every binary prints the rows/series of one table or figure from the Pond
-//! paper's evaluation; `EXPERIMENTS.md` at the repository root records the
-//! paper-reported values next to the regenerated ones. The binaries are
+//! paper's evaluation and ends with the paper-reported values; the figure
+//! table in `README.md` at the repository root indexes them. The binaries are
 //! sized to finish in seconds to a couple of minutes on a laptop; the
 //! `POND_CLUSTERS` and `POND_DAYS` environment variables scale the
 //! simulation-based experiments up towards the paper's 100-cluster / 75-day
@@ -13,8 +13,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod profile;
 
 use cluster_sim::tracegen::{ClusterConfig, TraceGenerator};
 use cluster_sim::ClusterTrace;

@@ -3,6 +3,7 @@
 //! [`PondControlPlane`] directly on the same request sequence, conserve pool
 //! accounting at every event, and produce bit-identical sweeps.
 
+use cluster_sim::sweep::parallel_map_with;
 use cluster_sim::tracegen::{ClusterConfig, TraceGenerator};
 use cluster_sim::ClusterTrace;
 use cxl_hw::units::Bytes;
@@ -116,18 +117,24 @@ fn fleet_replay_conserves_pool_accounting_with_qos_enabled() {
     assert!(outcome.sum_host_pool_peaks >= Bytes::ZERO);
 }
 
-/// The new bench sweep is deterministic: identical (trace, fractions, seed)
-/// inputs produce identical outcomes — including across the parallel runner,
-/// whose reduction order is fixed.
+/// The pool-fraction sweep on the parallel runner (default worker count)
+/// must equal, cell for cell in fraction order, the same replays run
+/// inline on the calling thread and on forced worker threads, so the
+/// threaded path is checked even on a one-CPU machine.
 #[test]
 fn fleet_pool_sweep_is_deterministic() {
     let trace = small_trace();
     let fractions = [0.05, 0.20, 0.40];
-    let a = fleet_pool_sweep(&trace, &fractions, 7).unwrap();
-    let b = fleet_pool_sweep(&trace, &fractions, 7).unwrap();
-    assert_eq!(a, b, "same inputs must reproduce the sweep bit for bit");
-    assert_eq!(a.len(), fractions.len());
-    for (point, &fraction) in a.iter().zip(&fractions) {
-        assert_eq!(point.pool_fraction, fraction);
+    let sweep = fleet_pool_sweep(&trace, &fractions, 7).unwrap();
+    assert_eq!(sweep.len(), fractions.len());
+    for workers in [1, 4] {
+        let cells = parallel_map_with(workers, &fractions, |_, &fraction| {
+            run_fleet(&trace, &FleetConfig::for_trace(&trace, fraction, 7)).unwrap()
+        });
+        assert_eq!(cells.len(), fractions.len());
+        for ((point, cell), &fraction) in sweep.iter().zip(&cells).zip(&fractions) {
+            assert_eq!(point.pool_fraction, fraction);
+            assert_eq!(&point.outcome, cell, "pool {fraction} at {workers} workers");
+        }
     }
 }

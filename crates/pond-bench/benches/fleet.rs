@@ -123,7 +123,7 @@ fn main() {
     let events = replay_events(&outcome);
     let speedup = reference.as_secs_f64() / indexed.as_secs_f64();
     println!(
-        "fleet replay on {SERVERS} servers: reference {:.2?} vs indexed {:.2?} -> {speedup:.1}x speedup \
+        "fleet replay on {SERVERS} servers: reference {:.2?} vs indexed {:.2?} -> {speedup:.2}x speedup \
          ({events} events, {:.0} vs {:.0} events/sec)",
         reference,
         indexed,
@@ -132,6 +132,6 @@ fn main() {
     );
     assert!(
         speedup >= 5.0,
-        "expected the rebuilt event core to be >= 5x faster than the reference replay, got {speedup:.1}x"
+        "expected the rebuilt event core to be >= 5x faster than the reference replay, got {speedup:.2}x"
     );
 }

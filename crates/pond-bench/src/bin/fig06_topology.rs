@@ -7,11 +7,10 @@
 //! host stays home and only the slices come from a reachable lender).
 //! An unsharded single-pool row anchors what sharding gives up.
 
+use cluster_sim::source::TraceCursor;
 use cxl_hw::topology::PodStyle;
 use pond_bench::{bench_trace, pct, print_header};
-use pond_core::multipool::{
-    multipool_sweep, GroupSchedulerKind, MultiPoolConfig, MultiPoolSweepSpec,
-};
+use pond_core::multipool::{multipool_sweep, GroupSchedulerKind, MultiPoolConfig};
 
 fn main() {
     print_header(
@@ -29,25 +28,24 @@ fn main() {
         PodStyle::PodOfPods { cluster: 2 },
         PodStyle::PodOfPods { cluster: 4 },
     ];
-    let mut specs = vec![MultiPoolSweepSpec {
-        pod: PodStyle::Symmetric,
-        groups: 1,
-        pool_fraction: fraction,
-        scheduler: GroupSchedulerKind::TightestFit,
-        borrowing: false,
-    }];
+    let cell = |pod, groups| {
+        MultiPoolConfig::for_trace(
+            &trace,
+            pod,
+            groups,
+            fraction,
+            GroupSchedulerKind::TightestFit,
+            6,
+        )
+    };
+    let mut configs = vec![cell(PodStyle::Symmetric, 1)];
     for pod in styles {
         for borrowing in [false, true] {
-            specs.push(MultiPoolSweepSpec {
-                pod,
-                groups,
-                pool_fraction: fraction,
-                scheduler: GroupSchedulerKind::TightestFit,
-                borrowing,
-            });
+            configs.push(cell(pod, groups).with_borrowing(borrowing));
         }
     }
-    let points = multipool_sweep(&trace, &specs, 6).expect("multipool replay must not fail");
+    let outcomes = multipool_sweep(|| TraceCursor::new(&trace), &configs)
+        .expect("multipool replay must not fail");
 
     println!(
         "{:>12} {:>7} {:>8} {:>7} {:>12} {:>11} {:>9} {:>12} {:>10}",
@@ -61,29 +59,22 @@ fn main() {
         "cross-group",
         "fallbacks"
     );
-    for point in &points {
-        let fleet = &point.outcome.fleet;
-        let overlap = MultiPoolConfig::for_trace(
-            &trace,
-            point.spec.pod,
-            point.spec.groups,
-            point.spec.pool_fraction,
-            point.spec.scheduler,
-            6,
-        )
-        .group_topology()
-        .expect("a completed sweep cell has a valid topology")
-        .overlap_degree();
+    for (config, outcome) in configs.iter().zip(&outcomes) {
+        let fleet = &outcome.fleet;
+        let overlap = config
+            .group_topology()
+            .expect("a completed sweep cell has a valid topology")
+            .overlap_degree();
         println!(
             "{:>12} {:>7} {:>8} {:>7} {:>12} {:>11} {:>9} {:>12} {:>10}",
-            point.spec.pod.name(),
-            point.spec.groups,
+            config.pod.name(),
+            config.groups,
             overlap,
-            if point.spec.borrowing { "on" } else { "off" },
+            if config.borrowing { "on" } else { "off" },
             pct(fleet.dram_savings_fraction()),
             pct(fleet.pool_dram_fraction()),
             fleet.vms_borrowed,
-            point.outcome.cross_group_placements,
+            outcome.cross_group_placements,
             fleet.fallback_all_local,
         );
     }

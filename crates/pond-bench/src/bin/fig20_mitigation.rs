@@ -4,9 +4,11 @@
 //! all-local memory, and the pool→local copy time those mitigations charge
 //! to the event timeline (50 ms per GiB).
 
+use cluster_sim::source::TraceCursor;
 use cxl_hw::latency::LatencyScenario;
 use pond_bench::{bench_trace, pct, print_header};
-use pond_core::fleet::{fleet_pool_sweep_with, FleetConfig};
+use pond_core::fleet::FleetConfig;
+use pond_core::multipool::{multipool_sweep, MultiPoolConfig};
 
 fn main() {
     print_header(
@@ -15,31 +17,37 @@ fn main() {
     );
     let trace = bench_trace();
     let fractions = [0.10, 0.20, 0.30];
+    let cells: Vec<(LatencyScenario, f64)> = LatencyScenario::all()
+        .into_iter()
+        .flat_map(|scenario| fractions.map(|fraction| (scenario, fraction)))
+        .collect();
+    let configs: Vec<MultiPoolConfig> = cells
+        .iter()
+        .map(|&(scenario, fraction)| {
+            let mut config = FleetConfig::for_trace(&trace, fraction, 20);
+            config.control.policy.scenario = scenario;
+            MultiPoolConfig::from(&config)
+        })
+        .collect();
+    let outcomes =
+        multipool_sweep(|| TraceCursor::new(&trace), &configs).expect("fleet replay must not fail");
 
     println!(
         "{:>13} {:>7} {:>11} {:>10} {:>11} {:>12} {:>11}",
         "scenario", "pool %", "violations", "mitigated", "mit. rate", "copy time", "DRAM saved"
     );
-    for scenario in LatencyScenario::all() {
-        let points = fleet_pool_sweep_with(&trace, &fractions, |fraction| {
-            let mut config = FleetConfig::for_trace(&trace, fraction, 20);
-            config.control.policy.scenario = scenario;
-            config
-        })
-        .expect("fleet replay must not fail");
-        for point in &points {
-            let o = &point.outcome;
-            println!(
-                "{:>13} {:>7} {:>11} {:>10} {:>11} {:>11.1}s {:>11}",
-                scenario.to_string(),
-                pct(point.pool_fraction),
-                pct(o.violation_fraction()),
-                o.mitigations,
-                pct(o.mitigation_rate()),
-                o.mitigation_copy_time.as_secs_f64(),
-                pct(o.dram_savings_fraction()),
-            );
-        }
+    for (&(scenario, fraction), outcome) in cells.iter().zip(&outcomes) {
+        let o = &outcome.fleet;
+        println!(
+            "{:>13} {:>7} {:>11} {:>10} {:>11} {:>11.1}s {:>11}",
+            scenario.to_string(),
+            pct(fraction),
+            pct(o.violation_fraction()),
+            o.mitigations,
+            pct(o.mitigation_rate()),
+            o.mitigation_copy_time.as_secs_f64(),
+            pct(o.dram_savings_fraction()),
+        );
     }
     println!(
         "\npaper: Pond keeps scheduling mispredictions near the 2% target and the QoS \

@@ -16,12 +16,13 @@
 //! diffing the two outputs. Set `POND_SMOKE=1` to shrink the grid to a
 //! CI-sized smoke check.
 
+use cluster_sim::source::TraceCursor;
+use cluster_sim::ClusterTrace;
 use cxl_hw::topology::PodStyle;
 use cxl_hw::units::Bytes;
 use pond_bench::{bench_trace, pct, print_header};
 use pond_core::multipool::{
-    drill_config, failure_drill_sweep_with, FailureDrillSweepSpec, GroupSchedulerKind,
-    MultiPoolSweepSpec,
+    multipool_sweep, DrillKind, FailureDrillSpec, GroupSchedulerKind, MultiPoolConfig,
 };
 
 const SEED: u64 = 7;
@@ -31,24 +32,32 @@ fn smoke() -> bool {
     std::env::var("POND_SMOKE").is_ok_and(|v| v == "1")
 }
 
-fn grid() -> Vec<FailureDrillSweepSpec> {
+/// The grid's cells, each with its drill rate: the same fleet at every
+/// cell, per-host local DRAM halved so evacuations must fight for headroom.
+fn grid(trace: &ClusterTrace) -> Vec<(f64, MultiPoolConfig)> {
     let rates: &[f64] = if smoke() { &[0.0, 4.0] } else { &[0.0, 1.0, 2.0, 4.0, 8.0] };
-    let mut specs = Vec::new();
+    let mut cells = Vec::new();
     for &rate_per_day in rates {
         for &pod in &[PodStyle::Symmetric, PodStyle::Octopus] {
-            specs.push(FailureDrillSweepSpec {
-                cell: MultiPoolSweepSpec {
-                    pod,
-                    groups: 4,
-                    pool_fraction: 0.30,
-                    scheduler: GroupSchedulerKind::RoundRobin,
-                    borrowing: false,
-                },
+            let mut config = MultiPoolConfig::for_trace(
+                trace,
+                pod,
+                4,
+                0.30,
+                GroupSchedulerKind::RoundRobin,
+                SEED,
+            )
+            .with_drill(FailureDrillSpec {
                 rate_per_day,
+                kind: DrillKind::Emc,
+                seed: DRILL_SEED,
             });
+            config.control.local_dram_per_host =
+                Bytes::from_gib(config.control.local_dram_per_host.as_gib() / 2);
+            cells.push((rate_per_day, config));
         }
     }
-    specs
+    cells
 }
 
 fn main() {
@@ -57,14 +66,9 @@ fn main() {
         "EMC failures vs. pod overlap: survival by cross-group migration",
     );
     let trace = bench_trace();
-    let points = failure_drill_sweep_with(&trace, &grid(), |spec| {
-        let mut config = drill_config(&trace, spec, SEED, DRILL_SEED);
-        // Half the trace sizing: evacuations must fight for headroom.
-        config.control.local_dram_per_host =
-            Bytes::from_gib(config.control.local_dram_per_host.as_gib() / 2);
-        config
-    })
-    .expect("failure drill replay must not fail");
+    let (rates, configs): (Vec<f64>, Vec<MultiPoolConfig>) = grid(&trace).into_iter().unzip();
+    let outcomes = multipool_sweep(|| TraceCursor::new(&trace), &configs)
+        .expect("failure drill replay must not fail");
 
     println!(
         "{:>10} {:>10} {:>9} {:>9} {:>7} {:>9} {:>13} {:>13}",
@@ -77,12 +81,12 @@ fn main() {
         "availability",
         "copy time"
     );
-    for point in &points {
-        let fleet = &point.outcome.fleet;
+    for ((rate_per_day, config), outcome) in rates.iter().zip(&configs).zip(&outcomes) {
+        let fleet = &outcome.fleet;
         println!(
             "{:>10} {:>10} {:>9} {:>9} {:>7} {:>9} {:>13} {:>12.1}s",
-            point.spec.cell.pod.name(),
-            point.spec.rate_per_day,
+            config.pod.name(),
+            rate_per_day,
             fleet.emc_failures,
             fleet.vms_migrated,
             fleet.vms_killed,
@@ -94,22 +98,25 @@ fn main() {
 
     // The headline contrast: at the highest drilled rate, overlap must pay.
     let at_max = |pod: PodStyle| {
-        points
+        rates
             .iter()
-            .filter(|p| p.spec.cell.pod == pod && p.spec.rate_per_day > 0.0)
-            .max_by(|a, b| a.spec.rate_per_day.total_cmp(&b.spec.rate_per_day))
+            .zip(&configs)
+            .zip(&outcomes)
+            .filter(|((rate, config), _)| config.pod == pod && **rate > 0.0)
+            .max_by(|((a, _), _), ((b, _), _)| a.total_cmp(b))
+            .map(|((rate, _), outcome)| (rate, &outcome.fleet))
             .expect("grid has drilled cells")
     };
-    let sym = at_max(PodStyle::Symmetric);
-    let oct = at_max(PodStyle::Octopus);
+    let (rate, sym) = at_max(PodStyle::Symmetric);
+    let (oct_rate, oct) = at_max(PodStyle::Octopus);
     println!(
         "\nat {}/day: symmetric kills {} ({} availability), octopus kills {} ({} availability)",
-        sym.spec.rate_per_day,
-        sym.outcome.fleet.vms_killed,
-        pct(sym.outcome.fleet.availability()),
-        oct.outcome.fleet.vms_killed,
-        pct(oct.outcome.fleet.availability()),
+        rate,
+        sym.vms_killed,
+        pct(sym.availability()),
+        oct.vms_killed,
+        pct(oct.availability()),
     );
-    println!("\noctopus at {}/day:\n{}", oct.spec.rate_per_day, oct.outcome.fleet);
+    println!("\noctopus at {oct_rate}/day:\n{oct}");
     println!("paper: pooling bounds the blast radius; pod overlap turns kills into migrations");
 }

@@ -20,13 +20,14 @@
 //! diffing the two outputs. Set `POND_SMOKE=1` to shrink the grid to a
 //! CI-sized smoke check.
 
+use cluster_sim::source::TraceCursor;
+use cluster_sim::ClusterTrace;
 use cxl_hw::topology::PodStyle;
 use cxl_hw::units::Bytes;
 use pond_bench::{bench_trace, pct, print_header};
 use pond_core::multipool::{
-    lifecycle_config, lifecycle_sweep_with, DrillKind, FailureDrillSpec, GroupSchedulerKind,
-    LifecycleEvent, LifecycleOp, LifecyclePlan, LifecycleSweepSpec, MultiPoolSweepSpec,
-    RebalanceSpec,
+    multipool_sweep, DrillKind, FailureDrillSpec, GroupSchedulerKind, LifecycleEvent, LifecycleOp,
+    LifecyclePlan, MultiPoolConfig, RebalanceSpec,
 };
 
 const SEED: u64 = 7;
@@ -37,14 +38,25 @@ fn smoke() -> bool {
     std::env::var("POND_SMOKE").is_ok_and(|v| v == "1")
 }
 
-fn cell() -> MultiPoolSweepSpec {
-    MultiPoolSweepSpec {
-        pod: PodStyle::Octopus,
-        groups: 4,
-        pool_fraction: 0.30,
-        scheduler: GroupSchedulerKind::RoundRobin,
-        borrowing: false,
+/// The fleet every phase replays, before its lifecycle ingredients.
+fn cell(trace: &ClusterTrace) -> MultiPoolConfig {
+    let mut config = MultiPoolConfig::for_trace(
+        trace,
+        PodStyle::Octopus,
+        4,
+        0.30,
+        GroupSchedulerKind::RoundRobin,
+        SEED,
+    );
+    // Three-quarter trace sizing: enough pressure that drains and
+    // rebalances move real load, enough headroom that healing pays.
+    // The CI smoke run keeps full sizing — its shrunken trace leaves
+    // too little slack for a graceful drain to stay kill-free.
+    if !smoke() {
+        config.control.local_dram_per_host =
+            Bytes::from_gib(config.control.local_dram_per_host.as_gib() * 3 / 4);
     }
+    config
 }
 
 fn drill(kind: DrillKind) -> FailureDrillSpec {
@@ -65,50 +77,39 @@ fn plan(duration: u64) -> LifecyclePlan {
     }
 }
 
-fn phases(duration: u64) -> Vec<(&'static str, LifecycleSweepSpec)> {
-    let none = LifecycleSweepSpec { cell: cell(), drill: None, lifecycle: None, rebalance: None };
+fn phases(trace: &ClusterTrace) -> Vec<(&'static str, MultiPoolConfig)> {
+    let duration = trace.duration;
+    let none = cell(trace);
     let mut phases = vec![
         ("baseline", none.clone()),
-        ("drill", LifecycleSweepSpec { drill: Some(drill(DrillKind::Emc)), ..none.clone() }),
+        ("drill", none.clone().with_drill(drill(DrillKind::Emc))),
         (
             "repair",
-            LifecycleSweepSpec {
-                drill: Some(drill(DrillKind::EmcWithRepair { mttr_secs: MTTR_SECS })),
-                ..none.clone()
-            },
+            none.clone().with_drill(drill(DrillKind::EmcWithRepair { mttr_secs: MTTR_SECS })),
         ),
         (
             "decommission",
-            LifecycleSweepSpec {
-                lifecycle: Some(LifecyclePlan {
-                    events: vec![LifecycleEvent {
-                        time: duration / 2,
-                        op: LifecycleOp::DecommissionGroup { group: 3 },
-                    }],
-                }),
-                ..none.clone()
-            },
+            none.clone().with_lifecycle(LifecyclePlan {
+                events: vec![LifecycleEvent {
+                    time: duration / 2,
+                    op: LifecycleOp::DecommissionGroup { group: 3 },
+                }],
+            }),
         ),
         (
             "expansion",
-            LifecycleSweepSpec {
-                lifecycle: Some(LifecyclePlan {
-                    events: vec![LifecycleEvent {
-                        time: duration / 3,
-                        op: LifecycleOp::ExpandGroup { group: 0, capacity: Bytes::from_gib(32) },
-                    }],
-                }),
-                ..none.clone()
-            },
+            none.clone().with_lifecycle(LifecyclePlan {
+                events: vec![LifecycleEvent {
+                    time: duration / 3,
+                    op: LifecycleOp::ExpandGroup { group: 0, capacity: Bytes::from_gib(32) },
+                }],
+            }),
         ),
         (
             "full",
-            LifecycleSweepSpec {
-                drill: Some(drill(DrillKind::EmcWithRepair { mttr_secs: MTTR_SECS })),
-                lifecycle: Some(plan(duration)),
-                rebalance: Some(RebalanceSpec { starved_fraction: 0.10, max_moves_per_pass: 2 }),
-                ..none
-            },
+            none.with_drill(drill(DrillKind::EmcWithRepair { mttr_secs: MTTR_SECS }))
+                .with_lifecycle(plan(duration))
+                .with_rebalance(RebalanceSpec { starved_fraction: 0.10, max_moves_per_pass: 2 }),
         ),
     ];
     if smoke() {
@@ -123,21 +124,9 @@ fn main() {
         "pools die, heal, drain, and join: repair, decommission, expansion, rebalance",
     );
     let trace = bench_trace();
-    let phases = phases(trace.duration);
-    let specs: Vec<LifecycleSweepSpec> = phases.iter().map(|(_, spec)| spec.clone()).collect();
-    let points = lifecycle_sweep_with(&trace, &specs, |spec| {
-        let mut config = lifecycle_config(&trace, spec, SEED);
-        // Three-quarter trace sizing: enough pressure that drains and
-        // rebalances move real load, enough headroom that healing pays.
-        // The CI smoke run keeps full sizing — its shrunken trace leaves
-        // too little slack for a graceful drain to stay kill-free.
-        if !smoke() {
-            config.control.local_dram_per_host =
-                Bytes::from_gib(config.control.local_dram_per_host.as_gib() * 3 / 4);
-        }
-        config
-    })
-    .expect("lifecycle replay must not fail");
+    let (names, configs): (Vec<&str>, Vec<MultiPoolConfig>) = phases(&trace).into_iter().unzip();
+    let outcomes = multipool_sweep(|| TraceCursor::new(&trace), &configs)
+        .expect("lifecycle replay must not fail");
 
     println!(
         "{:>13} {:>9} {:>9} {:>9} {:>9} {:>8} {:>11} {:>7} {:>8} {:>7} {:>13}",
@@ -153,8 +142,8 @@ fn main() {
         "joined",
         "availability"
     );
-    for ((name, _), point) in phases.iter().zip(&points) {
-        let fleet = &point.outcome.fleet;
+    for (name, outcome) in names.iter().zip(&outcomes) {
+        let fleet = &outcome.fleet;
         println!(
             "{:>13} {:>9} {:>9} {:>9} {:>9} {:>8} {:>11} {:>7} {:>8} {:>7} {:>13}",
             name,
@@ -172,11 +161,7 @@ fn main() {
     }
 
     let by_name = |wanted: &str| {
-        phases
-            .iter()
-            .zip(&points)
-            .find(|((name, _), _)| *name == wanted)
-            .map(|(_, point)| &point.outcome.fleet)
+        names.iter().zip(&outcomes).find(|(name, _)| **name == wanted).map(|(_, o)| &o.fleet)
     };
     if let Some(decommission) = by_name("decommission") {
         println!(

@@ -18,13 +18,13 @@
 //! two runs. `POND_SMOKE=1` shrinks the trace to a CI-sized check.
 
 use cluster_sim::source::TraceCursor;
+use cluster_sim::ClusterTrace;
 use cxl_hw::topology::PodStyle;
 use cxl_hw::units::Bytes;
 use pond_bench::{bench_trace, pct, print_header};
 use pond_core::multipool::{
-    lifecycle_config, run_multipool_source_observed, DrillKind, FailureDrillSpec,
-    GroupSchedulerKind, LifecycleEvent, LifecycleOp, LifecyclePlan, LifecycleSweepSpec,
-    MultiPoolSweepSpec, RebalanceSpec,
+    run_multipool_source_observed, DrillKind, FailureDrillSpec, GroupSchedulerKind, LifecycleEvent,
+    LifecycleOp, LifecyclePlan, MultiPoolConfig, RebalanceSpec,
 };
 use pond_core::policy::PondPolicy;
 use pond_metrics::{TimeSeriesRecorder, EVENT_LOG_ENV};
@@ -44,34 +44,39 @@ fn smoke() -> bool {
 /// The `fig_lifecycle` "full" phase, spelled out: same cell, same drill,
 /// same plan, same rebalance spec, same sizing — so the timeline is the
 /// trajectory view of a scenario whose totals are already pinned there.
-fn spec(duration: u64) -> LifecycleSweepSpec {
-    LifecycleSweepSpec {
-        cell: MultiPoolSweepSpec {
-            pod: PodStyle::Octopus,
-            groups: 4,
-            pool_fraction: 0.30,
-            scheduler: GroupSchedulerKind::RoundRobin,
-            borrowing: false,
-        },
-        drill: Some(FailureDrillSpec {
-            rate_per_day: 4.0,
-            kind: DrillKind::EmcWithRepair { mttr_secs: MTTR_SECS },
-            seed: DRILL_SEED,
-        }),
-        lifecycle: Some(LifecyclePlan {
-            events: vec![
-                LifecycleEvent {
-                    time: duration / 3,
-                    op: LifecycleOp::ExpandGroup { group: 0, capacity: Bytes::from_gib(32) },
-                },
-                LifecycleEvent {
-                    time: duration / 2,
-                    op: LifecycleOp::DecommissionGroup { group: 3 },
-                },
-            ],
-        }),
-        rebalance: Some(RebalanceSpec { starved_fraction: 0.10, max_moves_per_pass: 2 }),
+fn config(trace: &ClusterTrace) -> MultiPoolConfig {
+    let mut config = MultiPoolConfig::for_trace(
+        trace,
+        PodStyle::Octopus,
+        4,
+        0.30,
+        GroupSchedulerKind::RoundRobin,
+        SEED,
+    )
+    .with_drill(FailureDrillSpec {
+        rate_per_day: 4.0,
+        kind: DrillKind::EmcWithRepair { mttr_secs: MTTR_SECS },
+        seed: DRILL_SEED,
+    })
+    .with_lifecycle(LifecyclePlan {
+        events: vec![
+            LifecycleEvent {
+                time: trace.duration / 3,
+                op: LifecycleOp::ExpandGroup { group: 0, capacity: Bytes::from_gib(32) },
+            },
+            LifecycleEvent {
+                time: trace.duration / 2,
+                op: LifecycleOp::DecommissionGroup { group: 3 },
+            },
+        ],
+    })
+    .with_rebalance(RebalanceSpec { starved_fraction: 0.10, max_moves_per_pass: 2 });
+    // Same three-quarter sizing as fig_lifecycle's non-smoke run.
+    if !smoke() {
+        config.control.local_dram_per_host =
+            Bytes::from_gib(config.control.local_dram_per_host.as_gib() * 3 / 4);
     }
+    config
 }
 
 fn main() {
@@ -80,12 +85,7 @@ fn main() {
         "availability / savings / occupancy series through the full lifecycle drill",
     );
     let trace = bench_trace();
-    let mut config = lifecycle_config(&trace, &spec(trace.duration), SEED);
-    // Same three-quarter sizing as fig_lifecycle's non-smoke run.
-    if !smoke() {
-        config.control.local_dram_per_host =
-            Bytes::from_gib(config.control.local_dram_per_host.as_gib() * 3 / 4);
-    }
+    let config = config(&trace);
     let groups = usize::from(config.groups);
 
     let policy = PondPolicy::train(&trace, &config.control.policy, config.seed);

@@ -8,34 +8,33 @@
 //!
 //! Set `POND_SMOKE=1` to shrink the grid to a CI-sized smoke check.
 
+use cluster_sim::source::{ArrivalSource, TraceHeader};
 use cxl_hw::topology::PodStyle;
 use pond_bench::{bench_generator, pct, print_header};
-use pond_core::multipool::{multipool_sweep_source, GroupSchedulerKind, MultiPoolSweepSpec};
+use pond_core::multipool::{multipool_sweep, GroupSchedulerKind, MultiPoolConfig};
 
 fn smoke() -> bool {
     std::env::var("POND_SMOKE").is_ok_and(|v| v == "1")
 }
 
-fn grid() -> Vec<MultiPoolSweepSpec> {
+/// The grid's cells, each with the pool fraction it was sized at (the
+/// configuration keeps only the resulting capacity).
+fn grid(header: &TraceHeader) -> Vec<(f64, MultiPoolConfig)> {
     let (group_counts, fractions): (&[u16], &[f64]) =
         if smoke() { (&[2], &[0.15]) } else { (&[2, 4], &[0.10, 0.20, 0.30]) };
-    let mut specs = Vec::new();
+    let mut cells = Vec::new();
     for &pod in &[PodStyle::Symmetric, PodStyle::Octopus] {
         for &groups in group_counts {
-            for &pool_fraction in fractions {
+            for &fraction in fractions {
                 for scheduler in GroupSchedulerKind::ALL {
-                    specs.push(MultiPoolSweepSpec {
-                        pod,
-                        groups,
-                        pool_fraction,
-                        scheduler,
-                        borrowing: false,
-                    });
+                    let config =
+                        MultiPoolConfig::for_header(header, pod, groups, fraction, scheduler, 11);
+                    cells.push((fraction, config));
                 }
             }
         }
     }
-    specs
+    cells
 }
 
 fn main() {
@@ -44,9 +43,10 @@ fn main() {
         "DRAM savings and mitigation rate over (pods x groups x pool % x scheduler)",
     );
     let generator = bench_generator();
-    let specs = grid();
-    let points = multipool_sweep_source(|| generator.stream(0), &specs, 11)
-        .expect("multipool replay must not fail");
+    let (fractions, configs): (Vec<f64>, Vec<MultiPoolConfig>) =
+        grid(generator.stream(0).header()).into_iter().unzip();
+    let outcomes =
+        multipool_sweep(|| generator.stream(0), &configs).expect("multipool replay must not fail");
 
     println!(
         "{:>10} {:>7} {:>7} {:>15} {:>12} {:>10} {:>12} {:>10}",
@@ -59,36 +59,35 @@ fn main() {
         "cross-group",
         "rejected"
     );
-    for point in &points {
-        let fleet = &point.outcome.fleet;
+    for ((fraction, config), outcome) in fractions.iter().zip(&configs).zip(&outcomes) {
+        let fleet = &outcome.fleet;
         println!(
             "{:>10} {:>7} {:>7} {:>15} {:>12} {:>10} {:>12} {:>10}",
-            point.spec.pod.name(),
-            point.spec.groups,
-            pct(point.spec.pool_fraction),
-            point.spec.scheduler.name(),
+            config.pod.name(),
+            config.groups,
+            pct(*fraction),
+            config.scheduler.name(),
             pct(fleet.dram_savings_fraction()),
             pct(fleet.mitigation_rate()),
-            point.outcome.cross_group_placements,
+            outcome.cross_group_placements,
             fleet.rejected_vms,
         );
     }
-    let best = points
+    let ((fraction, config), best) = fractions
         .iter()
-        .max_by(|a, b| {
-            a.outcome
-                .fleet
-                .dram_savings_fraction()
-                .total_cmp(&b.outcome.fleet.dram_savings_fraction())
+        .zip(&configs)
+        .zip(&outcomes)
+        .max_by(|(_, a), (_, b)| {
+            a.fleet.dram_savings_fraction().total_cmp(&b.fleet.dram_savings_fraction())
         })
         .expect("non-empty sweep");
     println!(
         "\nbest cell: {} pods x {} groups x {} pool x {} -> {} DRAM saved",
-        best.spec.pod.name(),
-        best.spec.groups,
-        pct(best.spec.pool_fraction),
-        best.spec.scheduler.name(),
-        pct(best.outcome.fleet.dram_savings_fraction()),
+        config.pod.name(),
+        config.groups,
+        pct(*fraction),
+        config.scheduler.name(),
+        pct(best.fleet.dram_savings_fraction()),
     );
     println!("paper: grouping, not just pool size, decides how much stranding pooling recovers");
 }

@@ -16,8 +16,9 @@
 //! QoS tick, then arrivals — so a QoS pass never sees a departed VM, an
 //! arrival allocates from a buffer that reflects every release due by its
 //! arrival time, and the whole replay is deterministic. Pool-accounting
-//! conservation (every slice is free, pinned, or mid-offlining) is
-//! debug-asserted after every event.
+//! conservation, `free + offlining + pinned + lent == live` as
+//! [`PondControlPlane::assert_pool_conserved`] checks it, is debug-asserted
+//! after every event.
 //!
 //! This module owns the single-pool configuration, the outcome type, and the
 //! accounting rules; the event loop itself is the multi-pool engine in
@@ -27,13 +28,11 @@
 
 use crate::control_plane::{ControlPlaneConfig, PondControlPlane};
 use crate::error::PondError;
-use crate::multipool::{run_multipool_source_observed, GroupSchedulerKind, MultiPoolConfig};
+use crate::multipool::{run_multipool_source_observed, MultiPoolConfig};
 use crate::policy::PondPolicy;
 use cluster_sim::event::{Event, ReferenceEventQueue};
 use cluster_sim::source::{ArrivalSource, TraceCursor, TraceHeader};
-use cluster_sim::sweep;
 use cluster_sim::trace::ClusterTrace;
-use cxl_hw::topology::PodStyle;
 use cxl_hw::units::Bytes;
 use hypervisor_sim::vm::VmId;
 use pond_metrics::{NullObserver, ReplayObserver};
@@ -654,18 +653,7 @@ pub fn run_fleet_source_observed<S: ArrivalSource, O: ReplayObserver>(
     policy: PondPolicy,
     observer: &mut O,
 ) -> Result<FleetOutcome, PondError> {
-    let single_pool = MultiPoolConfig {
-        pod: PodStyle::Symmetric,
-        groups: 1,
-        control: config.control.clone(),
-        scheduler: GroupSchedulerKind::RoundRobin,
-        qos_interval: config.qos_interval,
-        seed: config.seed,
-        drill: None,
-        lifecycle: None,
-        rebalance: None,
-        borrowing: false,
-    };
+    let single_pool = MultiPoolConfig::from(config);
     Ok(run_multipool_source_observed(source, &single_pool, policy, observer)?.fleet)
 }
 
@@ -799,87 +787,12 @@ pub fn run_fleet_reference_with_policy(
     Ok(outcome)
 }
 
-/// One point of a pool-percentage sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FleetSweepPoint {
-    /// Pool capacity as a fraction of the fleet's local DRAM.
-    pub pool_fraction: f64,
-    /// The full replay outcome at that pool size.
-    pub outcome: FleetOutcome,
-}
-
-/// Sweeps pool percentages over one trace, replaying the full control plane
-/// at every point on the parallel [`sweep`] runner. Results come back in
-/// `pool_fractions` order and each point is deterministic for a fixed
-/// `(trace, seed)`, so the whole sweep is reproducible bit for bit.
-///
-/// # Errors
-///
-/// Propagates the first replay error in sweep order.
-pub fn fleet_pool_sweep(
-    trace: &ClusterTrace,
-    pool_fractions: &[f64],
-    seed: u64,
-) -> Result<Vec<FleetSweepPoint>, PondError> {
-    fleet_pool_sweep_with(trace, pool_fractions, |fraction| {
-        FleetConfig::for_trace(trace, fraction, seed)
-    })
-}
-
-/// [`fleet_pool_sweep`] with a caller-supplied configuration per point
-/// (e.g. to vary the latency scenario or QoS cadence alongside the pool
-/// percentage). `make_config` may run from several threads at once.
-///
-/// # Errors
-///
-/// Propagates the first replay error in sweep order.
-pub fn fleet_pool_sweep_with<F>(
-    trace: &ClusterTrace,
-    pool_fractions: &[f64],
-    make_config: F,
-) -> Result<Vec<FleetSweepPoint>, PondError>
-where
-    F: Fn(f64) -> FleetConfig + Sync,
-{
-    let results = sweep::parallel_map(pool_fractions, |_, &fraction| {
-        run_fleet(trace, &make_config(fraction))
-            .map(|outcome| FleetSweepPoint { pool_fraction: fraction, outcome })
-    });
-    results.into_iter().collect()
-}
-
-/// [`fleet_pool_sweep`] over a source factory: every grid point streams a
-/// fresh source (training prefix included), so no point ever materializes
-/// the trace. Bit-identical to [`fleet_pool_sweep`] when the factory yields
-/// the same request stream. `make_source` may run from several threads at
-/// once.
-///
-/// # Errors
-///
-/// Propagates the first replay or stream error in sweep order.
-pub fn fleet_pool_sweep_source<S, F>(
-    make_source: F,
-    pool_fractions: &[f64],
-    seed: u64,
-) -> Result<Vec<FleetSweepPoint>, PondError>
-where
-    S: ArrivalSource,
-    F: Fn() -> S + Sync,
-{
-    let header = make_source().header().clone();
-    let results = sweep::parallel_map(pool_fractions, |_, &fraction| {
-        let config = FleetConfig::for_header(&header, fraction, seed);
-        let policy = PondPolicy::train_source(&make_source, &config.control.policy, config.seed)?;
-        run_fleet_source(make_source(), &config, policy)
-            .map(|outcome| FleetSweepPoint { pool_fraction: fraction, outcome })
-    });
-    results.into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::multipool::{multipool_sweep, run_multipool_fleet, GroupSchedulerKind};
     use cluster_sim::tracegen::{ClusterConfig, TraceGenerator};
+    use cxl_hw::topology::PodStyle;
 
     fn small_trace() -> ClusterTrace {
         TraceGenerator::new(ClusterConfig::small(), 1).generate(0)
@@ -971,12 +884,35 @@ mod tests {
 
     #[test]
     fn the_source_sweep_matches_the_materialized_sweep() {
+        // Two single-pool cells and a borrowing four-pod Octopus cell, whose
+        // tiny pools push VMs onto the borrowed rung: streaming every cell
+        // must reproduce the materialized replays, and a single-pool cell's
+        // fleet aggregate is `run_fleet`'s outcome.
         let generator = TraceGenerator::new(ClusterConfig::small(), 1);
         let trace = generator.generate(0);
-        let fractions = [0.05, 0.20];
-        let materialized = fleet_pool_sweep(&trace, &fractions, 7).unwrap();
-        let streamed = fleet_pool_sweep_source(|| generator.stream(0), &fractions, 7).unwrap();
+        let fleets: Vec<FleetConfig> =
+            [0.05, 0.20].iter().map(|&f| FleetConfig::for_trace(&trace, f, 7)).collect();
+        let mut configs: Vec<MultiPoolConfig> = fleets.iter().map(MultiPoolConfig::from).collect();
+        let mut octopus = MultiPoolConfig::for_trace(
+            &trace,
+            PodStyle::Octopus,
+            4,
+            0.20,
+            GroupSchedulerKind::RoundRobin,
+            7,
+        )
+        .with_borrowing(true);
+        octopus.control.pool_capacity = Bytes::from_gib(16);
+        configs.push(octopus);
+
+        let streamed = multipool_sweep(|| generator.stream(0), &configs).unwrap();
+        let materialized: Vec<_> =
+            configs.iter().map(|config| run_multipool_fleet(&trace, config).unwrap()).collect();
         assert_eq!(streamed, materialized);
+        for (fleet, outcome) in fleets.iter().zip(&streamed) {
+            assert_eq!(outcome.fleet, run_fleet(&trace, fleet).unwrap());
+        }
+        assert!(streamed[2].fleet.vms_borrowed > 0, "{:?}", streamed[2]);
     }
 
     #[test]
@@ -1005,13 +941,14 @@ mod tests {
     #[test]
     fn bigger_pools_never_hurt_savings_on_the_same_trace() {
         let trace = small_trace();
-        let points = fleet_pool_sweep(&trace, &[0.05, 0.20, 0.40], 7).unwrap();
-        assert_eq!(points.len(), 3);
-        for pair in points.windows(2) {
+        let outcomes: Vec<FleetOutcome> = [0.05, 0.20, 0.40]
+            .iter()
+            .map(|&f| run_fleet(&trace, &FleetConfig::for_trace(&trace, f, 7)).unwrap())
+            .collect();
+        for pair in outcomes.windows(2) {
             assert!(
-                pair[1].outcome.dram_savings_fraction()
-                    >= pair[0].outcome.dram_savings_fraction() - 1e-9,
-                "savings must not shrink with pool capacity: {points:?}"
+                pair[1].dram_savings_fraction() >= pair[0].dram_savings_fraction() - 1e-9,
+                "savings must not shrink with pool capacity: {outcomes:?}"
             );
         }
     }

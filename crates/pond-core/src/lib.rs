@@ -55,13 +55,11 @@ pub use arena::LiveVmArena;
 pub use combined::{CombinedModel, CombinedModelConfig};
 pub use error::PondError;
 pub use fleet::{
-    fleet_pool_sweep, fleet_pool_sweep_source, fleet_pool_sweep_with, run_fleet, run_fleet_source,
-    run_fleet_source_observed, FleetConfig, FleetOutcome,
+    run_fleet, run_fleet_source, run_fleet_source_observed, FleetConfig, FleetOutcome,
 };
 pub use multipool::{
-    multipool_sweep, multipool_sweep_source, run_multipool_fleet, run_multipool_source,
-    run_multipool_source_observed, GroupScheduler, GroupSchedulerKind, MultiPoolConfig,
-    MultiPoolOutcome, MultiPoolSweepPoint, MultiPoolSweepSpec,
+    multipool_sweep, run_multipool_fleet, run_multipool_source, run_multipool_source_observed,
+    GroupScheduler, GroupSchedulerKind, MultiPoolConfig, MultiPoolOutcome,
 };
 pub use policy::{PondPolicy, PondPolicyConfig};
 pub use pool_manager::PondPoolManager;

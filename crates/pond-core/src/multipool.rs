@@ -63,8 +63,8 @@
 //! carrying the group it belongs to), lifecycle events, and QoS ticks. After
 //! every event, per-group pool-accounting conservation is debug-asserted
 //! ([`PondControlPlane::assert_pool_conserved`]) along with the fleet-wide
-//! invariant ([`assert_fleet_conserved`]): summed over groups, every slice
-//! is exactly one of free, pinned, or mid-offlining.
+//! invariant ([`assert_fleet_conserved`]): summed over groups,
+//! `free + offlining + pinned + lent == live`.
 //!
 //! This is the one replay engine: the single-pool
 //! [`run_fleet`](crate::fleet::run_fleet) runs it on one symmetric group.
@@ -487,18 +487,7 @@ impl MultiPoolConfig {
         seed: u64,
     ) -> Self {
         let fleet = FleetConfig::for_header(header, pool_fraction, seed);
-        MultiPoolConfig {
-            pod,
-            groups,
-            control: fleet.control,
-            scheduler,
-            qos_interval: fleet.qos_interval,
-            seed,
-            drill: None,
-            lifecycle: None,
-            rebalance: None,
-            borrowing: false,
-        }
+        MultiPoolConfig { pod, groups, scheduler, ..MultiPoolConfig::from(&fleet) }
     }
 
     /// Returns the configuration with a failure drill attached.
@@ -541,6 +530,28 @@ impl MultiPoolConfig {
             self.control.pool_sockets,
             self.control.pool_capacity,
         )?)
+    }
+}
+
+/// The single-pool fleet as a multi-pool configuration: one symmetric
+/// round-robin group holding every host and the whole pool, with no drill,
+/// lifecycle plan, rebalancing or borrowing. This is the configuration
+/// [`run_fleet`](crate::fleet::run_fleet) replays, so a single-pool
+/// [`multipool_sweep`] cell's `.fleet` is its outcome.
+impl From<&FleetConfig> for MultiPoolConfig {
+    fn from(config: &FleetConfig) -> Self {
+        MultiPoolConfig {
+            pod: PodStyle::Symmetric,
+            groups: 1,
+            control: config.control.clone(),
+            scheduler: GroupSchedulerKind::RoundRobin,
+            qos_interval: config.qos_interval,
+            seed: config.seed,
+            drill: None,
+            lifecycle: None,
+            rebalance: None,
+            borrowing: false,
+        }
     }
 }
 
@@ -1688,270 +1699,28 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
     }
 }
 
-/// One cell of a (pod style × group count × pool fraction × scheduler ×
-/// borrowing) grid.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MultiPoolSweepSpec {
-    /// Pod style for this cell.
-    pub pod: PodStyle,
-    /// Number of pool groups.
-    pub groups: u16,
-    /// Pool capacity as a fraction of the fleet's DRAM.
-    pub pool_fraction: f64,
-    /// Scheduling strategy.
-    pub scheduler: GroupSchedulerKind,
-    /// Cross-pod slice borrowing ([`MultiPoolConfig::borrowing`]).
-    #[serde(default)]
-    pub borrowing: bool,
-}
-
-/// One completed cell of a multi-pool sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MultiPoolSweepPoint {
-    /// The grid cell that ran.
-    pub spec: MultiPoolSweepSpec,
-    /// The full replay outcome for that cell.
-    pub outcome: MultiPoolOutcome,
-}
-
-/// Sweeps a (pod × groups × pool fraction × scheduler) grid over one trace
-/// on the parallel [`sweep`] runner. Results come back in `specs` order and
-/// each cell is deterministic for a fixed `(trace, seed)`, so the whole
-/// sweep is reproducible bit for bit — including between
-/// `POND_SWEEP_THREADS=1` and the default thread count.
+/// Replays every configuration on the parallel [`sweep`] runner, each cell
+/// over fresh sources from `make_source`: the cell trains its policy from
+/// the stream's prefix ([`PondPolicy::train_source`]) and then replays the
+/// whole stream ([`run_multipool_source`]). Outcomes come back in `configs`
+/// order and each cell is deterministic for a fixed stream, so the sweep is
+/// reproducible bit for bit — including between `POND_SWEEP_THREADS=1` and
+/// the default thread count. A materialized trace sweeps as
+/// `|| TraceCursor::new(&trace)`, bit-identical to [`run_multipool_fleet`]
+/// per cell, and a single-pool cell is `MultiPoolConfig::from(&fleet_config)`,
+/// whose `.fleet` is [`run_fleet`](crate::fleet::run_fleet)'s outcome.
+/// `make_source` may run from several threads at once.
 ///
 /// # Errors
 ///
-/// Propagates the first replay error in sweep order.
-pub fn multipool_sweep(
-    trace: &ClusterTrace,
-    specs: &[MultiPoolSweepSpec],
-    seed: u64,
-) -> Result<Vec<MultiPoolSweepPoint>, PondError> {
-    let results = sweep::parallel_map(specs, |_, &spec| {
-        let config = MultiPoolConfig::for_trace(
-            trace,
-            spec.pod,
-            spec.groups,
-            spec.pool_fraction,
-            spec.scheduler,
-            seed,
-        )
-        .with_borrowing(spec.borrowing);
-        run_multipool_fleet(trace, &config).map(|outcome| MultiPoolSweepPoint { spec, outcome })
-    });
-    results.into_iter().collect()
-}
-
-/// [`multipool_sweep`] over a source factory: every grid cell streams a
-/// fresh source (training prefix included) instead of sharing a
-/// materialized trace. Bit-identical to [`multipool_sweep`] when the
-/// factory yields the same request stream. `make_source` may run from
-/// several threads at once.
-///
-/// # Errors
-///
-/// Propagates the first replay or stream error in sweep order.
-pub fn multipool_sweep_source<S, F>(
+/// Propagates the first replay or stream error in `configs` order.
+pub fn multipool_sweep<S: ArrivalSource, F: Fn() -> S + Sync>(
     make_source: F,
-    specs: &[MultiPoolSweepSpec],
-    seed: u64,
-) -> Result<Vec<MultiPoolSweepPoint>, PondError>
-where
-    S: ArrivalSource,
-    F: Fn() -> S + Sync,
-{
-    let header = make_source().header().clone();
-    let results = sweep::parallel_map(specs, |_, &spec| {
-        let config = MultiPoolConfig::for_header(
-            &header,
-            spec.pod,
-            spec.groups,
-            spec.pool_fraction,
-            spec.scheduler,
-            seed,
-        )
-        .with_borrowing(spec.borrowing);
+    configs: &[MultiPoolConfig],
+) -> Result<Vec<MultiPoolOutcome>, PondError> {
+    let results = sweep::parallel_map(configs, |_, config| {
         let policy = PondPolicy::train_source(&make_source, &config.control.policy, config.seed)?;
-        run_multipool_source(make_source(), &config, policy)
-            .map(|outcome| MultiPoolSweepPoint { spec, outcome })
-    });
-    results.into_iter().collect()
-}
-
-/// One cell of a failure-drill grid: a multi-pool cell plus the drill rate
-/// injected into it. A rate of `0.0` runs the cell drill-free.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FailureDrillSweepSpec {
-    /// The multi-pool cell under drill.
-    pub cell: MultiPoolSweepSpec,
-    /// Expected EMC failures per simulated day (`0.0` disables the drill).
-    pub rate_per_day: f64,
-}
-
-/// One completed cell of a failure-drill sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FailureDrillSweepPoint {
-    /// The grid cell that ran.
-    pub spec: FailureDrillSweepSpec,
-    /// The full replay outcome for that cell.
-    pub outcome: MultiPoolOutcome,
-}
-
-/// Sweeps failure drills over pod topologies on the parallel [`sweep`]
-/// runner: every cell replays the trace with EMC failures injected at
-/// `rate_per_day` and the evacuation planner answering them. All cells
-/// share one drill seed, so two pod styles at the same rate see the *same*
-/// failure schedule — the survival-rate comparison isolates the topology.
-/// Deterministic for a fixed `(trace, seed, drill_seed)`, including between
-/// `POND_SWEEP_THREADS=1` and the default thread count.
-///
-/// # Errors
-///
-/// Propagates the first replay error in sweep order.
-pub fn failure_drill_sweep(
-    trace: &ClusterTrace,
-    specs: &[FailureDrillSweepSpec],
-    seed: u64,
-    drill_seed: u64,
-) -> Result<Vec<FailureDrillSweepPoint>, PondError> {
-    failure_drill_sweep_with(trace, specs, |spec| drill_config(trace, spec, seed, drill_seed))
-}
-
-/// The default cell configuration [`failure_drill_sweep`] runs: the
-/// trace-sized multi-pool fleet with the cell's drill attached (rate `0.0`
-/// leaves the replay drill-free).
-pub fn drill_config(
-    trace: &ClusterTrace,
-    spec: &FailureDrillSweepSpec,
-    seed: u64,
-    drill_seed: u64,
-) -> MultiPoolConfig {
-    let config = MultiPoolConfig::for_trace(
-        trace,
-        spec.cell.pod,
-        spec.cell.groups,
-        spec.cell.pool_fraction,
-        spec.cell.scheduler,
-        seed,
-    );
-    if spec.rate_per_day > 0.0 {
-        config.with_drill(FailureDrillSpec {
-            rate_per_day: spec.rate_per_day,
-            kind: DrillKind::Emc,
-            seed: drill_seed,
-        })
-    } else {
-        config
-    }
-}
-
-/// [`failure_drill_sweep`] with a caller-supplied configuration per cell
-/// (e.g. to tighten per-host local DRAM so evacuations compete for real
-/// headroom, the `fig_failure_drill` setup). `make_config` may run from
-/// several threads at once.
-///
-/// # Errors
-///
-/// Propagates the first replay error in sweep order.
-pub fn failure_drill_sweep_with<F>(
-    trace: &ClusterTrace,
-    specs: &[FailureDrillSweepSpec],
-    make_config: F,
-) -> Result<Vec<FailureDrillSweepPoint>, PondError>
-where
-    F: Fn(&FailureDrillSweepSpec) -> MultiPoolConfig + Sync,
-{
-    let results = sweep::parallel_map(specs, |_, &spec| {
-        run_multipool_fleet(trace, &make_config(&spec))
-            .map(|outcome| FailureDrillSweepPoint { spec, outcome })
-    });
-    results.into_iter().collect()
-}
-
-/// One cell of a lifecycle grid: a multi-pool cell plus an optional failure
-/// drill, an optional explicit lifecycle plan, and optional proactive
-/// rebalancing. With all three `None` the cell replays plain.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LifecycleSweepSpec {
-    /// The multi-pool cell under test.
-    pub cell: MultiPoolSweepSpec,
-    /// Optional failure drill (including [`DrillKind::EmcWithRepair`]).
-    pub drill: Option<FailureDrillSpec>,
-    /// Optional explicit lifecycle schedule.
-    pub lifecycle: Option<LifecyclePlan>,
-    /// Optional proactive rebalancing.
-    pub rebalance: Option<RebalanceSpec>,
-}
-
-/// One completed cell of a lifecycle sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LifecycleSweepPoint {
-    /// The grid cell that ran.
-    pub spec: LifecycleSweepSpec,
-    /// The full replay outcome for that cell.
-    pub outcome: MultiPoolOutcome,
-}
-
-/// The default cell configuration [`lifecycle_sweep`] runs: the trace-sized
-/// multi-pool fleet with the cell's drill, lifecycle plan, and rebalance
-/// spec attached.
-pub fn lifecycle_config(
-    trace: &ClusterTrace,
-    spec: &LifecycleSweepSpec,
-    seed: u64,
-) -> MultiPoolConfig {
-    let mut config = MultiPoolConfig::for_trace(
-        trace,
-        spec.cell.pod,
-        spec.cell.groups,
-        spec.cell.pool_fraction,
-        spec.cell.scheduler,
-        seed,
-    );
-    config.drill = spec.drill;
-    config.lifecycle = spec.lifecycle.clone();
-    config.rebalance = spec.rebalance;
-    config.borrowing = spec.cell.borrowing;
-    config
-}
-
-/// Sweeps lifecycle scenarios over one trace on the parallel [`sweep`]
-/// runner: pools die, heal, drain, and join mid-replay, cell by cell.
-/// Results come back in `specs` order and each cell is deterministic for a
-/// fixed `(trace, seed)`, so the whole sweep is reproducible bit for bit —
-/// including between `POND_SWEEP_THREADS=1` and the default thread count.
-///
-/// # Errors
-///
-/// Propagates the first replay error in sweep order.
-pub fn lifecycle_sweep(
-    trace: &ClusterTrace,
-    specs: &[LifecycleSweepSpec],
-    seed: u64,
-) -> Result<Vec<LifecycleSweepPoint>, PondError> {
-    lifecycle_sweep_with(trace, specs, |spec| lifecycle_config(trace, spec, seed))
-}
-
-/// [`lifecycle_sweep`] with a caller-supplied configuration per cell (e.g.
-/// to tighten per-host local DRAM so drains compete for real headroom, the
-/// `fig_lifecycle` setup). `make_config` may run from several threads at
-/// once.
-///
-/// # Errors
-///
-/// Propagates the first replay error in sweep order.
-pub fn lifecycle_sweep_with<F>(
-    trace: &ClusterTrace,
-    specs: &[LifecycleSweepSpec],
-    make_config: F,
-) -> Result<Vec<LifecycleSweepPoint>, PondError>
-where
-    F: Fn(&LifecycleSweepSpec) -> MultiPoolConfig + Sync,
-{
-    let results = sweep::parallel_map(specs, |_, spec| {
-        run_multipool_fleet(trace, &make_config(spec))
-            .map(|outcome| LifecycleSweepPoint { spec: spec.clone(), outcome })
+        run_multipool_source(make_source(), config, policy)
     });
     results.into_iter().collect()
 }
@@ -2535,39 +2304,28 @@ mod tests {
     #[test]
     fn lifecycle_sweeps_run_cells_in_order_and_deterministically() {
         let trace = small_trace();
-        let cell = MultiPoolSweepSpec {
-            pod: PodStyle::Octopus,
-            groups: 4,
-            pool_fraction: 0.20,
-            scheduler: GroupSchedulerKind::RoundRobin,
-            borrowing: false,
-        };
-        let specs = vec![
-            LifecycleSweepSpec { cell, drill: None, lifecycle: None, rebalance: None },
-            LifecycleSweepSpec {
-                cell,
-                drill: Some(FailureDrillSpec {
+        let plain = config(PodStyle::Octopus, 4, GroupSchedulerKind::RoundRobin);
+        let configs = vec![
+            plain.clone(),
+            plain
+                .clone()
+                .with_drill(FailureDrillSpec {
                     rate_per_day: 4.0,
                     kind: DrillKind::EmcWithRepair { mttr_secs: 3_600 },
                     seed: 99,
-                }),
-                lifecycle: Some(plan(vec![LifecycleEvent {
+                })
+                .with_lifecycle(plan(vec![LifecycleEvent {
                     time: 86_400,
                     op: LifecycleOp::DecommissionGroup { group: 2 },
-                }])),
-                rebalance: Some(RebalanceSpec { starved_fraction: 0.15, max_moves_per_pass: 2 }),
-            },
+                }]))
+                .with_rebalance(RebalanceSpec { starved_fraction: 0.15, max_moves_per_pass: 2 }),
         ];
-        let a = lifecycle_sweep(&trace, &specs, 7).unwrap();
-        let b = lifecycle_sweep(&trace, &specs, 7).unwrap();
+        let a = multipool_sweep(|| TraceCursor::new(&trace), &configs).unwrap();
+        let b = multipool_sweep(|| TraceCursor::new(&trace), &configs).unwrap();
         assert_eq!(a, b, "lifecycle sweeps must be deterministic");
         assert_eq!(a.len(), 2);
-        assert_eq!(a[0].spec, specs[0]);
-        assert_eq!(
-            a[0].outcome,
-            run_multipool_fleet(&trace, &lifecycle_config(&trace, &specs[0], 7)).unwrap()
-        );
-        assert!(a[1].outcome.fleet.emc_failures > 0);
-        assert_eq!(a[1].outcome.fleet.groups_decommissioned, 1);
+        assert_eq!(a[0], run_multipool_fleet(&trace, &configs[0]).unwrap());
+        assert!(a[1].fleet.emc_failures > 0);
+        assert_eq!(a[1].fleet.groups_decommissioned, 1);
     }
 }

@@ -3,13 +3,15 @@
 //! [`PondControlPlane`] directly on the same request sequence, conserve pool
 //! accounting at every event, and produce bit-identical sweeps.
 
+use cluster_sim::source::TraceCursor;
 use cluster_sim::sweep::parallel_map_with;
 use cluster_sim::tracegen::{ClusterConfig, TraceGenerator};
 use cluster_sim::ClusterTrace;
 use cxl_hw::units::Bytes;
 use hypervisor_sim::vm::VmId;
 use pond_core::control_plane::PondControlPlane;
-use pond_core::fleet::{fleet_pool_sweep, run_fleet, FleetConfig};
+use pond_core::fleet::{run_fleet, FleetConfig};
+use pond_core::multipool::{multipool_sweep, MultiPoolConfig};
 use std::time::Duration;
 
 fn small_trace() -> ClusterTrace {
@@ -125,16 +127,19 @@ fn fleet_replay_conserves_pool_accounting_with_qos_enabled() {
 fn fleet_pool_sweep_is_deterministic() {
     let trace = small_trace();
     let fractions = [0.05, 0.20, 0.40];
-    let sweep = fleet_pool_sweep(&trace, &fractions, 7).unwrap();
+    let configs: Vec<MultiPoolConfig> = fractions
+        .iter()
+        .map(|&fraction| MultiPoolConfig::from(&FleetConfig::for_trace(&trace, fraction, 7)))
+        .collect();
+    let sweep = multipool_sweep(|| TraceCursor::new(&trace), &configs).unwrap();
     assert_eq!(sweep.len(), fractions.len());
     for workers in [1, 4] {
         let cells = parallel_map_with(workers, &fractions, |_, &fraction| {
             run_fleet(&trace, &FleetConfig::for_trace(&trace, fraction, 7)).unwrap()
         });
         assert_eq!(cells.len(), fractions.len());
-        for ((point, cell), &fraction) in sweep.iter().zip(&cells).zip(&fractions) {
-            assert_eq!(point.pool_fraction, fraction);
-            assert_eq!(&point.outcome, cell, "pool {fraction} at {workers} workers");
+        for ((outcome, cell), &fraction) in sweep.iter().zip(&cells).zip(&fractions) {
+            assert_eq!(&outcome.fleet, cell, "pool {fraction} at {workers} workers");
         }
     }
 }

@@ -6,9 +6,10 @@
 //!   plans through two different streaming adapters (the borrowing trace
 //!   cursor and a draining, length-blind vector source), comparing the
 //!   full [`MultiPoolOutcome`];
-//! * the parallel [`lifecycle_sweep`] must match a serial cell-by-cell
-//!   loop bit for bit, and an all-`None` cell must match the plain
-//!   [`run_multipool_fleet`];
+//! * a lifecycle [`multipool_sweep`] must match [`run_multipool_fleet`]
+//!   cell by cell, run inline and on forced worker threads, bit for bit; a
+//!   rerun must reproduce it, and an all-`None` cell must match the plain
+//!   replay;
 //! * composed drills (failures + repairs + decommission + expansion +
 //!   rebalance at once) must replay deterministically with the
 //!   conservation debug-asserts green — the double-free regression guard
@@ -19,14 +20,14 @@
 use std::collections::VecDeque;
 
 use cluster_sim::source::{ArrivalSource, SourceError, TraceCursor, TraceHeader};
+use cluster_sim::sweep::parallel_map_with;
 use cluster_sim::trace::{ClusterTrace, CustomerId, GuestOs, VmRequest, VmType};
 use cluster_sim::tracegen::{ClusterConfig, TraceGenerator};
 use cxl_hw::topology::PodStyle;
 use cxl_hw::units::{Bytes, EmcId};
 use pond_core::multipool::{
-    lifecycle_config, lifecycle_sweep, run_multipool_fleet, run_multipool_source, DrillKind,
-    FailureDrillSpec, GroupSchedulerKind, LifecycleEvent, LifecycleOp, LifecyclePlan,
-    LifecycleSweepPoint, LifecycleSweepSpec, MultiPoolConfig, MultiPoolSweepSpec, RebalanceSpec,
+    multipool_sweep, run_multipool_fleet, run_multipool_source, DrillKind, FailureDrillSpec,
+    GroupSchedulerKind, LifecycleEvent, LifecycleOp, LifecyclePlan, MultiPoolConfig, RebalanceSpec,
 };
 use pond_core::policy::PondPolicy;
 use proptest::prelude::*;
@@ -248,14 +249,8 @@ fn small_trace() -> ClusterTrace {
     TraceGenerator::new(ClusterConfig::small(), 1).generate(0)
 }
 
-fn cell() -> MultiPoolSweepSpec {
-    MultiPoolSweepSpec {
-        pod: PodStyle::Octopus,
-        groups: 4,
-        pool_fraction: 0.20,
-        scheduler: GroupSchedulerKind::RoundRobin,
-        borrowing: false,
-    }
+fn cell(trace: &ClusterTrace) -> MultiPoolConfig {
+    MultiPoolConfig::for_trace(trace, PodStyle::Octopus, 4, 0.20, GroupSchedulerKind::RoundRobin, 7)
 }
 
 fn mid_trace_plan() -> LifecyclePlan {
@@ -271,62 +266,59 @@ fn mid_trace_plan() -> LifecyclePlan {
 }
 
 /// The parallel sweep runner must not cost a bit: every cell of a
-/// lifecycle sweep equals the serial `lifecycle_config` +
-/// `run_multipool_fleet` loop, and the all-`None` cell equals the plain
-/// replay with no lifecycle machinery in the configuration at all.
+/// lifecycle sweep equals `run_multipool_fleet` run inline on the calling
+/// thread and on four forced worker threads, a rerun reproduces the sweep,
+/// and the all-`None` cell equals the plain replay. The last cell, a
+/// one-hour-MTTR drill with a first-day decommission and rebalancing, must
+/// see failures and finish the decommission.
 #[test]
 fn lifecycle_sweeps_match_the_serial_path_cell_for_cell() {
     let trace = small_trace();
-    let none = LifecycleSweepSpec { cell: cell(), drill: None, lifecycle: None, rebalance: None };
-    let specs = vec![
+    let none = cell(&trace);
+    let repairing = |mttr_secs| FailureDrillSpec {
+        rate_per_day: 4.0,
+        kind: DrillKind::EmcWithRepair { mttr_secs },
+        seed: 99,
+    };
+    let configs = vec![
         none.clone(),
-        LifecycleSweepSpec {
-            drill: Some(FailureDrillSpec { rate_per_day: 4.0, kind: DrillKind::Emc, seed: 99 }),
-            ..none.clone()
-        },
-        LifecycleSweepSpec {
-            drill: Some(FailureDrillSpec {
-                rate_per_day: 4.0,
-                kind: DrillKind::EmcWithRepair { mttr_secs: 7_200 },
-                seed: 99,
-            }),
-            ..none.clone()
-        },
-        LifecycleSweepSpec { lifecycle: Some(mid_trace_plan()), ..none.clone() },
-        LifecycleSweepSpec {
-            drill: Some(FailureDrillSpec {
-                rate_per_day: 4.0,
-                kind: DrillKind::EmcWithRepair { mttr_secs: 7_200 },
-                seed: 99,
-            }),
-            lifecycle: Some(mid_trace_plan()),
-            rebalance: Some(RebalanceSpec { starved_fraction: 0.25, max_moves_per_pass: 2 }),
-            ..none.clone()
-        },
+        none.clone().with_drill(FailureDrillSpec {
+            rate_per_day: 4.0,
+            kind: DrillKind::Emc,
+            seed: 99,
+        }),
+        none.clone().with_drill(repairing(7_200)),
+        none.clone().with_lifecycle(mid_trace_plan()),
+        none.clone()
+            .with_drill(repairing(7_200))
+            .with_lifecycle(mid_trace_plan())
+            .with_rebalance(RebalanceSpec { starved_fraction: 0.25, max_moves_per_pass: 2 }),
+        none.clone()
+            .with_drill(repairing(3_600))
+            .with_lifecycle(LifecyclePlan {
+                events: vec![LifecycleEvent {
+                    time: 86_400,
+                    op: LifecycleOp::DecommissionGroup { group: 2 },
+                }],
+            })
+            .with_rebalance(RebalanceSpec { starved_fraction: 0.15, max_moves_per_pass: 2 }),
     ];
-    let swept = lifecycle_sweep(&trace, &specs, 7).unwrap();
-    let serial: Vec<LifecycleSweepPoint> = specs
-        .iter()
-        .map(|spec| LifecycleSweepPoint {
-            spec: spec.clone(),
-            outcome: run_multipool_fleet(&trace, &lifecycle_config(&trace, spec, 7)).unwrap(),
-        })
-        .collect();
-    assert_eq!(swept, serial, "parallel sweep must equal the serial loop bit for bit");
+    let swept = multipool_sweep(|| TraceCursor::new(&trace), &configs).unwrap();
+    assert_eq!(swept.len(), configs.len());
+    for workers in [1, 4] {
+        let serial = parallel_map_with(workers, &configs, |_, config| {
+            run_multipool_fleet(&trace, config).unwrap()
+        });
+        assert_eq!(swept, serial, "the sweep must equal the replays at {workers} workers");
+    }
+    let again = multipool_sweep(|| TraceCursor::new(&trace), &configs).unwrap();
+    assert_eq!(swept, again, "lifecycle sweeps must be deterministic");
 
-    let plain = run_multipool_fleet(
-        &trace,
-        &MultiPoolConfig::for_trace(
-            &trace,
-            PodStyle::Octopus,
-            4,
-            0.20,
-            GroupSchedulerKind::RoundRobin,
-            7,
-        ),
-    )
-    .unwrap();
-    assert_eq!(swept[0].outcome, plain, "an all-None cell must equal the plain replay");
+    let plain = run_multipool_fleet(&trace, &none).unwrap();
+    assert_eq!(swept[0], plain, "an all-None cell must equal the plain replay");
+    let last = &swept[5].fleet;
+    assert!(last.emc_failures > 0, "{last:?}");
+    assert_eq!(last.groups_decommissioned, 1, "{last:?}");
 }
 
 /// The kitchen sink must stay conserved: failures healing under load, a
@@ -338,21 +330,14 @@ fn lifecycle_sweeps_match_the_serial_path_cell_for_cell() {
 #[test]
 fn composed_lifecycle_drills_stay_conserved_and_deterministic() {
     let trace = small_trace();
-    let config = MultiPoolConfig::for_trace(
-        &trace,
-        PodStyle::Octopus,
-        4,
-        0.20,
-        GroupSchedulerKind::RoundRobin,
-        7,
-    )
-    .with_drill(FailureDrillSpec {
-        rate_per_day: 6.0,
-        kind: DrillKind::EmcWithRepair { mttr_secs: 7_200 },
-        seed: 99,
-    })
-    .with_lifecycle(mid_trace_plan())
-    .with_rebalance(RebalanceSpec { starved_fraction: 0.25, max_moves_per_pass: 2 });
+    let config = cell(&trace)
+        .with_drill(FailureDrillSpec {
+            rate_per_day: 6.0,
+            kind: DrillKind::EmcWithRepair { mttr_secs: 7_200 },
+            seed: 99,
+        })
+        .with_lifecycle(mid_trace_plan())
+        .with_rebalance(RebalanceSpec { starved_fraction: 0.25, max_moves_per_pass: 2 });
 
     let a = run_multipool_fleet(&trace, &config).unwrap();
     let b = run_multipool_fleet(&trace, &config).unwrap();
@@ -389,34 +374,32 @@ fn the_lifecycle_bench_phase_reproduces_its_golden_outcome() {
         1,
     )
     .generate(0);
-    let spec = LifecycleSweepSpec {
-        cell: MultiPoolSweepSpec {
-            pod: PodStyle::Octopus,
-            groups: 4,
-            pool_fraction: 0.30,
-            scheduler: GroupSchedulerKind::RoundRobin,
-            borrowing: false,
-        },
-        drill: Some(FailureDrillSpec {
-            rate_per_day: 4.0,
-            kind: DrillKind::EmcWithRepair { mttr_secs: 6 * 3_600 },
-            seed: 99,
-        }),
-        lifecycle: Some(LifecyclePlan {
-            events: vec![
-                LifecycleEvent {
-                    time: trace.duration / 3,
-                    op: LifecycleOp::ExpandGroup { group: 0, capacity: Bytes::from_gib(32) },
-                },
-                LifecycleEvent {
-                    time: trace.duration / 2,
-                    op: LifecycleOp::DecommissionGroup { group: 3 },
-                },
-            ],
-        }),
-        rebalance: Some(RebalanceSpec { starved_fraction: 0.10, max_moves_per_pass: 2 }),
-    };
-    let mut config = lifecycle_config(&trace, &spec, 7);
+    let mut config = MultiPoolConfig::for_trace(
+        &trace,
+        PodStyle::Octopus,
+        4,
+        0.30,
+        GroupSchedulerKind::RoundRobin,
+        7,
+    )
+    .with_drill(FailureDrillSpec {
+        rate_per_day: 4.0,
+        kind: DrillKind::EmcWithRepair { mttr_secs: 6 * 3_600 },
+        seed: 99,
+    })
+    .with_lifecycle(LifecyclePlan {
+        events: vec![
+            LifecycleEvent {
+                time: trace.duration / 3,
+                op: LifecycleOp::ExpandGroup { group: 0, capacity: Bytes::from_gib(32) },
+            },
+            LifecycleEvent {
+                time: trace.duration / 2,
+                op: LifecycleOp::DecommissionGroup { group: 3 },
+            },
+        ],
+    })
+    .with_rebalance(RebalanceSpec { starved_fraction: 0.10, max_moves_per_pass: 2 });
     config.control.local_dram_per_host =
         Bytes::from_gib(config.control.local_dram_per_host.as_gib() * 3 / 4);
     let outcome = run_multipool_fleet(&trace, &config).unwrap();

@@ -13,9 +13,9 @@ use cxl_hw::topology::PodStyle;
 use cxl_hw::units::Bytes;
 use pond_core::fleet::{run_fleet, run_fleet_reference, FleetConfig};
 use pond_core::multipool::{
-    failure_drill_sweep, multipool_sweep, run_multipool_fleet, run_multipool_source, DrillKind,
-    FailureDrillSpec, FailureDrillSweepSpec, GroupSchedulerKind, LifecycleEvent, LifecycleOp,
-    LifecyclePlan, MultiPoolConfig, MultiPoolSweepSpec,
+    multipool_sweep, run_multipool_fleet, run_multipool_source, DrillKind, FailureDrillSpec,
+    GroupSchedulerKind, LifecycleEvent, LifecycleOp, LifecyclePlan, MultiPoolConfig,
+    MultiPoolOutcome,
 };
 use pond_core::policy::PondPolicy;
 
@@ -104,58 +104,59 @@ fn multi_group_replay_conserves_accounting_per_group_and_fleet_wide() {
     }
 }
 
-fn sweep_grid() -> Vec<MultiPoolSweepSpec> {
-    let mut specs = Vec::new();
+fn sweep_grid(trace: &ClusterTrace) -> Vec<MultiPoolConfig> {
+    let mut configs = Vec::new();
     for pod in [PodStyle::Symmetric, PodStyle::Octopus] {
         for groups in [2u16, 4] {
             for &pool_fraction in &[0.10, 0.25] {
                 for scheduler in GroupSchedulerKind::ALL {
-                    specs.push(MultiPoolSweepSpec {
+                    configs.push(MultiPoolConfig::for_trace(
+                        trace,
                         pod,
                         groups,
                         pool_fraction,
                         scheduler,
-                        borrowing: false,
-                    });
+                        7,
+                    ));
                 }
             }
         }
     }
-    specs
+    configs
 }
 
-/// The multipool sweep on the parallel runner must equal the serial
-/// reference — the same cells computed one by one on the calling thread —
-/// bit for bit, and re-running it must reproduce itself.
+/// Asserts that `swept` equals `run_multipool_fleet` over `configs` cell for
+/// cell, computed inline on the calling thread and on four forced worker
+/// threads, so the threaded path is checked even on a one-CPU machine.
+fn assert_sweep_matches_the_replays(
+    trace: &ClusterTrace,
+    configs: &[MultiPoolConfig],
+    swept: &[MultiPoolOutcome],
+) {
+    for workers in [1, 4] {
+        let cells = sweep::parallel_map_with(workers, configs, |_, config| {
+            run_multipool_fleet(trace, config).unwrap()
+        });
+        assert_eq!(swept, cells, "the sweep must equal the replays at {workers} workers");
+    }
+}
+
+/// The multipool sweep on the parallel runner must equal the same cells
+/// replayed one by one, inline and on forced worker threads, bit for bit,
+/// and re-running it must reproduce itself.
 #[test]
 fn multipool_sweep_is_deterministic_serial_vs_parallel() {
     let trace = small_trace();
     // Keep the grid small: the full product is exercised by the bench
     // binaries; determinism only needs representative cells.
-    let specs: Vec<MultiPoolSweepSpec> = sweep_grid().into_iter().step_by(5).take(5).collect();
-    assert!(sweep::worker_count(specs.len()) >= 1);
+    let configs: Vec<MultiPoolConfig> = sweep_grid(&trace).into_iter().step_by(5).take(5).collect();
+    assert!(sweep::worker_count(configs.len()) >= 1);
 
-    let parallel = multipool_sweep(&trace, &specs, 7).unwrap();
-    let serial: Vec<_> = specs
-        .iter()
-        .map(|&spec| {
-            let config = MultiPoolConfig::for_trace(
-                &trace,
-                spec.pod,
-                spec.groups,
-                spec.pool_fraction,
-                spec.scheduler,
-                7,
-            );
-            run_multipool_fleet(&trace, &config).unwrap()
-        })
-        .collect();
-    assert_eq!(parallel.len(), serial.len());
-    for (point, reference) in parallel.iter().zip(&serial) {
-        assert_eq!(&point.outcome, reference, "parallel cell must equal the serial reference");
-    }
-    let again = multipool_sweep(&trace, &specs, 7).unwrap();
-    assert_eq!(parallel, again, "same inputs must reproduce the sweep bit for bit");
+    let swept = multipool_sweep(|| TraceCursor::new(&trace), &configs).unwrap();
+    assert_eq!(swept.len(), configs.len());
+    assert_sweep_matches_the_replays(&trace, &configs, &swept);
+    let again = multipool_sweep(|| TraceCursor::new(&trace), &configs).unwrap();
+    assert_eq!(swept, again, "same inputs must reproduce the sweep bit for bit");
 }
 
 /// A drilled multi-pool config with per-host local DRAM tightened to half
@@ -208,50 +209,38 @@ fn octopus_overlap_survives_emc_failures_better_than_symmetric_pods() {
     assert!(!oct.evacuation_copy_time.is_zero());
 }
 
-/// Determinism of failure drills (satellite): the drilled sweep on the
-/// parallel runner must equal the serial reference bit for bit, and a
-/// zero-rate cell must reproduce the drill-free replay exactly.
+/// Determinism of failure drills: the drilled sweep on the parallel runner
+/// must equal the same cells replayed one by one, inline and on forced
+/// worker threads, bit for bit, a rerun must reproduce it, and a zero-rate
+/// drill must reproduce the drill-free replay exactly.
 #[test]
 fn failure_drill_sweep_is_deterministic_and_zero_rate_matches_plain_replay() {
     let trace = small_trace();
-    let mut specs = Vec::new();
+    let mut configs = Vec::new();
     for pod in [PodStyle::Symmetric, PodStyle::Octopus] {
         for rate_per_day in [0.0, 4.0] {
-            specs.push(FailureDrillSweepSpec {
-                cell: MultiPoolSweepSpec {
-                    pod,
-                    groups: 4,
-                    pool_fraction: 0.25,
-                    scheduler: GroupSchedulerKind::RoundRobin,
-                    borrowing: false,
-                },
-                rate_per_day,
-            });
+            configs.push(
+                MultiPoolConfig::for_trace(&trace, pod, 4, 0.25, GroupSchedulerKind::RoundRobin, 7)
+                    .with_drill(FailureDrillSpec { rate_per_day, kind: DrillKind::Emc, seed: 99 }),
+            );
         }
     }
-    assert!(sweep::worker_count(specs.len()) >= 1);
-    let parallel = failure_drill_sweep(&trace, &specs, 7, 99).unwrap();
-    let again = failure_drill_sweep(&trace, &specs, 7, 99).unwrap();
-    assert_eq!(parallel, again, "same inputs must reproduce the sweep bit for bit");
-    for point in &parallel {
-        if point.spec.rate_per_day == 0.0 {
+    assert!(sweep::worker_count(configs.len()) >= 1);
+    let swept = multipool_sweep(|| TraceCursor::new(&trace), &configs).unwrap();
+    assert_sweep_matches_the_replays(&trace, &configs, &swept);
+    let again = multipool_sweep(|| TraceCursor::new(&trace), &configs).unwrap();
+    assert_eq!(swept, again, "same inputs must reproduce the sweep bit for bit");
+    for (config, outcome) in configs.iter().zip(&swept) {
+        let drill = config.drill.expect("every cell is drilled");
+        if drill.rate_per_day == 0.0 {
             // A zero-rate drill cell is exactly the plain multipool replay.
-            let plain = run_multipool_fleet(
-                &trace,
-                &MultiPoolConfig::for_trace(
-                    &trace,
-                    point.spec.cell.pod,
-                    point.spec.cell.groups,
-                    point.spec.cell.pool_fraction,
-                    point.spec.cell.scheduler,
-                    7,
-                ),
-            )
-            .unwrap();
-            assert_eq!(point.outcome, plain, "zero-rate drill must be bit-identical");
-            assert_eq!(point.outcome.fleet.emc_failures, 0);
+            let plain =
+                run_multipool_fleet(&trace, &MultiPoolConfig { drill: None, ..config.clone() })
+                    .unwrap();
+            assert_eq!(outcome, &plain, "zero-rate drill must be bit-identical");
+            assert_eq!(outcome.fleet.emc_failures, 0);
         } else {
-            assert!(point.outcome.fleet.emc_failures > 0, "{point:?}");
+            assert!(outcome.fleet.emc_failures > 0, "{outcome:?}");
         }
     }
 }

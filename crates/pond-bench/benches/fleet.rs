@@ -18,27 +18,56 @@
 //! sets of best-of-3 timings, against 6.0–6.4x here, so no floor there
 //! could price the index.
 //!
-//! Run with `cargo bench -p pond-bench --bench fleet`. The final line prints
-//! the measured events/sec and speedup; the acceptance bar is >= 5x.
+//! Run with `cargo bench -p pond-bench --bench fleet`. The report times
+//! the two replays in alternating rounds and prints every round; its final
+//! line prints the best-of-5 events/sec and speedup, and the acceptance bar
+//! is >= 5x.
 //!
 //! [`run_fleet_reference`]: pond_core::fleet::run_fleet_reference
 
+use cluster_sim::source::TraceCursor;
 use cluster_sim::tracegen::{ClusterConfig, TraceGenerator};
 use cluster_sim::ClusterTrace;
 use criterion::{criterion_group, BatchSize, Criterion};
-use pond_core::fleet::{
-    run_fleet_reference_with_policy, run_fleet_with_policy, FleetConfig, FleetOutcome,
-};
+use cxl_hw::topology::PodStyle;
+use pond_core::fleet::{run_fleet_reference, FleetOutcome};
+use pond_core::multipool::{run_multipool_source, GroupSchedulerKind, MultiPoolConfig};
 use pond_core::policy::PondPolicy;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 const SERVERS: u32 = 8192;
 
+/// Timed rounds in the explicit report; each arm keeps its best.
+const RUNS: usize = 5;
+
 fn bench_trace() -> ClusterTrace {
     let config =
         ClusterConfig { servers: SERVERS, duration_days: 1, ..ClusterConfig::azure_like() };
     TraceGenerator::new(config, 1).generate(0)
+}
+
+/// The single pool: one symmetric round-robin group holding every host.
+fn single_pool(trace: &ClusterTrace) -> MultiPoolConfig {
+    let scheduler = GroupSchedulerKind::RoundRobin;
+    MultiPoolConfig::for_trace(trace, PodStyle::Symmetric, 1, 0.20, scheduler, 7)
+}
+
+/// The replay engine's single-pool outcome.
+fn indexed_replay(
+    trace: &ClusterTrace,
+    config: &MultiPoolConfig,
+    policy: PondPolicy,
+) -> FleetOutcome {
+    run_multipool_source(TraceCursor::new(trace), config, policy).unwrap().fleet
+}
+
+fn reference_replay(
+    trace: &ClusterTrace,
+    config: &MultiPoolConfig,
+    policy: PondPolicy,
+) -> FleetOutcome {
+    run_fleet_reference(trace, config, policy).unwrap()
 }
 
 /// Events the replay processed: arrivals (placed and rejected), departures
@@ -55,7 +84,7 @@ fn replay_events(outcome: &FleetOutcome) -> u64 {
 
 fn bench_fleet(c: &mut Criterion) {
     let trace = bench_trace();
-    let config = FleetConfig::for_trace(&trace, 0.20, 7);
+    let config = single_pool(&trace);
     let policy = PondPolicy::train(&trace, &config.control.policy, config.seed);
     println!("fleet trace: {} servers, {} requests, 1 day", trace.servers, trace.requests.len());
     // The replay consumes its policy, so each sample gets a clone — built in
@@ -64,14 +93,14 @@ fn bench_fleet(c: &mut Criterion) {
     c.bench_function(&format!("fleet_replay_indexed_{SERVERS}_servers"), |b| {
         b.iter_batched(
             || policy.clone(),
-            |policy| run_fleet_with_policy(black_box(&trace), &config, policy).unwrap(),
+            |policy| indexed_replay(black_box(&trace), &config, policy),
             BatchSize::LargeInput,
         )
     });
     c.bench_function(&format!("fleet_replay_reference_{SERVERS}_servers"), |b| {
         b.iter_batched(
             || policy.clone(),
-            |policy| run_fleet_reference_with_policy(black_box(&trace), &config, policy).unwrap(),
+            |policy| reference_replay(black_box(&trace), &config, policy),
             BatchSize::LargeInput,
         )
     });
@@ -83,43 +112,56 @@ criterion_group!(
     targets = bench_fleet
 );
 
-/// Best-of-`runs` wall time of `f`, cloning the consumed policy outside the
-/// timed region each run.
-fn best_of<F: FnMut(PondPolicy) -> FleetOutcome>(
-    runs: usize,
+/// Wall time of one replay, cloning the consumed policy outside the timed
+/// region.
+fn timed(
     policy: &PondPolicy,
-    mut f: F,
+    replay: impl FnOnce(PondPolicy) -> FleetOutcome,
 ) -> (Duration, FleetOutcome) {
-    let mut best = Duration::MAX;
-    let mut out = None;
-    for _ in 0..runs {
-        let policy = policy.clone();
-        let start = Instant::now();
-        let outcome = f(policy);
-        best = best.min(start.elapsed());
-        out = Some(outcome);
-    }
-    (best, out.expect("at least one run"))
+    let policy = policy.clone();
+    let start = Instant::now();
+    let outcome = replay(policy);
+    (start.elapsed(), outcome)
 }
 
 fn main() {
     benches();
 
     // Explicit throughput report: best-of-5 full replays of each loop on the
-    // same trace and the same trained policy, with a bit-for-bit outcome
-    // cross-check.
+    // same trace and the same trained policy. The arms alternate round by
+    // round, and each round swaps which runs first, so a slow phase of a
+    // shared machine lands on both arms instead of on one. Every round
+    // cross-checks the two outcomes bit for bit.
     let trace = bench_trace();
-    let config = FleetConfig::for_trace(&trace, 0.20, 7);
+    let config = single_pool(&trace);
     let policy = PondPolicy::train(&trace, &config.control.policy, config.seed);
-    let (indexed, outcome) =
-        best_of(5, &policy, |policy| run_fleet_with_policy(&trace, &config, policy).unwrap());
-    let (reference, reference_outcome) = best_of(5, &policy, |policy| {
-        run_fleet_reference_with_policy(&trace, &config, policy).unwrap()
-    });
-    assert_eq!(
-        outcome, reference_outcome,
-        "the indexed and reference replays must produce identical outcomes"
-    );
+    let (mut indexed, mut reference) = (Duration::MAX, Duration::MAX);
+    let mut outcome = None;
+    for round in 0..RUNS {
+        let indexed_arm = || timed(&policy, |policy| indexed_replay(&trace, &config, policy));
+        let reference_arm = || timed(&policy, |policy| reference_replay(&trace, &config, policy));
+        let indexed_first = round % 2 == 0;
+        let ((indexed_time, indexed_outcome), (reference_time, reference_outcome)) =
+            if indexed_first {
+                let indexed_run = indexed_arm();
+                (indexed_run, reference_arm())
+            } else {
+                let reference_run = reference_arm();
+                (indexed_arm(), reference_run)
+            };
+        assert_eq!(
+            indexed_outcome, reference_outcome,
+            "round {round}: the indexed and reference replays must produce identical outcomes"
+        );
+        println!(
+            "round {round} ({} first): reference {reference_time:.2?}, indexed {indexed_time:.2?}",
+            if indexed_first { "indexed" } else { "reference" }
+        );
+        indexed = indexed.min(indexed_time);
+        reference = reference.min(reference_time);
+        outcome = Some(indexed_outcome);
+    }
+    let outcome = outcome.expect("at least one round");
     let events = replay_events(&outcome);
     let speedup = reference.as_secs_f64() / indexed.as_secs_f64();
     println!(

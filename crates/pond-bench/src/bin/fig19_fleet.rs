@@ -10,9 +10,9 @@
 //! line comes from a streaming pass instead of the request vector.
 
 use cluster_sim::source::{summarize, ArrivalSource};
+use cxl_hw::topology::PodStyle;
 use pond_bench::{bench_generator, pct, print_header};
-use pond_core::fleet::FleetConfig;
-use pond_core::multipool::{multipool_sweep, MultiPoolConfig};
+use pond_core::multipool::{multipool_sweep, GroupSchedulerKind, MultiPoolConfig};
 
 fn main() {
     print_header(
@@ -28,9 +28,10 @@ fn main() {
     );
     let header = generator.stream(0).header().clone();
     let fractions = [0.05, 0.10, 0.15, 0.20, 0.30, 0.50];
+    let (pod, scheduler) = (PodStyle::Symmetric, GroupSchedulerKind::RoundRobin);
     let configs: Vec<MultiPoolConfig> = fractions
         .iter()
-        .map(|&fraction| MultiPoolConfig::from(&FleetConfig::for_header(&header, fraction, 19)))
+        .map(|&fraction| MultiPoolConfig::for_header(&header, pod, 1, fraction, scheduler, 19))
         .collect();
     let outcomes =
         multipool_sweep(|| generator.stream(0), &configs).expect("fleet replay must not fail");

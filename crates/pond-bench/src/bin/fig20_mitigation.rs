@@ -6,9 +6,9 @@
 
 use cluster_sim::source::TraceCursor;
 use cxl_hw::latency::LatencyScenario;
+use cxl_hw::topology::PodStyle;
 use pond_bench::{bench_trace, pct, print_header};
-use pond_core::fleet::FleetConfig;
-use pond_core::multipool::{multipool_sweep, MultiPoolConfig};
+use pond_core::multipool::{multipool_sweep, GroupSchedulerKind, MultiPoolConfig};
 
 fn main() {
     print_header(
@@ -21,12 +21,13 @@ fn main() {
         .into_iter()
         .flat_map(|scenario| fractions.map(|fraction| (scenario, fraction)))
         .collect();
+    let (pod, scheduler) = (PodStyle::Symmetric, GroupSchedulerKind::RoundRobin);
     let configs: Vec<MultiPoolConfig> = cells
         .iter()
         .map(|&(scenario, fraction)| {
-            let mut config = FleetConfig::for_trace(&trace, fraction, 20);
+            let mut config = MultiPoolConfig::for_trace(&trace, pod, 1, fraction, scheduler, 20);
             config.control.policy.scenario = scenario;
-            MultiPoolConfig::from(&config)
+            config
         })
         .collect();
     let outcomes =

@@ -20,97 +20,25 @@
 //! [`PondControlPlane::assert_pool_conserved`] checks it, is debug-asserted
 //! after every event.
 //!
-//! This module owns the single-pool configuration, the outcome type, and the
-//! accounting rules; the event loop itself is the multi-pool engine in
-//! [`crate::multipool`], which [`run_fleet`] runs on one symmetric group.
-//! [`run_fleet_reference`] keeps the original heap-per-source loop as the
-//! bit-for-bit oracle for that engine.
+//! This module owns the outcome type, its accounting rules, and
+//! [`run_fleet_reference`], the original heap-per-source loop kept as the
+//! bit-for-bit oracle for the replay engine. The engine is the multi-pool
+//! one in [`crate::multipool`]; a single pool is that engine on one
+//! symmetric group (`MultiPoolConfig::for_trace(.., PodStyle::Symmetric, 1,
+//! ..)`), and its result is the outcome's `.fleet`.
 
-use crate::control_plane::{ControlPlaneConfig, PondControlPlane};
+use crate::control_plane::PondControlPlane;
 use crate::error::PondError;
-use crate::multipool::{run_multipool_source_observed, MultiPoolConfig};
+use crate::multipool::MultiPoolConfig;
 use crate::policy::PondPolicy;
 use cluster_sim::event::{Event, ReferenceEventQueue};
-use cluster_sim::source::{ArrivalSource, TraceCursor, TraceHeader};
 use cluster_sim::trace::ClusterTrace;
 use cxl_hw::units::Bytes;
 use hypervisor_sim::vm::VmId;
-use pond_metrics::{NullObserver, ReplayObserver};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 use workload_model::spill::SpillModel;
 use workload_model::WorkloadSuite;
-
-/// Configuration of one fleet replay.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FleetConfig {
-    /// The control plane under test (hosts, pool, policy, mitigation budget).
-    pub control: ControlPlaneConfig,
-    /// Seconds between QoS-monitoring passes (the event core's snapshot
-    /// cadence; `0` disables monitoring).
-    pub qos_interval: u64,
-    /// Seed for model training and telemetry sampling.
-    pub seed: u64,
-}
-
-impl Default for FleetConfig {
-    fn default() -> Self {
-        FleetConfig {
-            control: ControlPlaneConfig { fallback_all_local: true, ..Default::default() },
-            qos_interval: 6 * 3600,
-            seed: 19,
-        }
-    }
-}
-
-impl FleetConfig {
-    /// A fleet sized to a trace: one control-plane host per trace server,
-    /// with the trace's total DRAM spread evenly across the hosts and the
-    /// pool holding `pool_fraction` of that DRAM as extra pooled capacity.
-    ///
-    /// Fleets larger than the pool's CXL port count are honest now: at most
-    /// `ports` hosts hold slices concurrently, but a drained host's port
-    /// detaches (see `cxl_hw::pool`), so any number of hosts can cycle
-    /// through the pool over the trace. Hosts that cannot reach a port at
-    /// arrival time fall back to all-local placements.
-    ///
-    /// This is the knob Figures 19–20 sweep: `pool_fraction` is the pool
-    /// percentage, and the replay reports the DRAM savings and mitigation
-    /// rate the full pipeline achieves at that size.
-    pub fn for_trace(trace: &ClusterTrace, pool_fraction: f64, seed: u64) -> Self {
-        Self::for_header(&TraceHeader::of_trace(trace), pool_fraction, seed)
-    }
-
-    /// [`FleetConfig::for_trace`] from a [`TraceHeader`] alone, so streaming
-    /// replays can size the fleet without materializing any requests.
-    pub fn for_header(header: &TraceHeader, pool_fraction: f64, seed: u64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&pool_fraction) && pool_fraction.is_finite(),
-            "pool fraction must be in [0, 1]"
-        );
-        let hosts = header.servers.clamp(1, u64::from(u16::MAX) as u32) as u16;
-        let fleet_dram = Bytes::from_gib(header.dram_per_server.as_gib() * header.servers as u64);
-        let local_per_host = Bytes::from_gib(fleet_dram.as_gib() / hosts as u64);
-        let pool_capacity = Bytes::from_gib(fleet_dram.scaled(pool_fraction).slices_floor().max(1));
-        FleetConfig {
-            control: ControlPlaneConfig {
-                hosts,
-                local_dram_per_host: local_per_host,
-                pool_capacity,
-                fallback_all_local: true,
-                ..Default::default()
-            },
-            ..Default::default()
-        }
-        .with_seed(seed)
-    }
-
-    /// Replaces the seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-}
 
 /// Aggregated results of one fleet replay.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
@@ -471,10 +399,10 @@ pub(crate) enum ScheduledEvent {
 }
 
 /// The per-event outcome accounting shared by the replay engine
-/// ([`crate::multipool`], which also runs [`run_fleet`]) and the oracle
-/// [`run_fleet_reference`]: both charge placements and mitigations through
-/// these helpers, so the oracle checks the event core and bookkeeping, not
-/// a second copy of the accounting rules.
+/// ([`crate::multipool`]) and the oracle [`run_fleet_reference`]: both
+/// charge placements and mitigations through these helpers, so the oracle
+/// checks the event core and bookkeeping, not a second copy of the
+/// accounting rules.
 #[derive(Debug)]
 pub(crate) struct ReplayAccounting {
     scenario: cxl_hw::latency::LatencyScenario,
@@ -558,7 +486,7 @@ impl ReplayAccounting {
 /// host — the pre-refactor O(hosts)-per-event accounting, retained for the
 /// reference replay that anchors the equivalence tests and the throughput
 /// bench.
-pub(crate) fn track_peaks(
+fn track_peaks(
     plane: &PondControlPlane,
     outcome: &mut FleetOutcome,
     peak_local: &mut [Bytes],
@@ -575,115 +503,39 @@ pub(crate) fn track_peaks(
     outcome.pool_peak = outcome.pool_peak.max(plane.pool().pool().assigned_capacity());
 }
 
-/// Replays a trace through the full Pond control plane on the time-ordered
-/// event core and returns the aggregated outcome.
+/// The pre-refactor single-pool replay loop, retained as the oracle for the
+/// replay engine: the five-heap [`ReferenceEventQueue`], a full host scan
+/// after every event, and hash-map bookkeeping. The equivalence tests
+/// assert that the engine's one-group `.fleet` matches it bit for bit, and
+/// the throughput bench measures the engine's speedup against it.
 ///
-/// The replay builds its pool from whole 1 GiB slices, so a fractional
-/// `pool_capacity` replays as its floor.
-///
-/// # Errors
-///
-/// * [`PondError::Hardware`] wrapping
-///   [`CxlError::InvalidGroupTopology`](cxl_hw::CxlError::InvalidGroupTopology)
-///   when `pool_capacity` is below one slice (a zero pool included), and
-///   other control-plane construction failures (unsupported pool topology).
-/// * Any error other than the expected placement failures
-///   (`NoFeasibleHost`, and `PoolExhausted` when the fallback is disabled).
-pub fn run_fleet(trace: &ClusterTrace, config: &FleetConfig) -> Result<FleetOutcome, PondError> {
-    let policy = PondPolicy::train(trace, &config.control.policy, config.seed);
-    run_fleet_with_policy(trace, config, policy)
-}
-
-/// [`run_fleet`] with an already-trained policy, so callers that replay the
-/// same trace many times (sweeps, benches) pay the training cost once.
+/// It models one plain pool: `config` must be one group with no failure
+/// drill, lifecycle plan or rebalance spec (with one group, the pod style,
+/// the scheduler and borrowing change nothing). It replays `config.control`
+/// as given, where the engine floors the pool to whole 1 GiB slices.
 ///
 /// # Errors
 ///
-/// Same as [`run_fleet`].
-pub fn run_fleet_with_policy(
-    trace: &ClusterTrace,
-    config: &FleetConfig,
-    policy: PondPolicy,
-) -> Result<FleetOutcome, PondError> {
-    run_fleet_source(TraceCursor::new(trace), config, policy)
-}
-
-/// [`run_fleet`] over any streaming [`ArrivalSource`]: arrivals come off the
-/// source cursor one at a time, departures live in an incremental per-second
-/// calendar, and every per-VM fact sits in a
-/// [`LiveVmArena`](crate::arena::LiveVmArena) slot that is
-/// recycled at departure — so replay bookkeeping is O(live VMs + hosts),
-/// not O(trace length). The one term that grows with the trace is the
-/// policy's [`CustomerHistory`](crate::untouched::CustomerHistory): 8 B per
-/// completed VM. Bit-identical to the materialized replay on the same
-/// request stream: arrival ordinals feed the same simultaneous-departure
-/// tie-break the trace index used to.
-///
-/// # Errors
-///
-/// Same as [`run_fleet`], plus [`PondError::TraceStream`] when the source
-/// fails mid-replay (malformed or unreadable stream).
-pub fn run_fleet_source<S: ArrivalSource>(
-    source: S,
-    config: &FleetConfig,
-    policy: PondPolicy,
-) -> Result<FleetOutcome, PondError> {
-    run_fleet_source_observed(source, config, policy, &mut NullObserver)
-}
-
-/// [`run_fleet_source`] with a [`ReplayObserver`] wired into the replay:
-/// the observer sees every popped event, every placement decision, every QoS
-/// pass, and a single-group [`GroupSample`](pond_metrics::GroupSample) at
-/// each snapshot tick.
-///
-/// The single-pool replay *is* the multi-pool engine on one symmetric group
-/// ([`run_multipool_source_observed`]): with one group the placement ladder
-/// degenerates to the control plane's pooled → all-local fallback, and the
-/// fleet aggregate is that group's outcome. [`run_fleet_reference`] stays
-/// the independent oracle. Observers are read-only, so the observed outcome
-/// is bit-identical to [`run_fleet_source`]; with [`NullObserver`] every
-/// hook compiles out.
-///
-/// # Errors
-///
-/// Same as [`run_fleet_source`].
-pub fn run_fleet_source_observed<S: ArrivalSource, O: ReplayObserver>(
-    source: S,
-    config: &FleetConfig,
-    policy: PondPolicy,
-    observer: &mut O,
-) -> Result<FleetOutcome, PondError> {
-    let single_pool = MultiPoolConfig::from(config);
-    Ok(run_multipool_source_observed(source, &single_pool, policy, observer)?.fleet)
-}
-
-/// The pre-refactor replay loop, retained deliberately: the five-heap
-/// [`ReferenceEventQueue`], a full host scan after every event, and hash-map
-/// bookkeeping for placements and departures. The equivalence tests assert
-/// the optimized [`run_fleet`] matches this bit for bit, and the throughput
-/// bench measures its speedup against it.
-///
-/// # Errors
-///
-/// Same as [`run_fleet`].
+/// * [`PondError::InvalidConfig`] for any other config, which this loop
+///   would otherwise replay as if the parts it does not model were absent.
+/// * Control-plane construction failures, and any error other than the
+///   expected placement failures (`NoFeasibleHost`, and `PoolExhausted`
+///   when the all-local fallback is off).
 pub fn run_fleet_reference(
     trace: &ClusterTrace,
-    config: &FleetConfig,
-) -> Result<FleetOutcome, PondError> {
-    let policy = PondPolicy::train(trace, &config.control.policy, config.seed);
-    run_fleet_reference_with_policy(trace, config, policy)
-}
-
-/// [`run_fleet_reference`] with an already-trained policy.
-///
-/// # Errors
-///
-/// Same as [`run_fleet`].
-pub fn run_fleet_reference_with_policy(
-    trace: &ClusterTrace,
-    config: &FleetConfig,
+    config: &MultiPoolConfig,
     policy: PondPolicy,
 ) -> Result<FleetOutcome, PondError> {
+    let unmodeled = [
+        (config.groups != 1, "a group count other than one"),
+        (config.drill.is_some(), "a failure drill"),
+        (config.lifecycle.is_some(), "a lifecycle plan"),
+        (config.rebalance.is_some(), "a rebalance spec"),
+    ];
+    if let Some((_, part)) = unmodeled.iter().find(|(present, _)| *present) {
+        let detail = format!("the reference replay models one plain pool, not {part}");
+        return Err(PondError::InvalidConfig { detail });
+    }
     let mut plane = PondControlPlane::with_policy(config.control.clone(), policy)?;
     let accounting = ReplayAccounting::new(&config.control);
 
@@ -790,12 +642,36 @@ pub fn run_fleet_reference_with_policy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multipool::{multipool_sweep, run_multipool_fleet, GroupSchedulerKind};
+    use crate::multipool::{
+        multipool_sweep, run_multipool_fleet, run_multipool_source, run_multipool_source_observed,
+        DrillKind, FailureDrillSpec, GroupSchedulerKind, LifecyclePlan, RebalanceSpec,
+    };
+    use cluster_sim::source::TraceCursor;
     use cluster_sim::tracegen::{ClusterConfig, TraceGenerator};
     use cxl_hw::topology::PodStyle;
 
     fn small_trace() -> ClusterTrace {
         TraceGenerator::new(ClusterConfig::small(), 1).generate(0)
+    }
+
+    /// The single pool: one symmetric round-robin group sized to the trace.
+    fn single_pool(trace: &ClusterTrace, pool_fraction: f64) -> MultiPoolConfig {
+        let scheduler = GroupSchedulerKind::RoundRobin;
+        MultiPoolConfig::for_trace(trace, PodStyle::Symmetric, 1, pool_fraction, scheduler, 7)
+    }
+
+    /// The engine's single-pool outcome: the one group's fleet aggregate.
+    fn replay(trace: &ClusterTrace, config: &MultiPoolConfig) -> Result<FleetOutcome, PondError> {
+        Ok(run_multipool_fleet(trace, config)?.fleet)
+    }
+
+    /// The oracle, with the policy the engine trains for the same config.
+    fn reference(
+        trace: &ClusterTrace,
+        config: &MultiPoolConfig,
+    ) -> Result<FleetOutcome, PondError> {
+        let policy = PondPolicy::train(trace, &config.control.policy, config.seed);
+        run_fleet_reference(trace, config, policy)
     }
 
     #[test]
@@ -806,32 +682,52 @@ mod tests {
         // pool-exhausted VMs instead of placing them.
         for fallback in [true, false] {
             for fraction in [0.02, 0.20, 0.40] {
-                let mut config = FleetConfig::for_trace(&trace, fraction, 7);
+                let mut config = single_pool(&trace, fraction);
                 config.control.fallback_all_local = fallback;
-                let optimized = run_fleet(&trace, &config).unwrap();
-                let reference = run_fleet_reference(&trace, &config).unwrap();
+                let optimized = replay(&trace, &config).unwrap();
+                let reference = reference(&trace, &config).unwrap();
                 assert_eq!(optimized, reference, "pool fraction {fraction}, fallback {fallback}");
             }
         }
     }
 
     #[test]
+    fn the_reference_refuses_the_config_it_does_not_model() {
+        // Each config below would replay as a plain single pool if the
+        // oracle ignored the part it does not model, so a comparison with
+        // the engine would test nothing; it must refuse instead.
+        let trace = small_trace();
+        let plain = single_pool(&trace, 0.20);
+        let policy = PondPolicy::train(&trace, &plain.control.policy, plain.seed);
+        let drill = FailureDrillSpec { rate_per_day: 1.0, kind: DrillKind::Emc, seed: 3 };
+        let rebalance = RebalanceSpec { starved_fraction: 0.1, max_moves_per_pass: 2 };
+        let two_groups = MultiPoolConfig { groups: 2, ..plain.clone() };
+        for config in [
+            two_groups,
+            plain.clone().with_drill(drill),
+            plain.clone().with_lifecycle(LifecyclePlan::default()),
+            plain.clone().with_rebalance(rebalance),
+        ] {
+            let err = run_fleet_reference(&trace, &config, policy.clone()).unwrap_err();
+            assert!(matches!(err, PondError::InvalidConfig { .. }), "{config:?}: {err:?}");
+        }
+        assert!(run_fleet_reference(&trace, &plain, policy).is_ok());
+    }
+
+    #[test]
     fn the_replay_pool_is_whole_slices() {
         let trace = small_trace();
-        let whole = FleetConfig::for_trace(&trace, 0.20, 7);
+        let whole = single_pool(&trace, 0.20);
         // A fractional pool replays as its floor, exactly as the reference
         // replays the floored pool.
         let mut fractional = whole.clone();
         fractional.control.pool_capacity = whole.control.pool_capacity + Bytes::from_mib(512);
-        assert_eq!(
-            run_fleet(&trace, &fractional).unwrap(),
-            run_fleet_reference(&trace, &whole).unwrap()
-        );
+        assert_eq!(replay(&trace, &fractional).unwrap(), reference(&trace, &whole).unwrap());
         // A pool below one slice is not a pool the replay can build.
         for below_one_slice in [Bytes::ZERO, Bytes::from_mib(512)] {
             let mut config = whole.clone();
             config.control.pool_capacity = below_one_slice;
-            let err = run_fleet(&trace, &config).unwrap_err();
+            let err = replay(&trace, &config).unwrap_err();
             assert!(
                 matches!(err, PondError::Hardware(cxl_hw::CxlError::InvalidGroupTopology { .. })),
                 "{below_one_slice:?}: {err:?}"
@@ -847,15 +743,22 @@ mod tests {
         // whole point of the bounded-memory path.
         let generator = TraceGenerator::new(ClusterConfig::small(), 1);
         let trace = generator.generate(0);
-        let config = FleetConfig::for_header(&cluster_sim::TraceHeader::of_trace(&trace), 0.20, 7);
-        assert_eq!(config, FleetConfig::for_trace(&trace, 0.20, 7));
+        let config = MultiPoolConfig::for_header(
+            &cluster_sim::TraceHeader::of_trace(&trace),
+            PodStyle::Symmetric,
+            1,
+            0.20,
+            GroupSchedulerKind::RoundRobin,
+            7,
+        );
+        assert_eq!(config, single_pool(&trace, 0.20));
 
-        let materialized = run_fleet(&trace, &config).unwrap();
+        let materialized = replay(&trace, &config).unwrap();
         let policy =
             PondPolicy::train_source(|| generator.stream(0), &config.control.policy, config.seed)
                 .unwrap();
-        let streamed = run_fleet_source(generator.stream(0), &config, policy).unwrap();
-        assert_eq!(streamed, materialized);
+        let streamed = run_multipool_source(generator.stream(0), &config, policy).unwrap();
+        assert_eq!(streamed.fleet, materialized);
     }
 
     #[test]
@@ -868,10 +771,10 @@ mod tests {
         // arrival up front to guarantee a genuine order violation.
         let last = trace.requests.len() - 1;
         trace.requests.swap(0, last);
-        let config = FleetConfig::for_trace(&trace, 0.20, 7);
+        let config = single_pool(&trace, 0.20);
         let policy = PondPolicy::train(&trace, &config.control.policy, config.seed);
-        let err = run_fleet_source(
-            cluster_sim::Validated::new(cluster_sim::TraceCursor::new(&trace)),
+        let err = run_multipool_source(
+            cluster_sim::Validated::new(TraceCursor::new(&trace)),
             &config,
             policy,
         )
@@ -887,12 +790,11 @@ mod tests {
         // Two single-pool cells and a borrowing four-pod Octopus cell, whose
         // tiny pools push VMs onto the borrowed rung: streaming every cell
         // must reproduce the materialized replays, and a single-pool cell's
-        // fleet aggregate is `run_fleet`'s outcome.
+        // fleet aggregate is the independent reference loop's outcome.
         let generator = TraceGenerator::new(ClusterConfig::small(), 1);
         let trace = generator.generate(0);
-        let fleets: Vec<FleetConfig> =
-            [0.05, 0.20].iter().map(|&f| FleetConfig::for_trace(&trace, f, 7)).collect();
-        let mut configs: Vec<MultiPoolConfig> = fleets.iter().map(MultiPoolConfig::from).collect();
+        let mut configs: Vec<MultiPoolConfig> =
+            [0.05, 0.20].iter().map(|&f| single_pool(&trace, f)).collect();
         let mut octopus = MultiPoolConfig::for_trace(
             &trace,
             PodStyle::Octopus,
@@ -909,8 +811,8 @@ mod tests {
         let materialized: Vec<_> =
             configs.iter().map(|config| run_multipool_fleet(&trace, config).unwrap()).collect();
         assert_eq!(streamed, materialized);
-        for (fleet, outcome) in fleets.iter().zip(&streamed) {
-            assert_eq!(outcome.fleet, run_fleet(&trace, fleet).unwrap());
+        for (config, outcome) in configs.iter().zip(&streamed).take(2) {
+            assert_eq!(outcome.fleet, reference(&trace, config).unwrap());
         }
         assert!(streamed[2].fleet.vms_borrowed > 0, "{:?}", streamed[2]);
     }
@@ -918,8 +820,7 @@ mod tests {
     #[test]
     fn fleet_replay_places_most_vms_and_uses_the_pool() {
         let trace = small_trace();
-        let config = FleetConfig::for_trace(&trace, 0.20, 7);
-        let outcome = run_fleet(&trace, &config).unwrap();
+        let outcome = replay(&trace, &single_pool(&trace, 0.20)).unwrap();
         assert!(outcome.scheduled_vms > 0);
         assert!(
             outcome.scheduled_vms >= 9 * (outcome.scheduled_vms + outcome.rejected_vms) / 10,
@@ -943,7 +844,7 @@ mod tests {
         let trace = small_trace();
         let outcomes: Vec<FleetOutcome> = [0.05, 0.20, 0.40]
             .iter()
-            .map(|&f| run_fleet(&trace, &FleetConfig::for_trace(&trace, f, 7)).unwrap())
+            .map(|&f| replay(&trace, &single_pool(&trace, f)).unwrap())
             .collect();
         for pair in outcomes.windows(2) {
             assert!(
@@ -956,8 +857,7 @@ mod tests {
     #[test]
     fn tiny_pools_force_all_local_fallbacks() {
         let trace = small_trace();
-        let config = FleetConfig::for_trace(&trace, 0.001, 7);
-        let outcome = run_fleet(&trace, &config).unwrap();
+        let outcome = replay(&trace, &single_pool(&trace, 0.001)).unwrap();
         assert!(outcome.fallback_all_local > 0, "a ~1 GiB pool cannot serve every prediction");
         // Fallbacks keep savings near zero but never fail the placement for
         // pool reasons; any rejections left are hosts out of local DRAM.
@@ -967,9 +867,9 @@ mod tests {
     #[test]
     fn qos_interval_zero_disables_monitoring() {
         let trace = small_trace();
-        let mut config = FleetConfig::for_trace(&trace, 0.20, 7);
+        let mut config = single_pool(&trace, 0.20);
         config.qos_interval = 0;
-        let outcome = run_fleet(&trace, &config).unwrap();
+        let outcome = replay(&trace, &config).unwrap();
         assert_eq!(outcome.qos_passes, 0);
         assert_eq!(outcome.mitigations, 0);
         assert_eq!(outcome.mitigation_copy_time, Duration::ZERO);
@@ -978,7 +878,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "pool fraction")]
     fn invalid_pool_fraction_rejected() {
-        let _ = FleetConfig::for_trace(&small_trace(), 1.5, 0);
+        let _ = single_pool(&small_trace(), 1.5);
     }
 
     #[test]
@@ -1010,16 +910,16 @@ mod tests {
     #[test]
     fn an_observed_replay_is_bit_identical_and_samples_every_snapshot() {
         let trace = small_trace();
-        let config = FleetConfig::for_trace(&trace, 0.20, 7);
+        let config = single_pool(&trace, 0.20);
         let policy = PondPolicy::train(&trace, &config.control.policy, config.seed);
         let unobserved =
-            run_fleet_source(TraceCursor::new(&trace), &config, policy.clone()).unwrap();
+            run_multipool_source(TraceCursor::new(&trace), &config, policy.clone()).unwrap();
         let mut recorder = pond_metrics::TimeSeriesRecorder::new();
         let observed =
-            run_fleet_source_observed(TraceCursor::new(&trace), &config, policy, &mut recorder)
+            run_multipool_source_observed(TraceCursor::new(&trace), &config, policy, &mut recorder)
                 .unwrap();
         assert_eq!(observed, unobserved);
-        assert_eq!(recorder.points().len() as u64, unobserved.qos_passes);
+        assert_eq!(recorder.points().len() as u64, unobserved.fleet.qos_passes);
         let last = recorder.points().last().unwrap();
         assert_eq!(last.groups.len(), 1);
         assert!(last.fleet_availability > 0.0);

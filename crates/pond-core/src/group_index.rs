@@ -246,7 +246,7 @@ impl GroupIndex {
 /// `None` without consulting the scheduler when no group does. O(groups), so
 /// the replay runs it only in debug builds, at every arrival.
 pub(crate) fn scheduler_choice(
-    scheduler: &mut dyn GroupScheduler,
+    scheduler: &mut GroupScheduler,
     planes: &[PondControlPlane],
     states: &[GroupState],
     request: &VmRequest,
@@ -301,7 +301,7 @@ mod tests {
         pools: Vec<Bytes>,
         hosts: Vec<Vec<Bytes>>,
         online: Vec<bool>,
-        kinds: Vec<(GroupSchedulerKind, Box<dyn GroupScheduler>, GroupIndex)>,
+        kinds: Vec<(GroupSchedulerKind, GroupScheduler, GroupIndex)>,
     }
 
     impl Harness {

@@ -9,10 +9,11 @@
 //!
 //! * §4.2 pool memory ownership → [`pool_manager`] (on top of `cxl-hw`)
 //! * §4.3 control-plane workflow (Figure 11) → [`control_plane`]
-//! * §6.5 whole-fleet trace replay (Figures 19–20) → [`fleet`] (the control
-//!   plane driven by `cluster-sim`'s time-ordered event core)
-//! * §4.1 pool grouping at fleet scale → [`multipool`] (N pool groups on one
-//!   event queue, pod topologies, group-aware scheduling)
+//! * §6.5 whole-fleet trace replay (Figures 19–20) → [`fleet`] (the replay
+//!   outcome, its accounting, and the reference loop that checks the engine)
+//! * §4.1 pool grouping at fleet scale → [`multipool`] (the replay engine: N
+//!   pool groups on one event queue, pod topologies, group-aware scheduling;
+//!   a single pool is one symmetric group)
 //! * §4.4 latency-insensitivity model (Figure 12) → [`sensitivity`]
 //! * §4.4 untouched-memory model (Figure 14) → [`untouched`]
 //! * §4.4 Eq. (1) parameterization → [`combined`]
@@ -54,9 +55,7 @@ pub mod untouched;
 pub use arena::LiveVmArena;
 pub use combined::{CombinedModel, CombinedModelConfig};
 pub use error::PondError;
-pub use fleet::{
-    run_fleet, run_fleet_source, run_fleet_source_observed, FleetConfig, FleetOutcome,
-};
+pub use fleet::FleetOutcome;
 pub use multipool::{
     multipool_sweep, run_multipool_fleet, run_multipool_source, run_multipool_source_observed,
     GroupScheduler, GroupSchedulerKind, MultiPoolConfig, MultiPoolOutcome,

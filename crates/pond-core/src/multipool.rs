@@ -66,21 +66,21 @@
 //! invariant ([`assert_fleet_conserved`]): summed over groups,
 //! `free + offlining + pinned + lent == live`.
 //!
-//! This is the one replay engine: the single-pool
-//! [`run_fleet`](crate::fleet::run_fleet) runs it on one symmetric group.
-//! Every VM move — failure evacuation, the fan-out of a lender's failure to
-//! its borrowers, decommission drain, lease recall, rebalance — takes the
-//! same relocation path, and every counter, copy completion, and trace of a
-//! move is attributed to the group the VM leaves.
+//! This is the one replay engine: a single pool is one symmetric group
+//! (`MultiPoolConfig::for_trace(.., PodStyle::Symmetric, 1, ..)`), checked
+//! against the independent loop
+//! [`run_fleet_reference`](crate::fleet::run_fleet_reference). Every VM
+//! move — failure evacuation, the fan-out of a lender's failure to its
+//! borrowers, decommission drain, lease recall, rebalance — takes the same
+//! relocation path, and every counter, copy completion, and trace of a move
+//! is attributed to the group the VM leaves.
 
 use crate::arena::{LiveVmArena, NO_GROUP};
 use crate::control_plane::{
     Backing, BorrowedReclaim, ControlPlaneConfig, PlacementSummary, PondControlPlane, PooledPlan,
 };
 use crate::error::PondError;
-use crate::fleet::{
-    ceil_secs, checked_decrement, FleetConfig, FleetOutcome, ReplayAccounting, ScheduledEvent,
-};
+use crate::fleet::{ceil_secs, checked_decrement, FleetOutcome, ReplayAccounting, ScheduledEvent};
 use crate::group_index::{scheduler_choice, GroupIndex, Planes};
 use crate::policy::PondPolicy;
 use cluster_sim::event::{Event, EventQueue};
@@ -100,9 +100,11 @@ use pond_metrics::{
 use rand::{Rng, SeedableRng};
 use rand_pcg::Pcg64;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 use std::time::Duration;
 
-/// A per-arrival snapshot of one pool group, offered to [`GroupScheduler`]s.
+/// A per-arrival snapshot of one pool group, offered to the
+/// [`GroupScheduler`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupView {
     /// Free pool-buffer capacity the group could online right now.
@@ -127,95 +129,19 @@ impl GroupView {
     }
 }
 
-/// Chooses the home pool group for every arriving VM.
-///
-/// Implementations may keep state (round-robin cursors, learned load). The
-/// built-in schedulers specify home-group choice: the replay answers it from
-/// a fleet-wide index of what they read, and only debug builds call
-/// [`GroupScheduler::choose`], once per arrival in event order, to check it.
-pub trait GroupScheduler {
-    /// Picks the home group for `request`. `views` holds one snapshot per
-    /// group; the returned index must be within `views`.
-    fn choose(&mut self, request: &VmRequest, views: &[GroupView]) -> usize;
-
-    /// Human-readable scheduler name for reports.
-    fn name(&self) -> &'static str;
-}
-
-/// Spreads arrivals across groups in rotation, ignoring load.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RoundRobinScheduler {
-    next: usize,
-}
-
-impl GroupScheduler for RoundRobinScheduler {
-    fn choose(&mut self, _request: &VmRequest, views: &[GroupView]) -> usize {
-        let group = self.next % views.len();
-        self.next = self.next.wrapping_add(1);
-        group
-    }
-
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-}
-
-/// Sends every VM to the group whose pool buffer has the most free capacity
-/// (ties: lowest group index) — pool-pressure balancing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MostFreePoolScheduler;
-
-impl GroupScheduler for MostFreePoolScheduler {
-    fn choose(&mut self, _request: &VmRequest, views: &[GroupView]) -> usize {
-        views
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, v)| (std::cmp::Reverse(v.pool_free.as_u64()), *i))
-            .map(|(i, _)| i)
-            .expect("at least one group")
-    }
-
-    fn name(&self) -> &'static str {
-        "most-free-pool"
-    }
-}
-
-/// Locality/tightest-fit: packs VMs into the group whose tightest feasible
-/// host leaves the least DRAM slack (mirroring the host-level best-fit
-/// preference), keeping loosely loaded pods free for large VMs. Groups with
-/// no host fitting the VM's full memory are considered last, by most free
-/// host DRAM.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TightestFitScheduler;
-
-impl GroupScheduler for TightestFitScheduler {
-    fn choose(&mut self, _request: &VmRequest, views: &[GroupView]) -> usize {
-        views
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, v)| match v.tightest_feasible {
-                // Feasible groups first, tightest fit first, lowest index.
-                Some(free) => (0u8, free.as_u64(), *i),
-                // Infeasible groups: the most headroom is the least bad.
-                None => (1u8, u64::MAX - v.most_free_host.as_u64(), *i),
-            })
-            .map(|(i, _)| i)
-            .expect("at least one group")
-    }
-
-    fn name(&self) -> &'static str {
-        "tightest-fit"
-    }
-}
-
 /// The built-in group-scheduling strategies, selectable from configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum GroupSchedulerKind {
-    /// [`RoundRobinScheduler`].
+    /// Spreads arrivals across groups in rotation, ignoring load.
     RoundRobin,
-    /// [`MostFreePoolScheduler`].
+    /// Sends every VM to the group whose pool buffer has the most free
+    /// capacity (ties: lowest group index) — pool-pressure balancing.
     MostFreePool,
-    /// [`TightestFitScheduler`].
+    /// Locality/tightest-fit: packs VMs into the group whose tightest
+    /// feasible host leaves the least DRAM slack (mirroring the host-level
+    /// best-fit preference), keeping loosely loaded pods free for large VMs.
+    /// Groups with no host fitting the VM's full memory are considered last,
+    /// by most free host DRAM.
     TightestFit,
 }
 
@@ -227,24 +153,57 @@ impl GroupSchedulerKind {
         GroupSchedulerKind::TightestFit,
     ];
 
-    /// Instantiates the strategy.
-    pub fn build(self) -> Box<dyn GroupScheduler> {
-        match self {
-            GroupSchedulerKind::RoundRobin => Box::new(RoundRobinScheduler::default()),
-            GroupSchedulerKind::MostFreePool => Box::new(MostFreePoolScheduler),
-            GroupSchedulerKind::TightestFit => Box::new(TightestFitScheduler),
-        }
+    /// Instantiates the strategy, its round-robin cursor at group 0.
+    pub fn build(self) -> GroupScheduler {
+        GroupScheduler { kind: self, next: 0 }
     }
 
-    /// The strategy's report name (delegates to the instance, so each
-    /// name literal exists in exactly one place).
+    /// The strategy's report name.
     pub fn name(self) -> &'static str {
         match self {
-            GroupSchedulerKind::RoundRobin => RoundRobinScheduler::default().name(),
-            GroupSchedulerKind::MostFreePool => MostFreePoolScheduler.name(),
-            GroupSchedulerKind::TightestFit => TightestFitScheduler.name(),
+            GroupSchedulerKind::RoundRobin => "round-robin",
+            GroupSchedulerKind::MostFreePool => "most-free-pool",
+            GroupSchedulerKind::TightestFit => "tightest-fit",
         }
     }
+}
+
+/// Chooses the home pool group for every arriving VM: one built-in
+/// strategy and its round-robin cursor.
+///
+/// It specifies home-group choice: the replay answers it from a fleet-wide
+/// index of what the strategies read, and only debug builds call
+/// [`GroupScheduler::choose`], once per arrival in event order, to check it.
+#[derive(Debug, Clone)]
+pub struct GroupScheduler {
+    kind: GroupSchedulerKind,
+    next: usize,
+}
+
+impl GroupScheduler {
+    /// Picks the home group for `request`. `views` holds one snapshot per
+    /// group and must not be empty; the returned index is within `views`.
+    pub fn choose(&mut self, _request: &VmRequest, views: &[GroupView]) -> usize {
+        match self.kind {
+            GroupSchedulerKind::RoundRobin => {
+                let group = self.next % views.len();
+                self.next = self.next.wrapping_add(1);
+                group
+            }
+            GroupSchedulerKind::MostFreePool => first_min(views, |v| Reverse(v.pool_free)),
+            GroupSchedulerKind::TightestFit => first_min(views, |v| match v.tightest_feasible {
+                // Feasible groups first, tightest fit first, lowest index.
+                Some(free) => (0u8, free.as_u64()),
+                // Infeasible groups: the most headroom is the least bad.
+                None => (1u8, u64::MAX - v.most_free_host.as_u64()),
+            }),
+        }
+    }
+}
+
+/// The lowest index among the views with the least `key`.
+fn first_min<K: Ord>(views: &[GroupView], key: impl Fn(&GroupView) -> K) -> usize {
+    (0..views.len()).min_by_key(|&i| (key(&views[i]), i)).expect("at least one group")
 }
 
 /// What kind of component a failure drill kills.
@@ -460,10 +419,19 @@ pub struct MultiPoolConfig {
 }
 
 impl MultiPoolConfig {
-    /// A multi-pool fleet sized to a trace, mirroring
-    /// [`FleetConfig::for_trace`] and then sharding it into `groups` pods:
-    /// with `groups == 1` the derived per-group control plane is *identical*
-    /// to the single-pool fleet's.
+    /// A fleet sized to a trace and sharded into `groups` pods: one host per
+    /// trace server (at most `u16::MAX`, sharing the trace's whole DRAM
+    /// evenly) and, on top, a pool of `pool_fraction` of that DRAM, floored
+    /// to whole 1 GiB slices but at least one. The all-local fallback is on,
+    /// QoS passes run every 6 h, and there is no drill, lifecycle plan,
+    /// rebalancing or borrowing. One symmetric group is the single pool of
+    /// Figures 19–20. A pool may serve more hosts than it has CXL ports: a
+    /// drained host's port detaches (see `cxl_hw::pool`), and a host that
+    /// finds no free port falls back to an all-local placement.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `pool_fraction` is not in [0, 1].
     pub fn for_trace(
         trace: &ClusterTrace,
         pod: PodStyle,
@@ -486,8 +454,32 @@ impl MultiPoolConfig {
         scheduler: GroupSchedulerKind,
         seed: u64,
     ) -> Self {
-        let fleet = FleetConfig::for_header(header, pool_fraction, seed);
-        MultiPoolConfig { pod, groups, scheduler, ..MultiPoolConfig::from(&fleet) }
+        assert!(
+            (0.0..=1.0).contains(&pool_fraction) && pool_fraction.is_finite(),
+            "pool fraction must be in [0, 1]"
+        );
+        let hosts = header.servers.clamp(1, u64::from(u16::MAX) as u32) as u16;
+        let fleet_dram = Bytes::from_gib(header.dram_per_server.as_gib() * header.servers as u64);
+        let local_per_host = Bytes::from_gib(fleet_dram.as_gib() / hosts as u64);
+        let pool_capacity = Bytes::from_gib(fleet_dram.scaled(pool_fraction).slices_floor().max(1));
+        MultiPoolConfig {
+            pod,
+            groups,
+            control: ControlPlaneConfig {
+                hosts,
+                local_dram_per_host: local_per_host,
+                pool_capacity,
+                fallback_all_local: true,
+                ..Default::default()
+            },
+            scheduler,
+            qos_interval: 6 * 3600,
+            seed,
+            drill: None,
+            lifecycle: None,
+            rebalance: None,
+            borrowing: false,
+        }
     }
 
     /// Returns the configuration with a failure drill attached.
@@ -533,37 +525,14 @@ impl MultiPoolConfig {
     }
 }
 
-/// The single-pool fleet as a multi-pool configuration: one symmetric
-/// round-robin group holding every host and the whole pool, with no drill,
-/// lifecycle plan, rebalancing or borrowing. This is the configuration
-/// [`run_fleet`](crate::fleet::run_fleet) replays, so a single-pool
-/// [`multipool_sweep`] cell's `.fleet` is its outcome.
-impl From<&FleetConfig> for MultiPoolConfig {
-    fn from(config: &FleetConfig) -> Self {
-        MultiPoolConfig {
-            pod: PodStyle::Symmetric,
-            groups: 1,
-            control: config.control.clone(),
-            scheduler: GroupSchedulerKind::RoundRobin,
-            qos_interval: config.qos_interval,
-            seed: config.seed,
-            drill: None,
-            lifecycle: None,
-            rebalance: None,
-            borrowing: false,
-        }
-    }
-}
-
 /// Aggregated results of one multi-pool fleet replay.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MultiPoolOutcome {
     /// Fleet-wide aggregate. Summable fields are sums over groups;
     /// `pool_peak` is the sum of per-group pool peaks (each pool provisions
     /// for its own peak); `qos_passes`, `releases_completed`, and
-    /// `reconfig_completions` count events on the shared queue.
-    /// [`run_fleet`](crate::fleet::run_fleet) is this aggregate for one
-    /// symmetric group.
+    /// `reconfig_completions` count events on the shared queue. For one
+    /// group it is that group's outcome, the single-pool result.
     pub fleet: FleetOutcome,
     /// Per-group breakdown, indexed by group.
     pub per_group: Vec<FleetOutcome>,
@@ -676,17 +645,20 @@ impl Relocation {
 ///
 /// The prediction models are trained once and shared by every group's
 /// control plane, with the training prefix's customer history; each group
-/// adds only the completions of the departures it sees.
+/// adds only the completions of the departures it sees. Each pool is built
+/// from whole 1 GiB slices, so a fractional `pool_capacity` replays as its
+/// floor.
 ///
 /// # Errors
 ///
-/// Propagates topology/construction failures and any error other than the
-/// expected placement failures. A lifecycle operation naming a group the
-/// fleet does not have is [`CxlError::InvalidGroupTopology`]; a drill rate
-/// that is not finite and >= 0, or a rebalance fraction or mitigation budget
-/// outside [0, 1], is [`PondError::InvalidConfig`], and so is a borrowing fleet
-/// of more than 32,768 hosts, whose borrowed-port host ids would overflow
-/// `u16`; a second live VM with one id is [`PondError::TraceStream`].
+/// Propagates topology/construction failures (a pool below one slice per
+/// group included) and any error other than the expected placement
+/// failures. A lifecycle operation naming a group the fleet does not have
+/// is [`CxlError::InvalidGroupTopology`]; a drill rate that is not finite
+/// and >= 0, or a rebalance fraction or mitigation budget outside [0, 1],
+/// is [`PondError::InvalidConfig`], and so is a borrowing fleet of more
+/// than 32,768 hosts, whose borrowed-port host ids would overflow `u16`; a
+/// second live VM with one id is [`PondError::TraceStream`].
 pub fn run_multipool_fleet(
     trace: &ClusterTrace,
     config: &MultiPoolConfig,
@@ -696,8 +668,8 @@ pub fn run_multipool_fleet(
 }
 
 /// [`run_multipool_fleet`] over any streaming [`ArrivalSource`] with an
-/// already-trained policy: the sharded-replay twin of
-/// [`crate::fleet::run_fleet_source`]. Per-VM bookkeeping (current group,
+/// already-trained policy, so callers that replay one stream many times pay
+/// the training cost once. Per-VM bookkeeping (current group,
 /// departure time, EMC blast-radius resolution) lives in a [`LiveVmArena`]
 /// whose slots are recycled at departure, and each pool keeps its slices'
 /// current owners, not a log of their moves, so the replay's bookkeeping
@@ -752,7 +724,7 @@ struct Replay<'a, S, O> {
     planes: Planes,
     index: GroupIndex,
     /// The index's specification, consulted in debug builds only.
-    scheduler: Box<dyn GroupScheduler>,
+    scheduler: GroupScheduler,
     accounting: ReplayAccounting,
     events: EventQueue<S>,
     /// Which group each live VM runs in, plus the request itself (QoS
@@ -976,7 +948,7 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
         let home = self.index.choose(request.memory);
         if cfg!(debug_assertions) {
             let spec =
-                scheduler_choice(&mut *self.scheduler, &self.planes, &self.group_state, &request);
+                scheduler_choice(&mut self.scheduler, &self.planes, &self.group_state, &request);
             assert_eq!(home, spec, "the group index left its spec");
         }
         let Some(home) = home else {
@@ -1693,7 +1665,7 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
             fleet,
             per_group: self.per_group,
             cross_group_placements: self.cross_group_placements,
-            scheduler: self.scheduler.name().to_string(),
+            scheduler: self.config.scheduler.name().to_string(),
             pod: self.config.pod,
         }
     }
@@ -1707,9 +1679,7 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
 /// reproducible bit for bit — including between `POND_SWEEP_THREADS=1` and
 /// the default thread count. A materialized trace sweeps as
 /// `|| TraceCursor::new(&trace)`, bit-identical to [`run_multipool_fleet`]
-/// per cell, and a single-pool cell is `MultiPoolConfig::from(&fleet_config)`,
-/// whose `.fleet` is [`run_fleet`](crate::fleet::run_fleet)'s outcome.
-/// `make_source` may run from several threads at once.
+/// per cell. `make_source` may run from several threads at once.
 ///
 /// # Errors
 ///

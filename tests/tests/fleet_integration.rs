@@ -7,22 +7,30 @@ use cluster_sim::source::TraceCursor;
 use cluster_sim::sweep::parallel_map_with;
 use cluster_sim::tracegen::{ClusterConfig, TraceGenerator};
 use cluster_sim::ClusterTrace;
+use cxl_hw::topology::PodStyle;
 use cxl_hw::units::Bytes;
 use hypervisor_sim::vm::VmId;
 use pond_core::control_plane::PondControlPlane;
-use pond_core::fleet::{run_fleet, FleetConfig};
-use pond_core::multipool::{multipool_sweep, MultiPoolConfig};
+use pond_core::multipool::{
+    multipool_sweep, run_multipool_fleet, GroupSchedulerKind, MultiPoolConfig,
+};
 use std::time::Duration;
 
 fn small_trace() -> ClusterTrace {
     TraceGenerator::new(ClusterConfig::small(), 1).generate(0)
 }
 
+/// The single pool: one symmetric round-robin group sized to the trace.
+fn single_pool(trace: &ClusterTrace, pool_fraction: f64) -> MultiPoolConfig {
+    let scheduler = GroupSchedulerKind::RoundRobin;
+    MultiPoolConfig::for_trace(trace, PodStyle::Symmetric, 1, pool_fraction, scheduler, 7)
+}
+
 /// Drives the control plane directly (no event queue) over the same merged
 /// arrival/departure order the event core produces — departures before
 /// arrivals at equal times, ties in request order — and returns the placement
 /// fingerprint: (scheduled, rejected, fallbacks, pool GiB-hours).
-fn drive_directly(trace: &ClusterTrace, config: &FleetConfig) -> (u64, u64, u64, f64) {
+fn drive_directly(trace: &ClusterTrace, config: &MultiPoolConfig) -> (u64, u64, u64, f64) {
     let mut plane = PondControlPlane::new(trace, config.control.clone(), config.seed).unwrap();
 
     // class 0 = departure, 1 = arrival, matching the event core's tie order.
@@ -86,10 +94,10 @@ fn drive_directly(trace: &ClusterTrace, config: &FleetConfig) -> (u64, u64, u64,
 #[test]
 fn fleet_replay_agrees_with_driving_the_control_plane_directly() {
     let trace = small_trace();
-    let mut config = FleetConfig::for_trace(&trace, 0.20, 7);
+    let mut config = single_pool(&trace, 0.20);
     config.qos_interval = 0;
 
-    let fleet = run_fleet(&trace, &config).unwrap();
+    let fleet = run_multipool_fleet(&trace, &config).unwrap().fleet;
     let (scheduled, rejected, fallbacks, pool_gib_hours) = drive_directly(&trace, &config);
 
     assert_eq!(fleet.scheduled_vms, scheduled);
@@ -105,13 +113,13 @@ fn fleet_replay_agrees_with_driving_the_control_plane_directly() {
 
 /// With QoS passes on, the replay exercises every mutation path (placement,
 /// mitigation, async release) under the per-event conservation debug-asserts
-/// inside `run_fleet`; reaching the end without a panic *is* the invariant,
+/// inside the replay; reaching the end without a panic *is* the invariant,
 /// and the end state must show a fully drained pool.
 #[test]
 fn fleet_replay_conserves_pool_accounting_with_qos_enabled() {
     let trace = small_trace();
-    let config = FleetConfig::for_trace(&trace, 0.20, 7);
-    let outcome = run_fleet(&trace, &config).unwrap();
+    let config = single_pool(&trace, 0.20);
+    let outcome = run_multipool_fleet(&trace, &config).unwrap().fleet;
     assert!(outcome.scheduled_vms > 0);
     assert!(outcome.qos_passes > 0);
     assert!(outcome.releases_completed > 0, "async releases must complete as events");
@@ -127,19 +135,17 @@ fn fleet_replay_conserves_pool_accounting_with_qos_enabled() {
 fn fleet_pool_sweep_is_deterministic() {
     let trace = small_trace();
     let fractions = [0.05, 0.20, 0.40];
-    let configs: Vec<MultiPoolConfig> = fractions
-        .iter()
-        .map(|&fraction| MultiPoolConfig::from(&FleetConfig::for_trace(&trace, fraction, 7)))
-        .collect();
+    let configs: Vec<MultiPoolConfig> =
+        fractions.iter().map(|&fraction| single_pool(&trace, fraction)).collect();
     let sweep = multipool_sweep(|| TraceCursor::new(&trace), &configs).unwrap();
     assert_eq!(sweep.len(), fractions.len());
     for workers in [1, 4] {
-        let cells = parallel_map_with(workers, &fractions, |_, &fraction| {
-            run_fleet(&trace, &FleetConfig::for_trace(&trace, fraction, 7)).unwrap()
+        let cells = parallel_map_with(workers, &configs, |_, config| {
+            run_multipool_fleet(&trace, config).unwrap()
         });
         assert_eq!(cells.len(), fractions.len());
         for ((outcome, cell), &fraction) in sweep.iter().zip(&cells).zip(&fractions) {
-            assert_eq!(&outcome.fleet, cell, "pool {fraction} at {workers} workers");
+            assert_eq!(outcome, cell, "pool {fraction} at {workers} workers");
         }
     }
 }

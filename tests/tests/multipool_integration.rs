@@ -11,7 +11,7 @@ use cluster_sim::tracegen::{ClusterConfig, TraceGenerator};
 use cluster_sim::ClusterTrace;
 use cxl_hw::topology::PodStyle;
 use cxl_hw::units::Bytes;
-use pond_core::fleet::{run_fleet, run_fleet_reference, FleetConfig};
+use pond_core::fleet::run_fleet_reference;
 use pond_core::multipool::{
     multipool_sweep, run_multipool_fleet, run_multipool_source, DrillKind, FailureDrillSpec,
     GroupSchedulerKind, LifecycleEvent, LifecycleOp, LifecyclePlan, MultiPoolConfig,
@@ -23,16 +23,15 @@ fn small_trace() -> ClusterTrace {
     TraceGenerator::new(ClusterConfig::small(), 1).generate(0)
 }
 
-/// `run_fleet` is the multi-pool engine on one symmetric round-robin group,
-/// so any one-group config — whatever its scheduler or pod style — must
-/// match it. The independent check is `run_fleet_reference`, the separate
-/// single-pool loop: with one group the ladder degenerates to the control
-/// plane's pooled → all-local fallback, so every field of the outcome —
-/// placements, rejections, violations, peaks, GiB-hours, event counts —
-/// must agree with it bit for bit, and the single group's breakdown must
-/// equal the fleet aggregate.
+/// A single pool is the multi-pool engine on one group, so any one-group
+/// config — whatever its scheduler or pod style — must match
+/// `run_fleet_reference`, the separate single-pool loop: with one group the
+/// ladder degenerates to the control plane's pooled → all-local fallback,
+/// so every field of the outcome — placements, rejections, violations,
+/// peaks, GiB-hours, event counts — must agree with it bit for bit, and the
+/// single group's breakdown must equal the fleet aggregate.
 #[test]
-fn single_group_multipool_reproduces_run_fleet_bit_for_bit() {
+fn single_group_multipool_reproduces_the_reference_bit_for_bit() {
     let trace = small_trace();
     for (pod, scheduler, fallback) in [
         (PodStyle::Symmetric, GroupSchedulerKind::RoundRobin, true),
@@ -42,12 +41,10 @@ fn single_group_multipool_reproduces_run_fleet_bit_for_bit() {
         // same pool-exhausted VMs instead of placing them.
         (PodStyle::Symmetric, GroupSchedulerKind::RoundRobin, false),
     ] {
-        let mut fleet_config = FleetConfig::for_trace(&trace, 0.20, 7);
-        fleet_config.control.fallback_all_local = fallback;
-        let fleet_outcome = run_fleet_reference(&trace, &fleet_config).unwrap();
-        assert_eq!(run_fleet(&trace, &fleet_config).unwrap(), fleet_outcome);
         let mut config = MultiPoolConfig::for_trace(&trace, pod, 1, 0.20, scheduler, 7);
         config.control.fallback_all_local = fallback;
+        let policy = PondPolicy::train(&trace, &config.control.policy, config.seed);
+        let fleet_outcome = run_fleet_reference(&trace, &config, policy).unwrap();
         let multi = run_multipool_fleet(&trace, &config).unwrap();
         assert_eq!(
             multi.fleet, fleet_outcome,
@@ -253,9 +250,10 @@ fn failure_drill_sweep_is_deterministic_and_zero_rate_matches_plain_replay() {
 fn long_trace_cycles_more_hosts_than_ports_through_one_pool() {
     let config = ClusterConfig { servers: 20, ..ClusterConfig::small() };
     let trace = TraceGenerator::new(config, 1).generate(0);
-    let fleet_config = FleetConfig::for_trace(&trace, 0.20, 7);
-    assert_eq!(fleet_config.control.hosts, 20, "for_trace no longer caps hosts at the port count");
-    let outcome = run_fleet(&trace, &fleet_config).unwrap();
+    let scheduler = GroupSchedulerKind::RoundRobin;
+    let config = MultiPoolConfig::for_trace(&trace, PodStyle::Symmetric, 1, 0.20, scheduler, 7);
+    assert_eq!(config.control.hosts, 20, "for_trace no longer caps hosts at the port count");
+    let outcome = run_multipool_fleet(&trace, &config).unwrap().fleet;
     assert!(
         outcome.pooled_host_count > 16,
         "hosts must cycle through the 16 ports over the trace: {} pooled hosts",

@@ -7,8 +7,9 @@
 //!   [`TimeSeriesRecorder`], and observed by a [`MetricsObserver`] — and
 //!   requires all three [`MultiPoolOutcome`]s bit-identical, plus the
 //!   recorder's own series reproducible across runs;
-//! * the single-pool observed entry point equals the unobserved one and
-//!   [`NullObserver`] equals the plain function on the same stream;
+//! * on a single pool (one symmetric group), the observed replay equals the
+//!   unobserved one and [`NullObserver`] equals the plain function on the
+//!   same stream;
 //! * the metrics a [`MetricsObserver`] accumulates must reconcile with the
 //!   replay's own outcome counters (events observed, arrivals decided,
 //!   QoS passes seen) — the registry is a projection of the replay, not a
@@ -19,7 +20,6 @@ use cluster_sim::trace::{ClusterTrace, CustomerId, GuestOs, VmRequest, VmType};
 use cluster_sim::tracegen::{ClusterConfig, TraceGenerator};
 use cxl_hw::topology::PodStyle;
 use cxl_hw::units::Bytes;
-use pond_core::fleet::{run_fleet_source, run_fleet_source_observed, FleetConfig};
 use pond_core::multipool::{
     run_multipool_source, run_multipool_source_observed, DrillKind, FailureDrillSpec,
     GroupSchedulerKind, LifecycleEvent, LifecycleOp, LifecyclePlan, MultiPoolConfig, RebalanceSpec,
@@ -172,17 +172,18 @@ fn small_trace() -> ClusterTrace {
     TraceGenerator::new(ClusterConfig::small(), 1).generate(0)
 }
 
-/// The single-pool entry points agree: `run_fleet_source` is the
+/// On a single pool the entry points agree: `run_multipool_source` is the
 /// `NullObserver` case of the observed loop, and a real observer costs
 /// nothing there either.
 #[test]
 fn single_pool_observed_replay_matches_the_plain_entry_point() {
     let trace = small_trace();
-    let config = FleetConfig::for_trace(&trace, 0.15, 42);
+    let scheduler = GroupSchedulerKind::RoundRobin;
+    let config = MultiPoolConfig::for_trace(&trace, PodStyle::Symmetric, 1, 0.15, scheduler, 42);
     let policy = PondPolicy::train(&trace, &config.control.policy, config.seed);
 
-    let plain = run_fleet_source(TraceCursor::new(&trace), &config, policy.clone()).unwrap();
-    let nulled = run_fleet_source_observed(
+    let plain = run_multipool_source(TraceCursor::new(&trace), &config, policy.clone()).unwrap();
+    let nulled = run_multipool_source_observed(
         TraceCursor::new(&trace),
         &config,
         policy.clone(),
@@ -193,10 +194,10 @@ fn single_pool_observed_replay_matches_the_plain_entry_point() {
 
     let mut recorder = TimeSeriesRecorder::new();
     let recorded =
-        run_fleet_source_observed(TraceCursor::new(&trace), &config, policy, &mut recorder)
+        run_multipool_source_observed(TraceCursor::new(&trace), &config, policy, &mut recorder)
             .unwrap();
     assert_eq!(recorded, plain, "a recording observer must cost zero bits");
-    assert_eq!(recorder.points().len() as u64, plain.qos_passes);
+    assert_eq!(recorder.points().len() as u64, plain.fleet.qos_passes);
     // Single pool: every point carries exactly one group sample.
     assert!(recorder.points().iter().all(|p| p.groups.len() == 1));
 }

@@ -15,7 +15,7 @@ use cluster_sim::trace::{ClusterTrace, CustomerId, GuestOs, VmRequest, VmType};
 use cluster_sim::tracegen::{ClusterConfig, TraceGenerator};
 use cxl_hw::topology::PodStyle;
 use cxl_hw::units::Bytes;
-use pond_core::fleet::{run_fleet_reference_with_policy, run_fleet_source, FleetConfig};
+use pond_core::fleet::run_fleet_reference;
 use pond_core::multipool::{run_multipool_source, GroupSchedulerKind, MultiPoolConfig};
 use pond_core::policy::PondPolicy;
 use proptest::prelude::*;
@@ -37,11 +37,19 @@ fn shaped(requests: Vec<VmRequest>) -> ClusterTrace {
 /// A policy trained once on the small generated trace and cached for every
 /// proptest case, so the property spends its time replaying schedules, not
 /// retraining models.
-fn trained_policy() -> &'static (PondPolicy, FleetConfig) {
-    static TRAINED: std::sync::OnceLock<(PondPolicy, FleetConfig)> = std::sync::OnceLock::new();
+fn trained_policy() -> &'static (PondPolicy, MultiPoolConfig) {
+    static TRAINED: std::sync::OnceLock<(PondPolicy, MultiPoolConfig)> = std::sync::OnceLock::new();
     TRAINED.get_or_init(|| {
         let trace = TraceGenerator::new(ClusterConfig::small(), 1).generate(0);
-        let config = FleetConfig::for_trace(&shaped(Vec::new()), 0.20, 7);
+        let scheduler = GroupSchedulerKind::RoundRobin;
+        let config = MultiPoolConfig::for_trace(
+            &shaped(Vec::new()),
+            PodStyle::Symmetric,
+            1,
+            0.20,
+            scheduler,
+            7,
+        );
         let policy = PondPolicy::train(&trace, &config.control.policy, config.seed);
         (policy, config)
     })
@@ -118,10 +126,9 @@ proptest! {
         let (policy, config) = trained_policy();
 
         let streamed =
-            run_fleet_source(TraceCursor::new(&trace), config, policy.clone()).unwrap();
-        let reference =
-            run_fleet_reference_with_policy(&trace, config, policy.clone()).unwrap();
-        prop_assert_eq!(streamed, reference);
+            run_multipool_source(TraceCursor::new(&trace), config, policy.clone()).unwrap();
+        let reference = run_fleet_reference(&trace, config, policy.clone()).unwrap();
+        prop_assert_eq!(streamed.fleet, reference);
     }
 }
 

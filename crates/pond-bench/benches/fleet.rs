@@ -28,12 +28,10 @@
 use cluster_sim::source::TraceCursor;
 use cluster_sim::tracegen::{ClusterConfig, TraceGenerator};
 use cluster_sim::ClusterTrace;
-use criterion::{criterion_group, BatchSize, Criterion};
 use cxl_hw::topology::PodStyle;
 use pond_core::fleet::{run_fleet_reference, FleetOutcome};
 use pond_core::multipool::{run_multipool_source, GroupSchedulerKind, MultiPoolConfig};
 use pond_core::policy::PondPolicy;
-use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 const SERVERS: u32 = 8192;
@@ -82,36 +80,6 @@ fn replay_events(outcome: &FleetOutcome) -> u64 {
         + outcome.qos_passes
 }
 
-fn bench_fleet(c: &mut Criterion) {
-    let trace = bench_trace();
-    let config = single_pool(&trace);
-    let policy = PondPolicy::train(&trace, &config.control.policy, config.seed);
-    println!("fleet trace: {} servers, {} requests, 1 day", trace.servers, trace.requests.len());
-    // The replay consumes its policy, so each sample gets a clone — built in
-    // the untimed setup half of `iter_batched` to keep the clone cost out of
-    // both arms' timings.
-    c.bench_function(&format!("fleet_replay_indexed_{SERVERS}_servers"), |b| {
-        b.iter_batched(
-            || policy.clone(),
-            |policy| indexed_replay(black_box(&trace), &config, policy),
-            BatchSize::LargeInput,
-        )
-    });
-    c.bench_function(&format!("fleet_replay_reference_{SERVERS}_servers"), |b| {
-        b.iter_batched(
-            || policy.clone(),
-            |policy| reference_replay(black_box(&trace), &config, policy),
-            BatchSize::LargeInput,
-        )
-    });
-}
-
-criterion_group!(
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_fleet
-);
-
 /// Wall time of one replay, cloning the consumed policy outside the timed
 /// region.
 fn timed(
@@ -125,8 +93,6 @@ fn timed(
 }
 
 fn main() {
-    benches();
-
     // Explicit throughput report: best-of-5 full replays of each loop on the
     // same trace and the same trained policy. The arms alternate round by
     // round, and each round swaps which runs first, so a slow phase of a
@@ -135,6 +101,7 @@ fn main() {
     let trace = bench_trace();
     let config = single_pool(&trace);
     let policy = PondPolicy::train(&trace, &config.control.policy, config.seed);
+    println!("fleet trace: {} servers, {} requests, 1 day", trace.servers, trace.requests.len());
     let (mut indexed, mut reference) = (Duration::MAX, Duration::MAX);
     let mut outcome = None;
     for round in 0..RUNS {

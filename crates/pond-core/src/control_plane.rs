@@ -12,7 +12,7 @@
 use crate::error::PondError;
 use crate::policy::{PondDecision, PondPolicy, PondPolicyConfig};
 use crate::pool_manager::PondPoolManager;
-use crate::qos::{MitigationManager, VmObservation};
+use crate::qos::{MitigationManager, QosDecision, VmObservation};
 use cluster_sim::scheduler::align_pool_memory;
 use cluster_sim::trace::{ClusterTrace, CustomerId, VmRequest};
 use cxl_hw::emc::EmcConfig;
@@ -20,7 +20,6 @@ use cxl_hw::pool::SliceLease;
 use cxl_hw::topology::PoolTopology;
 use cxl_hw::units::{Bytes, EmcId, HostId};
 use hypervisor_sim::host::HostMemory;
-use hypervisor_sim::telemetry::HypervisorTelemetry;
 use hypervisor_sim::vm::{VirtualMachine, VmConfig, VmId};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -236,6 +235,34 @@ struct VmRecord {
     customer: CustomerId,
     untouched_fraction: f64,
     workload_index: usize,
+    /// The QoS monitor's verdict on this VM: `None` until the VM's first
+    /// [`PondControlPlane::run_qos_pass`] evaluates it, then reused at every
+    /// later pass. The memo holds because the observation behind the verdict
+    /// is a pure function of this record until a mitigation: the PMU
+    /// counters are seeded by (workload, VM id), not by time; the predicted
+    /// and observed untouched sizes come from the request; the pool share
+    /// changes only through the mitigation itself, which sets the verdict to
+    /// `ContinueMonitoring`, what a VM without pool memory evaluates to.
+    /// Telemetry that varies over a VM's life would have to drop this memo.
+    qos: Option<QosDecision>,
+}
+
+impl VmRecord {
+    /// The QoS monitor's verdict on this VM, from a fresh PMU sample
+    /// through the policy's sampler, the one the arrival-time decision
+    /// reads.
+    fn evaluate_qos(&self, policy: &PondPolicy) -> Result<QosDecision, PondError> {
+        let observation = VmObservation {
+            counters: policy.sampler().sample(self.vm.workload(), self.vm.id().0),
+            pool_memory: self.vm.pool_memory(),
+            predicted_untouched: self.predicted_untouched,
+            observed_untouched: self.vm.untouched_memory(),
+        };
+        policy
+            .qos_monitor()
+            .try_evaluate(&observation)
+            .map_err(|e| PondError::Model { detail: e.to_string() })
+    }
 }
 
 /// The Pond control plane for one pool group.
@@ -246,7 +273,6 @@ pub struct PondControlPlane {
     pool: PondPoolManager,
     policy: PondPolicy,
     mitigation: MitigationManager,
-    telemetry: HypervisorTelemetry,
     running: BTreeMap<u64, VmRecord>,
     rejected: u64,
     /// Incremental mirror of the slice count summed over
@@ -324,7 +350,6 @@ impl PondControlPlane {
         Ok(PondControlPlane {
             mitigation: MitigationManager::new(budget),
             pool: PondPoolManager::new(&topology),
-            telemetry: HypervisorTelemetry::default(),
             hosts,
             policy,
             running: BTreeMap::new(),
@@ -597,6 +622,7 @@ impl PondControlPlane {
                 customer: request.customer,
                 untouched_fraction: request.untouched_fraction,
                 workload_index: request.workload_index,
+                qos: None,
             },
         );
         Ok(summary)
@@ -894,8 +920,13 @@ impl PondControlPlane {
             .collect()
     }
 
-    /// Runs one QoS-monitoring pass over every running VM and applies
-    /// mitigations within the budget.
+    /// Runs one QoS-monitoring pass over every running VM, in ascending id
+    /// order, and applies mitigations within the budget.
+    ///
+    /// The monitor's verdict on a VM is evaluated at the VM's first pass and
+    /// reused at its later ones: every input of the verdict is fixed until a
+    /// mitigation, which sets it to `ContinueMonitoring`. The budget still
+    /// counts every running VM on every pass.
     ///
     /// Each mitigation copies the VM's pool memory to local DRAM (50 ms per
     /// GiB charged to the report's `copy_time`) and only then starts the
@@ -909,68 +940,76 @@ impl PondControlPlane {
     /// validating path the arrival-time decision takes, so one malformed
     /// row cannot panic a replay out of a QoS pass.
     pub fn run_qos_pass(&mut self, now: Duration) -> Result<QosPassReport, PondError> {
-        let mut pass = QosPassReport::default();
-        let vm_ids: Vec<u64> = self.running.keys().copied().collect();
-        for id in vm_ids {
-            let record = self.running.get_mut(&id).expect("id from key list");
-            let counters = self.telemetry.pmu.sample(record.vm.workload(), id);
-            let observation = VmObservation {
-                counters,
-                pool_memory: record.vm.pool_memory(),
-                predicted_untouched: record.predicted_untouched,
-                observed_untouched: record.vm.untouched_memory(),
-            };
-            let host_index = record.host;
-            let old_free = self.hosts[host_index].local_free();
-            let host = &mut self.hosts[host_index];
-            let mitigated = if let Some(report) = self
-                .mitigation
-                .try_process(self.policy.qos_monitor(), &observation, host, &mut record.vm)
-                .map_err(|e| PondError::Model { detail: e.to_string() })?
-            {
-                // The freed pool capacity goes back to the Pool Manager once
-                // the pool→local copy has finished.
-                host.offline_pool(report.moved).expect("mitigation freed exactly this much");
-                let ready = if let Some(lease) = record.borrowed.take() {
-                    // Borrowed slices go back to the lender, not this pool:
-                    // hand the lease to the caller for routing once the
-                    // copy completes.
-                    self.borrowed_slices -= lease.slices.len() as u64;
-                    pass.borrowed_reclaims.push(BorrowedReclaim {
-                        vm: VmId(id),
-                        copy_done: now + report.copy_duration,
-                        lease,
-                    });
-                    None
-                } else {
-                    let slices = std::mem::take(&mut record.slices);
-                    self.pinned_slices -= slices.len() as u64;
-                    self.pool
-                        .release_async(
-                            HostId(host_index as u16),
-                            slices,
-                            now + report.copy_duration,
-                        )
-                        .expect("slices were allocated by this manager")
-                };
-                pass.mitigated.push(VmMitigation {
-                    vm: VmId(id),
-                    moved: report.moved,
-                    copy_done: now + report.copy_duration,
-                    release_ready: ready,
-                });
-                record.predicted_untouched = Bytes::ZERO;
-                pass.copy_time += report.copy_duration;
-                pass.reconfigured += 1;
-                true
-            } else {
-                false
-            };
-            if mitigated {
-                self.touch_host(host_index, old_free);
+        self.qos_pass(now, |policy, record| match record.qos {
+            Some(verdict) => Ok(verdict),
+            None => {
+                let verdict = record.evaluate_qos(policy)?;
+                record.qos = Some(verdict);
+                Ok(verdict)
             }
-        }
-        Ok(pass)
+        })
+    }
+
+    /// The per-pass evaluation [`PondControlPlane::run_qos_pass`] replaced:
+    /// every pass samples the PMU counters and asks the monitor again for
+    /// every running VM. The oracle the memoized verdicts are checked
+    /// against.
+    #[cfg(test)]
+    fn run_qos_pass_reference(&mut self, now: Duration) -> Result<QosPassReport, PondError> {
+        self.qos_pass(now, |policy, record| record.evaluate_qos(policy))
+    }
+
+    /// One QoS pass with the verdict on each running VM taken from
+    /// `verdict`: the budgeted mitigation and its bookkeeping.
+    fn qos_pass(
+        &mut self,
+        now: Duration,
+        mut verdict: impl FnMut(&PondPolicy, &mut VmRecord) -> Result<QosDecision, PondError>,
+    ) -> Result<QosPassReport, PondError> {
+        let mut pass = QosPassReport::default();
+        // The records leave the plane for the walk, so a mitigation can
+        // re-file its host through `touch_host`; they come back before a
+        // model error is returned.
+        let mut running = std::mem::take(&mut self.running);
+        let walked = running.iter_mut().try_for_each(|(&id, record)| {
+            let decision = verdict(&self.policy, record)?;
+            let host = &mut self.hosts[record.host];
+            let old_free = host.local_free();
+            let Some(report) = self.mitigation.apply(decision, host, &mut record.vm) else {
+                return Ok(());
+            };
+            // The freed pool capacity goes back to the Pool Manager once the
+            // pool→local copy has finished.
+            host.offline_pool(report.moved).expect("mitigation freed exactly this much");
+            let copy_done = now + report.copy_duration;
+            let release_ready = if let Some(lease) = record.borrowed.take() {
+                // Borrowed slices go back to the lender, not this pool: hand
+                // the lease to the caller for routing once the copy completes.
+                self.borrowed_slices -= lease.slices.len() as u64;
+                pass.borrowed_reclaims.push(BorrowedReclaim { vm: VmId(id), copy_done, lease });
+                None
+            } else {
+                let slices = std::mem::take(&mut record.slices);
+                self.pinned_slices -= slices.len() as u64;
+                self.pool
+                    .release_async(HostId(record.host as u16), slices, copy_done)
+                    .expect("slices were allocated by this manager")
+            };
+            pass.mitigated.push(VmMitigation {
+                vm: VmId(id),
+                moved: report.moved,
+                copy_done,
+                release_ready,
+            });
+            record.predicted_untouched = Bytes::ZERO;
+            record.qos = Some(QosDecision::ContinueMonitoring);
+            pass.copy_time += report.copy_duration;
+            pass.reconfigured += 1;
+            self.touch_host(record.host, old_free);
+            Ok(())
+        });
+        self.running = running;
+        walked.map(|()| pass)
     }
 
     /// Completes every pending slice release whose offlining has finished by
@@ -1071,6 +1110,7 @@ impl PondControlPlane {
 mod tests {
     use super::*;
     use cluster_sim::tracegen::{ClusterConfig, TraceGenerator};
+    use proptest::prelude::*;
 
     fn setup() -> (ClusterTrace, PondControlPlane) {
         let trace = TraceGenerator::new(ClusterConfig::small(), 1).generate(0);
@@ -1459,6 +1499,192 @@ mod tests {
         lender.release_lent(lease, now).unwrap();
         lender.assert_pool_conserved_full();
         home.assert_pool_conserved_full();
+    }
+
+    /// The small trace and the policy trained on it, shared by every case of
+    /// the QoS oracle: each case clones the policy, so each starts from the
+    /// same seeded history.
+    fn qos_oracle_setup() -> &'static (ClusterTrace, PondPolicy) {
+        static TRAINED: std::sync::OnceLock<(ClusterTrace, PondPolicy)> =
+            std::sync::OnceLock::new();
+        TRAINED.get_or_init(|| {
+            let trace = TraceGenerator::new(ClusterConfig::small(), 1).generate(0);
+            let policy = PondPolicy::train(&trace, &PondPolicyConfig::default(), 5);
+            (trace, policy)
+        })
+    }
+
+    /// One side of the QoS oracle: the plane under test and the lender its
+    /// borrowed placements draw on.
+    struct Side {
+        plane: PondControlPlane,
+        lender: PondControlPlane,
+    }
+
+    impl Side {
+        /// Routes a lease the plane handed back to its lender.
+        fn settle(&mut self, lease: Option<SliceLease>, now: Duration) {
+            if let Some(lease) = lease {
+                self.lender.release_lent(lease, now).unwrap();
+            }
+        }
+
+        /// Places `request` on pool slices the lender lends for its plan; a
+        /// plan with no pool share goes through `handle_request` instead.
+        fn place_borrowed(
+            &mut self,
+            request: &VmRequest,
+            now: Duration,
+        ) -> Result<PlacementSummary, PondError> {
+            let plan = self.plane.plan_pooled(request)?;
+            if plan.pool.is_zero() {
+                return self.plane.handle_request(request, now);
+            }
+            let port_host = HostId(self.plane.config().hosts);
+            let lease = self.lender.lend(0, port_host, plan.pool, now)?;
+            self.plane.place(request, Backing::Lease(plan, lease), now).map_err(|(error, lease)| {
+                self.settle(lease, now);
+                error
+            })
+        }
+
+        fn depart(&mut self, vm: VmId, now: Duration) -> Result<Option<Duration>, PondError> {
+            let outcome = self.plane.handle_departure_split(vm, now)?;
+            self.settle(outcome.lease, now);
+            Ok(outcome.release_ready)
+        }
+
+        fn evacuate(&mut self, vm: VmId, now: Duration) -> Result<Option<Duration>, PondError> {
+            let outcome = self.plane.evacuate_vm_split(vm, now)?;
+            self.settle(outcome.lease, now);
+            Ok(outcome.release_ready)
+        }
+
+        /// The state every step compares across the two sides.
+        fn state(&self) -> (u64, Bytes, Bytes, Bytes, Vec<Bytes>) {
+            let plane = &self.plane;
+            let free = plane.hosts().iter().map(HostMemory::local_free).collect();
+            let lent = self.lender.lent_pool();
+            (plane.mitigations(), plane.pinned_pool(), plane.borrowed_pool(), lent, free)
+        }
+    }
+
+    proptest! {
+        /// Two planes built alike go through one random schedule of arrivals
+        /// (own, borrowed and all-local, fresh ids and ids placed again),
+        /// departures, EMC failures with evacuations, repairs and QoS passes
+        /// at random times; one runs the memoized pass, the other evaluates
+        /// every VM at every pass. Small hosts make some mitigations fail
+        /// for want of local DRAM, and the budget is 0, 1%, 5% or 100%.
+        /// Every step must leave the two planes alike.
+        #[test]
+        fn memoized_qos_passes_match_the_per_pass_evaluation(
+            (hosts, local_gib, pool_gib) in (1u16..5, 16u64..128, 1u64..96),
+            (switched, budget, fallback) in (proptest::bool::ANY, 0usize..4, proptest::bool::ANY),
+            steps in proptest::collection::vec((0u8..12, 0u64..1 << 32, 0u64..1 << 32), 1..80),
+        ) {
+            let (trace, policy) = qos_oracle_setup();
+            let config = ControlPlaneConfig {
+                hosts,
+                local_dram_per_host: Bytes::from_gib(local_gib),
+                hypervisor_private: Bytes::from_gib(2),
+                pool_sockets: if switched { 32 } else { 16 },
+                pool_capacity: Bytes::from_gib(pool_gib),
+                mitigation_budget: [0.0, 0.01, 0.05, 1.0][budget],
+                fallback_all_local: fallback,
+                ..ControlPlaneConfig::default()
+            };
+            let side = || {
+                let plane = || PondControlPlane::with_policy(config.clone(), policy.clone()).unwrap();
+                Side { plane: plane(), lender: plane() }
+            };
+            let (mut memo, mut oracle) = (side(), side());
+            let emcs = if switched { 4 } else { 1 };
+            let mut now = Duration::ZERO;
+            let mut running: Vec<u64> = Vec::new();
+            let mut gone: Vec<u64> = Vec::new();
+            let mut fresh = 0..;
+            for (kind, a, b) in steps {
+                now += Duration::from_secs(b % 7_200);
+                match kind {
+                    // An arrival: the trace's request under a fresh id or one
+                    // that ran here before, at its own size or a random one.
+                    0..=4 => {
+                        let template = &trace.requests[a as usize % trace.requests.len()];
+                        let reuse = kind >= 3 && !gone.is_empty();
+                        let id = if reuse {
+                            gone.swap_remove(b as usize % gone.len())
+                        } else {
+                            fresh.next().unwrap()
+                        };
+                        let memory = if b & 2 == 0 {
+                            template.memory
+                        } else {
+                            Bytes::from_gib(1 + (b >> 8) % 48)
+                        };
+                        let request = VmRequest { id, memory, ..template.clone() };
+                        let place = |side: &mut Side| match kind {
+                            2 => side.place_borrowed(&request, now),
+                            _ => side.plane.handle_request(&request, now),
+                        };
+                        let placed = place(&mut memo);
+                        prop_assert_eq!(&placed, &place(&mut oracle));
+                        if placed.is_ok() {
+                            running.push(id);
+                        } else {
+                            gone.push(id);
+                        }
+                    }
+                    5 if !running.is_empty() => {
+                        let vm = VmId(running.swap_remove(a as usize % running.len()));
+                        prop_assert_eq!(memo.depart(vm, now), oracle.depart(vm, now));
+                        gone.push(vm.0);
+                    }
+                    6..=8 => {
+                        let pass = memo.plane.run_qos_pass(now).unwrap();
+                        let reference = oracle.plane.run_qos_pass_reference(now).unwrap();
+                        prop_assert_eq!(&pass, &reference);
+                        for (side, pass) in [(&mut memo, pass), (&mut oracle, reference)] {
+                            for reclaim in pass.borrowed_reclaims {
+                                side.settle(Some(reclaim.lease), reclaim.copy_done);
+                            }
+                        }
+                    }
+                    // A failure, then the evacuation of a random share of
+                    // its blast radius; the rest keep running on what
+                    // survived.
+                    9 => {
+                        let emc = EmcId((a % emcs) as u16);
+                        let failed = memo.plane.handle_emc_failure(emc, now);
+                        prop_assert_eq!(&failed, &oracle.plane.handle_emc_failure(emc, now));
+                        let affected = failed.map(|failure| failure.affected).unwrap_or_default();
+                        for (bit, affected) in affected.iter().enumerate() {
+                            if b >> (bit % 32) & 1 == 1 {
+                                let vm = affected.vm;
+                                prop_assert_eq!(memo.evacuate(vm, now), oracle.evacuate(vm, now));
+                                running.retain(|&id| id != vm.0);
+                                gone.push(vm.0);
+                            }
+                        }
+                    }
+                    10 => {
+                        let emc = EmcId((a % emcs) as u16);
+                        prop_assert_eq!(memo.plane.repair_emc(emc), oracle.plane.repair_emc(emc));
+                    }
+                    _ => {
+                        prop_assert_eq!(
+                            memo.plane.complete_releases(now),
+                            oracle.plane.complete_releases(now)
+                        );
+                    }
+                }
+                prop_assert_eq!(memo.state(), oracle.state());
+            }
+            for side in [&memo, &oracle] {
+                side.plane.assert_pool_conserved_full();
+                side.lender.assert_pool_conserved_full();
+            }
+        }
     }
 
     #[test]

@@ -643,8 +643,8 @@ pub fn run_fleet_reference(
 mod tests {
     use super::*;
     use crate::multipool::{
-        multipool_sweep, run_multipool_fleet, run_multipool_source, run_multipool_source_observed,
-        DrillKind, FailureDrillSpec, GroupSchedulerKind, LifecyclePlan, RebalanceSpec,
+        multipool_sweep, run_multipool_fleet, run_multipool_source, DrillKind, FailureDrillSpec,
+        GroupSchedulerKind, LifecyclePlan, RebalanceSpec,
     };
     use cluster_sim::source::TraceCursor;
     use cluster_sim::tracegen::{ClusterConfig, TraceGenerator};
@@ -905,23 +905,5 @@ mod tests {
         // Every row shares the same aligned shape.
         let widths: Vec<usize> = lines.iter().map(|l| l.len()).collect();
         assert!(widths.iter().all(|&w| w == widths[0]), "{block}");
-    }
-
-    #[test]
-    fn an_observed_replay_is_bit_identical_and_samples_every_snapshot() {
-        let trace = small_trace();
-        let config = single_pool(&trace, 0.20);
-        let policy = PondPolicy::train(&trace, &config.control.policy, config.seed);
-        let unobserved =
-            run_multipool_source(TraceCursor::new(&trace), &config, policy.clone()).unwrap();
-        let mut recorder = pond_metrics::TimeSeriesRecorder::new();
-        let observed =
-            run_multipool_source_observed(TraceCursor::new(&trace), &config, policy, &mut recorder)
-                .unwrap();
-        assert_eq!(observed, unobserved);
-        assert_eq!(recorder.points().len() as u64, unobserved.fleet.qos_passes);
-        let last = recorder.points().last().unwrap();
-        assert_eq!(last.groups.len(), 1);
-        assert!(last.fleet_availability > 0.0);
     }
 }

@@ -1672,24 +1672,43 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
 }
 
 /// Replays every configuration on the parallel [`sweep`] runner, each cell
-/// over fresh sources from `make_source`: the cell trains its policy from
-/// the stream's prefix ([`PondPolicy::train_source`]) and then replays the
-/// whole stream ([`run_multipool_source`]). Outcomes come back in `configs`
-/// order and each cell is deterministic for a fixed stream, so the sweep is
-/// reproducible bit for bit — including between `POND_SWEEP_THREADS=1` and
-/// the default thread count. A materialized trace sweeps as
-/// `|| TraceCursor::new(&trace)`, bit-identical to [`run_multipool_fleet`]
-/// per cell. `make_source` may run from several threads at once.
+/// over fresh sources from `make_source`. Each distinct
+/// (`control.policy`, `seed`) pair trains its policy once from the stream's
+/// prefix ([`PondPolicy::train_source`]), in first-occurrence order, and
+/// every cell then replays the whole stream ([`run_multipool_source`]) on a
+/// clone of its pair's policy: training is deterministic and an unused
+/// clone equals a fresh train, so sharing changes no outcome. Outcomes come
+/// back in `configs` order and each cell is deterministic for a fixed
+/// stream, so the sweep is reproducible bit for bit — including between
+/// `POND_SWEEP_THREADS=1` and the default thread count. A materialized trace
+/// sweeps as `|| TraceCursor::new(&trace)`, bit-identical to
+/// [`run_multipool_fleet`] per cell. `make_source` may run from several
+/// threads at once.
 ///
 /// # Errors
 ///
-/// Propagates the first replay or stream error in `configs` order.
+/// Propagates the first training, replay or stream error in `configs`
+/// order; a cell whose policy failed to train reports that error.
 pub fn multipool_sweep<S: ArrivalSource, F: Fn() -> S + Sync>(
     make_source: F,
     configs: &[MultiPoolConfig],
 ) -> Result<Vec<MultiPoolOutcome>, PondError> {
-    let results = sweep::parallel_map(configs, |_, config| {
-        let policy = PondPolicy::train_source(&make_source, &config.control.policy, config.seed)?;
+    let mut trainings = Vec::new();
+    let training_of: Vec<usize> = configs
+        .iter()
+        .map(|config| {
+            let key = (&config.control.policy, config.seed);
+            trainings.iter().position(|known| *known == key).unwrap_or_else(|| {
+                trainings.push(key);
+                trainings.len() - 1
+            })
+        })
+        .collect();
+    let policies = sweep::parallel_map(&trainings, |_, &(policy, seed)| {
+        PondPolicy::train_source(&make_source, policy, seed).map_err(PondError::from)
+    });
+    let results = sweep::parallel_map(configs, |cell, config| {
+        let policy = policies[training_of[cell]].clone()?;
         run_multipool_source(make_source(), config, policy)
     });
     results.into_iter().collect()

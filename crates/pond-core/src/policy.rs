@@ -264,6 +264,13 @@ impl PondPolicy {
         &self.trained.monitor
     }
 
+    /// The PMU sampler the arrival-time sensitivity check reads: the control
+    /// plane's QoS passes sample through it too, so both see one VM's
+    /// counters alike.
+    pub(crate) fn sampler(&self) -> &TelemetrySampler {
+        &self.trained.sampler
+    }
+
     /// The workload suite entry a request's workload index names (taken
     /// modulo the suite size).
     pub(crate) fn workload(&self, workload_index: usize) -> &WorkloadProfile {

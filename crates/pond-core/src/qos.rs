@@ -71,9 +71,10 @@ impl QosMonitor {
     /// * Otherwise the sensitivity model decides: latency-insensitive VMs can
     ///   tolerate the spill, sensitive ones are mitigated.
     ///
-    /// This is the online serving path (one call per QoS-monitored VM every
-    /// pass), so the sensitivity model's feature schema is validated: a
-    /// drift surfaces as an [`MlError`] the replay propagates instead of a
+    /// This is the online serving path (one call per running VM, at the
+    /// VM's first QoS pass: the control plane keeps the verdict for the
+    /// later ones), so the sensitivity model's feature schema is validated:
+    /// a drift surfaces as an [`MlError`] the replay propagates instead of a
     /// panic mid sweep.
     ///
     /// # Errors
@@ -151,11 +152,40 @@ impl MitigationManager {
         self.mitigated < allowed.max(1)
     }
 
+    /// Counts one monitored VM and applies the mitigation `decision` asks
+    /// for, if the budget allows it. Returns the reconfiguration report when
+    /// a mitigation ran.
+    ///
+    /// This is the budgeted half of [`MitigationManager::try_process`], for
+    /// a caller that already holds the monitor's verdict on the VM: the
+    /// control plane calls it once per running VM every QoS pass, whether or
+    /// not it evaluated the verdict in that pass, so the budget counts every
+    /// monitored VM.
+    pub(crate) fn apply(
+        &mut self,
+        decision: QosDecision,
+        host: &mut HostMemory,
+        vm: &mut VirtualMachine,
+    ) -> Option<ReconfigurationReport> {
+        self.monitored += 1;
+        if decision == QosDecision::ContinueMonitoring || !self.within_budget() {
+            return None;
+        }
+        match self.engine.reconfigure(host, vm) {
+            Ok(report) if report.accelerator_toggled => {
+                self.mitigated += 1;
+                Some(report)
+            }
+            _ => None,
+        }
+    }
+
     /// Evaluates a VM and applies the mitigation if the monitor requests one
-    /// and the budget allows it. Returns the reconfiguration report when a
-    /// mitigation ran; a feature-schema drift in the monitor's model comes
-    /// back as an error instead of a panic (this runs once per monitored VM
-    /// every QoS pass, mid replay).
+    /// and the budget allows it: [`QosMonitor::try_evaluate`], then the
+    /// budgeted application the control plane's QoS pass also uses. Returns
+    /// the reconfiguration report when a mitigation ran; a feature-schema
+    /// drift in the monitor's model comes back as an error instead of a
+    /// panic, and the VM is not counted.
     ///
     /// # Errors
     ///
@@ -167,20 +197,8 @@ impl MitigationManager {
         host: &mut HostMemory,
         vm: &mut VirtualMachine,
     ) -> Result<Option<ReconfigurationReport>, MlError> {
-        self.monitored += 1;
-        if monitor.try_evaluate(observation)? == QosDecision::ContinueMonitoring {
-            return Ok(None);
-        }
-        if !self.within_budget() {
-            return Ok(None);
-        }
-        Ok(match self.engine.reconfigure(host, vm) {
-            Ok(report) if report.accelerator_toggled => {
-                self.mitigated += 1;
-                Some(report)
-            }
-            _ => None,
-        })
+        let decision = monitor.try_evaluate(observation)?;
+        Ok(self.apply(decision, host, vm))
     }
 
     /// Evaluates a VM and applies the mitigation (panicking convenience over

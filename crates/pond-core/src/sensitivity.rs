@@ -123,10 +123,13 @@ impl SensitivityModel {
     }
 
     /// Hard decision at the model's threshold, with the feature schema
-    /// validated. The online serving path (one call per VM arrival and per
-    /// QoS-monitored VM) goes through here so a malformed feature row
-    /// becomes an error the fleet replay propagates, not a panic that takes
-    /// a whole sweep down.
+    /// validated. The online serving path goes through here: one call per
+    /// VM arrival whose customer ran the workload before, and one per
+    /// pool-backed VM at its first QoS pass when its untouched prediction
+    /// failed or it runs fully on the pool (the control plane keeps that
+    /// verdict for the VM's later passes). A malformed feature row becomes
+    /// an error the fleet replay propagates, not a panic that takes a whole
+    /// sweep down.
     ///
     /// # Errors
     ///

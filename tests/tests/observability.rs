@@ -174,32 +174,44 @@ fn small_trace() -> ClusterTrace {
 
 /// On a single pool the entry points agree: `run_multipool_source` is the
 /// `NullObserver` case of the observed loop, and a real observer costs
-/// nothing there either.
+/// nothing there either. Two cells: a 15% pool at seed 42 and a 20% pool at
+/// seed 7.
 #[test]
 fn single_pool_observed_replay_matches_the_plain_entry_point() {
     let trace = small_trace();
     let scheduler = GroupSchedulerKind::RoundRobin;
-    let config = MultiPoolConfig::for_trace(&trace, PodStyle::Symmetric, 1, 0.15, scheduler, 42);
-    let policy = PondPolicy::train(&trace, &config.control.policy, config.seed);
+    for (pool_fraction, seed) in [(0.15, 42), (0.20, 7)] {
+        let config = MultiPoolConfig::for_trace(
+            &trace,
+            PodStyle::Symmetric,
+            1,
+            pool_fraction,
+            scheduler,
+            seed,
+        );
+        let policy = PondPolicy::train(&trace, &config.control.policy, config.seed);
 
-    let plain = run_multipool_source(TraceCursor::new(&trace), &config, policy.clone()).unwrap();
-    let nulled = run_multipool_source_observed(
-        TraceCursor::new(&trace),
-        &config,
-        policy.clone(),
-        &mut NullObserver,
-    )
-    .unwrap();
-    assert_eq!(nulled, plain, "NullObserver must equal the plain entry point");
+        let plain =
+            run_multipool_source(TraceCursor::new(&trace), &config, policy.clone()).unwrap();
+        let nulled = run_multipool_source_observed(
+            TraceCursor::new(&trace),
+            &config,
+            policy.clone(),
+            &mut NullObserver,
+        )
+        .unwrap();
+        assert_eq!(nulled, plain, "NullObserver must equal the plain entry point");
 
-    let mut recorder = TimeSeriesRecorder::new();
-    let recorded =
-        run_multipool_source_observed(TraceCursor::new(&trace), &config, policy, &mut recorder)
-            .unwrap();
-    assert_eq!(recorded, plain, "a recording observer must cost zero bits");
-    assert_eq!(recorder.points().len() as u64, plain.fleet.qos_passes);
-    // Single pool: every point carries exactly one group sample.
-    assert!(recorder.points().iter().all(|p| p.groups.len() == 1));
+        let mut recorder = TimeSeriesRecorder::new();
+        let recorded =
+            run_multipool_source_observed(TraceCursor::new(&trace), &config, policy, &mut recorder)
+                .unwrap();
+        assert_eq!(recorded, plain, "a recording observer must cost zero bits");
+        assert_eq!(recorder.points().len() as u64, plain.fleet.qos_passes);
+        // Single pool: every point carries exactly one group sample.
+        assert!(recorder.points().iter().all(|p| p.groups.len() == 1));
+        assert!(recorder.points().last().unwrap().fleet_availability > 0.0);
+    }
 }
 
 /// The metrics registry reconciles with the outcome it watched: events,

@@ -49,20 +49,29 @@
 //!
 //! # Data structures
 //!
-//! [`EventQueue`] is built for replay throughput in O(live VMs) memory.
-//! Arrivals are a one-request lookahead over the source cursor — the queue
-//! never materializes the trace. Departures — by far the busiest scheduled
-//! source (one per placed VM) — live in an **incremental per-second
-//! calendar**: a [`BTreeMap`] keyed by departure second whose buckets hold
-//! `(seq, token)` entries sorted ascending behind a pop cursor. Arming a
-//! departure at placement time is O(log live-seconds + bucket); popping
-//! takes the head of the first bucket and frees the bucket when it drains,
-//! so the calendar holds only departures of currently-live VMs. The rare
-//! sources — failures, lifecycle operations, releases, copy completions —
-//! stay on tiny binary heaps, and snapshots are a counter. The retained
-//! [`ReferenceEventQueue`] is the original heap-per-source implementation
-//! over a materialized trace, kept test-only to prove the streamed queue
-//! emits bit-identical merged streams.
+//! [`EventQueue`] is built for replay throughput in O(live VMs) memory. It
+//! keeps four fronts and pops the least `(time, rank)` among them, where the
+//! rank is a class's place in the tie order above:
+//!
+//! * **Arrivals** are a one-request lookahead over the source cursor — the
+//!   queue never materializes the trace.
+//! * **Departures** — by far the busiest scheduled class (one per placed
+//!   VM) — live in an incremental per-second calendar: a [`BTreeMap`] keyed
+//!   by departure second whose buckets hold `(seq, token)` entries sorted
+//!   ascending behind a pop cursor. Arming a departure at placement time is
+//!   O(log live-seconds + bucket); popping takes the head of the first
+//!   bucket and frees the bucket when it drains, so the calendar holds only
+//!   departures of currently-live VMs.
+//! * **Every other scheduled class** — failures, lifecycle operations,
+//!   releases, copy completions — shares one binary heap keyed by
+//!   `(time, rank, payload)`; the payload (plan index or pool group) orders
+//!   simultaneous events of one class.
+//! * **Snapshots** are a counter.
+//!
+//! No two fronts hold the same rank, so the least front is unique. The
+//! retained [`ReferenceEventQueue`] keeps one heap per class over a
+//! materialized trace; a proptest pins the streamed queue to it event for
+//! event, and `pond-core`'s reference replay runs on it.
 //!
 //! Snapshot ticks fire every `snapshot_interval` seconds; when the interval
 //! does not divide the source's duration, a final tick fires *at* the
@@ -71,6 +80,7 @@
 
 use crate::source::{ArrivalSource, SourceError, TraceHeader};
 use crate::trace::{ClusterTrace, VmRequest};
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
 /// One simulation event, tagged with its time.
@@ -275,26 +285,40 @@ impl DepartureCalendar {
         bucket.entries.insert(at, (seq, token));
     }
 
-    /// The earliest pending departure.
-    fn peek(&self) -> Option<(u64, u64, usize)> {
-        self.buckets.iter().next().map(|(&time, bucket)| {
-            let (seq, token) = bucket.entries[bucket.head];
-            (time, seq, token)
-        })
+    /// The time of the earliest pending departure.
+    fn peek(&self) -> Option<u64> {
+        self.buckets.keys().next().copied()
     }
 
-    /// Pops the earliest pending departure, freeing its bucket when drained.
-    fn pop(&mut self) -> Option<(u64, u64, usize)> {
+    /// Pops the earliest pending departure as `(time, token)`, freeing its
+    /// bucket when drained.
+    fn pop(&mut self) -> Option<(u64, usize)> {
         let mut entry = self.buckets.first_entry()?;
         let time = *entry.key();
         let bucket = entry.get_mut();
-        let (seq, token) = bucket.entries[bucket.head];
+        let (_, token) = bucket.entries[bucket.head];
         bucket.head += 1;
         if bucket.head == bucket.entries.len() {
             entry.remove();
         }
-        Some((time, seq, token))
+        Some((time, token))
     }
+}
+
+/// A class's place in the tie order at equal times. Declaration order is
+/// pop order, so the order is written once, here.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Rank {
+    Failure,
+    Repair,
+    Decommission,
+    Expansion,
+    Departure,
+    Release,
+    Reconfig,
+    Migration,
+    Snapshot,
+    Arrival,
 }
 
 /// The next snapshot tick at construction: the first interval multiple,
@@ -337,9 +361,10 @@ fn advance_snapshot(time: u64, interval: u64, horizon: u64) -> u64 {
 /// [`EventQueue::source_error`] — drivers check it after the drain.
 ///
 /// Internally departures live in an incremental per-second calendar (armed
-/// at placement time, holding only live VMs); see the module docs for the
-/// layout. [`ReferenceEventQueue`] is the retained original implementation
-/// the test suite compares against.
+/// at placement time, holding only live VMs) and every other scheduled
+/// class in one heap; see the module docs for the layout.
+/// [`ReferenceEventQueue`] is the heap-per-class implementation the test
+/// suite compares against.
 #[derive(Debug)]
 pub struct EventQueue<S> {
     source: S,
@@ -350,14 +375,10 @@ pub struct EventQueue<S> {
     last_arrival: Option<VmRequest>,
     next_ordinal: usize,
     error: Option<SourceError>,
-    failures: BinaryHeap<std::cmp::Reverse<(u64, usize)>>,
-    repairs: BinaryHeap<std::cmp::Reverse<(u64, usize)>>,
-    decommissions: BinaryHeap<std::cmp::Reverse<(u64, usize)>>,
-    expansions: BinaryHeap<std::cmp::Reverse<(u64, usize)>>,
+    /// Failures, lifecycle operations, releases and copy completions, keyed
+    /// by `(time, rank, payload)`.
+    timeline: BinaryHeap<Reverse<(u64, Rank, usize)>>,
     departures: DepartureCalendar,
-    releases: BinaryHeap<std::cmp::Reverse<(u64, usize)>>,
-    reconfigs: BinaryHeap<std::cmp::Reverse<(u64, usize)>>,
-    migrations: BinaryHeap<std::cmp::Reverse<(u64, usize)>>,
     next_snapshot: u64,
     snapshot_interval: u64,
     snapshot_horizon: u64,
@@ -383,14 +404,8 @@ impl<S: ArrivalSource> EventQueue<S> {
             last_arrival: None,
             next_ordinal: 0,
             error,
-            failures: BinaryHeap::new(),
-            repairs: BinaryHeap::new(),
-            decommissions: BinaryHeap::new(),
-            expansions: BinaryHeap::new(),
+            timeline: BinaryHeap::new(),
             departures: DepartureCalendar::default(),
-            releases: BinaryHeap::new(),
-            reconfigs: BinaryHeap::new(),
-            migrations: BinaryHeap::new(),
             next_snapshot: initial_snapshot(snapshot_interval, horizon),
             snapshot_interval,
             snapshot_horizon: horizon,
@@ -434,21 +449,21 @@ impl<S: ArrivalSource> EventQueue<S> {
     /// drivers; `failure_index` identifies the entry in the driver's plan).
     /// Simultaneous failures pop in ascending `failure_index` order.
     pub fn schedule_emc_failure(&mut self, time: u64, failure_index: usize) {
-        self.failures.push(std::cmp::Reverse((time, failure_index)));
+        self.timeline.push(Reverse((time, Rank::Failure, failure_index)));
     }
 
     /// Schedules an EMC-repair event (called up front by lifecycle drivers;
     /// `repair_index` identifies the entry in the driver's repair plan).
     /// Simultaneous repairs pop in ascending `repair_index` order.
     pub fn schedule_emc_repair(&mut self, time: u64, repair_index: usize) {
-        self.repairs.push(std::cmp::Reverse((time, repair_index)));
+        self.timeline.push(Reverse((time, Rank::Repair, repair_index)));
     }
 
     /// Schedules a graceful group-decommission event (called up front by
     /// lifecycle drivers; `group` is the pool group to drain). Simultaneous
     /// decommissions pop in ascending `group` order.
     pub fn schedule_group_decommission(&mut self, time: u64, group: usize) {
-        self.decommissions.push(std::cmp::Reverse((time, group)));
+        self.timeline.push(Reverse((time, Rank::Decommission, group)));
     }
 
     /// Schedules a live group-expansion event (called up front by lifecycle
@@ -456,7 +471,7 @@ impl<S: ArrivalSource> EventQueue<S> {
     /// expansion plan). Simultaneous expansions pop in ascending
     /// `expansion_index` order.
     pub fn schedule_group_expansion(&mut self, time: u64, expansion_index: usize) {
-        self.expansions.push(std::cmp::Reverse((time, expansion_index)));
+        self.timeline.push(Reverse((time, Rank::Expansion, expansion_index)));
     }
 
     /// Schedules a migration-copy completion event (called when an evacuated
@@ -465,7 +480,7 @@ impl<S: ArrivalSource> EventQueue<S> {
     /// echoed back in [`Event::MigrationDone`]; simultaneous completions pop
     /// in ascending `group` order.
     pub fn schedule_migration_done(&mut self, time: u64, group: usize) {
-        self.migrations.push(std::cmp::Reverse((time, group)));
+        self.timeline.push(Reverse((time, Rank::Migration, group)));
     }
 
     /// Schedules a release-completion event (called when pool slices start
@@ -473,7 +488,7 @@ impl<S: ArrivalSource> EventQueue<S> {
     /// `group` is echoed back in [`Event::Release`]; simultaneous releases
     /// pop in ascending `group` order.
     pub fn schedule_release(&mut self, time: u64, group: usize) {
-        self.releases.push(std::cmp::Reverse((time, group)));
+        self.timeline.push(Reverse((time, Rank::Release, group)));
     }
 
     /// Schedules a reconfiguration-copy completion event (called when a QoS
@@ -482,154 +497,62 @@ impl<S: ArrivalSource> EventQueue<S> {
     /// [`Event::ReconfigDone`]; simultaneous completions pop in ascending
     /// `group` order.
     pub fn schedule_reconfig_done(&mut self, time: u64, group: usize) {
-        self.reconfigs.push(std::cmp::Reverse((time, group)));
+        self.timeline.push(Reverse((time, Rank::Reconfig, group)));
     }
 
-    /// Pops the next event in time order (ties: failure, departure, release,
-    /// copy completion — reconfiguration before migration — snapshot,
-    /// arrival). Returns `None` once every source is exhausted, or
-    /// immediately after the arrival source errors (see
-    /// [`EventQueue::source_error`]).
+    /// Pops the next event in time order (ties: failure, repair,
+    /// decommission, expansion, departure, release, reconfiguration
+    /// completion, migration completion, snapshot, arrival). Returns `None`
+    /// once every source is exhausted, or immediately after the arrival
+    /// source errors (see [`EventQueue::source_error`]).
     pub fn next_event(&mut self) -> Option<Event> {
-        #[derive(Clone, Copy)]
-        enum Source {
-            Failure,
-            Repair,
-            Decommission,
-            Expansion,
-            Departure,
-            Release,
-            Reconfig,
-            Migration,
-            Snapshot,
-            Arrival,
-        }
-
         if self.error.is_some() {
             return None;
         }
-
-        // Sources are inspected in tie order with a strict-less comparison
-        // on (time, class) keys, so the earliest-peeked candidate wins every
-        // exact tie — including the failure < repair < decommission <
-        // expansion order within the shared lifecycle rung and
-        // reconfiguration-before-migration within the shared copy-completion
-        // class.
-        let mut best_key = (u64::MAX, u8::MAX);
-        let mut source = None;
-        if let Some(&std::cmp::Reverse((time, _))) = self.failures.peek() {
-            best_key = (time, 0);
-            source = Some(Source::Failure);
-        }
-        if let Some(&std::cmp::Reverse((time, _))) = self.repairs.peek() {
-            if (time, 0) < best_key {
-                best_key = (time, 0);
-                source = Some(Source::Repair);
+        let fronts = [
+            self.timeline.peek().map(|&Reverse((time, rank, _))| (time, rank)),
+            self.departures.peek().map(|time| (time, Rank::Departure)),
+            (self.next_snapshot != u64::MAX).then_some((self.next_snapshot, Rank::Snapshot)),
+            self.lookahead.as_ref().map(|request| (request.arrival, Rank::Arrival)),
+        ];
+        let (time, rank) = fronts.into_iter().flatten().min()?;
+        Some(match rank {
+            Rank::Departure => {
+                let (time, token) = self.departures.pop().expect("peeked departure");
+                Event::Departure { time, token }
             }
-        }
-        if let Some(&std::cmp::Reverse((time, _))) = self.decommissions.peek() {
-            if (time, 0) < best_key {
-                best_key = (time, 0);
-                source = Some(Source::Decommission);
-            }
-        }
-        if let Some(&std::cmp::Reverse((time, _))) = self.expansions.peek() {
-            if (time, 0) < best_key {
-                best_key = (time, 0);
-                source = Some(Source::Expansion);
-            }
-        }
-        if let Some((time, _, _)) = self.departures.peek() {
-            if (time, 1) < best_key {
-                best_key = (time, 1);
-                source = Some(Source::Departure);
-            }
-        }
-        if let Some(&std::cmp::Reverse((time, _))) = self.releases.peek() {
-            if (time, 2) < best_key {
-                best_key = (time, 2);
-                source = Some(Source::Release);
-            }
-        }
-        if let Some(&std::cmp::Reverse((time, _))) = self.reconfigs.peek() {
-            if (time, 3) < best_key {
-                best_key = (time, 3);
-                source = Some(Source::Reconfig);
-            }
-        }
-        if let Some(&std::cmp::Reverse((time, _))) = self.migrations.peek() {
-            if (time, 3) < best_key {
-                best_key = (time, 3);
-                source = Some(Source::Migration);
-            }
-        }
-        if self.next_snapshot != u64::MAX && (self.next_snapshot, 4) < best_key {
-            best_key = (self.next_snapshot, 4);
-            source = Some(Source::Snapshot);
-        }
-        if let Some(request) = &self.lookahead {
-            if (request.arrival, 5) < best_key {
-                source = Some(Source::Arrival);
-            }
-        }
-        match source? {
-            Source::Failure => {
-                let std::cmp::Reverse((time, failure_index)) =
-                    self.failures.pop().expect("peeked failure");
-                Some(Event::EmcFailure { time, failure_index })
-            }
-            Source::Repair => {
-                let std::cmp::Reverse((time, repair_index)) =
-                    self.repairs.pop().expect("peeked repair");
-                Some(Event::EmcRepair { time, repair_index })
-            }
-            Source::Decommission => {
-                let std::cmp::Reverse((time, group)) =
-                    self.decommissions.pop().expect("peeked decommission");
-                Some(Event::GroupDecommission { time, group })
-            }
-            Source::Expansion => {
-                let std::cmp::Reverse((time, expansion_index)) =
-                    self.expansions.pop().expect("peeked expansion");
-                Some(Event::GroupExpansion { time, expansion_index })
-            }
-            Source::Departure => {
-                let (time, _, token) = self.departures.pop().expect("peeked departure");
-                Some(Event::Departure { time, token })
-            }
-            Source::Release => {
-                let std::cmp::Reverse((time, group)) = self.releases.pop().expect("peeked release");
-                Some(Event::Release { time, group })
-            }
-            Source::Reconfig => {
-                let std::cmp::Reverse((time, group)) =
-                    self.reconfigs.pop().expect("peeked reconfig");
-                Some(Event::ReconfigDone { time, group })
-            }
-            Source::Migration => {
-                let std::cmp::Reverse((time, group)) =
-                    self.migrations.pop().expect("peeked migration");
-                Some(Event::MigrationDone { time, group })
-            }
-            Source::Snapshot => {
-                let time = self.next_snapshot;
+            Rank::Snapshot => {
                 self.next_snapshot =
                     advance_snapshot(time, self.snapshot_interval, self.snapshot_horizon);
-                Some(Event::Snapshot { time })
+                Event::Snapshot { time }
             }
-            Source::Arrival => {
+            Rank::Arrival => {
                 let request = self.lookahead.take().expect("peeked arrival");
-                let event =
-                    Event::Arrival { time: request.arrival, request_index: self.next_ordinal };
+                let event = Event::Arrival { time, request_index: self.next_ordinal };
                 self.next_ordinal += 1;
                 self.last_arrival = Some(request);
                 match self.source.next_request() {
                     Ok(next) => self.lookahead = next,
                     Err(e) => self.error = Some(e),
                 }
-                Some(event)
+                event
             }
-        }
+            _ => {
+                let Reverse((time, rank, payload)) = self.timeline.pop().expect("peeked event");
+                match rank {
+                    Rank::Failure => Event::EmcFailure { time, failure_index: payload },
+                    Rank::Repair => Event::EmcRepair { time, repair_index: payload },
+                    Rank::Decommission => Event::GroupDecommission { time, group: payload },
+                    Rank::Expansion => Event::GroupExpansion { time, expansion_index: payload },
+                    Rank::Release => Event::Release { time, group: payload },
+                    Rank::Reconfig => Event::ReconfigDone { time, group: payload },
+                    Rank::Migration => Event::MigrationDone { time, group: payload },
+                    Rank::Departure | Rank::Snapshot | Rank::Arrival => {
+                        unreachable!("{rank:?} has a front of its own")
+                    }
+                }
+            }
+        })
     }
 }
 
@@ -1315,12 +1238,16 @@ mod tests {
     }
 
     /// Drives one random schedule through a queue: `arm[i]` decides whether
-    /// arrival `i` schedules its departure (a rejected VM does not), and
+    /// arrival `i` schedules its departure (a rejected VM does not),
     /// `extras` injects failures, releases, copy completions, lifecycle
     /// operations (repairs, decommissions, expansions), and out-of-band
-    /// departures (foreign tokens, arbitrary times) before the drain.
+    /// departures (foreign tokens, arbitrary times) before the drain, and
+    /// `reactions[k]` lets the `k`-th popped event schedule a release, a
+    /// reconfiguration or migration completion, or a foreign-token departure
+    /// 0–2 s after it, as a replay schedules them mid-drain. A 0 s reaction
+    /// lands behind events of the same second that already popped.
     macro_rules! drive_schedule {
-        ($queue:expr, $trace:expr, $arm:expr, $extras:expr) => {{
+        ($queue:expr, $trace:expr, $arm:expr, $extras:expr, $reactions:expr) => {{
             let mut queue = $queue;
             for (i, &(class, time, index)) in $extras.iter().enumerate() {
                 match class {
@@ -1356,6 +1283,20 @@ mod tests {
                         );
                     }
                 }
+                if let Some(&(kind, delay, index)) = $reactions.get(events.len()) {
+                    let time = event.time() + delay;
+                    match kind {
+                        0 => queue.schedule_release(time, index % 4),
+                        1 => queue.schedule_reconfig_done(time, index % 4),
+                        2 => queue.schedule_migration_done(time, index % 4),
+                        3 => {
+                            let token = $trace.requests.len() + $extras.len() + events.len();
+                            queue.schedule_departure(time, index as u64, token);
+                        }
+                        // Most pops schedule nothing.
+                        _ => {}
+                    }
+                }
                 events.push(event);
                 assert!(events.len() < 10_000, "runaway drain");
             }
@@ -1366,12 +1307,14 @@ mod tests {
     proptest! {
         /// The streamed queue and the materialized reference queue emit
         /// bit-identical event streams for arbitrary schedules: colliding
-        /// timestamps, zero-lifetime VMs, rejected VMs, and every event
-        /// kind, lifecycle operations included.
+        /// timestamps, zero-lifetime VMs, rejected VMs, every event kind
+        /// (lifecycle operations included), and events scheduled mid-drain
+        /// at or just after the time that popped.
         #[test]
         fn streamed_queue_matches_the_materialized_reference_queue(
             shape in proptest::collection::vec((0u64..8, 0u64..120, proptest::bool::ANY), 0..24),
             extras in proptest::collection::vec((0u8..9, 0u64..400, 0usize..32), 0..16),
+            reactions in proptest::collection::vec((0u8..8, 0u64..3, 0usize..32), 0..64),
             duration in 0u64..350,
         ) {
             let mut arrival = 0;
@@ -1383,9 +1326,15 @@ mod tests {
                 arm.push(place);
             }
             let t = trace(requests, duration);
-            let streamed =
-                drive_schedule!(EventQueue::new(TraceCursor::new(&t), 30), &t, arm, extras);
-            let reference = drive_schedule!(ReferenceEventQueue::new(&t, 30), &t, arm, extras);
+            let streamed = drive_schedule!(
+                EventQueue::new(TraceCursor::new(&t), 30),
+                &t,
+                arm,
+                extras,
+                reactions
+            );
+            let reference =
+                drive_schedule!(ReferenceEventQueue::new(&t, 30), &t, arm, extras, reactions);
             prop_assert_eq!(streamed, reference);
         }
     }

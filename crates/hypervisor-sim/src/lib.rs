@@ -12,9 +12,6 @@
 //! * [`host`] — host-side physical memory accounting: the hypervisor-private
 //!   partition that contains fragmentation, VM memory preallocation, and
 //!   pool-slice onlining.
-//! * [`telemetry`] — hypervisor telemetry for opaque VMs: access-bit
-//!   scanning, the guest-committed-memory counter, and per-VM core-PMU
-//!   sampling with their measured overheads (§5).
 //! * [`reconfig`] — the QoS mitigation path: a one-time reconfiguration that
 //!   copies a VM's pool memory to local DRAM behind a temporarily disabled
 //!   virtualization accelerator (50 ms per GiB).
@@ -47,13 +44,11 @@
 pub mod guest;
 pub mod host;
 pub mod reconfig;
-pub mod telemetry;
 pub mod vm;
 pub mod vnuma;
 
 pub use guest::GuestAllocation;
 pub use host::HostMemory;
 pub use reconfig::ReconfigurationEngine;
-pub use telemetry::{AccessBitScanner, HypervisorTelemetry};
 pub use vm::{VirtualMachine, VmConfig, VmId};
 pub use vnuma::{VNumaNode, VNumaTopology};

@@ -42,7 +42,9 @@ pub struct ControlPlaneConfig {
     pub pool_capacity: Bytes,
     /// Policy / model configuration.
     pub policy: PondPolicyConfig,
-    /// Fraction of monitored VMs the mitigation manager may reconfigure.
+    /// Mitigations the manager may perform, as a fraction of its monitoring
+    /// visits: every QoS pass counts each running VM once, so a VM running
+    /// through `n` passes counts `n` times, not once.
     pub mitigation_budget: f64,
     /// Whether a request whose pool share cannot be covered by the free
     /// buffer falls back to an all-local placement (the production
@@ -1151,6 +1153,22 @@ mod tests {
     fn unknown_departure_is_an_error() {
         let (_, mut plane) = setup();
         assert!(plane.handle_departure_split(VmId(12345), Duration::ZERO).is_err());
+    }
+
+    #[test]
+    fn the_mitigation_budget_counts_every_running_vm_at_every_pass() {
+        let (trace, mut plane) = setup();
+        for request in trace.requests.iter().take(60) {
+            let _ = plane.handle_request(request, Duration::from_secs(request.arrival));
+        }
+        let running = plane.running_vms() as u64;
+        assert!(running > 0);
+        plane.run_qos_pass(Duration::from_secs(3600)).unwrap();
+        assert_eq!(plane.mitigation.monitored(), running);
+        plane.run_qos_pass(Duration::from_secs(7200)).unwrap();
+        // The unit is the visit, not the VM: the same N VMs count 2N.
+        assert_eq!(plane.running_vms() as u64, running);
+        assert_eq!(plane.mitigation.monitored(), 2 * running);
     }
 
     #[test]

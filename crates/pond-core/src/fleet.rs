@@ -504,7 +504,7 @@ fn track_peaks(
 }
 
 /// The pre-refactor single-pool replay loop, retained as the oracle for the
-/// replay engine: the five-heap [`ReferenceEventQueue`], a full host scan
+/// replay engine: the heap-per-class [`ReferenceEventQueue`], a full host scan
 /// after every event, and hash-map bookkeeping. The equivalence tests
 /// assert that the engine's one-group `.fleet` matches it bit for bit, and
 /// the throughput bench measures the engine's speedup against it.

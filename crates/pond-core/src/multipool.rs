@@ -739,8 +739,6 @@ struct Replay<'a, S, O> {
     peak_local: Vec<Vec<Bytes>>,
     peak_host_pool: Vec<Vec<Bytes>>,
     peak_total: Vec<Vec<Bytes>>,
-    pooled_host: Vec<Vec<bool>>,
-    pooled_count: Vec<u64>,
     /// Mitigation copies in flight, per group and fleet-wide.
     degraded_of: Vec<u64>,
     degraded_fleet: u64,
@@ -874,9 +872,7 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
             per_group: vec![FleetOutcome::default(); groups],
             peak_local: host_peaks.clone(),
             peak_host_pool: host_peaks.clone(),
-            pooled_host: planes.iter().map(|p| vec![false; p.hosts().len()]).collect(),
             peak_total: host_peaks,
-            pooled_count: vec![0; groups],
             degraded_of: vec![0; groups],
             degraded_fleet: 0,
             peak_degraded_fleet: 0,
@@ -996,7 +992,6 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
             };
             self.decided(&request, home, Some((summary.vm.0, group)), rung, reason);
         }
-        self.mark_pooled_host(group, &summary);
         let departure = request.departure();
         let token = self.arena.alloc(request, request_index as u64);
         self.arena.set_group(token, group as u32);
@@ -1336,7 +1331,6 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
                     landed.vms_borrowed += 1;
                     landed.borrowed_gib_hours += summary.pool.as_gib_f64() * hours;
                 }
-                self.mark_pooled_host(dest, &summary);
                 self.arena.set_group(token, dest as u32);
                 (Some(dest), copy)
             }
@@ -1535,13 +1529,6 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
         Ok(())
     }
 
-    fn mark_pooled_host(&mut self, group: usize, summary: &PlacementSummary) {
-        if !summary.pool.is_zero() && !self.pooled_host[group][summary.host] {
-            self.pooled_host[group][summary.host] = true;
-            self.pooled_count[group] += 1;
-        }
-    }
-
     /// Completes a graceful decommission once nothing is left in flight: a
     /// `Draining` group becomes `Decommissioned` only when its last VM has
     /// been drained, its last pending async release has been delivered,
@@ -1643,7 +1630,10 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
                 "group {group}: one MigrationDone event per migration copy — \
                  failure evacuations, drains, and rebalances alike"
             );
-            outcome.pooled_host_count = self.pooled_count[group];
+            // A host held pool slices exactly when its pinned-pool peak is
+            // non-zero.
+            outcome.pooled_host_count =
+                self.peak_host_pool[group].iter().filter(|peak| !peak.is_zero()).count() as u64;
             outcome.sum_local_peaks = self.peak_local[group].iter().copied().sum();
             outcome.sum_host_pool_peaks = self.peak_host_pool[group].iter().copied().sum();
             outcome.sum_total_peaks = self.peak_total[group].iter().copied().sum();

@@ -104,8 +104,10 @@ impl QosMonitor {
 }
 
 /// Executes mitigations, bounded by a budget expressed as a fraction of the
-/// VMs monitored (the paper's evaluation assumes the monitor mitigates up to
-/// 1% of mispredictions).
+/// monitoring visits so far ([`MitigationManager::monitored`]): each QoS
+/// pass visits every running VM once, so a VM that runs through `n` passes
+/// counts `n` times (the paper's evaluation assumes the monitor mitigates up
+/// to 1% of mispredictions).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MitigationManager {
     engine: ReconfigurationEngine,
@@ -130,7 +132,8 @@ impl MitigationManager {
         }
     }
 
-    /// Number of VMs evaluated so far.
+    /// Number of monitoring visits so far: one per VM per QoS pass, so a VM
+    /// counts again at every pass it is running for.
     pub fn monitored(&self) -> u64 {
         self.monitored
     }
@@ -152,15 +155,14 @@ impl MitigationManager {
         self.mitigated < allowed.max(1)
     }
 
-    /// Counts one monitored VM and applies the mitigation `decision` asks
-    /// for, if the budget allows it. Returns the reconfiguration report when
-    /// a mitigation ran.
+    /// Counts one monitoring visit and applies the mitigation `decision`
+    /// asks for, if the budget allows it. Returns the reconfiguration report
+    /// when a mitigation ran.
     ///
-    /// This is the budgeted half of [`MitigationManager::try_process`], for
-    /// a caller that already holds the monitor's verdict on the VM: the
-    /// control plane calls it once per running VM every QoS pass, whether or
-    /// not it evaluated the verdict in that pass, so the budget counts every
-    /// monitored VM.
+    /// `decision` is the monitor's verdict on the VM
+    /// ([`QosMonitor::try_evaluate`]): the control plane calls this once per
+    /// running VM every QoS pass, whether or not it evaluated the verdict in
+    /// that pass, so the budget counts every running VM at every pass.
     pub(crate) fn apply(
         &mut self,
         decision: QosDecision,
@@ -178,40 +180,6 @@ impl MitigationManager {
             }
             _ => None,
         }
-    }
-
-    /// Evaluates a VM and applies the mitigation if the monitor requests one
-    /// and the budget allows it: [`QosMonitor::try_evaluate`], then the
-    /// budgeted application the control plane's QoS pass also uses. Returns
-    /// the reconfiguration report when a mitigation ran; a feature-schema
-    /// drift in the monitor's model comes back as an error instead of a
-    /// panic, and the VM is not counted.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::FeatureCountMismatch`] on feature-schema drift.
-    pub fn try_process(
-        &mut self,
-        monitor: &QosMonitor,
-        observation: &VmObservation,
-        host: &mut HostMemory,
-        vm: &mut VirtualMachine,
-    ) -> Result<Option<ReconfigurationReport>, MlError> {
-        let decision = monitor.try_evaluate(observation)?;
-        Ok(self.apply(decision, host, vm))
-    }
-
-    /// Evaluates a VM and applies the mitigation (panicking convenience over
-    /// [`MitigationManager::try_process`]).
-    pub fn process(
-        &mut self,
-        monitor: &QosMonitor,
-        observation: &VmObservation,
-        host: &mut HostMemory,
-        vm: &mut VirtualMachine,
-    ) -> Option<ReconfigurationReport> {
-        self.try_process(monitor, observation, host, vm)
-            .expect("TMA counter features must match the trained forest's schema")
     }
 }
 
@@ -315,7 +283,9 @@ mod tests {
             predicted_untouched: Bytes::from_gib(8),
             observed_untouched: Bytes::ZERO,
         };
-        let report = manager.process(&monitor, &obs, &mut host, &mut vm).unwrap();
+        let decision = monitor.try_evaluate(&obs).unwrap();
+        assert_eq!(decision, QosDecision::Mitigate);
+        let report = manager.apply(decision, &mut host, &mut vm).unwrap();
         assert_eq!(report.moved, Bytes::from_gib(8));
         assert!(vm.is_reconfigured());
         assert_eq!(manager.mitigated(), 1);
@@ -348,7 +318,7 @@ mod tests {
                 workload.clone(),
             );
             host.pin_vm(VmId(i), vm.config().local_memory(), Bytes::from_gib(4)).unwrap();
-            manager.process(&monitor, &obs, &mut host, &mut vm);
+            manager.apply(monitor.try_evaluate(&obs).unwrap(), &mut host, &mut vm);
         }
         assert_eq!(manager.mitigated(), 1, "budget should cap mitigations");
         assert_eq!(manager.monitored(), 2);

@@ -37,11 +37,12 @@
 //! 6. **Arrivals** — in stream order.
 //!
 //! Simultaneous departures pop in ascending scheduling sequence (drivers
-//! pass the VM's arrival ordinal, preserving trace order even when
-//! departure tokens are recycled arena slots), simultaneous failures in
-//! ascending drill-plan order, and simultaneous completions of one kind
-//! (release, reconfiguration, migration) in ascending order of the pool
-//! group they carry, making the whole stream deterministic.
+//! pass the VM's arrival ordinal, preserving trace order whatever the
+//! departure tokens are: VM ids need not rise with arrival order),
+//! simultaneous failures in ascending drill-plan order, and simultaneous
+//! completions of one kind (release, reconfiguration, migration) in
+//! ascending order of the pool group they carry, making the whole stream
+//! deterministic.
 //! Processing events strictly in this order is what guarantees (by
 //! construction) that snapshots never observe the future and that
 //! departures after the final arrival are still drained: the queue is only
@@ -137,9 +138,8 @@ pub enum Event {
         expansion_index: usize,
     },
     /// A previously placed VM departs. `token` echoes whatever handle the
-    /// driver passed to [`EventQueue::schedule_departure`] — a live-VM arena
-    /// slot in the streamed fleet replays, a trace index in the materialized
-    /// ones.
+    /// driver passed to [`EventQueue::schedule_departure`]: the VM id in the
+    /// multi-pool replay, a trace index in the reference replay.
     Departure {
         /// Departure time in seconds since trace start.
         time: u64,
@@ -438,9 +438,9 @@ impl<S: ArrivalSource> EventQueue<S> {
 
     /// Schedules a departure event (called when a VM is placed). `seq`
     /// breaks ties among simultaneous departures — drivers pass the VM's
-    /// arrival ordinal so equal-time departures pop in trace order even when
-    /// `token` is a recycled arena slot; `token` is echoed back verbatim in
-    /// [`Event::Departure`].
+    /// arrival ordinal so equal-time departures pop in trace order whatever
+    /// `token` is (a VM id need not rise with arrival order); `token` is
+    /// echoed back verbatim in [`Event::Departure`].
     pub fn schedule_departure(&mut self, time: u64, seq: u64, token: usize) {
         self.departures.schedule(time, seq, token);
     }
@@ -977,12 +977,12 @@ mod tests {
 
     #[test]
     fn simultaneous_departures_order_by_seq_before_token() {
-        // Recycled arena slots can invert token order relative to arrival
-        // order; the seq key must win the tie so the pop order stays the
-        // trace order.
+        // Tokens (VM ids) can invert their order relative to arrival order;
+        // the seq key must win the tie so the pop order stays the trace
+        // order.
         let t = trace(vec![], 100);
         let mut queue = EventQueue::new(TraceCursor::new(&t), 0);
-        // Arrival ordinal 5 landed on recycled slot 0; ordinal 2 on slot 9.
+        // Arrival ordinal 5 is VM 0; ordinal 2 is VM 9.
         queue.schedule_departure(50, 5, 0);
         queue.schedule_departure(50, 2, 9);
         assert_eq!(queue.next_event(), Some(Event::Departure { time: 50, token: 9 }));

@@ -10,7 +10,22 @@ use crate::scheduler::MemoryPolicy;
 use crate::simulation::{Simulation, SimulationConfig, SimulationOutcome};
 use crate::sweep;
 use crate::trace::ClusterTrace;
+use cxl_hw::units::Bytes;
 use serde::{Deserialize, Serialize};
+
+/// DRAM required with pooling, the one formula every replay and simulator
+/// reports. Pooling saves the *sharing gain* of the pool-eligible memory:
+/// what it would need as dedicated per-host DRAM (`host_pool_peaks`, the
+/// sum of per-host pool peaks) less what the shared pools must actually
+/// provision (`pool_peak`, their summed peaks). Host DIMM provisioning
+/// stays SKU-uniform, so the pool-less baseline `total_peaks` (the sum of
+/// per-host combined peaks) shrinks by exactly that gain. The gain is
+/// clamped at zero: a pool peak above its hosts' pool-peak sum (slices
+/// still offlining count toward it) never requires more than the baseline.
+pub fn required_dram(total_peaks: Bytes, host_pool_peaks: Bytes, pool_peak: Bytes) -> Bytes {
+    let sharing_gain = host_pool_peaks.saturating_sub(pool_peak);
+    total_peaks.saturating_sub(sharing_gain)
+}
 
 /// The result of one (pool size, policy) evaluation point.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -147,61 +162,6 @@ fn reduce_points(pool_sizes: &[u16], traces: usize, metrics: &[RunMetrics]) -> V
         .collect()
 }
 
-/// Averages outcomes of a policy over several traces at a fixed pool size.
-///
-/// Traces run in parallel on the [`sweep`] runner; the reduction happens in
-/// trace order, bit-identical to a serial loop.
-pub fn average_outcome<P, F>(
-    traces: &[ClusterTrace],
-    config: &SimulationConfig,
-    make_policy: F,
-) -> AveragedOutcome
-where
-    P: MemoryPolicy,
-    F: Fn() -> P + Sync,
-{
-    let metrics = sweep::parallel_map(traces, |_, trace| {
-        run_point(trace, config.pool_size_sockets, config, make_policy())
-    });
-    let mut acc = AveragedOutcome::default();
-    for point in &metrics {
-        acc.required_dram_fraction += point.required;
-        acc.pool_dram_fraction += point.pool_fraction;
-        acc.violation_fraction += point.violations;
-        acc.mitigation_fraction += point.mitigations;
-    }
-    acc.finalize(traces.len());
-    acc
-}
-
-/// Averages of the headline metrics across clusters.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct AveragedOutcome {
-    /// Mean relative DRAM requirement.
-    pub required_dram_fraction: f64,
-    /// Mean fraction of memory GB-hours on the pool.
-    pub pool_dram_fraction: f64,
-    /// Mean fraction of VMs violating the PDM.
-    pub violation_fraction: f64,
-    /// Mean fraction of violating VMs that were mitigated.
-    pub mitigation_fraction: f64,
-}
-
-impl AveragedOutcome {
-    fn finalize(&mut self, n: usize) {
-        let n = n.max(1) as f64;
-        self.required_dram_fraction /= n;
-        self.pool_dram_fraction /= n;
-        self.violation_fraction /= n;
-        self.mitigation_fraction /= n;
-    }
-
-    /// DRAM savings relative to the pool-less baseline.
-    pub fn dram_savings_fraction(&self) -> f64 {
-        1.0 - self.required_dram_fraction
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,16 +234,5 @@ mod tests {
         // PartialEq on PoolSizePoint compares the f64 fields exactly: the
         // parallel runner must reproduce the serial accumulation bit for bit.
         assert_eq!(parallel, serial);
-    }
-
-    #[test]
-    fn averaged_outcome_accumulates() {
-        let traces = traces(2);
-        let avg = average_outcome(&traces, &config(), || FixedPoolFraction::new(0.5));
-        assert!(avg.required_dram_fraction > 0.5 && avg.required_dram_fraction <= 1.0);
-        assert!(avg.pool_dram_fraction > 0.1);
-        assert!(avg.violation_fraction > 0.0);
-        assert_eq!(avg.mitigation_fraction, 0.0, "mitigation disabled in this config");
-        assert!((avg.dram_savings_fraction() - (1.0 - avg.required_dram_fraction)).abs() < 1e-12);
     }
 }

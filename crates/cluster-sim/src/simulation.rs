@@ -13,6 +13,7 @@
 //! the final arrival — is drained and recorded before the run ends.
 
 use crate::event::{Event, EventQueue};
+use crate::pooling::required_dram;
 use crate::scheduler::{align_pool_memory, MemoryPolicy, PlacementEngine};
 use crate::source::TraceCursor;
 use crate::trace::ClusterTrace;
@@ -134,17 +135,10 @@ impl SimulationOutcome {
         }
     }
 
-    /// DRAM required with pooling.
-    ///
-    /// Pooling saves the *sharing gain* of the pool-eligible memory: the
-    /// difference between what that memory would need as dedicated per-server
-    /// DRAM (the sum of per-server pool peaks) and what the shared pools must
-    /// actually provision (the sum of per-group pool peaks). Server DIMM
-    /// provisioning itself stays SKU-uniform, so the baseline per-server
-    /// peaks are reduced by exactly that gain.
+    /// DRAM required with pooling: [`required_dram`] over the per-server
+    /// total and pool peaks and the per-group pool peaks.
     pub fn required_dram(&self) -> Bytes {
-        let sharing_gain = self.sum_server_pool_peaks.saturating_sub(self.sum_pool_peaks);
-        self.sum_total_peaks.saturating_sub(sharing_gain)
+        required_dram(self.sum_total_peaks, self.sum_server_pool_peaks, self.sum_pool_peaks)
     }
 
     /// DRAM required without pooling (every server provisioned for its own peak).
@@ -213,12 +207,6 @@ impl<P: MemoryPolicy> Simulation<P> {
             suite: WorkloadSuite::standard(),
             spill: SpillModel::default(),
         }
-    }
-
-    /// Replaces the workload suite (useful for tests with custom suites).
-    pub fn with_suite(mut self, suite: WorkloadSuite) -> Self {
-        self.suite = suite;
-        self
     }
 
     /// Read access to the policy (e.g. to inspect learned state after a run).

@@ -196,12 +196,6 @@ impl PoolState {
         Self::new(topology.emc_configs().iter().cloned())
     }
 
-    /// Overrides the online/offline timing parameters.
-    pub fn with_timing(mut self, timing: TransitionTiming) -> Self {
-        self.timing = timing;
-        self
-    }
-
     /// The timing parameters in use.
     pub fn timing(&self) -> &TransitionTiming {
         &self.timing

@@ -1,14 +1,15 @@
 //! Fleet-replay throughput benchmark on an 8192-server trace.
 //!
 //! Replays one day of fleet arrivals through the full Pond control plane
-//! twice: once on the rebuilt event core (indexed departure arena, O(1)
-//! incremental peak/conservation accounting, arena bookkeeping) and once
-//! through [`run_fleet_reference`] — the retained pre-index replay loop,
-//! with the five-heap peek-scan queue, a full host scan after every event,
-//! and hash-map bookkeeping. Both replays produce the *same* [`FleetOutcome`]
-//! bit for bit (asserted on every run), so the timing difference is purely
-//! the event-core data structures. The prediction models are trained once,
-//! outside the timed region, and shared by both replays.
+//! twice: once on the rebuilt event core (a per-second departure calendar
+//! beside one timeline heap, and O(1) incremental peak/conservation
+//! accounting) and once through [`run_fleet_reference`] — the retained
+//! pre-index replay loop, with one heap per event class, a full host scan
+//! after every event, and hash-set bookkeeping. Both replays produce the
+//! *same* [`FleetOutcome`] bit for bit (asserted on every run), so the
+//! timing difference is purely the event-core data structures. The
+//! prediction models are trained once, outside the timed region, and shared
+//! by both replays.
 //!
 //! The fleet stays at 8192 servers behind one pool, although so large a
 //! fleet barely pools, because the reference's cost is its O(hosts) scan

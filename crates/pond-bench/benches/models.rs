@@ -23,7 +23,7 @@ fn bench_sensitivity(c: &mut Criterion) {
     let model = SensitivityModel::train(&suite, &SensitivityModelConfig::default(), 1);
     let counters = TelemetrySampler::default().sample(suite.at(10).unwrap(), 3);
     c.bench_function("sensitivity_model_inference", |b| {
-        b.iter(|| black_box(model.insensitive_probability(black_box(&counters))))
+        b.iter(|| black_box(model.try_insensitive_probability(black_box(&counters))))
     });
 }
 
@@ -39,7 +39,7 @@ fn bench_untouched(c: &mut Criterion) {
     let history = replay_history(&trace.requests);
     let request = &trace.requests[0];
     c.bench_function("untouched_model_inference", |b| {
-        b.iter(|| black_box(model.predict_fraction(black_box(request), &history)))
+        b.iter(|| black_box(model.try_predict_fraction(black_box(request), &history)))
     });
 }
 

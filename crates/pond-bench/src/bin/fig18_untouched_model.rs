@@ -22,7 +22,8 @@ fn main() {
     for quantile in [0.02, 0.05, 0.10, 0.20, 0.35, 0.50] {
         let model =
             UntouchedMemoryModel::train(train, &UntouchedModelConfig { quantile, rounds: 50 }, 42);
-        let point = evaluate_model(&model, test, replay_history(train));
+        let point = evaluate_model(&model, test, replay_history(train))
+            .expect("the model scores the request features it was trained on");
         println!(
             "{:<28} {:>22} {:>18}",
             format!("GBM (q = {quantile:.2})"),

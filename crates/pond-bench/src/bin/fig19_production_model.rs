@@ -32,7 +32,8 @@ fn main() {
             continue;
         }
         let model = UntouchedMemoryModel::train(&train, &model_config, day);
-        let point = evaluate_model(&model, &eval, replay_history(&train));
+        let point = evaluate_model(&model, &eval, replay_history(&train))
+            .expect("the model scores the request features it was trained on");
         println!(
             "{:<8} {:>12} {:>22} {:>18}",
             day,

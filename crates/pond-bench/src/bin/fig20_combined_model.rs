@@ -31,7 +31,8 @@ fn main() {
             );
             UntouchedCandidate {
                 quantile,
-                point: evaluate_model(&model, test, replay_history(train)),
+                point: evaluate_model(&model, test, replay_history(train))
+                    .expect("the model scores the request features it was trained on"),
             }
         })
         .collect();

@@ -14,7 +14,7 @@ use crate::policy::{PondDecision, PondPolicy, PondPolicyConfig};
 use crate::pool_manager::PondPoolManager;
 use crate::qos::{MitigationManager, QosDecision, VmObservation};
 use cluster_sim::scheduler::align_pool_memory;
-use cluster_sim::trace::{ClusterTrace, CustomerId, VmRequest};
+use cluster_sim::trace::{ClusterTrace, VmRequest};
 use cxl_hw::emc::EmcConfig;
 use cxl_hw::pool::SliceLease;
 use cxl_hw::topology::PoolTopology;
@@ -145,6 +145,9 @@ pub struct QosPassReport {
 pub struct BorrowedReclaim {
     /// The mitigated VM.
     pub vm: VmId,
+    /// The VM's scheduled departure time (seconds): the borrowed GiB-hours
+    /// charged at arrival up to it are taken back.
+    pub departure: u64,
     /// When the pool→local copy finishes — the lender-side release starts
     /// here, not at the mitigation instant.
     pub copy_done: Duration,
@@ -175,6 +178,9 @@ pub struct DepartureOutcome {
 pub struct VmMitigation {
     /// The reconfigured VM.
     pub vm: VmId,
+    /// The VM's scheduled departure time (seconds): the pool GiB-hours
+    /// charged at arrival up to it are taken back.
+    pub departure: u64,
     /// Pool memory copied to local DRAM.
     pub moved: Bytes,
     /// Completion time of the pool→local copy (50 ms per GiB): the VM runs
@@ -234,9 +240,9 @@ struct VmRecord {
     /// the share and a reachable neighbour lent its slices instead.
     borrowed: Option<SliceLease>,
     predicted_untouched: Bytes,
-    customer: CustomerId,
-    untouched_fraction: f64,
-    workload_index: usize,
+    /// The request the VM was placed for: the replay's one copy of it,
+    /// handed back by an evacuation and read by the departure's completion.
+    request: VmRequest,
     /// The QoS monitor's verdict on this VM: `None` until the VM's first
     /// [`PondControlPlane::run_qos_pass`] evaluates it, then reused at every
     /// later pass. The memo holds because the observation behind the verdict
@@ -423,6 +429,12 @@ impl PondControlPlane {
     /// Number of VMs currently running.
     pub fn running_vms(&self) -> usize {
         self.running.len()
+    }
+
+    /// The request a running VM was placed for (`None` when it does not
+    /// run here).
+    pub(crate) fn request(&self, vm: VmId) -> Option<&VmRequest> {
+        self.running.get(&vm.0).map(|record| &record.request)
     }
 
     /// Number of [`PondControlPlane::handle_request`] calls that failed with
@@ -621,9 +633,7 @@ impl PondControlPlane {
                 slices,
                 borrowed: lease,
                 predicted_untouched: plan.predicted_untouched,
-                customer: request.customer,
-                untouched_fraction: request.untouched_fraction,
-                workload_index: request.workload_index,
+                request: request.clone(),
                 qos: None,
             },
         );
@@ -771,10 +781,11 @@ impl PondControlPlane {
         let (outcome, record) = self.remove_vm(vm, now)?;
         // Feed the observed outcome back into the policy's history: the VM's
         // lifetime access-bit scans are the ground truth for this customer.
+        let request = &record.request;
         self.policy.record_completion(
-            record.customer,
-            record.untouched_fraction,
-            record.workload_index,
+            request.customer,
+            request.untouched_fraction,
+            request.workload_index,
         );
         Ok(outcome)
     }
@@ -815,7 +826,8 @@ impl PondControlPlane {
     /// borrowed lease for the caller to route to the lender's
     /// [`PondControlPlane::release_lent`], and forgets the VM — without
     /// feeding the policy's completion history, because the VM is moving,
-    /// not done.
+    /// not done. The VM's request comes back with the outcome, for the
+    /// caller to re-place.
     ///
     /// # Errors
     ///
@@ -824,9 +836,9 @@ impl PondControlPlane {
         &mut self,
         vm: VmId,
         now: Duration,
-    ) -> Result<DepartureOutcome, PondError> {
-        let (outcome, _record) = self.remove_vm(vm, now)?;
-        Ok(outcome)
+    ) -> Result<(DepartureOutcome, VmRequest), PondError> {
+        let (outcome, record) = self.remove_vm(vm, now)?;
+        Ok((outcome, record.request))
     }
 
     /// Handles the failure of one EMC behind this plane's pool at time
@@ -984,11 +996,13 @@ impl PondControlPlane {
             // pool→local copy has finished.
             host.offline_pool(report.moved).expect("mitigation freed exactly this much");
             let copy_done = now + report.copy_duration;
+            let departure = record.request.departure();
             let release_ready = if let Some(lease) = record.borrowed.take() {
                 // Borrowed slices go back to the lender, not this pool: hand
                 // the lease to the caller for routing once the copy completes.
                 self.borrowed_slices -= lease.slices.len() as u64;
-                pass.borrowed_reclaims.push(BorrowedReclaim { vm: VmId(id), copy_done, lease });
+                let reclaim = BorrowedReclaim { vm: VmId(id), departure, copy_done, lease };
+                pass.borrowed_reclaims.push(reclaim);
                 None
             } else {
                 let slices = std::mem::take(&mut record.slices);
@@ -999,6 +1013,7 @@ impl PondControlPlane {
             };
             pass.mitigated.push(VmMitigation {
                 vm: VmId(id),
+                departure,
                 moved: report.moved,
                 copy_done,
                 release_ready,
@@ -1273,7 +1288,7 @@ mod tests {
         // Evacuating an affected VM unpins its host memory; with no live
         // slices left there is nothing to release.
         let vm = outcome.affected[0].vm;
-        let ready = plane.evacuate_vm_split(vm, now).unwrap().release_ready;
+        let ready = plane.evacuate_vm_split(vm, now).unwrap().0.release_ready;
         assert_eq!(ready, None);
         assert_eq!(plane.running_vms(), running_before - 1);
         assert!(plane.evacuate_vm_split(vm, now).is_err(), "an evacuated VM is gone");
@@ -1302,6 +1317,7 @@ mod tests {
         let ready = plane
             .evacuate_vm_split(vm, now)
             .unwrap()
+            .0
             .release_ready
             .expect("live slices must offline");
         assert!(ready > now, "offlining takes 10-100 ms/GiB");
@@ -1340,7 +1356,8 @@ mod tests {
         let before_dest = dest.policy().history().count(customer);
 
         let now = Duration::from_secs(1_000);
-        let _ = source.evacuate_vm_split(VmId(request.id), now).unwrap();
+        let (_, evacuated) = source.evacuate_vm_split(VmId(request.id), now).unwrap();
+        assert_eq!(&evacuated, request, "the evacuation hands the request back");
         assert_eq!(
             source.policy().history().count(customer),
             before_source,
@@ -1573,7 +1590,7 @@ mod tests {
         }
 
         fn evacuate(&mut self, vm: VmId, now: Duration) -> Result<Option<Duration>, PondError> {
-            let outcome = self.plane.evacuate_vm_split(vm, now)?;
+            let (outcome, _) = self.plane.evacuate_vm_split(vm, now)?;
             self.settle(outcome.lease, now);
             Ok(outcome.release_ready)
         }

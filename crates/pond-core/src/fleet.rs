@@ -32,6 +32,7 @@ use crate::error::PondError;
 use crate::multipool::MultiPoolConfig;
 use crate::policy::PondPolicy;
 use cluster_sim::event::{Event, ReferenceEventQueue};
+use cluster_sim::pooling::required_dram;
 use cluster_sim::trace::ClusterTrace;
 use cxl_hw::units::Bytes;
 use hypervisor_sim::vm::VmId;
@@ -148,10 +149,10 @@ impl FleetOutcome {
 
     /// DRAM required with pooling: the baseline minus the sharing gain (what
     /// the pool-eligible memory would cost per host, less what the shared
-    /// pool must actually provision at its peak — offlining tail included).
+    /// pool must actually provision at its peak — offlining tail included),
+    /// as [`required_dram`] computes it.
     pub fn required_dram(&self) -> Bytes {
-        let sharing_gain = self.sum_host_pool_peaks.saturating_sub(self.pool_peak);
-        self.sum_total_peaks.saturating_sub(sharing_gain)
+        required_dram(self.sum_total_peaks, self.sum_host_pool_peaks, self.pool_peak)
     }
 
     /// Relative DRAM requirement (1.0 = no savings, lower is better).
@@ -459,7 +460,6 @@ impl ReplayAccounting {
         outcome: &mut FleetOutcome,
         pass: crate::control_plane::QosPassReport,
         time: u64,
-        departure_of: impl Fn(u64) -> Option<u64>,
         degraded: &mut u64,
         mut schedule: impl FnMut(ScheduledEvent, u64),
     ) {
@@ -475,8 +475,7 @@ impl ReplayAccounting {
             }
             // The VM was charged for its whole lifetime at arrival; take
             // back the pool GiB-hours it will no longer serve.
-            let remaining =
-                departure_of(mitigation.vm.0).map_or(0, |departure| departure.saturating_sub(time));
+            let remaining = mitigation.departure.saturating_sub(time);
             outcome.pool_gib_hours -= mitigation.moved.as_gib_f64() * remaining as f64 / 3600.0;
         }
     }
@@ -547,8 +546,6 @@ pub fn run_fleet_reference(
     let mut placed: std::collections::HashSet<usize> = std::collections::HashSet::new();
     let mut pooled_hosts: std::collections::HashSet<usize> = std::collections::HashSet::new();
     let mut degraded: u64 = 0;
-    let departure_of: std::collections::HashMap<u64, u64> =
-        trace.requests.iter().map(|r| (r.id, r.departure())).collect();
 
     let mut events = ReferenceEventQueue::new(trace, config.qos_interval);
     while let Some(event) = events.next_event() {
@@ -601,17 +598,12 @@ pub fn run_fleet_reference(
             }
             Event::Snapshot { time } => {
                 let pass = plane.run_qos_pass(now)?;
-                accounting.record_qos_pass(
-                    &mut outcome,
-                    pass,
-                    time,
-                    |id| departure_of.get(&id).copied(),
-                    &mut degraded,
-                    |kind, at| match kind {
+                accounting.record_qos_pass(&mut outcome, pass, time, &mut degraded, |kind, at| {
+                    match kind {
                         ScheduledEvent::Release => events.schedule_release(at, 0),
                         ScheduledEvent::ReconfigDone => events.schedule_reconfig_done(at, 0),
-                    },
-                );
+                    }
+                });
             }
         }
 
@@ -739,8 +731,8 @@ mod tests {
     fn a_lazily_generated_stream_replays_like_its_materialized_trace() {
         // The generator's lazy source and its materialized trace are the
         // same request stream, so training from the stream prefix and
-        // replaying through the arena must reproduce the trace replay — the
-        // whole point of the bounded-memory path.
+        // replaying the stream must reproduce the trace replay — the whole
+        // point of the bounded-memory path.
         let generator = TraceGenerator::new(ClusterConfig::small(), 1);
         let trace = generator.generate(0);
         let config = MultiPoolConfig::for_header(

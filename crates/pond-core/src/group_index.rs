@@ -3,7 +3,7 @@
 //! looking at every pod.
 //!
 //! [`GroupScheduler::choose`](crate::multipool::GroupScheduler::choose) over
-//! one [`GroupView`](crate::multipool::GroupView) per online group is the
+//! one [`GroupView`] per online group is the
 //! specification of home-group choice, but building those views is O(pods)
 //! per arrival. The replay instead keeps a [`GroupIndex`]: exactly the
 //! state the three built-in schedulers read, filed in ordered sets and
@@ -79,8 +79,8 @@ impl Deref for Planes {
 /// The ordered state one built-in scheduler reads, over online groups only.
 #[derive(Debug)]
 enum Mirror {
-    /// [`RoundRobinScheduler`](crate::multipool::RoundRobinScheduler)'s
-    /// cursor: one step per choice, taken modulo the online count.
+    /// [`GroupSchedulerKind::RoundRobin`]'s cursor: one step per choice,
+    /// taken modulo the online count.
     RoundRobin { next: usize },
     /// `(Reverse(pool_free), group)`: the first entry is the most free pool,
     /// lowest group at ties.

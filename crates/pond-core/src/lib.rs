@@ -39,7 +39,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod arena;
 pub mod combined;
 pub mod control_plane;
 pub mod error;
@@ -52,7 +51,6 @@ pub mod qos;
 pub mod sensitivity;
 pub mod untouched;
 
-pub use arena::LiveVmArena;
 pub use combined::{CombinedModel, CombinedModelConfig};
 pub use error::PondError;
 pub use fleet::FleetOutcome;

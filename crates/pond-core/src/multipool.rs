@@ -75,7 +75,6 @@
 //! relocation path, and every counter, copy completion, and trace of a move
 //! is attributed to the group the VM leaves.
 
-use crate::arena::{LiveVmArena, NO_GROUP};
 use crate::control_plane::{
     Backing, BorrowedReclaim, ControlPlaneConfig, PlacementSummary, PondControlPlane, PooledPlan,
 };
@@ -101,6 +100,7 @@ use rand::{Rng, SeedableRng};
 use rand_pcg::Pcg64;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
+use std::collections::HashMap;
 use std::time::Duration;
 
 /// A per-arrival snapshot of one pool group, offered to the
@@ -657,8 +657,9 @@ impl Relocation {
 /// is [`CxlError::InvalidGroupTopology`]; a drill rate that is not finite
 /// and >= 0, or a rebalance fraction or mitigation budget outside [0, 1],
 /// is [`PondError::InvalidConfig`], and so is a borrowing fleet of more
-/// than 32,768 hosts, whose borrowed-port host ids would overflow `u16`; a
-/// second live VM with one id is [`PondError::TraceStream`].
+/// than 32,768 hosts, whose borrowed-port host ids would overflow `u16`; an
+/// arrival whose id a placed VM holds until its departure, even a VM a
+/// relocation killed, is [`PondError::TraceStream`].
 pub fn run_multipool_fleet(
     trace: &ClusterTrace,
     config: &MultiPoolConfig,
@@ -669,11 +670,11 @@ pub fn run_multipool_fleet(
 
 /// [`run_multipool_fleet`] over any streaming [`ArrivalSource`] with an
 /// already-trained policy, so callers that replay one stream many times pay
-/// the training cost once. Per-VM bookkeeping (current group,
-/// departure time, EMC blast-radius resolution) lives in a [`LiveVmArena`]
-/// whose slots are recycled at departure, and each pool keeps its slices'
-/// current owners, not a log of their moves, so the replay's bookkeeping
-/// is O(live VMs + hosts + groups) regardless of trace length. The one term
+/// the training cost once. A running VM's request lives in its group's
+/// control plane, the replay maps each placed VM's id to its group until
+/// the VM's departure pops, and each pool keeps its slices' current owners,
+/// not a log of their moves, so the replay's bookkeeping is O(live VMs +
+/// hosts + groups) regardless of trace length. The one term
 /// that grows with the trace is the policy's
 /// [`CustomerHistory`](crate::untouched::CustomerHistory): 8 B per completed
 /// VM. Bit-identical to the materialized replay on the same request stream.
@@ -727,11 +728,12 @@ struct Replay<'a, S, O> {
     scheduler: GroupScheduler,
     accounting: ReplayAccounting,
     events: EventQueue<S>,
-    /// Which group each live VM runs in, plus the request itself (QoS
-    /// take-backs and relocations resolve ids through it). Slots are
-    /// recycled as departures pop, so the bookkeeping stays O(live VMs)
-    /// however long the stream runs.
-    arena: LiveVmArena,
+    /// The group each placed VM runs in, by VM id, from its placement until
+    /// its departure pops: `None` for a VM a relocation killed, whose
+    /// departure is still queued. Departures carry the VM id as their
+    /// token, and an id stays taken until its departure pops, so the map
+    /// is O(live VMs) however long the stream runs.
+    group_of: HashMap<u64, Option<usize>>,
     /// Relocation copies reuse the QoS-mitigation machinery: the same
     /// 50 ms/GiB reconfiguration engine, charged on the event timeline.
     evacuation_engine: ReconfigurationEngine,
@@ -867,7 +869,7 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
             scheduler: config.scheduler.build(),
             accounting: ReplayAccounting::new(&config.control),
             events,
-            arena: LiveVmArena::new(),
+            group_of: HashMap::new(),
             evacuation_engine: ReconfigurationEngine::default(),
             per_group: vec![FleetOutcome::default(); groups],
             peak_local: host_peaks.clone(),
@@ -933,11 +935,12 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
     /// reachable online groups.
     fn arrival(&mut self, request_index: usize, now: Duration) -> Result<(), PondError> {
         let request = self.events.take_arrival();
-        // Ids resolve QoS take-backs and relocations to their requests, so a
-        // second live VM with one id would be mistaken for the first.
-        if self.arena.slot_of(request.id).is_some() {
+        // Departures and relocations find a VM by its id, so a second VM
+        // with one id would be mistaken for the first until the first's
+        // departure pops, even when a relocation killed it.
+        if self.group_of.contains_key(&request.id) {
             return Err(PondError::TraceStream(format!(
-                "vm {} arrives at {} s while a vm with that id is still live",
+                "vm {} arrives at {} s before the vm with that id departs",
                 request.id, request.arrival
             )));
         }
@@ -992,21 +995,21 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
             };
             self.decided(&request, home, Some((summary.vm.0, group)), rung, reason);
         }
+        self.group_of.insert(request.id, Some(group));
+        // The arrival ordinal orders simultaneous departures; the token is
+        // the VM id.
         let departure = request.departure();
-        let token = self.arena.alloc(request, request_index as u64);
-        self.arena.set_group(token, group as u32);
-        self.events.schedule_departure(departure, request_index as u64, token);
+        self.events.schedule_departure(departure, request_index as u64, request.id as usize);
         Ok(())
     }
 
     fn departure(&mut self, token: usize, now: Duration) -> Result<(), PondError> {
-        // The slot is freed here and only here — a killed VM kept its
-        // (groupless) slot alive until this no-op pop, so the token could
-        // not have been recycled under the event.
-        let vm = VmId(self.arena.request(token).id);
-        let group = self.arena.free(token);
-        if group != NO_GROUP {
-            let group = group as usize;
+        // The id is freed here and only here: a killed VM kept its `None`
+        // entry until this no-op pop, so no arrival could reuse the id
+        // under the event.
+        let vm = VmId(token as u64);
+        let group = self.group_of.remove(&vm.0).expect("a departure pops once per placed VM");
+        if let Some(group) = group {
             let outcome = self.planes.touch(group).handle_departure_split(vm, now)?;
             if let Some(ready) = outcome.release_ready {
                 self.schedule_release(group, ready);
@@ -1184,7 +1187,6 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
             let Replay {
                 accounting,
                 per_group,
-                arena,
                 degraded_of,
                 events,
                 degraded_fleet,
@@ -1195,7 +1197,6 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
                 &mut per_group[group],
                 pass,
                 time,
-                |id| arena.departure_of(id),
                 &mut degraded_of[group],
                 |kind, at| match kind {
                     ScheduledEvent::ReconfigDone => {
@@ -1208,11 +1209,7 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
             );
         }
         for (group, reclaim) in reclaimed {
-            let remaining_hours =
-                self.arena
-                    .departure_of(reclaim.vm.0)
-                    .map_or(0, |departure| departure.saturating_sub(time)) as f64
-                    / 3600.0;
+            let remaining_hours = reclaim.departure.saturating_sub(time) as f64 / 3600.0;
             self.per_group[group].borrowed_gib_hours -=
                 reclaim.lease.capacity().as_gib_f64() * remaining_hours;
             self.return_lease(reclaim.lease, reclaim.copy_done)?;
@@ -1262,7 +1259,9 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
                 // The never-kill pre-check: skip the VM unless the neighbour
                 // could hold it entirely in local DRAM — the all-local rung
                 // then cannot fail even if its pool is tight.
-                let memory = self.arena.request(self.slot(vm)).memory;
+                let Some(&VmRequest { memory, .. }) = self.planes[g].request(vm) else {
+                    continue;
+                };
                 if self.planes[dest].tightest_feasible_host(memory).is_none() {
                     continue;
                 }
@@ -1291,11 +1290,7 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
         now: Duration,
     ) -> Result<(), PondError> {
         let time = now.as_secs();
-        let token = self.slot(vm);
-        // Owned copy: the ladder and the group update below need the arena
-        // free while the request is in hand.
-        let request = self.arena.request(token).clone();
-        let evacuated = self.planes.touch(from).evacuate_vm_split(vm, now)?;
+        let (evacuated, request) = self.planes.touch(from).evacuate_vm_split(vm, now)?;
         if let Some(ready) = evacuated.release_ready {
             self.schedule_release(from, ready);
         }
@@ -1331,22 +1326,21 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
                     landed.vms_borrowed += 1;
                     landed.borrowed_gib_hours += summary.pool.as_gib_f64() * hours;
                 }
-                self.arena.set_group(token, dest as u32);
                 (Some(dest), copy)
             }
             None => {
-                // No rung holds the VM: it dies. The slot stays allocated
-                // but groupless until its already-scheduled departure pops
-                // as a no-op and frees it.
+                // No rung holds the VM: it dies. Its id stays taken, in no
+                // group, until its already-scheduled departure pops as a
+                // no-op.
                 debug_assert!(
                     kind != Relocation::Rebalanced,
                     "rebalance pre-checked destination feasibility"
                 );
                 self.per_group[from].vms_killed += 1;
-                self.arena.set_group(token, NO_GROUP);
                 (None, Duration::ZERO)
             }
         };
+        self.group_of.insert(vm.0, dest);
         self.lifecycle_op(from, now, kind.trace(dest, copy));
         Ok(())
     }
@@ -1493,11 +1487,6 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
                 outcome.pool_peak = outcome.pool_peak.max(plane.pool().pool().assigned_capacity());
             }
         });
-    }
-
-    /// The arena slot of a running VM.
-    fn slot(&self, vm: VmId) -> usize {
-        self.arena.slot_of(vm.0).expect("a running VM's id resolves to a live arena slot")
     }
 
     /// Fills `order` with `group`'s reachable groups that accept
@@ -2083,6 +2072,36 @@ mod tests {
         let cfg = config(PodStyle::Symmetric, 2, GroupSchedulerKind::RoundRobin);
         let result = run_multipool_fleet(&trace, &cfg);
         assert!(matches!(result, Err(PondError::TraceStream(_))), "{result:?}");
+    }
+
+    #[test]
+    fn a_killed_vms_id_stays_taken_until_its_departure_pops() {
+        // One group, decommissioned at 1 h: its drain finds no other group,
+        // so every VM running then is killed. The first arrival lands on an
+        // empty fleet, so it runs at 1 h, and its departure stays queued
+        // for 2 h.
+        let mut trace = small_trace();
+        trace.requests[0].lifetime = 7_200;
+        let killed = trace.requests[0].clone();
+        let decommission =
+            LifecycleEvent { time: 3_600, op: LifecycleOp::DecommissionGroup { group: 0 } };
+        let cfg = config(PodStyle::Symmetric, 1, GroupSchedulerKind::RoundRobin)
+            .with_lifecycle(plan(vec![decommission]));
+        let reuse_at = |arrival: u64| {
+            let mut trace = trace.clone();
+            let at = trace.requests.partition_point(|r| r.arrival <= arrival);
+            trace.requests.insert(at, VmRequest { arrival, ..killed.clone() });
+            run_multipool_fleet(&trace, &cfg)
+        };
+        let before = reuse_at(5_400);
+        assert!(
+            matches!(&before, Err(PondError::TraceStream(detail)) if detail.contains("departs")),
+            "{before:?}"
+        );
+        let after = reuse_at(7_260).unwrap();
+        assert_eq!(after.fleet.groups_decommissioned, 1, "{after:?}");
+        assert!(after.fleet.vms_killed > 0, "{after:?}");
+        assert_eq!(after.fleet.vms_drained, 0, "{after:?}");
     }
 
     #[test]

@@ -333,13 +333,6 @@ impl PondPolicy {
         Ok(if pool.is_zero() { PondDecision::AllLocal } else { PondDecision::Znuma { pool } })
     }
 
-    /// The Figure 13 decision for one request (panicking convenience over
-    /// [`PondPolicy::try_decide`] for offline evaluation code that controls
-    /// its own feature schemas).
-    pub fn decide(&self, request: &VmRequest) -> PondDecision {
-        self.try_decide(request).expect("serving features must match the trained models' schemas")
-    }
-
     /// Feeds one completed VM back into the policy's online state: its
     /// measured untouched fraction extends the customer's history (used by
     /// the untouched-memory features) and the workload joins the customer's
@@ -376,7 +369,10 @@ pub enum PondDecision {
 
 impl MemoryPolicy for PondPolicy {
     fn pool_memory(&mut self, request: &VmRequest) -> Bytes {
-        match self.decide(request) {
+        // The trait method cannot fail; the simulator serves requests
+        // through the schemas the models were trained with.
+        let decision = self.try_decide(request);
+        match decision.expect("serving features must match the trained models' schemas") {
             PondDecision::FullyPool => {
                 self.stats.fully_pool += 1;
                 request.memory
@@ -512,21 +508,7 @@ mod tests {
         // fully-pool path (no workload history).
         let mut request = trace.requests[0].clone();
         request.customer = CustomerId(9_999);
-        assert!(!matches!(policy.decide(&request), PondDecision::FullyPool));
-    }
-
-    #[test]
-    fn try_decide_matches_the_panicking_path_on_well_formed_requests() {
-        // The serving path goes through the validating models; on the
-        // schemas they were trained with the two entry points must agree
-        // decision-for-decision (the schema-mismatch error arm is covered by
-        // pond-ml's forest/gbm regression tests — a VmRequest cannot
-        // produce a malformed row by construction).
-        let trace = trace();
-        let policy = PondPolicy::train(&trace, &PondPolicyConfig::default(), 5);
-        for request in trace.requests.iter().take(100) {
-            assert_eq!(policy.try_decide(request).unwrap(), policy.decide(request));
-        }
+        assert!(!matches!(policy.try_decide(&request).unwrap(), PondDecision::FullyPool));
     }
 
     #[test]

@@ -94,13 +94,6 @@ impl QosMonitor {
             QosDecision::Mitigate
         })
     }
-
-    /// Evaluates one VM (panicking convenience over
-    /// [`QosMonitor::try_evaluate`]).
-    pub fn evaluate(&self, observation: &VmObservation) -> QosDecision {
-        self.try_evaluate(observation)
-            .expect("TMA counter features must match the trained forest's schema")
-    }
 }
 
 /// Executes mitigations, bounded by a budget expressed as a fraction of the
@@ -226,7 +219,7 @@ mod tests {
             predicted_untouched: Bytes::ZERO,
             observed_untouched: Bytes::ZERO,
         };
-        assert_eq!(monitor.evaluate(&obs), QosDecision::ContinueMonitoring);
+        assert_eq!(monitor.try_evaluate(&obs).unwrap(), QosDecision::ContinueMonitoring);
     }
 
     #[test]
@@ -240,7 +233,7 @@ mod tests {
             observed_untouched: Bytes::from_gib(10),
         };
         assert!(!obs.overpredicted());
-        assert_eq!(monitor.evaluate(&obs), QosDecision::ContinueMonitoring);
+        assert_eq!(monitor.try_evaluate(&obs).unwrap(), QosDecision::ContinueMonitoring);
     }
 
     #[test]
@@ -254,10 +247,10 @@ mod tests {
             observed_untouched: Bytes::from_gib(2),
         };
         assert!(base.overpredicted());
-        assert_eq!(monitor.evaluate(&base), QosDecision::Mitigate);
+        assert_eq!(monitor.try_evaluate(&base).unwrap(), QosDecision::Mitigate);
         // The same situation for an insensitive workload is tolerated.
         let tolerant = VmObservation { counters: counters_for(&insensitive), ..base };
-        assert_eq!(monitor.evaluate(&tolerant), QosDecision::ContinueMonitoring);
+        assert_eq!(monitor.try_evaluate(&tolerant).unwrap(), QosDecision::ContinueMonitoring);
     }
 
     #[test]

@@ -113,15 +113,6 @@ impl SensitivityModel {
         self.forest.try_predict_proba(&counters.to_features())
     }
 
-    /// Probability that the workload behind these counters is latency
-    /// insensitive — the panicking convenience over
-    /// [`SensitivityModel::try_insensitive_probability`] for offline
-    /// evaluation code that controls its own features.
-    pub fn insensitive_probability(&self, counters: &TmaCounters) -> f64 {
-        self.try_insensitive_probability(counters)
-            .expect("TMA counter features must match the trained forest's schema")
-    }
-
     /// Hard decision at the model's threshold, with the feature schema
     /// validated. The online serving path goes through here: one call per
     /// VM arrival whose customer ran the workload before, and one per
@@ -136,12 +127,6 @@ impl SensitivityModel {
     /// Returns [`MlError::FeatureCountMismatch`] on feature-schema drift.
     pub fn try_is_insensitive(&self, counters: &TmaCounters) -> Result<bool, MlError> {
         self.forest.try_predict(&counters.to_features(), self.threshold)
-    }
-
-    /// Hard decision at the model's threshold (panicking convenience over
-    /// [`SensitivityModel::try_is_insensitive`]).
-    pub fn is_insensitive(&self, counters: &TmaCounters) -> bool {
-        self.insensitive_probability(counters) >= self.threshold
     }
 
     /// The coverage/false-positive trade-off curve on a held-out dataset
@@ -242,11 +227,12 @@ mod tests {
                 .partial_cmp(&slowdown.full_pool_slowdown(b, config.scenario))
                 .unwrap()
         });
-        let quiet = sampler.sample(sorted[0], 99);
-        let loud = sampler.sample(sorted[sorted.len() - 1], 99);
-        assert!(model.insensitive_probability(&quiet) > model.insensitive_probability(&loud));
-        assert!(model.insensitive_probability(&quiet) > 0.6);
-        assert!(model.insensitive_probability(&loud) < 0.4);
+        let probability =
+            |workload| model.try_insensitive_probability(&sampler.sample(workload, 99)).unwrap();
+        let (quiet, loud) = (probability(sorted[0]), probability(sorted[sorted.len() - 1]));
+        assert!(quiet > loud);
+        assert!(quiet > 0.6);
+        assert!(loud < 0.4);
     }
 
     #[test]
@@ -293,8 +279,8 @@ mod tests {
         assert_eq!(model.config().pdm, 0.05);
         let sampler = TelemetrySampler::default();
         let counters = sampler.sample(suite.at(0).unwrap(), 0);
-        let p = model.insensitive_probability(&counters);
-        assert_eq!(model.is_insensitive(&counters), p >= 0.8);
+        let p = model.try_insensitive_probability(&counters).unwrap();
+        assert_eq!(model.try_is_insensitive(&counters).unwrap(), p >= 0.8);
     }
 
     #[test]

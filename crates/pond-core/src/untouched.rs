@@ -299,14 +299,6 @@ impl UntouchedMemoryModel {
         Ok(self.gbm.try_predict(&request_features(request, history))?.clamp(0.0, 1.0))
     }
 
-    /// Predicted untouched fraction (panicking convenience over
-    /// [`UntouchedMemoryModel::try_predict_fraction`] for offline
-    /// evaluation code).
-    pub fn predict_fraction(&self, request: &VmRequest, history: &CustomerHistory) -> f64 {
-        self.try_predict_fraction(request, history)
-            .expect("request features must match the trained GBM's schema")
-    }
-
     /// Pool memory to allocate: the predicted untouched memory, rounded down
     /// to whole GiB (Pond allocates pool memory in 1 GiB slices), with the
     /// feature schema validated.
@@ -321,13 +313,6 @@ impl UntouchedMemoryModel {
     ) -> Result<Bytes, MlError> {
         let predicted = request.memory.scaled(self.try_predict_fraction(request, history)?);
         Ok(Bytes::from_gib(predicted.slices_floor()))
-    }
-
-    /// Pool memory to allocate (panicking convenience over
-    /// [`UntouchedMemoryModel::try_pool_memory`]).
-    pub fn pool_memory(&self, request: &VmRequest, history: &CustomerHistory) -> Bytes {
-        let predicted = request.memory.scaled(self.predict_fraction(request, history));
-        Bytes::from_gib(predicted.slices_floor())
     }
 }
 
@@ -401,17 +386,22 @@ pub fn evaluate_predictions(requests: &[VmRequest], predictions: &[f64]) -> Unto
 
 /// Evaluates a trained model on held-out requests, replaying customer history
 /// in arrival order (predict first, then record the ground truth).
+///
+/// # Errors
+///
+/// Returns [`MlError::FeatureCountMismatch`] when the request features do
+/// not match the trained GBM's schema.
 pub fn evaluate_model(
     model: &UntouchedMemoryModel,
     requests: &[VmRequest],
     mut history: CustomerHistory,
-) -> UntouchedEvalPoint {
+) -> Result<UntouchedEvalPoint, MlError> {
     let mut predictions = Vec::with_capacity(requests.len());
     for request in requests {
-        predictions.push(model.predict_fraction(request, &history));
+        predictions.push(model.try_predict_fraction(request, &history)?);
         history.record(request.customer, request.untouched_fraction);
     }
-    evaluate_predictions(requests, &predictions)
+    Ok(evaluate_predictions(requests, &predictions))
 }
 
 /// Replays the customer history of a request stream (used to seed evaluation
@@ -613,9 +603,9 @@ mod tests {
         let model = UntouchedMemoryModel::train(&reqs, &UntouchedModelConfig::default(), 0);
         let history = replay_history(&reqs);
         for request in reqs.iter().take(50) {
-            let f = model.predict_fraction(request, &history);
+            let f = model.try_predict_fraction(request, &history).unwrap();
             assert!((0.0..=1.0).contains(&f));
-            assert!(model.pool_memory(request, &history) <= request.memory);
+            assert!(model.try_pool_memory(request, &history).unwrap() <= request.memory);
         }
         assert_eq!(model.config().quantile, 0.05);
     }
@@ -630,7 +620,7 @@ mod tests {
             &UntouchedModelConfig { quantile: 0.05, rounds: 40 },
             1,
         );
-        let point = evaluate_model(&model, test, replay_history(train));
+        let point = evaluate_model(&model, test, replay_history(train)).unwrap();
         assert!(
             point.overprediction_rate < 0.15,
             "5th-percentile predictions should rarely overpredict: {point:?}"
@@ -653,7 +643,7 @@ mod tests {
             &UntouchedModelConfig { quantile: 0.15, rounds: 40 },
             2,
         );
-        let gbm_point = evaluate_model(&model, test, replay_history(train));
+        let gbm_point = evaluate_model(&model, test, replay_history(train)).unwrap();
 
         // Pick a fixed fraction that labels a comparable share of memory untouched.
         let strawman = FixedUntouchedStrawman::new(gbm_point.avg_untouched_fraction);
@@ -678,7 +668,7 @@ mod tests {
                 &UntouchedModelConfig { quantile, rounds: 30 },
                 3,
             );
-            let point = evaluate_model(&model, test, replay_history(train));
+            let point = evaluate_model(&model, test, replay_history(train)).unwrap();
             if let Some(prev) = previous {
                 assert!(
                     point.avg_untouched_fraction >= prev.avg_untouched_fraction - 0.03,

@@ -10,6 +10,7 @@
 //! monomorphizes to the pre-observability loop.
 
 use cluster_sim::event::Event;
+use cluster_sim::pooling::required_dram;
 use cxl_hw::pool::GroupState;
 use cxl_hw::units::Bytes;
 use std::time::Duration;
@@ -253,31 +254,18 @@ pub struct GroupSample {
 }
 
 impl GroupSample {
-    /// Fraction of arrivals so far the group admitted (1.0 before any
-    /// arrival).
+    /// Fraction of the VMs the group scheduled so far that were not killed
+    /// (1.0 before any placement): the replay outcome's availability, over
+    /// the replay so far.
     pub fn availability(&self) -> f64 {
-        let offered = self.scheduled_vms + self.rejected_vms;
-        if offered == 0 {
-            1.0
-        } else {
-            self.scheduled_vms as f64 / offered as f64
-        }
+        availability(self.scheduled_vms, self.vms_killed)
     }
 
     /// DRAM saved so far versus an all-local fleet: `1 - required /
-    /// baseline`, where `required` swaps the per-VM host-pool peaks for one
-    /// shared pool peak. Zero before any placement.
+    /// baseline`, with `required` from [`required_dram`]. Zero before any
+    /// placement.
     pub fn dram_savings_fraction(&self) -> f64 {
-        let baseline = self.sum_total_peaks.as_u64();
-        if baseline == 0 {
-            return 0.0;
-        }
-        let required = self
-            .sum_total_peaks
-            .as_u64()
-            .saturating_sub(self.sum_host_pool_peaks.as_u64())
-            .saturating_add(self.pool_peak.as_u64());
-        1.0 - required as f64 / baseline as f64
+        dram_savings(self.sum_total_peaks, self.sum_host_pool_peaks, self.pool_peak)
     }
 
     /// Fraction of live pool capacity not free right now (zero for an
@@ -290,6 +278,26 @@ impl GroupSample {
         let used = live.saturating_sub(self.pool_free.as_u64());
         used as f64 / live as f64
     }
+}
+
+/// The share of `scheduled` VMs that were not `killed` (1.0 before any
+/// placement), per group and fleet-wide.
+pub(crate) fn availability(scheduled: u64, killed: u64) -> f64 {
+    if scheduled == 0 {
+        1.0
+    } else {
+        1.0 - killed as f64 / scheduled as f64
+    }
+}
+
+/// `1 - required / baseline` for the baseline `total_peaks`, per group and
+/// fleet-wide; zero for an empty baseline.
+pub(crate) fn dram_savings(total_peaks: Bytes, host_pool_peaks: Bytes, pool_peak: Bytes) -> f64 {
+    if total_peaks.is_zero() {
+        return 0.0;
+    }
+    let required = required_dram(total_peaks, host_pool_peaks, pool_peak);
+    1.0 - required.as_u64() as f64 / total_peaks.as_u64() as f64
 }
 
 /// The hook contract the replay loops call into.
@@ -455,15 +463,22 @@ mod tests {
             running_vms: 10,
             scheduled_vms: 90,
             rejected_vms: 10,
-            vms_killed: 0,
+            vms_killed: 9,
             sum_total_peaks: Bytes::from_gib(1000),
             sum_host_pool_peaks: Bytes::from_gib(300),
             pool_peak: Bytes::from_gib(100),
         };
+        // 9 of 90 scheduled VMs killed; rejections do not count.
         assert!((sample.availability() - 0.9).abs() < 1e-12);
-        // required = 1000 - 300 + 100 = 800 → savings 0.2
+        // required = 1000 - (300 - 100) = 800 → savings 0.2
         assert!((sample.dram_savings_fraction() - 0.2).abs() < 1e-12);
         assert!((sample.pool_occupancy_fraction() - 0.75).abs() < 1e-12);
+        // A pool peak above the hosts' pool-peak sum gains nothing: the
+        // requirement is the baseline, never more.
+        let offlining = GroupSample { pool_peak: Bytes::from_gib(350), ..sample };
+        assert_eq!(offlining.dram_savings_fraction(), 0.0);
+        let empty = GroupSample { scheduled_vms: 0, vms_killed: 0, ..sample };
+        assert_eq!(empty.availability(), 1.0);
     }
 
     #[test]

@@ -15,9 +15,11 @@ use std::time::Duration;
 
 use cluster_sim::event::Event;
 use cxl_hw::pool::GroupState;
+use cxl_hw::units::Bytes;
 
 use crate::observer::{
-    DecisionTrace, GroupSample, LifecycleOpKind, LifecycleTrace, QosPassTrace, ReplayObserver,
+    availability, dram_savings, DecisionTrace, GroupSample, LifecycleOpKind, LifecycleTrace,
+    QosPassTrace, ReplayObserver,
 };
 
 /// Environment variable naming the JSONL event-log path. When set,
@@ -33,7 +35,8 @@ pub struct GroupSeries {
     pub group: usize,
     /// Whether the group still accepts placements at this tick.
     pub online: bool,
-    /// Cumulative admission rate: scheduled / (scheduled + rejected).
+    /// Cumulative availability: the share of the group's scheduled VMs not
+    /// killed, [`GroupSample::availability`].
     pub availability: f64,
     /// Cumulative DRAM savings fraction versus an all-local fleet.
     pub dram_savings: f64,
@@ -51,9 +54,11 @@ pub struct GroupSeries {
 pub struct TimeSeriesPoint {
     /// Simulated snapshot time in seconds since trace start.
     pub time: u64,
-    /// Fleet-wide cumulative admission rate across all groups.
+    /// Fleet-wide cumulative availability: the share of all scheduled VMs
+    /// not killed, the formula of the replay outcome's availability.
     pub fleet_availability: f64,
-    /// Fleet-wide cumulative DRAM savings fraction.
+    /// Fleet-wide cumulative DRAM savings fraction, from the groups' summed
+    /// peaks as the replay outcome computes it.
     pub fleet_savings: f64,
     /// VMs running fleet-wide right now.
     pub live_vms: u64,
@@ -214,19 +219,19 @@ impl ReplayObserver for TimeSeriesRecorder {
 
     fn on_snapshot(&mut self, time: u64, groups: &[GroupSample]) {
         let mut scheduled = 0u64;
-        let mut rejected = 0u64;
+        let mut killed = 0u64;
         let mut live_vms = 0u64;
-        let mut sum_total = 0u64;
-        let mut sum_host_pool = 0u64;
-        let mut pool_peaks = 0u64;
+        let mut sum_total = Bytes::ZERO;
+        let mut sum_host_pool = Bytes::ZERO;
+        let mut pool_peaks = Bytes::ZERO;
         let mut series = Vec::with_capacity(groups.len());
         for sample in groups {
             scheduled += sample.scheduled_vms;
-            rejected += sample.rejected_vms;
+            killed += sample.vms_killed;
             live_vms += sample.running_vms;
-            sum_total += sample.sum_total_peaks.as_u64();
-            sum_host_pool += sample.sum_host_pool_peaks.as_u64();
-            pool_peaks += sample.pool_peak.as_u64();
+            sum_total += sample.sum_total_peaks;
+            sum_host_pool += sample.sum_host_pool_peaks;
+            pool_peaks += sample.pool_peak;
             series.push(GroupSeries {
                 group: sample.group,
                 online: sample.state == GroupState::Online,
@@ -237,14 +242,8 @@ impl ReplayObserver for TimeSeriesRecorder {
                 running_vms: sample.running_vms,
             });
         }
-        let offered = scheduled + rejected;
-        let fleet_availability = if offered == 0 { 1.0 } else { scheduled as f64 / offered as f64 };
-        let fleet_savings = if sum_total == 0 {
-            0.0
-        } else {
-            let required = sum_total.saturating_sub(sum_host_pool).saturating_add(pool_peaks);
-            1.0 - required as f64 / sum_total as f64
-        };
+        let fleet_availability = availability(scheduled, killed);
+        let fleet_savings = dram_savings(sum_total, sum_host_pool, pool_peaks);
         if self.log.is_some() {
             let mut per_group = String::new();
             for (i, s) in series.iter().enumerate() {
@@ -274,9 +273,8 @@ impl ReplayObserver for TimeSeriesRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cxl_hw::units::Bytes;
 
-    fn sample(group: usize, scheduled: u64, rejected: u64) -> GroupSample {
+    fn sample(group: usize, scheduled: u64, killed: u64) -> GroupSample {
         GroupSample {
             group,
             state: GroupState::Online,
@@ -288,8 +286,8 @@ mod tests {
             pool_borrowed: Bytes::new(0),
             running_vms: 5,
             scheduled_vms: scheduled,
-            rejected_vms: rejected,
-            vms_killed: 0,
+            rejected_vms: 10,
+            vms_killed: killed,
             sum_total_peaks: Bytes::from_gib(400),
             sum_host_pool_peaks: Bytes::from_gib(100),
             pool_peak: Bytes::from_gib(40),
@@ -299,15 +297,15 @@ mod tests {
     #[test]
     fn snapshot_aggregates_fleet_from_group_sums() {
         let mut recorder = TimeSeriesRecorder::new();
-        recorder.on_snapshot(3600, &[sample(0, 90, 10), sample(1, 60, 40)]);
+        recorder.on_snapshot(3600, &[sample(0, 90, 9), sample(1, 60, 15)]);
         let points = recorder.points();
         assert_eq!(points.len(), 1);
         let point = &points[0];
         assert_eq!(point.time, 3600);
         assert_eq!(point.live_vms, 10);
-        // fleet: 150 scheduled of 200 offered.
-        assert!((point.fleet_availability - 0.75).abs() < 1e-12);
-        // fleet: required = 800 - 200 + 80 = 680 of 800 baseline.
+        // fleet: 24 of 150 scheduled VMs killed; rejections do not count.
+        assert!((point.fleet_availability - 0.84).abs() < 1e-12);
+        // fleet: required = 800 - (200 - 80) = 680 of 800 baseline.
         assert!((point.fleet_savings - 0.15).abs() < 1e-12);
         assert_eq!(point.groups.len(), 2);
         assert!((point.groups[0].availability - 0.9).abs() < 1e-12);

@@ -52,7 +52,7 @@ fn untouched_model_beats_strawman_by_a_wide_margin() {
     let (train, test) = requests.split_at(split);
     let model =
         UntouchedMemoryModel::train(train, &UntouchedModelConfig { quantile: 0.15, rounds: 40 }, 5);
-    let gbm = evaluate_model(&model, test, replay_history(train));
+    let gbm = evaluate_model(&model, test, replay_history(train)).unwrap();
 
     let strawman_predictions = vec![gbm.avg_untouched_fraction; test.len()];
     let strawman = evaluate_predictions(test, &strawman_predictions);
@@ -83,7 +83,7 @@ fn combined_model_behaves_like_figure20() {
             );
             UntouchedCandidate {
                 quantile: q,
-                point: evaluate_model(&model, test, replay_history(train)),
+                point: evaluate_model(&model, test, replay_history(train)).unwrap(),
             }
         })
         .collect();

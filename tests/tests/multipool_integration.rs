@@ -267,8 +267,9 @@ fn long_trace_cycles_more_hosts_than_ports_through_one_pool() {
 /// The pinned 24-server / 15-day replay must keep reproducing the outcome
 /// captured from the implementation *before* the event-core and accounting
 /// refactor (indexed event queue, incremental peaks and conservation
-/// counters, arena bookkeeping) — the whole optimization is only admissible
-/// because it is bit-identical. The comparison goes through `Debug` strings:
+/// counters, and a live-VM arena that one id-to-group map has since
+/// replaced) — the whole optimization is only admissible because it is
+/// bit-identical. The comparison goes through `Debug` strings:
 /// Rust's shortest-roundtrip float formatting makes equal strings equivalent
 /// to bit-equal `f64` GiB-hour sums.
 #[test]

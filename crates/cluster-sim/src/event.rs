@@ -62,7 +62,9 @@
 //!   ascending behind a pop cursor. Arming a departure at placement time is
 //!   O(log live-seconds + bucket); popping takes the head of the first
 //!   bucket and frees the bucket when it drains, so the calendar holds only
-//!   departures of currently-live VMs.
+//!   departures of currently-live VMs. Most seconds hold one departure, so
+//!   a new bucket allocates room for exactly one 16-byte entry; a second
+//!   entry grows it to four, then it doubles.
 //! * **Every other scheduled class** — failures, lifecycle operations,
 //!   releases, copy completions — shares one binary heap keyed by
 //!   `(time, rank, payload)`; the payload (plan index or pool group) orders
@@ -266,8 +268,10 @@ struct DepartureCalendar {
 }
 
 /// One second's departures. `entries[head..]` is sorted ascending and still
-/// pending; everything before `head` has popped.
-#[derive(Debug, Default)]
+/// pending; everything before `head` has popped. A bucket is created with
+/// capacity for its first entry only (16 B, not `Vec`'s first growth to
+/// four entries, 64 B).
+#[derive(Debug)]
 struct CalendarBucket {
     entries: Vec<(u64, usize)>,
     head: usize,
@@ -279,7 +283,10 @@ impl DepartureCalendar {
     /// "behind" already-popped peers of the same second simply becomes the
     /// bucket's new head, exactly as a heap would deliver it next.
     fn schedule(&mut self, time: u64, seq: u64, token: usize) {
-        let bucket = self.buckets.entry(time).or_default();
+        let bucket = self
+            .buckets
+            .entry(time)
+            .or_insert_with(|| CalendarBucket { entries: Vec::with_capacity(1), head: 0 });
         let pending = &bucket.entries[bucket.head..];
         let at = bucket.head + pending.partition_point(|&entry| entry <= (seq, token));
         bucket.entries.insert(at, (seq, token));

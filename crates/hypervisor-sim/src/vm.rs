@@ -3,6 +3,7 @@
 use cxl_hw::units::Bytes;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 use workload_model::WorkloadProfile;
 
 /// Identifier of a VM on a host.
@@ -67,25 +68,30 @@ impl VmConfig {
 
 /// A running VM: its configuration, the workload inside it, and whether its
 /// memory mapping has been reconfigured by the QoS mitigation.
+///
+/// The workload profile is shared, not owned: VMs launched from one
+/// [`workload_model::WorkloadSuite`] entry hold the suite's one copy, so a
+/// VM costs a pointer for its profile, and launching one allocates nothing.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct VirtualMachine {
     id: VmId,
     config: VmConfig,
-    workload: WorkloadProfile,
+    workload: Arc<WorkloadProfile>,
     reconfigured: bool,
 }
 
 impl VirtualMachine {
-    /// Launches a VM with the given configuration and workload.
+    /// Launches a VM with the given configuration and workload: an owned
+    /// profile, or a shared one ([`workload_model::WorkloadSuite::at`]).
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid (see [`VmConfig::validate`]).
-    pub fn launch(id: u64, config: VmConfig, workload: WorkloadProfile) -> Self {
+    pub fn launch(id: u64, config: VmConfig, workload: impl Into<Arc<WorkloadProfile>>) -> Self {
         if let Err(reason) = config.validate() {
             panic!("invalid VM configuration: {reason}");
         }
-        VirtualMachine { id: VmId(id), config, workload, reconfigured: false }
+        VirtualMachine { id: VmId(id), config, workload: workload.into(), reconfigured: false }
     }
 
     /// The VM's identifier.

@@ -24,6 +24,7 @@ use hypervisor_sim::vm::{VirtualMachine, VmConfig, VmId};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Static configuration of a control-plane instance.
@@ -227,7 +228,10 @@ pub struct AffectedVm {
     pub surviving_pool: Bytes,
 }
 
-/// Per-VM bookkeeping inside the control plane.
+/// Per-VM bookkeeping inside the control plane, boxed in
+/// [`PondControlPlane`]'s running map. Its `vm` shares the policy suite's
+/// workload profile instead of owning a copy, so a placement allocates the
+/// record and nothing for the profile.
 #[derive(Debug, Clone)]
 struct VmRecord {
     vm: VirtualMachine,
@@ -255,6 +259,11 @@ struct VmRecord {
     qos: Option<QosDecision>,
 }
 
+// A live VM's record is one heap allocation of at most this size on 64-bit
+// targets. A new field must restate the budget here and in
+// `tests/tests/live_vm_memory.rs`.
+const _: () = assert!(std::mem::size_of::<VmRecord>() <= 200);
+
 impl VmRecord {
     /// The QoS monitor's verdict on this VM, from a fresh PMU sample
     /// through the policy's sampler, the one the arrival-time decision
@@ -281,7 +290,12 @@ pub struct PondControlPlane {
     pool: PondPoolManager,
     policy: PondPolicy,
     mitigation: MitigationManager,
-    running: BTreeMap<u64, VmRecord>,
+    /// The running VMs by id, each record behind a pointer-sized handle: a
+    /// B-tree leaf holds eleven ids and eleven handles, not eleven whole
+    /// records, so its spare slots cost 8 B each instead of a record's size.
+    /// The ascending-id walks (QoS budget, blast radius, drains, rebalances)
+    /// read the map in key order either way.
+    running: BTreeMap<u64, Box<VmRecord>>,
     rejected: u64,
     /// Incremental mirror of the slice count summed over
     /// `running[*].slices`, so [`PondControlPlane::pinned_pool`] — and with
@@ -609,11 +623,10 @@ impl PondControlPlane {
         // the sites that force a pool-peak resample.
         self.pool_dirty = true;
 
-        let workload = self.policy.workload(request.workload_index).clone();
         let vm = VirtualMachine::launch(
             request.id,
             VmConfig { cores: request.cores, memory: request.memory, pool_memory: pool },
-            workload,
+            Arc::clone(self.policy.workload(request.workload_index)),
         );
 
         let summary = PlacementSummary {
@@ -627,7 +640,7 @@ impl PondControlPlane {
         };
         self.running.insert(
             request.id,
-            VmRecord {
+            Box::new(VmRecord {
                 vm,
                 host: host_index,
                 slices,
@@ -635,7 +648,7 @@ impl PondControlPlane {
                 predicted_untouched: plan.predicted_untouched,
                 request: request.clone(),
                 qos: None,
-            },
+            }),
         );
         Ok(summary)
     }
@@ -799,7 +812,7 @@ impl PondControlPlane {
         &mut self,
         vm: VmId,
         now: Duration,
-    ) -> Result<(DepartureOutcome, VmRecord), PondError> {
+    ) -> Result<(DepartureOutcome, Box<VmRecord>), PondError> {
         let mut record = self
             .running
             .remove(&vm.0)

@@ -517,6 +517,9 @@ fn track_peaks(
 ///
 /// * [`PondError::InvalidConfig`] for any other config, which this loop
 ///   would otherwise replay as if the parts it does not model were absent.
+/// * [`PondError::TraceStream`] for a request that fails
+///   [`VmRequest::validate`](cluster_sim::trace::VmRequest::validate), as
+///   the engine refuses it.
 /// * Control-plane construction failures, and any error other than the
 ///   expected placement failures (`NoFeasibleHost`, and `PoolExhausted`
 ///   when the all-local fallback is off).
@@ -553,6 +556,7 @@ pub fn run_fleet_reference(
         match event {
             Event::Arrival { request_index, .. } => {
                 let request = &trace.requests[request_index];
+                request.validate().map_err(PondError::TraceStream)?;
                 match plane.handle_request(request, now) {
                     Ok(summary) => {
                         accounting.record_placement(&mut outcome, request, &summary);

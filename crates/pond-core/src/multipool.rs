@@ -658,8 +658,9 @@ impl Relocation {
 /// and >= 0, or a rebalance fraction or mitigation budget outside [0, 1],
 /// is [`PondError::InvalidConfig`], and so is a borrowing fleet of more
 /// than 32,768 hosts, whose borrowed-port host ids would overflow `u16`; an
-/// arrival whose id a placed VM holds until its departure, even a VM a
-/// relocation killed, is [`PondError::TraceStream`].
+/// arrival that fails [`VmRequest::validate`], or whose id a placed VM holds
+/// until its departure, even a VM a relocation killed, is
+/// [`PondError::TraceStream`].
 pub fn run_multipool_fleet(
     trace: &ClusterTrace,
     config: &MultiPoolConfig,
@@ -935,6 +936,10 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
     /// reachable online groups.
     fn arrival(&mut self, request_index: usize, now: Duration) -> Result<(), PondError> {
         let request = self.events.take_arrival();
+        // A malformed request is refused before any plane sees it: a VM with
+        // no cores or no memory cannot launch, and a departure past
+        // `u64::MAX` has no place on the timeline.
+        request.validate().map_err(PondError::TraceStream)?;
         // Departures and relocations find a VM by its id, so a second VM
         // with one id would be mistaken for the first until the first's
         // departure pops, even when a relocation killed it.
@@ -1582,7 +1587,6 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
                     pool_borrowed: plane.borrowed_pool(),
                     running_vms: plane.running_vms() as u64,
                     scheduled_vms: self.per_group[g].scheduled_vms,
-                    rejected_vms: self.per_group[g].rejected_vms,
                     vms_killed: self.per_group[g].vms_killed,
                     sum_total_peaks: self.peak_total[g].iter().copied().sum(),
                     sum_host_pool_peaks: self.peak_host_pool[g].iter().copied().sum(),
@@ -2072,6 +2076,41 @@ mod tests {
         let cfg = config(PodStyle::Symmetric, 2, GroupSchedulerKind::RoundRobin);
         let result = run_multipool_fleet(&trace, &cfg);
         assert!(matches!(result, Err(PondError::TraceStream(_))), "{result:?}");
+    }
+
+    /// The stream error both replays, the engine and its reference oracle,
+    /// return for `trace` on one group.
+    fn refused_by_both_replays(trace: &ClusterTrace) -> String {
+        let cfg = config(PodStyle::Symmetric, 1, GroupSchedulerKind::RoundRobin);
+        let engine = run_multipool_fleet(trace, &cfg);
+        let policy = PondPolicy::train(trace, &cfg.control.policy, cfg.seed);
+        let reference = crate::fleet::run_fleet_reference(trace, &cfg, policy);
+        match (engine, reference) {
+            (Err(PondError::TraceStream(engine)), Err(PondError::TraceStream(reference))) => {
+                assert_eq!(engine, reference);
+                engine
+            }
+            other => panic!("both replays must refuse the trace: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_request_without_cores_or_memory_is_a_stream_error() {
+        let malformations: [fn(&mut VmRequest); 2] = [|r| r.cores = 0, |r| r.memory = Bytes::ZERO];
+        for malform in malformations {
+            let mut trace = small_trace();
+            malform(trace.requests.last_mut().unwrap());
+            let detail = refused_by_both_replays(&trace);
+            assert!(detail.contains("zero"), "{detail}");
+        }
+    }
+
+    #[test]
+    fn a_departure_that_overflows_u64_is_a_stream_error() {
+        let mut trace = small_trace();
+        trace.requests.last_mut().unwrap().lifetime = u64::MAX;
+        let detail = refused_by_both_replays(&trace);
+        assert!(detail.contains("overflows"), "{detail}");
     }
 
     #[test]

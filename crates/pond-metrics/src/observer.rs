@@ -240,8 +240,6 @@ pub struct GroupSample {
     pub running_vms: u64,
     /// VMs the group has scheduled since trace start.
     pub scheduled_vms: u64,
-    /// VMs the group has rejected since trace start.
-    pub rejected_vms: u64,
     /// VMs killed on the group since trace start.
     pub vms_killed: u64,
     /// Sum of per-VM `max(local, local+pool)` peaks — the no-pooling DRAM
@@ -462,13 +460,12 @@ mod tests {
             pool_borrowed: Bytes::from_gib(0),
             running_vms: 10,
             scheduled_vms: 90,
-            rejected_vms: 10,
             vms_killed: 9,
             sum_total_peaks: Bytes::from_gib(1000),
             sum_host_pool_peaks: Bytes::from_gib(300),
             pool_peak: Bytes::from_gib(100),
         };
-        // 9 of 90 scheduled VMs killed; rejections do not count.
+        // 9 of 90 scheduled VMs killed.
         assert!((sample.availability() - 0.9).abs() < 1e-12);
         // required = 1000 - (300 - 100) = 800 → savings 0.2
         assert!((sample.dram_savings_fraction() - 0.2).abs() < 1e-12);

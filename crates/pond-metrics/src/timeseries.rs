@@ -286,7 +286,6 @@ mod tests {
             pool_borrowed: Bytes::new(0),
             running_vms: 5,
             scheduled_vms: scheduled,
-            rejected_vms: 10,
             vms_killed: killed,
             sum_total_peaks: Bytes::from_gib(400),
             sum_host_pool_peaks: Bytes::from_gib(100),
@@ -303,7 +302,7 @@ mod tests {
         let point = &points[0];
         assert_eq!(point.time, 3600);
         assert_eq!(point.live_vms, 10);
-        // fleet: 24 of 150 scheduled VMs killed; rejections do not count.
+        // fleet: 24 of 150 scheduled VMs killed.
         assert!((point.fleet_availability - 0.84).abs() < 1e-12);
         // fleet: required = 800 - (200 - 80) = 680 of 800 baseline.
         assert!((point.fleet_savings - 0.15).abs() < 1e-12);

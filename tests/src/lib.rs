@@ -1,4 +1,6 @@
 //! Cross-crate integration tests for the Pond reproduction.
 //!
-//! The actual tests live in `tests/tests/`; this library crate only exists to
-//! anchor them in the workspace.
+//! The tests live in `tests/tests/`; this library holds what more than one
+//! of them shares: [`heap`], the counting allocator of the heap tests.
+
+pub mod heap;

@@ -15,70 +15,7 @@ use cluster_sim::tracegen::{ClusterConfig, TraceGenerator};
 use cxl_hw::topology::PodStyle;
 use pond_core::multipool::{run_multipool_source, GroupSchedulerKind, MultiPoolConfig};
 use pond_core::policy::PondPolicy;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-
-/// Live heap bytes, and their high-water mark since the last reset. Both
-/// are statistics that publish no other data, so `Relaxed` suffices.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-/// [`System`], counting the bytes it hands out.
-struct Counting;
-
-fn grew(bytes: usize) {
-    let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
-    PEAK.fetch_max(live, Relaxed);
-}
-
-fn shrank(bytes: usize) {
-    LIVE.fetch_sub(bytes, Relaxed);
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// meets `GlobalAlloc`'s contract; the counters only read the sizes, and the
-// caller's obligations are the same ones `System` requires.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller guarantees `layout` has a non-zero size.
-        let ptr = unsafe { System.alloc(layout) };
-        if !ptr.is_null() {
-            grew(layout.size());
-        }
-        ptr
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller guarantees `layout` has a non-zero size.
-        let ptr = unsafe { System.alloc_zeroed(layout) };
-        if !ptr.is_null() {
-            grew(layout.size());
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller guarantees `ptr` came from this allocator, so
-        // from `System`, with this `layout`.
-        unsafe { System.dealloc(ptr, layout) };
-        shrank(layout.size());
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // SAFETY: the caller guarantees `ptr` came from this allocator, so
-        // from `System`, with this `layout`, and that `new_size` is non-zero
-        // and fits `isize` once rounded up to the alignment.
-        let moved = unsafe { System.realloc(ptr, layout, new_size) };
-        if !moved.is_null() {
-            if new_size >= layout.size() {
-                grew(new_size - layout.size());
-            } else {
-                shrank(layout.size() - new_size);
-            }
-        }
-        moved
-    }
-}
+use pond_tests::heap::{self, Counting};
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
@@ -99,10 +36,9 @@ fn replay_peak(days: u32) -> (u64, usize) {
         .expect("generator streams never fail");
     let source = generator.stream(0);
 
-    let before = LIVE.load(Relaxed);
-    PEAK.store(before, Relaxed);
+    let before = heap::reset_peak();
     let outcome = run_multipool_source(source, &config, policy).expect("the replay runs");
-    let peak = PEAK.load(Relaxed) - before;
+    let peak = heap::peak() - before;
 
     // The fleet must really pool and borrow, or the bound tests nothing.
     assert!(outcome.fleet.pool_dram_fraction() > 0.0, "{days} days: nothing pooled");

@@ -43,9 +43,22 @@ fn bench_untouched(c: &mut Criterion) {
     });
 }
 
+/// The fit `pondbench`'s `drill` set-up makes: `PondPolicy::train`'s call on
+/// the first 32,768 requests (its training-prefix cap) of a 256-server,
+/// 180-day trace at seed 42, 50 rounds, model seed 7.
+fn bench_untouched_at_benchmark_scale(c: &mut Criterion) {
+    let config = ClusterConfig { servers: 256, duration_days: 180, ..ClusterConfig::azure_like() };
+    let trace = TraceGenerator::new(config, 1).with_seed(42).generate(0);
+    let prefix = &trace.requests[..trace.requests.len().min(32_768)];
+    let model_config = UntouchedModelConfig { quantile: 0.05, rounds: 50 };
+    c.bench_function("untouched_model_training_32k_rows", |b| {
+        b.iter(|| black_box(UntouchedMemoryModel::train(prefix, &model_config, 7)))
+    });
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_sensitivity, bench_untouched
+    targets = bench_sensitivity, bench_untouched, bench_untouched_at_benchmark_scale
 );
 criterion_main!(benches);

@@ -39,7 +39,7 @@ use hypervisor_sim::vm::VmId;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 use workload_model::spill::SpillModel;
-use workload_model::WorkloadSuite;
+use workload_model::WorkloadProfile;
 
 /// Aggregated results of one fleet replay.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
@@ -408,7 +408,6 @@ pub(crate) enum ScheduledEvent {
 pub(crate) struct ReplayAccounting {
     scenario: cxl_hw::latency::LatencyScenario,
     pdm: f64,
-    suite: WorkloadSuite,
     spill: SpillModel,
 }
 
@@ -417,27 +416,25 @@ impl ReplayAccounting {
         ReplayAccounting {
             scenario: config.policy.scenario,
             pdm: config.policy.pdm,
-            suite: WorkloadSuite::standard(),
             spill: SpillModel::default(),
         }
     }
 
     /// Charges one successful placement: the ground-truth QoS outcome (via
     /// the same spill model the cluster simulator uses) and the GiB-hour
-    /// accounting.
+    /// accounting. `workload` is the request's profile as the placing
+    /// plane's policy reads it from its shared suite
+    /// (`PondPolicy::workload`).
     pub(crate) fn record_placement(
         &self,
         outcome: &mut FleetOutcome,
         request: &cluster_sim::trace::VmRequest,
+        workload: &WorkloadProfile,
         summary: &crate::control_plane::PlacementSummary,
     ) {
         outcome.scheduled_vms += 1;
         outcome.fallback_all_local += u64::from(summary.fallback_all_local);
 
-        let workload = self
-            .suite
-            .at(request.workload_index % self.suite.len())
-            .expect("workload index is taken modulo the suite size");
         let fraction = SpillModel::spill_fraction(request.touched_memory(), summary.local);
         let slowdown = self.spill.spill_slowdown(workload, self.scenario, fraction);
         outcome.violations += u64::from(slowdown > self.pdm);
@@ -559,7 +556,8 @@ pub fn run_fleet_reference(
                 request.validate().map_err(PondError::TraceStream)?;
                 match plane.handle_request(request, now) {
                     Ok(summary) => {
-                        accounting.record_placement(&mut outcome, request, &summary);
+                        let workload = plane.policy().workload(request.workload_index);
+                        accounting.record_placement(&mut outcome, request, workload, &summary);
                         if !summary.pool.is_zero() {
                             pooled_hosts.insert(summary.host);
                         }

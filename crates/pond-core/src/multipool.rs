@@ -101,6 +101,7 @@ use rand_pcg::Pcg64;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, DefaultHasher};
 use std::time::Duration;
 
 /// A per-arrival snapshot of one pool group, offered to the
@@ -733,8 +734,11 @@ struct Replay<'a, S, O> {
     /// its departure pops: `None` for a VM a relocation killed, whose
     /// departure is still queued. Departures carry the VM id as their
     /// token, and an id stays taken until its departure pops, so the map
-    /// is O(live VMs) however long the stream runs.
-    group_of: HashMap<u64, Option<usize>>,
+    /// is O(live VMs) however long the stream runs. Its hasher has fixed
+    /// keys, so identical runs reach the same peak memory: where a removal
+    /// leaves a tombstone depends on the hashes, and so does whether the
+    /// table later rehashes in place or doubles. Nothing iterates the map.
+    group_of: HashMap<u64, Option<usize>, BuildHasherDefault<DefaultHasher>>,
     /// Relocation copies reuse the QoS-mitigation machinery: the same
     /// 50 ms/GiB reconfiguration engine, charged on the event timeline.
     evacuation_engine: ReconfigurationEngine,
@@ -870,7 +874,7 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
             scheduler: config.scheduler.build(),
             accounting: ReplayAccounting::new(&config.control),
             events,
-            group_of: HashMap::new(),
+            group_of: HashMap::default(),
             evacuation_engine: ReconfigurationEngine::default(),
             per_group: vec![FleetOutcome::default(); groups],
             peak_local: host_peaks.clone(),
@@ -979,7 +983,8 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
             return Ok(());
         };
         self.cross_group_placements += u64::from(group != home);
-        self.accounting.record_placement(&mut self.per_group[group], &request, &summary);
+        let workload = self.planes[group].policy().workload(request.workload_index);
+        self.accounting.record_placement(&mut self.per_group[group], &request, workload, &summary);
         if summary.borrowed_from.is_some() {
             self.per_group[group].vms_borrowed += 1;
             self.per_group[group].borrowed_gib_hours +=

@@ -12,7 +12,7 @@ use crate::dataset::Dataset;
 use crate::error::MlError;
 use crate::tree::{DecisionTree, Presorted, TreeConfig};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::cmp::Ordering;
 
 /// Loss function for gradient boosting.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -81,29 +81,66 @@ pub struct GradientBoostedTrees {
     loss: Loss,
 }
 
-fn quantile_of(sorted: &mut [f64], q: f64) -> f64 {
-    if sorted.is_empty() {
+/// The order `quantile_of` reads `values` in: `partial_cmp`, so −0.0 and 0.0
+/// tie.
+fn by_value(a: &f64, b: &f64) -> Ordering {
+    a.partial_cmp(b).unwrap_or(Ordering::Equal)
+}
+
+/// The `q`-quantile of `values` (0.0 for none): the order statistics at
+/// ⌊q·(n − 1)⌋ and ⌈q·(n − 1)⌉, interpolated linearly. It reorders `values`.
+///
+/// The result equals, by `to_bits`, reading the two positions off a stable
+/// sort of `values` in their given order, but takes them by selection,
+/// O(n) rather than O(n log n). Values that tie under `partial_cmp` share
+/// their bits except ±0.0 (and NaN, which ties with everything), so when
+/// `values` hold a −0.0 or a NaN the stable sort itself decides which of the
+/// tied values sits at each position.
+fn quantile_of(values: &mut [f64], q: f64) -> f64 {
+    if values.is_empty() {
         return 0.0;
     }
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let pos = q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
+    let pos = q.clamp(0.0, 1.0) * (values.len() - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
+    let (low, high) = if values.iter().any(|v| v.is_nan() || (*v == 0.0 && v.is_sign_negative())) {
+        values.sort_by(by_value);
+        (values[lo], values[hi])
+    } else {
+        let (_, &mut low, above) = values.select_nth_unstable_by(lo, by_value);
+        let high = if hi == lo {
+            low
+        } else {
+            *above.iter().min_by(|a, b| by_value(a, b)).expect("hi < len, so above holds it")
+        };
+        (low, high)
+    };
     if lo == hi {
-        sorted[lo]
+        low
     } else {
         let frac = pos - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        low * (1.0 - frac) + high * frac
     }
 }
 
 impl GradientBoostedTrees {
     /// Fits the boosted ensemble. Deterministic for a given `seed`.
     ///
+    /// Each round fits one tree to the loss's pseudo-residuals. Under a
+    /// quantile loss each leaf's value then becomes the `q`-quantile of its
+    /// rows' raw residuals (label minus prediction), taken by selection.
+    /// Every row then moves by the learning rate times its leaf's value.
+    /// The tree builder hands back each leaf's rows, in ascending row order,
+    /// so a round never walks a row down the tree. The ensemble is the one
+    /// that walking every row to its leaf, gathering and fully sorting the
+    /// residuals of each leaf and re-predicting every row would fit, equal
+    /// by `to_bits`. The test-only `gbm::reference` does exactly that.
+    ///
     /// # Panics
     ///
-    /// Panics if `rounds` is zero, the learning rate is not in `(0, 1]`, or a
-    /// quantile loss is configured with `q` outside `(0, 1)`.
+    /// Panics if `rounds` is zero, the learning rate is not in `(0, 1]`, a
+    /// quantile loss is configured with `q` outside `(0, 1)`, or the dataset
+    /// has more than 2³¹ rows.
     pub fn fit(data: &Dataset, config: &GbmConfig, seed: u64) -> Self {
         assert!(config.rounds > 0, "boosting needs at least one round");
         assert!(
@@ -124,42 +161,51 @@ impl GradientBoostedTrees {
 
         let presorted = Presorted::new(data);
         let mut predictions = vec![base_prediction; data.len()];
+        let mut residuals = Vec::with_capacity(data.len());
         let mut trees = Vec::with_capacity(config.rounds);
 
         for round in 0..config.rounds {
             // Pseudo-residuals: negative gradient of the loss at the current
             // predictions.
-            let residuals: Vec<f64> = match config.loss {
-                Loss::SquaredError => {
-                    (0..data.len()).map(|i| data.label(i) - predictions[i]).collect()
+            residuals.clear();
+            let labels = data.labels().iter().zip(&predictions);
+            match config.loss {
+                Loss::SquaredError => residuals.extend(labels.map(|(y, f)| y - f)),
+                Loss::Quantile(q) => {
+                    residuals.extend(labels.map(|(y, f)| if y > f { q } else { q - 1.0 }))
                 }
-                Loss::Quantile(q) => (0..data.len())
-                    .map(|i| if data.label(i) > predictions[i] { q } else { q - 1.0 })
-                    .collect(),
-            };
-
-            let tree_seed = seed.wrapping_mul(0x2545_F491_4F6C_DD1D).wrapping_add(round as u64);
-            let mut tree =
-                DecisionTree::fit_presorted(&presorted, &residuals, &config.tree, tree_seed);
-
-            if let Loss::Quantile(q) = config.loss {
-                // Replace leaf means of the gradient with the per-leaf
-                // q-quantile of the raw residuals (y - F), the standard
-                // post-fit adjustment for quantile boosting.
-                let mut leaf_residuals: HashMap<usize, Vec<f64>> = HashMap::new();
-                for (i, &prediction) in predictions.iter().enumerate() {
-                    let leaf = tree.leaf_id(data.row(i));
-                    leaf_residuals.entry(leaf).or_default().push(data.label(i) - prediction);
-                }
-                tree.adjust_leaves(|leaf, value| match leaf_residuals.get_mut(&leaf) {
-                    Some(rs) => quantile_of(rs, q),
-                    None => value,
-                });
             }
 
-            for (i, pred) in predictions.iter_mut().enumerate() {
-                *pred += config.learning_rate * tree.predict(data.row(i));
-            }
+            let (mut tree, leaves) = DecisionTree::fit_presorted(
+                &presorted,
+                &residuals,
+                &config.tree,
+                tree_seed(seed, round),
+            );
+            // Under a quantile loss, replace leaf means of the gradient with
+            // the per-leaf q-quantile of the raw residuals (y - F), the
+            // standard post-fit adjustment for quantile boosting. The
+            // pseudo-residuals are spent once the tree is fit, so their
+            // buffer holds each leaf's raw residuals in turn. Leaves hold
+            // disjoint rows, so a leaf's step never changes the predictions
+            // another leaf's residuals read.
+            tree.adjust_leaves(|leaf, mean| {
+                let rows = leaves.of(leaf);
+                let value = match config.loss {
+                    Loss::Quantile(q) if !rows.is_empty() => {
+                        residuals.clear();
+                        residuals.extend(
+                            rows.iter().map(|&i| data.label(i as usize) - predictions[i as usize]),
+                        );
+                        quantile_of(&mut residuals, q)
+                    }
+                    _ => mean,
+                };
+                for &i in rows {
+                    predictions[i as usize] += config.learning_rate * value;
+                }
+                value
+            });
             trees.push(tree);
         }
 
@@ -229,12 +275,165 @@ impl GradientBoostedTrees {
     }
 }
 
+/// The seed of round `round`'s tree.
+fn tree_seed(seed: u64, round: usize) -> u64 {
+    seed.wrapping_mul(0x2545_F491_4F6C_DD1D).wrapping_add(round as u64)
+}
+
+/// The boosting round [`GradientBoostedTrees::fit`] replaced, kept as the
+/// oracle the fit must match bit for bit: each round walks every row down
+/// the tree to its leaf (`DecisionTree::leaf_id`), pushes its residual into
+/// a `HashMap` of per-leaf `Vec`s, stably sorts each leaf's residuals in full
+/// and re-predicts every row through the tree. Its trees come from the CART
+/// oracle, the per-node sort, so it checks the split search's run flags too.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{tree_seed, GbmConfig, GradientBoostedTrees, Loss};
+    use crate::dataset::Dataset;
+    use crate::tree;
+    use std::collections::HashMap;
+
+    /// The `q`-quantile read off a full stable sort of `values`.
+    pub(crate) fn sorted_quantile(values: &mut [f64], q: f64) -> f64 {
+        if values.is_empty() {
+            return 0.0;
+        }
+        values.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        let pos = q.clamp(0.0, 1.0) * (values.len() - 1) as f64;
+        let lo = pos.floor() as usize;
+        let hi = pos.ceil() as usize;
+        if lo == hi {
+            values[lo]
+        } else {
+            let frac = pos - lo as f64;
+            values[lo] * (1.0 - frac) + values[hi] * frac
+        }
+    }
+
+    pub(crate) fn fit(data: &Dataset, config: &GbmConfig, seed: u64) -> GradientBoostedTrees {
+        let base_prediction = match config.loss {
+            Loss::SquaredError => data.label_mean(),
+            Loss::Quantile(q) => sorted_quantile(&mut data.labels().to_vec(), q),
+        };
+        let mut predictions = vec![base_prediction; data.len()];
+        let mut trees = Vec::with_capacity(config.rounds);
+        for round in 0..config.rounds {
+            let residuals: Vec<f64> = match config.loss {
+                Loss::SquaredError => {
+                    (0..data.len()).map(|i| data.label(i) - predictions[i]).collect()
+                }
+                Loss::Quantile(q) => (0..data.len())
+                    .map(|i| if data.label(i) > predictions[i] { q } else { q - 1.0 })
+                    .collect(),
+            };
+            let mut tree = tree::reference::fit_with_targets(
+                data,
+                &residuals,
+                &config.tree,
+                tree_seed(seed, round),
+            );
+            if let Loss::Quantile(q) = config.loss {
+                let mut leaf_residuals: HashMap<usize, Vec<f64>> = HashMap::new();
+                for (i, &prediction) in predictions.iter().enumerate() {
+                    let leaf = tree.leaf_id(data.row(i));
+                    leaf_residuals.entry(leaf).or_default().push(data.label(i) - prediction);
+                }
+                tree.adjust_leaves(|leaf, value| match leaf_residuals.get_mut(&leaf) {
+                    Some(rs) => sorted_quantile(rs, q),
+                    None => value,
+                });
+            }
+            for (i, pred) in predictions.iter_mut().enumerate() {
+                *pred += config.learning_rate * tree.predict(data.row(i));
+            }
+            trees.push(tree);
+        }
+        GradientBoostedTrees {
+            base_prediction,
+            learning_rate: config.learning_rate,
+            trees,
+            n_features: data.n_features(),
+            loss: config.loss,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::Rng;
     use rand::SeedableRng;
     use rand_pcg::Pcg64;
+
+    /// Whether both ensembles hold the same trees, thresholds, leaf values
+    /// and base prediction, by `to_bits`.
+    fn same_bits(a: &GradientBoostedTrees, b: &GradientBoostedTrees) -> bool {
+        a.base_prediction.to_bits() == b.base_prediction.to_bits()
+            && a.learning_rate.to_bits() == b.learning_rate.to_bits()
+            && a.n_features == b.n_features
+            && a.loss == b.loss
+            && a.trees.len() == b.trees.len()
+            && a.trees.iter().zip(&b.trees).all(|(x, y)| x.same_bits(y))
+    }
+
+    #[test]
+    fn quantile_of_matches_the_stable_sort() {
+        let cases: [(&[f64], f64); 8] = [
+            // lo == hi: q · (n − 1) is whole.
+            (&[3.0, 1.0, 2.0, 5.0, 4.0], 0.5),
+            (&[3.0, 1.0, 2.0, 5.0, 4.0], 0.25),
+            // hi == lo + 1, with the two order statistics distinct.
+            (&[9.0, 1.0, 4.0, 7.0], 0.5),
+            (&[9.0, 1.0, 4.0, 7.0, 2.0, 8.0], 0.05),
+            // One value.
+            (&[-2.5], 0.3),
+            // ±0.0 ties: the stable sort keeps their order, so the sign read
+            // at a position depends on it.
+            (&[0.0, -0.0, 1.0], 0.25),
+            (&[-0.0, 0.0, -1.0, 0.0], 0.5),
+            (&[-0.0, 0.0, 0.0, -0.0, -1.0], 0.6),
+        ];
+        for (values, q) in cases {
+            let fast = quantile_of(&mut values.to_vec(), q);
+            let sorted = reference::sorted_quantile(&mut values.to_vec(), q);
+            assert_eq!(fast.to_bits(), sorted.to_bits(), "{values:?} at q = {q}");
+        }
+        assert_eq!(quantile_of(&mut [], 0.5), 0.0);
+        // The stable sort of [0.0, −0.0, …] keeps +0.0 first.
+        assert_eq!(quantile_of(&mut [0.0, -0.0, 1.0], 0.0).to_bits(), 0.0f64.to_bits());
+        assert_eq!(quantile_of(&mut [-0.0, 0.0, 1.0], 0.0).to_bits(), (-0.0f64).to_bits());
+    }
+
+    proptest! {
+        /// The fit grows exactly the ensemble of the boosting oracle: the
+        /// per-row leaf walk, a `HashMap` of leaf residuals, full stable
+        /// sorts and per-row re-prediction over the per-node-sort trees.
+        #[test]
+        fn fit_matches_the_boosting_oracle(
+            (n_rows, n_features, label_kind) in (1usize..80, 0usize..5, 0u8..5),
+            (quantile_loss, q, learning_rate) in (0u8..2, 0.01f64..0.99, 0.05f64..1.0),
+            (min_leaf, max_depth, rounds) in (0usize..3, 0usize..5, 1usize..11),
+            max_features in 0usize..4,
+            seed in 0u64..u64::MAX,
+        ) {
+            let data = crate::tree::tests::oracle_dataset(n_rows, n_features, label_kind, seed);
+            let config = GbmConfig {
+                rounds,
+                learning_rate,
+                loss: if quantile_loss == 1 { Loss::Quantile(q) } else { Loss::SquaredError },
+                tree: TreeConfig {
+                    max_depth,
+                    min_samples_split: 2,
+                    min_samples_leaf: [0, 1, 5][min_leaf],
+                    max_features: (max_features > 0).then_some(max_features),
+                },
+            };
+            let model = GradientBoostedTrees::fit(&data, &config, seed);
+            let oracle = reference::fit(&data, &config, seed);
+            prop_assert!(same_bits(&model, &oracle), "{model:?}\ndiffers from {oracle:?}");
+        }
+    }
 
     fn linear_data(n: usize, noise: f64, seed: u64) -> Dataset {
         let mut rng = Pcg64::seed_from_u64(seed);

@@ -17,6 +17,24 @@
 //! sorts once for all of its rounds; [`DecisionTree::fit`] and
 //! [`DecisionTree::fit_with_targets`] sort per call.
 //!
+//! A split can fall only between unequal values, so each entry of an order
+//! carries a *run-start* flag in the top bit of its 32-bit row id. The
+//! invariant: within a node's range, an entry's flag is set exactly when it
+//! is the range's first entry or its value differs (under `==`) from the
+//! entry before it. The scan reads feature values only at flagged entries,
+//! where it computes a threshold, and otherwise touches just the ids and
+//! the targets. The stable partition keeps the invariant: a child's entry
+//! starts a run when a parent flag lies after the previous entry sent to the
+//! same side, up to and including its own, because the parent's values
+//! between the two ascend. That is, it is the first entry of its parent run
+//! to go to its side, which is how the partition marks it. Row ids
+//! therefore have 31 bits, and the presort panics past 2³¹ rows.
+//!
+//! A leaf is one range of the builder's ascending `rows` array, final once
+//! the leaf is made. The crate-internal `fit_presorted` hands those ranges
+//! back as `LeafRows`, so gradient boosting reads each leaf's rows without
+//! walking them down the tree again.
+//!
 //! The trees are bit-identical to those of a per-node stable sort, which the
 //! tests keep as the oracle: values tie under `partial_cmp` (so −0.0 and 0.0
 //! tie) and ties keep ascending row id; the scan accumulates the left child's
@@ -31,6 +49,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_pcg::Pcg64;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Hyperparameters controlling tree growth.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -95,8 +114,13 @@ pub struct DecisionTree {
 }
 
 /// A row index inside the split search: 32 bits, so the partitions move half
-/// the bytes a `usize` would.
-type RowId = u32;
+/// the bytes a `usize` would. In a presorted order the top bit is the
+/// [`RUN_START`] flag, so row ids have 31 bits.
+pub(crate) type RowId = u32;
+
+/// The run-start flag of a presorted order's entry: set when the entry is
+/// its node range's first or its value differs from the previous entry's.
+const RUN_START: RowId = 1 << 31;
 
 /// A dataset's feature columns, each with its row ids sorted once by
 /// (value, row id): the input of the presorted split search. Sorting is
@@ -109,33 +133,60 @@ pub(crate) struct Presorted {
     n_rows: usize,
     /// `columns[feature][row]`.
     columns: Vec<Vec<f64>>,
-    /// `orders[feature]`: every row id, sorted by (value, row id).
+    /// `orders[feature]`: every row id, sorted by (value, row id), each
+    /// flagged with [`RUN_START`] where a run of equal values starts.
     orders: Vec<Vec<RowId>>,
 }
 
 impl Presorted {
     /// # Panics
     ///
-    /// Panics if the dataset has more than `u32::MAX` rows.
+    /// Panics if the dataset has more than 2³¹ rows: an order's entries keep
+    /// their [`RUN_START`] flag in the row id's top bit.
     pub(crate) fn new(data: &Dataset) -> Self {
         let n_rows = data.len();
-        let ids = RowId::try_from(n_rows).expect("the split search indexes rows with 32 bits");
+        assert!(n_rows <= RUN_START as usize, "the split search indexes rows with 31 bits");
         let columns: Vec<Vec<f64>> = (0..data.n_features())
             .map(|feature| data.rows().iter().map(|row| row[feature]).collect())
             .collect();
         let orders = columns
             .iter()
             .map(|column| {
-                let mut order: Vec<RowId> = (0..ids).collect();
+                let mut order: Vec<RowId> = (0..n_rows as RowId).collect();
                 order.sort_by(|&a, &b| {
                     column[a as usize]
                         .partial_cmp(&column[b as usize])
                         .expect("dataset values are finite")
                 });
+                let mut previous = None;
+                for entry in &mut order {
+                    let value = column[*entry as usize];
+                    if previous != Some(value) {
+                        *entry |= RUN_START;
+                    }
+                    previous = Some(value);
+                }
                 order
             })
             .collect();
         Presorted { n_rows, columns, orders }
+    }
+}
+
+/// The training rows each leaf of a fitted tree holds, in the order the
+/// builder left them.
+#[derive(Debug)]
+pub(crate) struct LeafRows {
+    /// Every row id, grouped by leaf and ascending within a leaf.
+    rows: Vec<RowId>,
+    /// `ranges[leaf_id]`: that leaf's part of `rows`.
+    ranges: Vec<Range<usize>>,
+}
+
+impl LeafRows {
+    /// The rows that reach leaf `id`, ascending.
+    pub(crate) fn of(&self, id: usize) -> &[RowId] {
+        &self.rows[self.ranges[id].clone()]
     }
 }
 
@@ -147,15 +198,17 @@ struct Builder<'a> {
     targets: &'a [f64],
     config: &'a TreeConfig,
     rng: Pcg64,
-    next_leaf_id: usize,
     /// Row ids in ascending order: leaf and parent sums run in this order.
     rows: Vec<RowId>,
-    /// Per feature, row ids in (value, row id) order: the split scan's order.
+    /// Per feature, row ids in (value, row id) order with their
+    /// [`RUN_START`] flags: the split scan's order.
     orders: Vec<Vec<RowId>>,
     /// Per row, whether it goes left at the split being applied.
     goes_left: Vec<bool>,
     /// The right child's ids during a partition.
     scratch: Vec<RowId>,
+    /// Each leaf's range of `rows`, indexed by leaf id.
+    leaves: Vec<Range<usize>>,
 }
 
 impl<'a> Builder<'a> {
@@ -165,14 +218,15 @@ impl<'a> Builder<'a> {
             targets,
             config,
             rng: Pcg64::seed_from_u64(seed),
-            next_leaf_id: 0,
             rows: (0..data.n_rows as RowId).collect(),
             orders: data.orders.clone(),
             goes_left: vec![false; data.n_rows],
             scratch: vec![0; data.n_rows],
+            leaves: Vec::new(),
         }
     }
 
+    /// A leaf over `rows[lo..hi]`, which no later split touches.
     fn leaf(&mut self, lo: usize, hi: usize) -> Node {
         let rows = &self.rows[lo..hi];
         let value = if rows.is_empty() {
@@ -180,8 +234,8 @@ impl<'a> Builder<'a> {
         } else {
             rows.iter().map(|&i| self.targets[i as usize]).sum::<f64>() / rows.len() as f64
         };
-        let id = self.next_leaf_id;
-        self.next_leaf_id += 1;
+        let id = self.leaves.len();
+        self.leaves.push(lo..hi);
         Node::Leaf { id, value, samples: rows.len() }
     }
 
@@ -212,7 +266,7 @@ impl<'a> Builder<'a> {
         // Children at the depth limit are leaves, which read only `rows`.
         if depth + 1 < self.config.max_depth {
             for order in &mut self.orders {
-                stable_partition(&mut order[lo..hi], &self.goes_left, &mut self.scratch);
+                partition_runs(&mut order[lo..hi], &self.goes_left, &mut self.scratch);
             }
         }
         let left_node = self.build(lo, lo + n_left, depth + 1);
@@ -243,13 +297,11 @@ impl<'a> Builder<'a> {
             let mut left_sum = 0.0;
             let mut left_sq = 0.0;
             for split_at in 1..order.len() {
-                let prev = order[split_at - 1] as usize;
+                let prev = (order[split_at - 1] & !RUN_START) as usize;
                 left_sum += self.targets[prev];
                 left_sq += self.targets[prev].powi(2);
 
-                let prev_val = column[prev];
-                let cur_val = column[order[split_at] as usize];
-                if prev_val == cur_val {
+                if order[split_at] & RUN_START == 0 {
                     continue; // cannot split between identical values
                 }
                 let left_n = split_at as f64;
@@ -264,7 +316,9 @@ impl<'a> Builder<'a> {
                 let sse = (left_sq - left_sum * left_sum / left_n)
                     + (right_sq - right_sum * right_sum / right_n);
                 if best.is_none_or(|(_, _, b)| sse < b) {
-                    best = Some((feature, (prev_val + cur_val) / 2.0, sse));
+                    // Feature values are read only here, at a run start.
+                    let cur = (order[split_at] & !RUN_START) as usize;
+                    best = Some((feature, (column[prev] + column[cur]) / 2.0, sse));
                 }
             }
         }
@@ -296,6 +350,43 @@ fn stable_partition(ids: &mut [RowId], goes_left: &[bool], scratch: &mut [RowId]
     ids[n_left..].copy_from_slice(&scratch[..n_right]);
 }
 
+/// [`stable_partition`] for a presorted order's flagged entries. An entry
+/// starts a run in its child when it is the first of its parent run to go
+/// to its side: then no entry of its own value went there before it, and
+/// the previous one that did holds a lesser value. So the entries move
+/// unchanged, each keeping its own flag, and at every run start the first
+/// slot each side filled during the run that just ended is flagged. A side
+/// that filled none holds its next slot there, which the next entry written
+/// to it (or the final copy) overwrites.
+fn partition_runs(entries: &mut [RowId], goes_left: &[bool], scratch: &mut [RowId]) {
+    let mut n_left = 0;
+    let mut n_right = 0;
+    // Where each side's first entry of the current run goes.
+    let mut left_start = 0;
+    let mut right_start = 0;
+    for k in 0..entries.len() {
+        let entry = entries[k];
+        if entry & RUN_START != 0 {
+            entries[left_start] |= RUN_START;
+            scratch[right_start] |= RUN_START;
+            left_start = n_left;
+            right_start = n_right;
+        }
+        let left = goes_left[(entry & !RUN_START) as usize];
+        entries[n_left] = entry;
+        scratch[n_right] = entry;
+        n_left += usize::from(left);
+        n_right += usize::from(!left);
+    }
+    if left_start < n_left {
+        entries[left_start] |= RUN_START;
+    }
+    if right_start < n_right {
+        scratch[right_start] |= RUN_START;
+    }
+    entries[n_left..].copy_from_slice(&scratch[..n_right]);
+}
+
 impl DecisionTree {
     /// Fits a tree on the dataset's own labels.
     pub fn fit(data: &Dataset, config: &TreeConfig, seed: u64) -> Self {
@@ -308,7 +399,7 @@ impl DecisionTree {
     /// # Panics
     ///
     /// Panics if `targets.len()` differs from the number of rows, or if the
-    /// dataset has more than `u32::MAX` rows.
+    /// dataset has more than 2³¹ rows.
     pub fn fit_with_targets(
         data: &Dataset,
         targets: &[f64],
@@ -316,21 +407,24 @@ impl DecisionTree {
         seed: u64,
     ) -> Self {
         assert_eq!(targets.len(), data.len(), "one target per row is required");
-        Self::fit_presorted(&Presorted::new(data), targets, config, seed)
+        Self::fit_presorted(&Presorted::new(data), targets, config, seed).0
     }
 
     /// [`DecisionTree::fit_with_targets`] over an already presorted dataset,
-    /// so a caller fitting many trees on one dataset sorts it once.
+    /// so a caller fitting many trees on one dataset sorts it once, with the
+    /// rows each leaf holds.
     pub(crate) fn fit_presorted(
         data: &Presorted,
         targets: &[f64],
         config: &TreeConfig,
         seed: u64,
-    ) -> Self {
+    ) -> (Self, LeafRows) {
         assert_eq!(targets.len(), data.n_rows, "one target per row is required");
         let mut builder = Builder::new(data, targets, config, seed);
         let root = builder.build(0, data.n_rows, 0);
-        DecisionTree { root, n_features: data.columns.len(), n_leaves: builder.next_leaf_id }
+        let n_leaves = builder.leaves.len();
+        let tree = DecisionTree { root, n_features: data.columns.len(), n_leaves };
+        (tree, LeafRows { rows: builder.rows, ranges: builder.leaves })
     }
 
     /// Predicts the value for a feature vector.
@@ -351,8 +445,10 @@ impl DecisionTree {
         }
     }
 
-    /// Returns the id of the leaf a feature vector falls into.
-    pub fn leaf_id(&self, features: &[f64]) -> usize {
+    /// Returns the id of the leaf a feature vector falls into: the walk the
+    /// boosting oracle makes per row, where the fit reads [`LeafRows`].
+    #[cfg(test)]
+    pub(crate) fn leaf_id(&self, features: &[f64]) -> usize {
         assert_eq!(features.len(), self.n_features, "feature count mismatch");
         let mut node = &self.root;
         loop {
@@ -405,6 +501,36 @@ impl DecisionTree {
         depth(&self.root)
     }
 
+    /// Whether both trees have the same shape, features, leaf ids and sample
+    /// counts, and every threshold and leaf value has the same bits
+    /// (`PartialEq` on `f64` would let −0.0 pass for 0.0).
+    #[cfg(test)]
+    pub(crate) fn same_bits(&self, other: &DecisionTree) -> bool {
+        fn same_nodes(a: &Node, b: &Node) -> bool {
+            match (a, b) {
+                (
+                    Node::Leaf { id: id_a, value: value_a, samples: samples_a },
+                    Node::Leaf { id: id_b, value: value_b, samples: samples_b },
+                ) => {
+                    id_a == id_b && value_a.to_bits() == value_b.to_bits() && samples_a == samples_b
+                }
+                (
+                    Node::Split { feature: f_a, threshold: t_a, left: l_a, right: r_a },
+                    Node::Split { feature: f_b, threshold: t_b, left: l_b, right: r_b },
+                ) => {
+                    f_a == f_b
+                        && t_a.to_bits() == t_b.to_bits()
+                        && same_nodes(l_a, l_b)
+                        && same_nodes(r_a, r_b)
+                }
+                _ => false,
+            }
+        }
+        same_nodes(&self.root, &other.root)
+            && self.n_features == other.n_features
+            && self.n_leaves == other.n_leaves
+    }
+
     /// Per-feature split counts, a crude importance measure.
     pub fn feature_split_counts(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.n_features];
@@ -422,9 +548,10 @@ impl DecisionTree {
 
 /// The per-node-sort builder the presorted search replaced: every node copies
 /// its row ids and stably sorts them again for each candidate feature. Kept
-/// as the oracle the presorted trees must match bit for bit.
+/// as the oracle the presorted trees must match bit for bit, and the tree
+/// learner of the boosting oracle, `gbm::reference`.
 #[cfg(test)]
-mod reference {
+pub(crate) mod reference {
     use super::{DecisionTree, Node, TreeConfig};
     use crate::dataset::Dataset;
     use rand::seq::SliceRandom;
@@ -539,7 +666,7 @@ mod reference {
         }
     }
 
-    pub(super) fn fit_with_targets(
+    pub(crate) fn fit_with_targets(
         data: &Dataset,
         targets: &[f64],
         config: &TreeConfig,
@@ -563,29 +690,10 @@ mod reference {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::Rng;
-
-    fn same_nodes(a: &Node, b: &Node) -> bool {
-        match (a, b) {
-            (
-                Node::Leaf { id: id_a, value: value_a, samples: samples_a },
-                Node::Leaf { id: id_b, value: value_b, samples: samples_b },
-            ) => id_a == id_b && value_a.to_bits() == value_b.to_bits() && samples_a == samples_b,
-            (
-                Node::Split { feature: f_a, threshold: t_a, left: l_a, right: r_a },
-                Node::Split { feature: f_b, threshold: t_b, left: l_b, right: r_b },
-            ) => {
-                f_a == f_b
-                    && t_a.to_bits() == t_b.to_bits()
-                    && same_nodes(l_a, l_b)
-                    && same_nodes(r_a, r_b)
-            }
-            _ => false,
-        }
-    }
 
     /// Fits `targets` with the presorted search and with the per-node-sort
     /// oracle, and asserts the two trees match bit for bit (`PartialEq` on
@@ -594,9 +702,7 @@ mod tests {
         let tree = DecisionTree::fit_with_targets(data, targets, config, seed);
         let oracle = reference::fit_with_targets(data, targets, config, seed);
         assert!(
-            same_nodes(&tree.root, &oracle.root)
-                && tree.n_features == oracle.n_features
-                && tree.n_leaves == oracle.n_leaves,
+            tree.same_bits(&oracle),
             "presorted tree {tree:?}\ndiffers from the per-node sort's {oracle:?}\nconfig {config:?}"
         );
     }
@@ -604,8 +710,14 @@ mod tests {
     /// Columns of four kinds chosen per feature: heavily tied small
     /// integers, mixed ±0.0 (equal under `partial_cmp`, distinct in bits),
     /// continuous values, and a constant. The labels are one of: the two
-    /// quantile residuals {q, q − 1}, small integers, or continuous values.
-    fn oracle_dataset(n_rows: usize, n_features: usize, label_kind: u8, seed: u64) -> Dataset {
+    /// quantile residuals {q, q − 1}, small integers, continuous values,
+    /// ±0.0 beside two other tied values, or one constant (maybe −0.0).
+    pub(crate) fn oracle_dataset(
+        n_rows: usize,
+        n_features: usize,
+        label_kind: u8,
+        seed: u64,
+    ) -> Dataset {
         let mut rng = Pcg64::seed_from_u64(seed);
         let kinds: Vec<u8> = (0..n_features).map(|_| rng.gen_range(0..4)).collect();
         let rows: Vec<Vec<f64>> = (0..n_rows)
@@ -622,6 +734,7 @@ mod tests {
             })
             .collect();
         let q = rng.gen::<f64>();
+        let constant = [-0.0, 0.0, 0.5][rng.gen_range(0..3)];
         let labels: Vec<f64> = (0..n_rows)
             .map(|_| match label_kind {
                 0 => {
@@ -632,7 +745,9 @@ mod tests {
                     }
                 }
                 1 => rng.gen_range(0..3) as f64,
-                _ => rng.gen::<f64>() * 100.0 - 50.0,
+                2 => rng.gen::<f64>() * 100.0 - 50.0,
+                3 => [-0.0, 0.0, 0.25, 1.0][rng.gen_range(0..4)],
+                _ => constant,
             })
             .collect();
         let names = (0..n_features).map(|f| format!("f{f}")).collect();
@@ -781,7 +896,56 @@ mod tests {
         let _ = tree.predict(&[1.0]);
     }
 
+    /// Whether every entry of `order` carries [`RUN_START`] exactly when it
+    /// is the first or its value differs (under `==`) from the one before.
+    fn flags_mark_runs(order: &[RowId], column: &[f64]) -> bool {
+        let value = |entry: RowId| column[(entry & !RUN_START) as usize];
+        order.iter().enumerate().all(|(k, &entry)| {
+            let starts = k == 0 || value(entry) != value(order[k - 1]);
+            (entry & RUN_START != 0) == starts
+        })
+    }
+
     proptest! {
+        /// The presort flags every run start, and partitioning any node range
+        /// by any row subset keeps the flags exact in both children,
+        /// partition after partition.
+        #[test]
+        fn partitions_keep_the_run_flags(
+            (n_rows, n_features, seed) in (1usize..90, 1usize..5, 0u64..u64::MAX),
+            partitions in 1usize..8,
+        ) {
+            let data = oracle_dataset(n_rows, n_features, 1, seed);
+            let presorted = Presorted::new(&data);
+            let mut rng = Pcg64::seed_from_u64(seed ^ 0x5EED);
+            let mut orders = presorted.orders.clone();
+            let mut goes_left = vec![false; n_rows];
+            let mut scratch = vec![0; n_rows];
+            let mut ranges = Vec::with_capacity(partitions + 1);
+            ranges.push(0..n_rows);
+            for (order, column) in orders.iter().zip(&presorted.columns) {
+                prop_assert!(flags_mark_runs(order, column));
+            }
+            for _ in 0..partitions {
+                let range = ranges.swap_remove(rng.gen_range(0..ranges.len()));
+                goes_left.iter_mut().for_each(|left| *left = rng.gen());
+                let n_left = orders[0][range.clone()]
+                    .iter()
+                    .filter(|&&entry| goes_left[(entry & !RUN_START) as usize])
+                    .count();
+                for order in &mut orders {
+                    partition_runs(&mut order[range.clone()], &goes_left, &mut scratch);
+                }
+                ranges.push(range.start..range.start + n_left);
+                ranges.push(range.start + n_left..range.end);
+                for (order, column) in orders.iter().zip(&presorted.columns) {
+                    for node in &ranges {
+                        prop_assert!(flags_mark_runs(&order[node.clone()], column));
+                    }
+                }
+            }
+        }
+
         /// The tree's predictions on its own training points achieve an MSE
         /// no worse than predicting the mean (it can only refine the mean).
         #[test]
@@ -822,7 +986,7 @@ mod tests {
         /// rounds share one).
         #[test]
         fn presorted_search_matches_the_per_node_sort(
-            (n_rows, n_features, label_kind) in (1usize..90, 0usize..6, 0u8..3),
+            (n_rows, n_features, label_kind) in (1usize..90, 0usize..6, 0u8..5),
             (max_depth, min_samples_split, min_samples_leaf) in (0usize..7, 0usize..9, 0usize..6),
             max_features in 0usize..7,
             seed in 0u64..u64::MAX,
@@ -840,9 +1004,9 @@ mod tests {
             let residuals: Vec<f64> =
                 data.labels().iter().map(|&y| if y > 0.0 { 0.3 } else { -0.7 }).collect();
             for targets in [data.labels(), &residuals] {
-                let tree = DecisionTree::fit_presorted(&presorted, targets, &config, seed);
+                let (tree, _) = DecisionTree::fit_presorted(&presorted, targets, &config, seed);
                 let oracle = reference::fit_with_targets(&data, targets, &config, seed);
-                prop_assert!(same_nodes(&tree.root, &oracle.root));
+                prop_assert!(tree.same_bits(&oracle));
             }
         }
     }

@@ -12,9 +12,12 @@
 //! The bound sits between the 660–730 B this fleet measures and the
 //! 1,007 B it measures when a plane keeps whole records in its B-tree
 //! leaves, clones a workload profile into every VM and grows each
-//! departure-calendar bucket to four entries. The spread is the replay's id
-//! map, a `HashMap` that rehashes in place or doubles depending on where
-//! its random hash keys put the removed entries.
+//! departure-calendar bucket to four entries.
+//!
+//! The test replays the fleet twice and requires the same peak heap both
+//! times. The replay's id map is a `HashMap` whose table rehashes in place
+//! or doubles depending on where its hash keys put the removed entries, so
+//! random keys would make the peak differ between identical runs.
 //!
 //! The counting allocator sees every allocation in this test binary, so
 //! the binary holds this one test and nothing runs beside it.
@@ -54,10 +57,16 @@ fn replay_heap_per_live_vm_stays_under_the_budget() {
     let policy = PondPolicy::train(&trace, &config.control.policy, config.seed);
     let live = peak_live(&trace);
 
-    let before = heap::reset_peak();
-    let outcome =
-        run_multipool_source(TraceCursor::new(&trace), &config, policy).expect("the replay runs");
-    let peak = heap::peak() - before;
+    let replay = |policy: PondPolicy| {
+        let before = heap::reset_peak();
+        let outcome = run_multipool_source(TraceCursor::new(&trace), &config, policy)
+            .expect("the replay runs");
+        (outcome, heap::peak() - before)
+    };
+    let (outcome, peak) = replay(policy.clone());
+    let (again, peak_again) = replay(policy);
+    assert_eq!(outcome, again, "the two replays differ");
+    assert_eq!(peak, peak_again, "two identical replays reached different peak heaps");
 
     // The fleet must really pool and borrow, or the bound tests nothing.
     assert!(outcome.fleet.pool_dram_fraction() > 0.0, "nothing pooled");

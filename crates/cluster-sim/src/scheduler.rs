@@ -256,11 +256,6 @@ impl PlacementEngine {
         (used, total)
     }
 
-    /// Sum of stranded memory across all servers.
-    pub fn stranded_memory(&self, min_cores: u32) -> Bytes {
-        self.servers.iter().map(|s| s.stranded_memory(min_cores)).sum()
-    }
-
     /// Sum of used (pinned local) memory across all servers.
     pub fn used_memory(&self) -> Bytes {
         self.servers.iter().map(|s| s.used_memory()).sum()
@@ -368,7 +363,8 @@ mod tests {
         // Fill one server's cores (4 per NUMA node) with memory-light VMs.
         engine.place(&request(1, 4, 4), Bytes::from_gib(4)).unwrap();
         engine.place(&request(2, 4, 4), Bytes::from_gib(4)).unwrap();
-        assert_eq!(engine.stranded_memory(2), Bytes::from_gib(56));
+        let stranded: Bytes = engine.servers().iter().map(|s| s.stranded_memory(2)).sum();
+        assert_eq!(stranded, Bytes::from_gib(56));
         assert_eq!(engine.used_memory(), Bytes::from_gib(8));
     }
 

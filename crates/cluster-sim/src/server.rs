@@ -113,11 +113,6 @@ impl Server {
         self.total_memory().saturating_sub(self.used_memory())
     }
 
-    /// Number of VMs on the server.
-    pub fn vm_count(&self) -> usize {
-        self.placements.len()
-    }
-
     /// Stranded memory: DRAM that cannot be rented because the server's
     /// cores are (effectively) exhausted. `min_cores` is the smallest VM the
     /// cluster sells; a server with fewer free cores than that cannot host
@@ -269,7 +264,7 @@ mod tests {
         assert_eq!(p.local_total(), Bytes::from_gib(64));
         assert_eq!(s.used_cores(), 8);
         assert_eq!(s.used_memory(), Bytes::from_gib(64));
-        assert_eq!(s.vm_count(), 1);
+        assert_eq!(s.placements.len(), 1);
     }
 
     #[test]
@@ -419,7 +414,7 @@ mod tests {
                 prop_assert_eq!(s.used_cores(), expected_cores);
                 prop_assert!(s.used_cores() <= s.total_cores());
                 prop_assert!(s.used_memory() <= s.total_memory());
-                prop_assert_eq!(s.vm_count(), live.len());
+                prop_assert_eq!(s.placements.len(), live.len());
             }
         }
     }

@@ -123,11 +123,6 @@ impl TraceGenerator {
         self
     }
 
-    /// Number of clusters this generator produces.
-    pub fn cluster_count(&self) -> u32 {
-        self.clusters
-    }
-
     /// The base configuration.
     pub fn config(&self) -> &ClusterConfig {
         &self.config
@@ -321,7 +316,8 @@ impl TraceGenerator {
     ///
     /// # Panics
     ///
-    /// Panics if `cluster` is outside `0..cluster_count()`.
+    /// Panics if `cluster` is outside `0..clusters` (the count passed to
+    /// [`TraceGenerator::new`]).
     pub fn stream(&self, cluster: u32) -> GeneratorSource {
         GeneratorSource {
             header: TraceHeader {
@@ -344,7 +340,8 @@ impl TraceGenerator {
     ///
     /// # Panics
     ///
-    /// Panics if `cluster` is outside `0..cluster_count()`.
+    /// Panics if `cluster` is outside `0..clusters` (the count passed to
+    /// [`TraceGenerator::new`]).
     pub fn generate(&self, cluster: u32) -> ClusterTrace {
         let mut source = self.stream(cluster);
         let mut requests = Vec::new();

@@ -43,11 +43,6 @@ impl EmcConfig {
     pub fn pond_switched(capacity: Bytes) -> Self {
         EmcConfig { ports: 4, ddr5_channels: 12, capacity, max_hosts: 64 }
     }
-
-    /// Number of PCIe 5.0 lanes consumed by the CXL ports (8 lanes per port).
-    pub fn pcie_lanes(&self) -> u16 {
-        self.ports * 8
-    }
 }
 
 impl Default for EmcConfig {
@@ -108,11 +103,6 @@ impl Emc {
         self.id
     }
 
-    /// The EMC's static configuration.
-    pub fn config(&self) -> &EmcConfig {
-        &self.config
-    }
-
     /// Total capacity behind this EMC.
     pub fn capacity(&self) -> Bytes {
         Bytes::from_gib(self.table.len())
@@ -143,17 +133,12 @@ impl Emc {
         self.failed
     }
 
-    /// Marks the EMC as failed. All subsequent operations return
-    /// [`CxlError::ComponentFailed`]; accesses from hosts surface as fatal
-    /// memory errors on the VMs using this EMC (see [`crate::failure`]).
-    pub fn mark_failed(&mut self) {
-        self.failed = true;
-    }
-
-    /// Fails the EMC and tears down its state in one step: marks it failed,
-    /// clears every live permission-table entry — assigned *and* mid-release
-    /// (an in-flight offlining cannot complete on a dead device) — and
-    /// releases every CXL port. Returns the `(host, slice)` ownerships that
+    /// Fails the EMC and tears down its state in one step: marks it failed
+    /// (attaching, assigning and releasing then return
+    /// [`CxlError::ComponentFailed`], and every access is a fatal memory
+    /// error), clears every live permission-table entry — assigned *and*
+    /// mid-release (an in-flight offlining cannot complete on a dead
+    /// device) — and releases every CXL port. Returns the `(host, slice)` ownerships that
     /// were lost, in host-attach then slice order, so the pool layer can map
     /// the blast radius back to VMs.
     ///
@@ -191,11 +176,6 @@ impl Emc {
         !self.failed
             && (self.attached_hosts.contains(&host)
                 || self.attached_hosts.len() < self.config.ports as usize)
-    }
-
-    /// Number of CXL ports not currently held by a host.
-    pub fn free_ports(&self) -> u16 {
-        self.config.ports.saturating_sub(self.attached_hosts.len() as u16)
     }
 
     /// Attaches a host to one of the EMC's CXL ports.
@@ -286,30 +266,6 @@ impl Emc {
         Ok(out)
     }
 
-    /// Assigns one specific slice to a host.
-    ///
-    /// # Errors
-    ///
-    /// * [`CxlError::SliceOutOfRange`] if the slice does not exist.
-    /// * [`CxlError::SliceAlreadyAssigned`] if the slice is owned by another host.
-    pub fn assign_slice(&mut self, host: HostId, slice: SliceId) -> Result<(), CxlError> {
-        self.ensure_alive()?;
-        self.ensure_attached(host).or_else(|_| self.attach_host(host))?;
-        match self.table.get(slice) {
-            None => Err(CxlError::SliceOutOfRange { slice, slices: self.table.len() }),
-            Some(state) => match state.owner() {
-                Some(owner) if owner != host => {
-                    Err(CxlError::SliceAlreadyAssigned { slice, owner })
-                }
-                Some(_) => Ok(()), // idempotent re-assignment to the same host
-                None => {
-                    self.table.set(slice, SliceState::Assigned(host));
-                    Ok(())
-                }
-            },
-        }
-    }
-
     /// Begins releasing a slice: the host offlines the range while the EMC
     /// still attributes the slice to it.
     ///
@@ -346,16 +302,6 @@ impl Emc {
         }
     }
 
-    /// Releases every slice owned by a host in one step (used on host failure,
-    /// where the pool reclaims the dead host's capacity).
-    pub fn release_all(&mut self, host: HostId) -> Vec<SliceId> {
-        let owned = self.table.owned_by(host);
-        for slice in &owned {
-            self.table.set(*slice, SliceState::Unassigned);
-        }
-        owned
-    }
-
     /// Performs the per-access permission check the EMC datapath applies to
     /// every request (§4.1). Disallowed accesses are fatal memory errors.
     pub fn check_access(&self, requester: HostId, slice: SliceId) -> AccessOutcome {
@@ -386,11 +332,12 @@ mod tests {
 
     #[test]
     fn config_lane_budgets_match_figure6() {
+        // 16 ×8 ports are 128 PCIe 5.0 lanes, 8 ×8 ports are 64.
         let c16 = EmcConfig::pond_16_socket(Bytes::from_gib(1024));
-        assert_eq!(c16.pcie_lanes(), 128);
+        assert_eq!(c16.ports, 16);
         assert_eq!(c16.ddr5_channels, 12);
         let c8 = EmcConfig::pond_8_socket(Bytes::from_gib(512));
-        assert_eq!(c8.pcie_lanes(), 64);
+        assert_eq!(c8.ports, 8);
         assert_eq!(c8.ddr5_channels, 6);
     }
 
@@ -421,17 +368,19 @@ mod tests {
     #[test]
     fn cannot_steal_assigned_slice() {
         let mut emc = small_emc();
-        emc.assign_slice(HostId(0), SliceId(4)).unwrap();
-        let err = emc.assign_slice(HostId(1), SliceId(4)).unwrap_err();
-        assert_eq!(err, CxlError::SliceAlreadyAssigned { slice: SliceId(4), owner: HostId(0) });
-        // Re-assignment to the same host is idempotent.
-        emc.assign_slice(HostId(0), SliceId(4)).unwrap();
+        let owned = emc.assign_slices(HostId(0), 4).unwrap();
+        // Another host is handed only free slices, never one host 0 holds.
+        let other = emc.assign_slices(HostId(1), 4).unwrap();
+        assert!(other.iter().all(|s| !owned.contains(s)));
+        assert!(emc.assign_slices(HostId(1), 1).is_err(), "nothing free is left to take");
+        assert_eq!(emc.capacity_of(HostId(0)), Bytes::from_gib(4));
+        assert_eq!(emc.check_access(HostId(1), owned[0]), AccessOutcome::FatalMemoryError);
     }
 
     #[test]
     fn access_check_enforces_ownership() {
         let mut emc = small_emc();
-        emc.assign_slice(HostId(2), SliceId(0)).unwrap();
+        assert_eq!(emc.assign_slices(HostId(2), 1).unwrap(), [SliceId(0)]);
         assert_eq!(emc.check_access(HostId(2), SliceId(0)), AccessOutcome::Granted);
         assert_eq!(emc.check_access(HostId(3), SliceId(0)), AccessOutcome::FatalMemoryError);
         assert_eq!(emc.check_access(HostId(2), SliceId(1)), AccessOutcome::FatalMemoryError);
@@ -440,7 +389,7 @@ mod tests {
     #[test]
     fn release_requires_ownership() {
         let mut emc = small_emc();
-        emc.assign_slice(HostId(0), SliceId(0)).unwrap();
+        assert_eq!(emc.assign_slices(HostId(0), 1).unwrap(), [SliceId(0)]);
         assert!(matches!(
             emc.begin_release(HostId(1), SliceId(0)),
             Err(CxlError::SliceNotOwned { .. })
@@ -455,18 +404,27 @@ mod tests {
     fn out_of_range_slice_is_reported() {
         let mut emc = small_emc();
         assert!(matches!(
-            emc.assign_slice(HostId(0), SliceId(100)),
-            Err(CxlError::SliceOutOfRange { .. })
+            emc.begin_release(HostId(0), SliceId(100)),
+            Err(CxlError::SliceOutOfRange { slice: SliceId(100), slices: 8 })
+        ));
+        assert!(matches!(
+            emc.complete_release(HostId(0), SliceId(8)),
+            Err(CxlError::SliceOutOfRange { slice: SliceId(8), slices: 8 })
         ));
     }
 
     #[test]
     fn failed_emc_rejects_everything() {
         let mut emc = small_emc();
-        emc.assign_slice(HostId(0), SliceId(0)).unwrap();
-        emc.mark_failed();
+        emc.assign_slices(HostId(0), 1).unwrap();
+        emc.fail();
         assert!(emc.is_failed());
         assert!(matches!(emc.assign_slices(HostId(0), 1), Err(CxlError::ComponentFailed { .. })));
+        assert!(matches!(emc.attach_host(HostId(1)), Err(CxlError::ComponentFailed { .. })));
+        assert!(matches!(
+            emc.begin_release(HostId(0), SliceId(0)),
+            Err(CxlError::ComponentFailed { .. })
+        ));
         assert_eq!(emc.check_access(HostId(0), SliceId(0)), AccessOutcome::FatalMemoryError);
     }
 
@@ -511,17 +469,6 @@ mod tests {
     }
 
     #[test]
-    fn release_all_reclaims_host_capacity() {
-        let mut emc = small_emc();
-        emc.assign_slices(HostId(0), 3).unwrap();
-        emc.assign_slices(HostId(1), 2).unwrap();
-        let reclaimed = emc.release_all(HostId(0));
-        assert_eq!(reclaimed.len(), 3);
-        assert_eq!(emc.capacity_of(HostId(0)), Bytes::ZERO);
-        assert_eq!(emc.capacity_of(HostId(1)), Bytes::from_gib(2));
-    }
-
-    #[test]
     fn port_limit_bounds_attached_hosts() {
         let mut emc = Emc::new(
             EmcId(0),
@@ -544,7 +491,7 @@ mod tests {
         emc.assign_slices(HostId(0), 1).unwrap();
         emc.assign_slices(HostId(1), 1).unwrap();
         assert!(!emc.can_attach(HostId(2)));
-        assert_eq!(emc.free_ports(), 0);
+        assert_eq!(emc.attached_hosts(), [HostId(0), HostId(1)]);
         // Host 0 still owns its slice: the port cannot be detached yet.
         assert!(matches!(
             emc.detach_host(HostId(0)),
@@ -556,7 +503,7 @@ mod tests {
         assert!(emc.detach_host(HostId(0)).is_err(), "releasing slices still pin the port");
         emc.complete_release(HostId(0), owned[0]).unwrap();
         assert!(emc.detach_host(HostId(0)).unwrap());
-        assert_eq!(emc.free_ports(), 1);
+        assert_eq!(emc.attached_hosts(), [HostId(1)]);
         assert!(emc.can_attach(HostId(2)));
         emc.assign_slices(HostId(2), 1).unwrap();
         // Detaching a host that never attached reports false, not an error.

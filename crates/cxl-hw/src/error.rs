@@ -1,6 +1,6 @@
 //! Error type for the hardware layer.
 
-use crate::units::{Bytes, EmcId, HostId, SocketId};
+use crate::units::{Bytes, EmcId, HostId};
 use std::error::Error;
 use std::fmt;
 
@@ -24,31 +24,12 @@ pub enum CxlError {
         /// Number of slices the EMC actually has.
         slices: u64,
     },
-    /// A slice was assigned while already owned by another host.
-    SliceAlreadyAssigned {
-        /// The slice in question.
-        slice: SliceId,
-        /// Its current owner.
-        owner: HostId,
-    },
     /// A slice release or access referenced a slice the host does not own.
     SliceNotOwned {
         /// The slice in question.
         slice: SliceId,
         /// The host that attempted the operation.
         host: HostId,
-    },
-    /// A memory access hit a slice owned by a different host.
-    ///
-    /// The paper specifies that such accesses surface as fatal memory errors
-    /// on the requesting host (§4.1).
-    AccessDenied {
-        /// The slice that was accessed.
-        slice: SliceId,
-        /// The host that issued the access.
-        requester: HostId,
-        /// The owner recorded in the permission table, if any.
-        owner: Option<HostId>,
     },
     /// The pool has no free capacity to satisfy an assignment request.
     InsufficientPoolCapacity {
@@ -66,11 +47,6 @@ pub enum CxlError {
     UnknownEmc {
         /// The EMC in question.
         emc: EmcId,
-    },
-    /// A socket id does not exist in this pool topology.
-    UnknownSocket {
-        /// The socket in question.
-        socket: SocketId,
     },
     /// The component has failed and cannot serve requests.
     ComponentFailed {
@@ -100,20 +76,9 @@ impl fmt::Display for CxlError {
             CxlError::SliceOutOfRange { slice, slices } => {
                 write!(f, "slice {slice} out of range for EMC with {slices} slices")
             }
-            CxlError::SliceAlreadyAssigned { slice, owner } => {
-                write!(f, "slice {slice} already assigned to {owner}")
-            }
             CxlError::SliceNotOwned { slice, host } => {
                 write!(f, "slice {slice} not owned by {host}")
             }
-            CxlError::AccessDenied { slice, requester, owner } => match owner {
-                Some(owner) => {
-                    write!(f, "access to slice {slice} by {requester} denied, owned by {owner}")
-                }
-                None => {
-                    write!(f, "access to slice {slice} by {requester} denied, slice is unassigned")
-                }
-            },
             CxlError::InsufficientPoolCapacity { requested, available } => {
                 write!(
                     f,
@@ -122,7 +87,6 @@ impl fmt::Display for CxlError {
             }
             CxlError::UnknownHost { host } => write!(f, "unknown host {host}"),
             CxlError::UnknownEmc { emc } => write!(f, "unknown EMC {emc}"),
-            CxlError::UnknownSocket { socket } => write!(f, "unknown socket {socket}"),
             CxlError::ComponentFailed { component } => {
                 write!(f, "component has failed: {component}")
             }
@@ -147,17 +111,11 @@ mod tests {
         let err = CxlError::UnsupportedPoolSize { sockets: 7 };
         assert_eq!(err.to_string(), "unsupported pool size of 7 sockets");
 
-        let err = CxlError::AccessDenied {
-            slice: SliceId(4),
-            requester: HostId(1),
-            owner: Some(HostId(2)),
-        };
-        assert!(err.to_string().contains("slice 4"));
-        assert!(err.to_string().contains("host1"));
-        assert!(err.to_string().contains("host2"));
+        let err = CxlError::SliceNotOwned { slice: SliceId(4), host: HostId(1) };
+        assert_eq!(err.to_string(), "slice 4 not owned by host1");
 
-        let err = CxlError::AccessDenied { slice: SliceId(4), requester: HostId(1), owner: None };
-        assert!(err.to_string().contains("unassigned"));
+        let err = CxlError::PortInUse { host: HostId(2), slices: 3 };
+        assert_eq!(err.to_string(), "cannot detach host2: it still owns 3 slices");
     }
 
     #[test]

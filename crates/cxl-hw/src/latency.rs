@@ -168,15 +168,6 @@ impl LatencyModel {
         self.core_llc_fabric + self.mc_dram
     }
 
-    /// Cross-socket (remote NUMA) latency used by the paper's emulation:
-    /// the local path plus a socket-interconnect hop. With default
-    /// parameters this is not used for figures but provided for the
-    /// emulation-based experiments (78→142 ns on Intel corresponds to
-    /// roughly a 57 ns interconnect penalty).
-    pub fn remote_numa_latency(&self, interconnect_penalty: Latency) -> Latency {
-        self.local_dram_latency() + interconnect_penalty
-    }
-
     /// Full latency breakdown for a pool access in the given topology.
     ///
     /// The path is: CPU core/LLC/fabric → CPU CXL port → (flight / retimers /
@@ -282,22 +273,6 @@ impl LatencyScenario {
         match self {
             LatencyScenario::Increase182 => 1.82,
             LatencyScenario::Increase222 => 2.22,
-        }
-    }
-
-    /// The local latency of the corresponding testbed in nanoseconds.
-    pub fn local_latency(self) -> Latency {
-        match self {
-            LatencyScenario::Increase182 => Latency::from_nanos(78.0),
-            LatencyScenario::Increase222 => Latency::from_nanos(115.0),
-        }
-    }
-
-    /// The emulated pool latency of the corresponding testbed.
-    pub fn pool_latency(self) -> Latency {
-        match self {
-            LatencyScenario::Increase182 => Latency::from_nanos(142.0),
-            LatencyScenario::Increase222 => Latency::from_nanos(255.0),
         }
     }
 
@@ -419,11 +394,11 @@ mod tests {
 
     #[test]
     fn scenario_parameters_match_testbeds() {
-        assert_eq!(LatencyScenario::Increase182.local_latency().as_nanos(), 78.0);
-        assert_eq!(LatencyScenario::Increase182.pool_latency().as_nanos(), 142.0);
-        assert_eq!(LatencyScenario::Increase222.local_latency().as_nanos(), 115.0);
-        assert_eq!(LatencyScenario::Increase222.pool_latency().as_nanos(), 255.0);
+        // Intel 78 → 142 ns and AMD 115 → 255 ns.
         assert!((LatencyScenario::Increase182.multiplier() - 1.82).abs() < 1e-9);
+        assert!((LatencyScenario::Increase222.multiplier() - 2.22).abs() < 1e-9);
+        assert_eq!(LatencyScenario::Increase182.to_string(), "182% (142ns)");
+        assert_eq!(LatencyScenario::Increase222.to_string(), "222% (255ns)");
         assert_eq!(LatencyScenario::all().len(), 2);
     }
 

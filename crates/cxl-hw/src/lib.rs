@@ -9,18 +9,16 @@
 //!   sockets and enforces per-slice ownership via a permission table.
 //! * [`mod@slice`] — 1 GiB memory slices (the paper's "1 GB"), the granularity at which pool capacity
 //!   is moved between hosts.
-//! * [`hdm`] — the Host-managed Device Memory (HDM) decoder that maps EMC
-//!   address ranges into each host's physical address space.
 //! * [`topology`] — pool topology construction for 8/16/32/64-socket pools,
 //!   including CXL switches and retimers for the larger configurations, plus
 //!   the switch-only strawman the paper compares against (Figure 8).
 //! * [`latency`] — the nanosecond-level latency composition model used to
 //!   produce Figures 7 and 8.
-//! * [`bandwidth`] — ×8 CXL link and DDR5 channel bandwidth model.
 //! * [`pool`] — pool-level slice ownership state machine with
-//!   `add_capacity`/`release_capacity` flows and online/offline timing.
-//! * [`failure`] — blast-radius model for EMC, host, and Pool-Manager
-//!   failures (§4.2, "Failure management").
+//!   `add_capacity`/`release_capacity` flows, offlining timing, and EMC
+//!   failure, repair and expansion (§4.2). The blast radius of an EMC
+//!   failure in VM terms is the control plane's
+//!   (`pond_core::control_plane::PondControlPlane::handle_emc_failure`).
 //!
 //! # Example
 //!
@@ -43,11 +41,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod bandwidth;
 pub mod emc;
 pub mod error;
-pub mod failure;
-pub mod hdm;
 pub mod latency;
 pub mod pool;
 pub mod slice;
@@ -59,4 +54,4 @@ pub use latency::{Latency, LatencyModel};
 pub use pool::PoolState;
 pub use slice::{SliceId, SliceState};
 pub use topology::{PodStyle, PoolGroupTopology, PoolTopology};
-pub use units::{Bytes, HostId, SocketId};
+pub use units::{Bytes, HostId};

@@ -2,10 +2,8 @@
 //!
 //! [`PoolState`] aggregates the EMCs of one pool and exposes the two control
 //! operations the paper defines: `add_capacity(host, slice)` and
-//! `release_capacity(host, slice)`, plus the timing model for onlining
-//! (microseconds per GiB slice) and offlining (tens of milliseconds per
-//! GiB slice) that
-//! motivates Pond's asynchronous release strategy.
+//! `release_capacity(host, slice)`, plus the offlining timing (up to
+//! 100 ms per GiB slice) that motivates Pond's asynchronous release strategy.
 
 use crate::emc::{Emc, EmcConfig};
 use crate::error::CxlError;
@@ -117,41 +115,25 @@ pub struct EmcFailureReport {
     pub ports_lost: Vec<HostId>,
 }
 
-/// Timing parameters for memory online/offline transitions (§4.2).
+/// Timing of memory offlining (§4.2). Onlining is near instantaneous and
+/// offlining takes 10–100 ms/GiB; the pool plans every release for the upper
+/// bound.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TransitionTiming {
-    /// Time to online one 1 GiB slice on the host (near instantaneous — microseconds).
-    pub online_per_gib: Duration,
-    /// Lower bound on offlining one 1 GiB slice (10 ms/GiB).
-    pub offline_per_gib_min: Duration,
     /// Upper bound on offlining one 1 GiB slice (100 ms/GiB).
     pub offline_per_gib_max: Duration,
 }
 
 impl Default for TransitionTiming {
     fn default() -> Self {
-        TransitionTiming {
-            online_per_gib: Duration::from_micros(10),
-            offline_per_gib_min: Duration::from_millis(10),
-            offline_per_gib_max: Duration::from_millis(100),
-        }
+        TransitionTiming { offline_per_gib_max: Duration::from_millis(100) }
     }
 }
 
 impl TransitionTiming {
-    /// Time to online `capacity` on a host.
-    pub fn online_time(&self, capacity: Bytes) -> Duration {
-        self.online_per_gib * capacity.slices_ceil() as u32
-    }
-
     /// Worst-case time to offline `capacity` from a host.
     pub fn offline_time_max(&self, capacity: Bytes) -> Duration {
         self.offline_per_gib_max * capacity.slices_ceil() as u32
-    }
-
-    /// Best-case time to offline `capacity` from a host.
-    pub fn offline_time_min(&self, capacity: Bytes) -> Duration {
-        self.offline_per_gib_min * capacity.slices_ceil() as u32
     }
 }
 
@@ -196,11 +178,6 @@ impl PoolState {
         Self::new(topology.emc_configs().iter().cloned())
     }
 
-    /// The timing parameters in use.
-    pub fn timing(&self) -> &TransitionTiming {
-        &self.timing
-    }
-
     /// Number of EMCs in the pool.
     pub fn emc_count(&self) -> usize {
         self.emcs.len()
@@ -209,11 +186,6 @@ impl PoolState {
     /// Access to a specific EMC.
     pub fn emc(&self, id: EmcId) -> Option<&Emc> {
         self.emcs.get(&id)
-    }
-
-    /// Mutable access to a specific EMC (used by the failure model).
-    pub fn emc_mut(&mut self, id: EmcId) -> Option<&mut Emc> {
-        self.emcs.get_mut(&id)
     }
 
     /// Iterates over all EMCs.
@@ -410,32 +382,6 @@ impl PoolState {
         self.emcs.insert(id, Emc::new(id, config));
         id
     }
-
-    /// Releases every slice a host owns in one step (host failure handling)
-    /// and detaches the host's ports. Returns the number of slices reclaimed.
-    pub fn release_host(&mut self, host: HostId) -> u64 {
-        let mut reclaimed = 0;
-        let emc_ids: Vec<EmcId> = self.emcs.keys().copied().collect();
-        for emc_id in emc_ids {
-            let slices = self.emcs.get_mut(&emc_id).expect("known id").release_all(host);
-            reclaimed += slices.len() as u64;
-            self.detach_if_idle(host, emc_id);
-        }
-        reclaimed
-    }
-
-    /// Slices currently owned by a host.
-    pub fn slices_of(&self, host: HostId) -> Vec<PoolSlice> {
-        self.emcs
-            .values()
-            .flat_map(|e| {
-                e.permission_table()
-                    .owned_by(host)
-                    .into_iter()
-                    .map(move |slice| PoolSlice { emc: e.id(), slice })
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -576,16 +522,6 @@ mod tests {
     }
 
     #[test]
-    fn release_host_reclaims_everything() {
-        let mut pool = pool_8x16();
-        pool.add_capacity(HostId(0), Bytes::from_gib(3)).unwrap();
-        pool.add_capacity(HostId(1), Bytes::from_gib(2)).unwrap();
-        assert_eq!(pool.release_host(HostId(0)), 3);
-        assert_eq!(pool.capacity_of(HostId(0)), Bytes::ZERO);
-        assert_eq!(pool.capacity_of(HostId(1)), Bytes::from_gib(2));
-    }
-
-    #[test]
     fn multi_emc_allocation_prefers_single_emc() {
         // 32-socket topology has 4 EMCs; a small allocation should land on one.
         let topo = PoolTopology::pond_with_capacity(32, Bytes::from_gib(32)).unwrap();
@@ -702,7 +638,7 @@ mod tests {
         let topo = PoolTopology::pond_with_capacity(32, Bytes::from_gib(8)).unwrap();
         let mut pool = PoolState::from_topology(&topo);
         let total_free = pool.free_capacity();
-        pool.emc_mut(EmcId(0)).unwrap().mark_failed();
+        pool.fail_emc(EmcId(0)).unwrap();
         assert!(pool.free_capacity() < total_free);
         // Requests larger than the remaining live capacity fail.
         assert!(pool.add_capacity(HostId(0), Bytes::from_gib(7)).is_err());
@@ -713,9 +649,8 @@ mod tests {
     #[test]
     fn timing_model_scales_with_capacity() {
         let t = TransitionTiming::default();
-        assert!(t.online_time(Bytes::from_gib(64)) < Duration::from_millis(10));
         assert_eq!(t.offline_time_max(Bytes::from_gib(10)), Duration::from_secs(1));
-        assert_eq!(t.offline_time_min(Bytes::from_gib(10)), Duration::from_millis(100));
+        assert_eq!(t.offline_time_max(Bytes::from_mib(1536)), Duration::from_millis(200));
     }
 
     #[test]
@@ -751,58 +686,35 @@ mod tests {
         assert_eq!(pool.capacity_of(HostId(1)), Bytes::from_gib(16));
     }
 
-    #[test]
-    fn release_host_reclaims_everything_including_in_flight_releases() {
-        let mut pool = pool_8x16();
-        let slices = pool.add_capacity(HostId(2), Bytes::from_gib(3)).unwrap();
-        pool.begin_release(HostId(2), &slices[..1]).unwrap();
-        assert_eq!(pool.release_host(HostId(2)), 3);
-        assert_eq!(pool.capacity_of(HostId(2)), Bytes::ZERO);
-        assert_eq!(pool.free_capacity(), pool.total_capacity());
-        // A second reclaim finds nothing left to release.
-        assert_eq!(pool.release_host(HostId(2)), 0);
-    }
-
     proptest! {
-        /// Invariant: total = assigned + free, regardless of the operation mix.
+        /// Invariant: total = assigned + free, regardless of the operation
+        /// mix, and each host's capacity is the slices it was handed.
         #[test]
         fn capacity_conservation(ops in proptest::collection::vec((0u16..4, 1u64..5, proptest::bool::ANY), 0..40)) {
             let topo = PoolTopology::pond_with_capacity(16, Bytes::from_gib(32)).unwrap();
             let mut pool = PoolState::from_topology(&topo);
+            let mut owned: [Vec<PoolSlice>; 4] = Default::default();
             for (host, gib, release) in ops {
+                let held = &mut owned[host as usize];
                 let host = HostId(host);
                 if release {
-                    let owned = pool.slices_of(host);
-                    if !owned.is_empty() {
-                        let n = (gib as usize).min(owned.len());
-                        let to_release: Vec<_> = owned[..n].to_vec();
-                        pool.begin_release(host, &to_release).unwrap();
-                        pool.complete_release(host, &to_release).unwrap();
-                    }
-                } else {
-                    let _ = pool.add_capacity(host, Bytes::from_gib(gib));
+                    let n = (gib as usize).min(held.len());
+                    let to_release: Vec<_> = held.drain(..n).collect();
+                    pool.begin_release(host, &to_release).unwrap();
+                    pool.complete_release(host, &to_release).unwrap();
+                } else if let Ok(slices) = pool.add_capacity(host, Bytes::from_gib(gib)) {
+                    held.extend(slices);
                 }
                 prop_assert_eq!(
                     pool.assigned_capacity() + pool.free_capacity(),
                     pool.total_capacity()
                 );
-            }
-        }
-
-        /// Invariant: per-host capacity equals the number of slices listed for the host.
-        #[test]
-        fn slices_of_matches_capacity(allocs in proptest::collection::vec((0u16..4, 1u64..4), 0..16)) {
-            let topo = PoolTopology::pond_with_capacity(16, Bytes::from_gib(64)).unwrap();
-            let mut pool = PoolState::from_topology(&topo);
-            for (host, gib) in allocs {
-                let _ = pool.add_capacity(HostId(host), Bytes::from_gib(gib));
-            }
-            for h in 0..4u16 {
-                let host = HostId(h);
-                prop_assert_eq!(
-                    Bytes::from_gib(pool.slices_of(host).len() as u64),
-                    pool.capacity_of(host)
-                );
+                for (h, held) in owned.iter().enumerate() {
+                    prop_assert_eq!(
+                        pool.capacity_of(HostId(h as u16)),
+                        Bytes::from_gib(held.len() as u64)
+                    );
+                }
             }
         }
     }

@@ -5,7 +5,7 @@
 //! owned by at most one host at a time; the EMC records the owner in a
 //! permission table and rejects accesses from any other host (§4.1).
 
-use crate::units::{Bytes, HostId};
+use crate::units::HostId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -17,11 +17,6 @@ impl SliceId {
     /// Returns the raw slice index.
     pub const fn index(self) -> usize {
         self.0 as usize
-    }
-
-    /// The byte offset of this slice within the EMC's address range.
-    pub const fn byte_offset(self) -> Bytes {
-        Bytes::new(self.0 * (1 << 30))
     }
 }
 
@@ -66,10 +61,6 @@ impl SliceState {
 
 /// The EMC permission table: one ownership entry per 1 GiB slice.
 ///
-/// The paper notes that tracking 1024 slices (1 TB) and 64 hosts requires
-/// 768 B of EMC state (6 bits per slice plus a valid bit, rounded to bytes);
-/// [`PermissionTable::state_bytes`] reproduces that arithmetic.
-///
 /// Occupancy queries are cheap: `assigned_count`/`free_count` are O(1) from
 /// an incremental counter, and `first_free` walks a hierarchical free bitmap
 /// (64-ary, so three levels cover 262,144 slices) instead of scanning the
@@ -78,9 +69,12 @@ impl SliceState {
 /// traffic O(slices) per GiB moved — quadratic over a replay.
 ///
 /// ```
-/// use cxl_hw::slice::PermissionTable;
+/// use cxl_hw::slice::{PermissionTable, SliceId};
+/// use cxl_hw::units::HostId;
 /// let table = PermissionTable::new(1024, 64);
-/// assert_eq!(table.state_bytes(), 768);
+/// assert_eq!(table.free_count(), 1024);
+/// assert_eq!(table.first_free(), Some(SliceId(0)));
+/// assert!(!table.access_allowed(SliceId(0), HostId(3)), "nobody owns a free slice");
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PermissionTable {
@@ -209,11 +203,6 @@ impl PermissionTable {
         self.entries.is_empty()
     }
 
-    /// Maximum number of hosts the table can encode.
-    pub fn max_hosts(&self) -> u16 {
-        self.max_hosts
-    }
-
     /// Returns the state of a slice, or `None` if the index is out of range.
     pub fn get(&self, slice: SliceId) -> Option<SliceState> {
         self.entries.get(slice.index()).copied()
@@ -316,35 +305,12 @@ impl PermissionTable {
     pub fn access_allowed(&self, slice: SliceId, requester: HostId) -> bool {
         matches!(self.get(slice), Some(state) if state.owner() == Some(requester))
     }
-
-    /// The amount of SRAM state the EMC needs to hold this table, in bytes.
-    ///
-    /// Each slice needs `ceil(log2(max_hosts))` bits for the owner id; the
-    /// total is rounded up to whole bytes. This reproduces the paper's
-    /// "768 B for 1024 slices and 64 hosts" sizing.
-    pub fn state_bytes(&self) -> u64 {
-        let bits_per_slice = (self.max_hosts as f64).log2().ceil() as u64;
-        (self.len() * bits_per_slice).div_ceil(8)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn paper_state_size_example() {
-        // 1024 slices (1TB) and 64 hosts (6 bits) require 768B of EMC state.
-        let table = PermissionTable::new(1024, 64);
-        assert_eq!(table.state_bytes(), 768);
-    }
-
-    #[test]
-    fn state_size_scales_with_host_bits() {
-        assert_eq!(PermissionTable::new(1024, 16).state_bytes(), 512); // 4 bits
-        assert_eq!(PermissionTable::new(1024, 2).state_bytes(), 128); // 1 bit
-    }
 
     #[test]
     fn new_table_is_fully_free() {
@@ -390,12 +356,6 @@ mod tests {
         assert_eq!(table.get(SliceId(0)).unwrap().owner(), Some(HostId(5)));
         assert!(!table.get(SliceId(0)).unwrap().is_free());
         assert_eq!(table.first_free(), Some(SliceId(1)));
-    }
-
-    #[test]
-    fn slice_byte_offset() {
-        assert_eq!(SliceId(0).byte_offset(), Bytes::ZERO);
-        assert_eq!(SliceId(3).byte_offset(), Bytes::from_gib(3));
     }
 
     #[test]

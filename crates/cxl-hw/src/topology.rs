@@ -53,23 +53,12 @@ impl Interconnect {
     }
 }
 
-/// Design style of the pool: Pond's multi-headed EMC vs. the switch-only
-/// strawman compared against in Figure 8.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum PoolDesign {
-    /// Pond: multi-headed EMCs, switches only for 32+ sockets.
-    MultiHeadedEmc,
-    /// Strawman: every pooled access goes through at least one switch
-    /// (single-headed memory devices behind a switch fabric).
-    SwitchOnly,
-}
-
 /// A complete pool topology.
 ///
 /// # Example
 ///
 /// ```
-/// use cxl_hw::topology::{PoolTopology, PoolDesign};
+/// use cxl_hw::topology::PoolTopology;
 ///
 /// let pond16 = PoolTopology::pond(16)?;
 /// assert_eq!(pond16.sockets(), 16);
@@ -82,7 +71,6 @@ pub enum PoolDesign {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PoolTopology {
     sockets: u16,
-    design: PoolDesign,
     interconnect: Interconnect,
     emc_configs: Vec<EmcConfig>,
 }
@@ -100,8 +88,8 @@ impl PoolTopology {
     ///   multi-headed EMCs; retimers on both segments.
     ///
     /// The default capacity provisions 1 TB per EMC, the sizing used in the
-    /// paper's state-table example; use [`PoolTopology::with_emc_capacity`]
-    /// to change it.
+    /// paper's state-table example; use [`PoolTopology::pond_with_capacity`]
+    /// to choose it.
     ///
     /// # Errors
     ///
@@ -140,7 +128,7 @@ impl PoolTopology {
                 )
             }
         };
-        Ok(PoolTopology { sockets, design: PoolDesign::MultiHeadedEmc, interconnect, emc_configs })
+        Ok(PoolTopology { sockets, interconnect, emc_configs })
     }
 
     /// Builds the switch-only strawman for the given socket count (Figure 8).
@@ -167,28 +155,14 @@ impl PoolTopology {
         let emc_count = (sockets as u64).div_ceil(8).max(1);
         Ok(PoolTopology {
             sockets,
-            design: PoolDesign::SwitchOnly,
             interconnect,
             emc_configs: (0..emc_count).map(|_| EmcConfig::pond_switched(per_emc)).collect(),
         })
     }
 
-    /// Replaces the per-EMC capacity, keeping the topology shape.
-    pub fn with_emc_capacity(mut self, capacity: Bytes) -> Self {
-        for cfg in &mut self.emc_configs {
-            cfg.capacity = capacity;
-        }
-        self
-    }
-
     /// Number of CPU sockets sharing the pool.
     pub fn sockets(&self) -> u16 {
         self.sockets
-    }
-
-    /// The design style (multi-headed EMC vs. switch-only).
-    pub fn design(&self) -> PoolDesign {
-        self.design
     }
 
     /// The socket-to-EMC interconnect description.
@@ -204,17 +178,6 @@ impl PoolTopology {
     /// Total pool capacity across all EMCs.
     pub fn total_capacity(&self) -> Bytes {
         self.emc_configs.iter().map(|c| c.capacity).sum()
-    }
-
-    /// Total PCIe 5.0 lane budget across all EMCs (Figure 6 comparison with
-    /// the AMD Genoa IO die).
-    pub fn total_pcie_lanes(&self) -> u32 {
-        self.emc_configs.iter().map(|c| c.pcie_lanes() as u32).sum()
-    }
-
-    /// Total DDR5 channels across all EMCs.
-    pub fn total_ddr5_channels(&self) -> u32 {
-        self.emc_configs.iter().map(|c| c.ddr5_channels as u32).sum()
     }
 }
 
@@ -373,39 +336,6 @@ impl PoolGroupTopology {
         Ok(PoolGroupTopology { style, pools, host_starts, reach })
     }
 
-    /// [`PoolGroupTopology::new`] with a [`PodStyle::KRegular`] ring of
-    /// overlap degree `k`.
-    ///
-    /// # Errors
-    ///
-    /// Same shape validation as [`PoolGroupTopology::new`].
-    pub fn k_regular(
-        k: u16,
-        groups: u16,
-        hosts: u16,
-        pool_sockets: u16,
-        total_capacity: Bytes,
-    ) -> Result<Self, CxlError> {
-        Self::new(PodStyle::KRegular { k }, groups, hosts, pool_sockets, total_capacity)
-    }
-
-    /// [`PoolGroupTopology::new`] with a two-level [`PodStyle::PodOfPods`]
-    /// layout of `cluster` pods per cluster.
-    ///
-    /// # Errors
-    ///
-    /// Same shape validation as [`PoolGroupTopology::new`], plus
-    /// [`CxlError::InvalidGroupTopology`] when `cluster` is zero.
-    pub fn pod_of_pods(
-        cluster: u16,
-        groups: u16,
-        hosts: u16,
-        pool_sockets: u16,
-        total_capacity: Bytes,
-    ) -> Result<Self, CxlError> {
-        Self::new(PodStyle::PodOfPods { cluster }, groups, hosts, pool_sockets, total_capacity)
-    }
-
     /// The pod style.
     pub fn style(&self) -> PodStyle {
         self.style
@@ -439,20 +369,6 @@ impl PoolGroupTopology {
         &self.pools[group]
     }
 
-    /// All per-pod pool topologies.
-    pub fn pools(&self) -> &[PoolTopology] {
-        &self.pools
-    }
-
-    /// The home pod of a fleet-wide host index, or `None` when out of range.
-    pub fn home_group(&self, host: u16) -> Option<usize> {
-        // Every pod owns at least one host, so the starts strictly ascend and
-        // the last start at or below `host` opens its pod (`host_starts[0]`
-        // is 0, so there always is one).
-        let group = self.host_starts.partition_point(|&start| start <= host) - 1;
-        (group < self.group_count()).then_some(group)
-    }
-
     /// Pool groups reachable from pod `group`'s hosts, home pod first.
     ///
     /// # Panics
@@ -460,11 +376,6 @@ impl PoolGroupTopology {
     /// Panics when `group` is out of range.
     pub fn reachable(&self, group: usize) -> &[usize] {
         &self.reach[group]
-    }
-
-    /// Pool groups reachable from a fleet-wide host index, home pod first.
-    pub fn host_reach(&self, host: u16) -> &[usize] {
-        self.home_group(host).map_or(&[], |g| self.reachable(g))
     }
 
     /// Total pool capacity across all pods.
@@ -538,10 +449,10 @@ mod tests {
         assert_eq!(t.sockets(), 8);
         assert_eq!(t.interconnect().switch_count(), 0);
         assert_eq!(t.interconnect().retimer_count(), 0);
-        assert_eq!(t.design(), PoolDesign::MultiHeadedEmc);
-        // Figure 6: 8-socket EMC uses 64 PCIe lanes and 6 DDR5 channels.
-        assert_eq!(t.total_pcie_lanes(), 64);
-        assert_eq!(t.total_ddr5_channels(), 6);
+        // Figure 6: one 8-socket EMC, 8 ×8 ports (64 PCIe lanes) and 6 DDR5
+        // channels.
+        assert_eq!(t.emc_configs(), [EmcConfig::pond_8_socket(Bytes::from_gib(1024))]);
+        assert_eq!((t.emc_configs()[0].ports, t.emc_configs()[0].ddr5_channels), (8, 6));
     }
 
     #[test]
@@ -549,9 +460,10 @@ mod tests {
         let t = PoolTopology::pond(16).unwrap();
         assert_eq!(t.interconnect().switch_count(), 0);
         assert_eq!(t.interconnect().retimer_count(), 1);
-        // Figure 6: 16-socket EMC parallels the Genoa IOD: 128 lanes, 12 channels.
-        assert_eq!(t.total_pcie_lanes(), 128);
-        assert_eq!(t.total_ddr5_channels(), 12);
+        // Figure 6: 16-socket EMC parallels the Genoa IOD: 16 ×8 ports
+        // (128 lanes), 12 channels.
+        assert_eq!(t.emc_configs(), [EmcConfig::pond_16_socket(Bytes::from_gib(1024))]);
+        assert_eq!((t.emc_configs()[0].ports, t.emc_configs()[0].ddr5_channels), (16, 12));
     }
 
     #[test]
@@ -582,12 +494,6 @@ mod tests {
         assert_eq!(PoolTopology::switch_only(32).unwrap().interconnect().switch_count(), 2);
         assert_eq!(PoolTopology::switch_only(64).unwrap().interconnect().switch_count(), 2);
         assert!(PoolTopology::switch_only(0).is_err());
-    }
-
-    #[test]
-    fn capacity_override_applies_to_all_emcs() {
-        let t = PoolTopology::pond(32).unwrap().with_emc_capacity(Bytes::from_gib(512));
-        assert_eq!(t.total_capacity(), Bytes::from_gib(4 * 512));
     }
 
     #[test]
@@ -627,11 +533,6 @@ mod tests {
         assert_eq!(topo.reachable(0), &[0, 1]);
         assert_eq!(topo.reachable(1), &[1, 2]);
         assert_eq!(topo.reachable(2), &[2, 0]);
-        // Host 4 lives in pod 1 (hosts 3..6) and reaches pools 1 and 2.
-        assert_eq!(topo.home_group(4), Some(1));
-        assert_eq!(topo.host_reach(4), &[1, 2]);
-        assert_eq!(topo.home_group(9), None);
-        assert!(topo.host_reach(9).is_empty());
     }
 
     #[test]
@@ -643,7 +544,9 @@ mod tests {
 
     #[test]
     fn k_regular_reach_is_a_ring_of_degree_k() {
-        let topo = PoolGroupTopology::k_regular(2, 4, 8, 16, Bytes::from_gib(64)).unwrap();
+        let topo =
+            PoolGroupTopology::new(PodStyle::KRegular { k: 2 }, 4, 8, 16, Bytes::from_gib(64))
+                .unwrap();
         assert_eq!(topo.style().name(), "k-regular");
         assert_eq!(topo.overlap_degree(), 2);
         assert_eq!(topo.reachable(0), &[0, 1, 2]);
@@ -651,42 +554,67 @@ mod tests {
         // k = 1 is exactly the Octopus ring.
         let octo =
             PoolGroupTopology::new(PodStyle::Octopus, 4, 8, 16, Bytes::from_gib(64)).unwrap();
-        let k1 = PoolGroupTopology::k_regular(1, 4, 8, 16, Bytes::from_gib(64)).unwrap();
+        let k1 = PoolGroupTopology::new(PodStyle::KRegular { k: 1 }, 4, 8, 16, Bytes::from_gib(64))
+            .unwrap();
         for g in 0..4 {
             assert_eq!(k1.reachable(g), octo.reachable(g));
         }
         // k >= groups clamps to the full crossbar without duplicates.
-        let k9 = PoolGroupTopology::k_regular(9, 3, 6, 16, Bytes::from_gib(64)).unwrap();
+        let k9 = PoolGroupTopology::new(PodStyle::KRegular { k: 9 }, 3, 6, 16, Bytes::from_gib(64))
+            .unwrap();
         assert_eq!(k9.reachable(1), &[1, 2, 0]);
         assert_eq!(k9.overlap_degree(), 2);
         // k = 0 degenerates to symmetric pods.
-        let k0 = PoolGroupTopology::k_regular(0, 3, 6, 16, Bytes::from_gib(64)).unwrap();
+        let k0 = PoolGroupTopology::new(PodStyle::KRegular { k: 0 }, 3, 6, 16, Bytes::from_gib(64))
+            .unwrap();
         assert_eq!(k0.reachable(2), &[2]);
         assert_eq!(k0.overlap_degree(), 0);
     }
 
     #[test]
     fn pod_of_pods_reaches_the_whole_cluster_and_nothing_beyond() {
-        let topo = PoolGroupTopology::pod_of_pods(2, 4, 8, 16, Bytes::from_gib(64)).unwrap();
+        let topo = PoolGroupTopology::new(
+            PodStyle::PodOfPods { cluster: 2 },
+            4,
+            8,
+            16,
+            Bytes::from_gib(64),
+        )
+        .unwrap();
         assert_eq!(topo.style().name(), "pod-of-pods");
         assert_eq!(topo.reachable(0), &[0, 1]);
         assert_eq!(topo.reachable(1), &[1, 0]);
         assert_eq!(topo.reachable(2), &[2, 3]);
         assert_eq!(topo.reachable(3), &[3, 2]);
         // A ragged last cluster stays self-contained.
-        let ragged = PoolGroupTopology::pod_of_pods(3, 5, 10, 16, Bytes::from_gib(64)).unwrap();
+        let ragged = PoolGroupTopology::new(
+            PodStyle::PodOfPods { cluster: 3 },
+            5,
+            10,
+            16,
+            Bytes::from_gib(64),
+        )
+        .unwrap();
         assert_eq!(ragged.reachable(1), &[1, 2, 0]);
         assert_eq!(ragged.reachable(3), &[3, 4]);
         assert_eq!(ragged.reachable(4), &[4, 3]);
         assert!(matches!(
-            PoolGroupTopology::pod_of_pods(0, 4, 8, 16, Bytes::from_gib(64)),
+            PoolGroupTopology::new(
+                PodStyle::PodOfPods { cluster: 0 },
+                4,
+                8,
+                16,
+                Bytes::from_gib(64)
+            ),
             Err(CxlError::InvalidGroupTopology { .. })
         ));
     }
 
     #[test]
     fn borrow_costs_grow_with_ring_distance() {
-        let topo = PoolGroupTopology::k_regular(2, 4, 8, 16, Bytes::from_gib(64)).unwrap();
+        let topo =
+            PoolGroupTopology::new(PodStyle::KRegular { k: 2 }, 4, 8, 16, Bytes::from_gib(64))
+                .unwrap();
         assert_eq!(topo.borrow_hops(0, 0), Some(0));
         assert_eq!(topo.borrow_hops(0, 1), Some(1));
         assert_eq!(topo.borrow_hops(0, 2), Some(2));
@@ -701,7 +629,9 @@ mod tests {
 
     #[test]
     fn borrowers_of_lists_exactly_the_pods_that_reach_the_lender() {
-        let ring = PoolGroupTopology::k_regular(2, 4, 8, 16, Bytes::from_gib(64)).unwrap();
+        let ring =
+            PoolGroupTopology::new(PodStyle::KRegular { k: 2 }, 4, 8, 16, Bytes::from_gib(64))
+                .unwrap();
         assert_eq!(ring.borrowers_of(0), [2, 3]);
         assert_eq!(ring.borrowers_of(1), [0, 3]);
         let octopus =
@@ -739,12 +669,10 @@ mod tests {
                     // Never collides with any pod-local host index (0..hosts_in).
                     assert!(port.0 >= topo.host_count());
                     assert!(seen.insert(port), "duplicate borrowed-port id {port:?}");
-                    assert_eq!(topo.home_group(first + host), Some(borrower));
                 }
                 first += topo.hosts_in(borrower);
             }
             assert_eq!(first, topo.host_count());
-            assert_eq!(topo.home_group(first), None, "past the last host");
             assert_eq!(
                 seen.len(),
                 usize::from(topo.host_count()),

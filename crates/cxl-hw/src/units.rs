@@ -1,8 +1,8 @@
 //! Strongly-typed units used throughout the hardware model.
 //!
 //! The paper's hardware layer is parameterized in 1 GiB slices (quoted as
-//! "1 GB" in the paper; this reproduction uses binary GiB throughout), hosts,
-//! sockets, and EMCs. Newtypes keep these from being mixed up
+//! "1 GB" in the paper; this reproduction uses binary GiB throughout), hosts
+//! and EMCs. Newtypes keep these from being mixed up
 //! (C-NEWTYPE) and give each a small, focused API.
 
 use serde::{Deserialize, Serialize};
@@ -89,11 +89,6 @@ impl Bytes {
         Bytes(self.0.saturating_sub(other.0))
     }
 
-    /// Checked addition.
-    pub fn checked_add(self, other: Bytes) -> Option<Bytes> {
-        self.0.checked_add(other.0).map(Bytes)
-    }
-
     /// Returns true when the quantity is zero.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
@@ -160,46 +155,15 @@ impl fmt::Display for Bytes {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct HostId(pub u16);
 
-impl HostId {
-    /// Returns the raw index.
-    pub const fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
 impl fmt::Display for HostId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "host{}", self.0)
     }
 }
 
-/// Identifier of a CPU socket within a pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct SocketId(pub u16);
-
-impl SocketId {
-    /// Returns the raw index.
-    pub const fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-impl fmt::Display for SocketId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "socket{}", self.0)
-    }
-}
-
 /// Identifier of an External Memory Controller within a pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct EmcId(pub u16);
-
-impl EmcId {
-    /// Returns the raw index.
-    pub const fn index(self) -> usize {
-        self.0 as usize
-    }
-}
 
 impl fmt::Display for EmcId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -268,13 +232,6 @@ mod tests {
     #[test]
     fn ids_display_and_index() {
         assert_eq!(HostId(3).to_string(), "host3");
-        assert_eq!(SocketId(7).index(), 7);
         assert_eq!(EmcId(1).to_string(), "emc1");
-    }
-
-    #[test]
-    fn checked_add_detects_overflow() {
-        assert!(Bytes::new(u64::MAX).checked_add(Bytes::new(1)).is_none());
-        assert_eq!(Bytes::new(1).checked_add(Bytes::new(2)), Some(Bytes::new(3)));
     }
 }

@@ -96,12 +96,6 @@ impl GuestAllocation {
         ));
         (spilled.as_u64() as f64 / self.footprint.as_u64() as f64).min(1.0)
     }
-
-    /// Whether the untouched-memory prediction was correct (nothing but
-    /// metadata lives on the zNUMA node).
-    pub fn prediction_was_correct(&self) -> bool {
-        self.spill_fraction() == 0.0
-    }
 }
 
 /// Performance of a VM given its guest allocation: the slowdown relative to
@@ -162,7 +156,7 @@ mod tests {
         // zNUMA sized to the untouched memory: footprint fits in local.
         let vm = vm_with(10, 10);
         let alloc = GuestAllocation::for_vm(&vm);
-        assert!(alloc.prediction_was_correct(), "spill {}", alloc.spill_fraction());
+        assert_eq!(alloc.spill_fraction(), 0.0, "only metadata lives on the zNUMA node");
         assert!(alloc.znuma_allocated() <= GuestAllocation::DEFAULT_METADATA_PER_NODE);
         assert_eq!(alloc.footprint(), vm.touched_memory());
     }
@@ -173,7 +167,6 @@ mod tests {
         // set must land there.
         let vm = vm_with(4, 16);
         let alloc = GuestAllocation::for_vm(&vm);
-        assert!(!alloc.prediction_was_correct());
         assert!(alloc.spill_fraction() > 0.0);
         assert!(alloc.znuma_allocated() > GuestAllocation::DEFAULT_METADATA_PER_NODE);
         // Local node is filled before zNUMA.

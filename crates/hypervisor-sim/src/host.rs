@@ -31,13 +31,6 @@ pub enum HostMemoryError {
         /// Bytes available.
         available: Bytes,
     },
-    /// Host agents exhausted the hypervisor-private partition.
-    PrivatePartitionExhausted {
-        /// Bytes requested.
-        requested: Bytes,
-        /// Bytes available.
-        available: Bytes,
-    },
     /// The VM is already placed on this host.
     VmAlreadyPlaced(VmId),
     /// The VM is not placed on this host.
@@ -59,12 +52,6 @@ impl fmt::Display for HostMemoryError {
             }
             HostMemoryError::InsufficientPool { requested, available } => {
                 write!(f, "insufficient onlined pool memory: requested {requested}, available {available}")
-            }
-            HostMemoryError::PrivatePartitionExhausted { requested, available } => {
-                write!(
-                    f,
-                    "hypervisor-private partition exhausted: requested {requested}, available {available}"
-                )
             }
             HostMemoryError::VmAlreadyPlaced(vm) => {
                 write!(f, "{vm} is already placed on this host")
@@ -93,7 +80,6 @@ pub struct VmAllocation {
 pub struct HostMemory {
     local_total: Bytes,
     private_partition: Bytes,
-    private_used: Bytes,
     pool_online: Bytes,
     vm_allocations: BTreeMap<VmId, VmAllocation>,
     // Running sums over `vm_allocations`, so the allocated/free accessors —
@@ -115,7 +101,6 @@ impl HostMemory {
         HostMemory {
             local_total,
             private_partition,
-            private_used: Bytes::ZERO,
             pool_online: Bytes::ZERO,
             vm_allocations: BTreeMap::new(),
             local_pinned: Bytes::ZERO,
@@ -166,16 +151,6 @@ impl HostMemory {
         self.pool_online.saturating_sub(self.pool_allocated())
     }
 
-    /// Number of VMs placed on the host.
-    pub fn vm_count(&self) -> usize {
-        self.vm_allocations.len()
-    }
-
-    /// The allocation of a specific VM.
-    pub fn allocation_of(&self, vm: VmId) -> Option<VmAllocation> {
-        self.vm_allocations.get(&vm).copied()
-    }
-
     /// Onlines pool capacity delivered by the Pool Manager (an
     /// `add_capacity` event): the memory becomes available for pinning.
     pub fn online_pool(&mut self, amount: Bytes) {
@@ -197,26 +172,6 @@ impl HostMemory {
             });
         }
         self.pool_online -= amount;
-        Ok(())
-    }
-
-    /// Allocates memory from the hypervisor-private partition (host agents,
-    /// drivers). These allocations can never touch pool memory, which is how
-    /// Pond contains fragmentation of the hot-pluggable range.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HostMemoryError::PrivatePartitionExhausted`] when the
-    /// partition cannot hold the allocation.
-    pub fn allocate_host_agent(&mut self, amount: Bytes) -> Result<(), HostMemoryError> {
-        let available = self.private_partition.saturating_sub(self.private_used);
-        if amount > available {
-            return Err(HostMemoryError::PrivatePartitionExhausted {
-                requested: amount,
-                available,
-            });
-        }
-        self.private_used += amount;
         Ok(())
     }
 
@@ -306,7 +261,7 @@ mod tests {
         assert_eq!(h.local_rentable(), Bytes::from_gib(120));
         assert_eq!(h.local_free(), Bytes::from_gib(120));
         assert_eq!(h.pool_online(), Bytes::ZERO);
-        assert_eq!(h.vm_count(), 0);
+        assert_eq!((h.local_allocated(), h.pool_allocated()), (Bytes::ZERO, Bytes::ZERO));
     }
 
     #[test]
@@ -316,12 +271,8 @@ mod tests {
         h.pin_vm(VmId(1), Bytes::from_gib(48), Bytes::from_gib(16)).unwrap();
         assert_eq!(h.local_free(), Bytes::from_gib(72));
         assert_eq!(h.pool_free(), Bytes::from_gib(16));
-        assert_eq!(
-            h.allocation_of(VmId(1)),
-            Some(VmAllocation { local: Bytes::from_gib(48), pool: Bytes::from_gib(16) })
-        );
         let freed = h.unpin_vm(VmId(1)).unwrap();
-        assert_eq!(freed.pool, Bytes::from_gib(16));
+        assert_eq!(freed, VmAllocation { local: Bytes::from_gib(48), pool: Bytes::from_gib(16) });
         assert_eq!(h.local_free(), Bytes::from_gib(120));
         assert_eq!(h.pool_free(), Bytes::from_gib(32));
     }
@@ -334,7 +285,7 @@ mod tests {
         let err = h.pin_vm(VmId(1), Bytes::from_gib(16), Bytes::from_gib(16)).unwrap_err();
         assert!(matches!(err, HostMemoryError::InsufficientPool { .. }));
         assert_eq!(h.local_free(), Bytes::from_gib(120));
-        assert_eq!(h.vm_count(), 0);
+        assert_eq!(h.pool_allocated(), Bytes::ZERO);
         // Pool fits but local does not.
         let err = h.pin_vm(VmId(1), Bytes::from_gib(500), Bytes::from_gib(4)).unwrap_err();
         assert!(matches!(err, HostMemoryError::InsufficientLocal { .. }));
@@ -351,17 +302,6 @@ mod tests {
         ));
         assert!(matches!(h.unpin_vm(VmId(2)), Err(HostMemoryError::UnknownVm(_))));
         assert!(matches!(h.convert_pool_to_local(VmId(2)), Err(HostMemoryError::UnknownVm(_))));
-    }
-
-    #[test]
-    fn host_agents_cannot_exhaust_vm_memory() {
-        let mut h = host();
-        // Host agents are limited to the 8 GiB private partition.
-        h.allocate_host_agent(Bytes::from_gib(6)).unwrap();
-        let err = h.allocate_host_agent(Bytes::from_gib(4)).unwrap_err();
-        assert!(matches!(err, HostMemoryError::PrivatePartitionExhausted { .. }));
-        // The rentable capacity is unaffected by agent allocations.
-        assert_eq!(h.local_free(), Bytes::from_gib(120));
     }
 
     #[test]
@@ -384,13 +324,12 @@ mod tests {
         h.pin_vm(VmId(1), Bytes::from_gib(16), Bytes::from_gib(8)).unwrap();
         let moved = h.convert_pool_to_local(VmId(1)).unwrap();
         assert_eq!(moved, Bytes::from_gib(8));
-        let alloc = h.allocation_of(VmId(1)).unwrap();
-        assert_eq!(alloc.local, Bytes::from_gib(24));
-        assert_eq!(alloc.pool, Bytes::ZERO);
         // The pool capacity is now free to be offlined and returned.
         assert_eq!(h.pool_free(), Bytes::from_gib(16));
         // A second conversion is a no-op.
         assert_eq!(h.convert_pool_to_local(VmId(1)).unwrap(), Bytes::ZERO);
+        let alloc = h.unpin_vm(VmId(1)).unwrap();
+        assert_eq!(alloc, VmAllocation { local: Bytes::from_gib(24), pool: Bytes::ZERO });
     }
 
     #[test]

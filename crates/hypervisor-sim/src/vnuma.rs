@@ -6,7 +6,7 @@
 //! the (virtual) SRAT, and advertises the real extra latency in the SLIT
 //! distance matrix so a NUMA-aware guest can still make sensible decisions.
 
-use cxl_hw::latency::{Latency, LatencyModel, LatencyScenario};
+use cxl_hw::latency::LatencyScenario;
 use cxl_hw::units::Bytes;
 use serde::{Deserialize, Serialize};
 
@@ -21,13 +21,6 @@ pub struct VNumaNode {
     pub cpus: u32,
     /// Memory assigned to the node.
     pub memory: Bytes,
-}
-
-impl VNumaNode {
-    /// True when the node has memory but no CPUs — a zNUMA node.
-    pub fn is_znuma(&self) -> bool {
-        self.cpus == 0 && !self.memory.is_zero()
-    }
 }
 
 /// The full virtual NUMA topology of a VM, including the SLIT-style distance
@@ -59,47 +52,14 @@ impl VNumaTopology {
         VNumaTopology { nodes, distances }
     }
 
-    /// Builds a topology from an explicit latency model and pool topology,
-    /// instead of one of the two canned emulation scenarios.
-    pub fn with_latencies(config: &VmConfig, local: Latency, pool: Latency) -> Self {
-        let mut nodes =
-            vec![VNumaNode { id: 0, cpus: config.cores, memory: config.local_memory() }];
-        let mut distances = vec![vec![10]];
-        if !config.pool_memory.is_zero() {
-            nodes.push(VNumaNode { id: 1, cpus: 0, memory: config.pool_memory });
-            let remote = (10.0 * pool.as_nanos() / local.as_nanos()).round().max(10.0) as u32;
-            distances = vec![vec![10, remote], vec![remote, 10]];
-        }
-        VNumaTopology { nodes, distances }
-    }
-
     /// The nodes of the topology.
     pub fn nodes(&self) -> &[VNumaNode] {
         &self.nodes
     }
 
-    /// The zNUMA node, if the VM has one.
-    pub fn znuma_node(&self) -> Option<&VNumaNode> {
-        self.nodes.iter().find(|n| n.is_znuma())
-    }
-
-    /// The SLIT distance between two nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    pub fn distance(&self, from: u32, to: u32) -> u32 {
-        self.distances[from as usize][to as usize]
-    }
-
     /// Total memory across all nodes.
     pub fn total_memory(&self) -> Bytes {
         self.nodes.iter().map(|n| n.memory).sum()
-    }
-
-    /// Total vCPUs across all nodes.
-    pub fn total_cpus(&self) -> u32 {
-        self.nodes.iter().map(|n| n.cpus).sum()
     }
 
     /// Renders the topology the way `numactl --hardware` shows it inside the
@@ -128,20 +88,11 @@ impl VNumaTopology {
         }
         out
     }
-
-    /// Convenience: the SLIT entry Pond would program for a real Pond pool
-    /// topology, derived from the hardware latency model.
-    pub fn slit_for_pool(model: &LatencyModel, topology: &cxl_hw::topology::PoolTopology) -> u32 {
-        let ratio =
-            model.pool_access_latency(topology).as_nanos() / model.local_dram_latency().as_nanos();
-        (10.0 * ratio).round() as u32
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cxl_hw::topology::PoolTopology;
 
     fn config(pool_gib: u64) -> VmConfig {
         VmConfig { cores: 8, memory: Bytes::from_gib(64), pool_memory: Bytes::from_gib(pool_gib) }
@@ -150,10 +101,8 @@ mod tests {
     #[test]
     fn vm_without_pool_memory_has_a_single_node() {
         let topo = VNumaTopology::for_vm(&config(0), LatencyScenario::Increase182);
-        assert_eq!(topo.nodes().len(), 1);
-        assert!(topo.znuma_node().is_none());
-        assert_eq!(topo.distance(0, 0), 10);
-        assert_eq!(topo.total_cpus(), 8);
+        assert_eq!(topo.nodes(), [VNumaNode { id: 0, cpus: 8, memory: Bytes::from_gib(64) }]);
+        assert!(topo.describe().ends_with("node distances:\nnode 0: 10\n"));
         assert_eq!(topo.total_memory(), Bytes::from_gib(64));
     }
 
@@ -161,42 +110,21 @@ mod tests {
     fn pool_memory_appears_as_a_zero_core_node() {
         let topo = VNumaTopology::for_vm(&config(16), LatencyScenario::Increase182);
         assert_eq!(topo.nodes().len(), 2);
-        let znuma = topo.znuma_node().expect("zNUMA node must exist");
+        let znuma = topo.nodes()[1];
         assert_eq!(znuma.cpus, 0);
         assert_eq!(znuma.memory, Bytes::from_gib(16));
-        assert!(znuma.is_znuma());
+        assert_eq!(topo.nodes()[0].cpus, 8);
         // Memory and CPUs are conserved.
         assert_eq!(topo.total_memory(), Bytes::from_gib(64));
-        assert_eq!(topo.total_cpus(), 8);
+        assert_eq!(topo.nodes().iter().map(|n| n.cpus).sum::<u32>(), 8);
     }
 
     #[test]
     fn slit_distances_reflect_the_latency_ratio() {
         let t182 = VNumaTopology::for_vm(&config(16), LatencyScenario::Increase182);
         let t222 = VNumaTopology::for_vm(&config(16), LatencyScenario::Increase222);
-        assert_eq!(t182.distance(0, 1), 18);
-        assert_eq!(t222.distance(0, 1), 22);
-        assert_eq!(t182.distance(0, 0), 10);
-        assert_eq!(t182.distance(1, 0), t182.distance(0, 1));
-    }
-
-    #[test]
-    fn with_latencies_builds_distances_from_nanoseconds() {
-        let topo = VNumaTopology::with_latencies(
-            &config(8),
-            Latency::from_nanos(85.0),
-            Latency::from_nanos(180.0),
-        );
-        // 180/85 ≈ 2.12 → SLIT 21.
-        assert_eq!(topo.distance(0, 1), 21);
-    }
-
-    #[test]
-    fn slit_for_pool_uses_the_hardware_model() {
-        let model = LatencyModel::default();
-        let pond16 = PoolTopology::pond(16).unwrap();
-        let slit = VNumaTopology::slit_for_pool(&model, &pond16);
-        assert_eq!(slit, 21, "180ns over 85ns rounds to 21");
+        assert!(t182.describe().ends_with("node distances:\nnode 0: 10 18\nnode 1: 18 10\n"));
+        assert!(t222.describe().ends_with("node distances:\nnode 0: 10 22\nnode 1: 22 10\n"));
     }
 
     #[test]
@@ -206,13 +134,5 @@ mod tests {
         assert!(text.contains("available: 2 nodes"));
         assert!(text.contains("node 1 cpus: (none)"));
         assert!(text.contains("node distances:"));
-    }
-
-    #[test]
-    fn non_znuma_node_is_not_reported_as_znuma() {
-        let node = VNumaNode { id: 0, cpus: 4, memory: Bytes::from_gib(1) };
-        assert!(!node.is_znuma());
-        let empty = VNumaNode { id: 1, cpus: 0, memory: Bytes::ZERO };
-        assert!(!empty.is_znuma());
     }
 }

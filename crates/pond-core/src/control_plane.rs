@@ -354,12 +354,20 @@ impl PondControlPlane {
     /// # Errors
     ///
     /// Returns [`PondError::InvalidConfig`] if the mitigation budget is NaN
-    /// or outside [0, 1], and a hardware error if the pool topology is
+    /// or outside [0, 1] or the hypervisor-private partition is larger than
+    /// a host's local DRAM, and a hardware error if the pool topology is
     /// unsupported.
     pub fn with_policy(config: ControlPlaneConfig, policy: PondPolicy) -> Result<Self, PondError> {
         let budget = config.mitigation_budget;
         if !(0.0..=1.0).contains(&budget) {
             let detail = format!("mitigation_budget {budget} is outside [0, 1]");
+            return Err(PondError::InvalidConfig { detail });
+        }
+        if config.hypervisor_private > config.local_dram_per_host {
+            let detail = format!(
+                "hypervisor_private {} exceeds local_dram_per_host {}",
+                config.hypervisor_private, config.local_dram_per_host
+            );
             return Err(PondError::InvalidConfig { detail });
         }
         let topology = PoolTopology::pond_with_capacity(config.pool_sockets, config.pool_capacity)?;
@@ -1312,6 +1320,46 @@ mod tests {
     }
 
     #[test]
+    fn emc_failure_hits_only_the_vms_with_a_slice_on_that_emc() {
+        use cxl_hw::pool::PoolSlice;
+        // A 32-socket pool has four EMCs: a failure of one of them strips
+        // exactly the VMs holding a slice there, and only those slices.
+        let (trace, plane) = setup();
+        let config = ControlPlaneConfig { pool_sockets: 32, ..plane.config().clone() };
+        let mut plane = PondControlPlane::with_policy(config, plane.policy().clone()).unwrap();
+        assert_eq!(plane.pool().pool().emc_count(), 4);
+        for request in trace.requests.iter().take(60) {
+            let _ = plane.handle_request(request, Duration::from_secs(request.arrival));
+        }
+        let before: BTreeMap<u64, Vec<PoolSlice>> =
+            plane.running.iter().map(|(&id, record)| (id, record.slices.clone())).collect();
+        // The EMC holding the first pooled VM's first slice; some pooled VM
+        // must hold no slice there, or every pooled VM would be hit.
+        let dead = before.values().find_map(|slices| slices.first()).expect("a pooled VM").emc;
+        let on_dead = |slices: &[PoolSlice]| slices.iter().filter(|s| s.emc == dead).count();
+        let hit: Vec<u64> =
+            before.iter().filter(|(_, slices)| on_dead(slices) > 0).map(|(&id, _)| id).collect();
+        let pooled = before.values().filter(|slices| !slices.is_empty()).count();
+        assert!(hit.len() < pooled, "a partial blast radius needs a pooled VM elsewhere");
+
+        let outcome = plane.handle_emc_failure(dead, Duration::from_secs(1_000)).unwrap();
+        let affected: Vec<u64> = outcome.affected.iter().map(|a| a.vm.0).collect();
+        assert_eq!(affected, hit, "exactly the VMs on the dead EMC, in ascending id order");
+        assert_eq!(outcome.slices_lost, before.values().map(|s| on_dead(s) as u64).sum::<u64>());
+        for vm in &outcome.affected {
+            let slices = &before[&vm.vm.0];
+            assert_eq!(vm.pool_before, Bytes::from_gib(slices.len() as u64));
+            let survivors: Vec<_> = slices.iter().filter(|s| s.emc != dead).copied().collect();
+            assert_eq!(vm.surviving_pool, Bytes::from_gib(survivors.len() as u64));
+            assert_eq!(plane.running[&vm.vm.0].slices, survivors);
+        }
+        for (id, slices) in before.iter().filter(|(id, _)| !hit.contains(id)) {
+            assert_eq!(&plane.running[id].slices, slices, "VM {id} keeps its slices");
+        }
+        plane.assert_pool_conserved();
+    }
+
+    #[test]
     fn evacuation_releases_surviving_slices_asynchronously() {
         let (trace, mut plane) = setup();
         let mut pooled_vm = None;
@@ -1443,6 +1491,33 @@ mod tests {
     fn a_negative_mitigation_budget_is_an_error() {
         assert!(matches!(with_budget(-0.1), Err(PondError::InvalidConfig { .. })));
         assert!(with_budget(0.0).is_ok() && with_budget(1.0).is_ok(), "the ends are valid");
+    }
+
+    #[test]
+    fn a_private_partition_larger_than_local_dram_is_an_error() {
+        // 4 GiB hosts under the default 8 GiB partition: an error, not the
+        // panic `HostMemory::new` raises for a direct caller.
+        let (_, plane) = setup();
+        let config = ControlPlaneConfig {
+            local_dram_per_host: Bytes::from_gib(4),
+            hypervisor_private: Bytes::from_gib(8),
+            ..plane.config().clone()
+        };
+        let Err(error) = PondControlPlane::with_policy(config.clone(), plane.policy().clone())
+        else {
+            panic!("the partition does not fit the host");
+        };
+        assert!(matches!(error, PondError::InvalidConfig { .. }), "{error}");
+        assert!(
+            error
+                .to_string()
+                .contains("hypervisor_private 8 GiB exceeds local_dram_per_host 4 GiB"),
+            "{error}"
+        );
+        // A partition of all the DRAM is valid: the host rents nothing out.
+        let config = ControlPlaneConfig { hypervisor_private: Bytes::from_gib(4), ..config };
+        let plane = PondControlPlane::with_policy(config, plane.policy().clone()).unwrap();
+        assert!(plane.hosts().iter().all(|h| h.local_free() == Bytes::ZERO));
     }
 
     #[test]

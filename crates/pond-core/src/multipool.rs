@@ -226,16 +226,6 @@ pub enum DrillKind {
     },
 }
 
-impl DrillKind {
-    /// Short name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            DrillKind::Emc => "emc",
-            DrillKind::EmcWithRepair { .. } => "emc+repair",
-        }
-    }
-}
-
 /// A failure drill injected into a multi-pool replay: component failures
 /// become first-class timeline events ([`Event::EmcFailure`]) that the
 /// evacuation planner must survive.
@@ -2030,6 +2020,29 @@ mod tests {
         assert!(is_invalid_config(replay(32_769, 16, true)));
         assert!(replay(32_768, 16, true).is_ok());
         assert!(replay(32_769, 16, false).is_ok(), "without borrowing no port id is minted");
+    }
+
+    #[test]
+    fn servers_with_less_dram_than_the_private_partition_are_an_error() {
+        // `for_header` gives each host its server's DRAM and keeps the
+        // default 8 GiB hypervisor-private partition, so 4 GiB servers
+        // cannot host it.
+        let shape = small_trace();
+        let cfg = config(PodStyle::Symmetric, 2, GroupSchedulerKind::RoundRobin);
+        let policy = PondPolicy::train(&shape, &cfg.control.policy, cfg.seed);
+        let replay = |dram_gib: u64| {
+            let empty = ClusterTrace {
+                requests: Vec::new(),
+                dram_per_server: Bytes::from_gib(dram_gib),
+                ..shape.clone()
+            };
+            let scheduler = GroupSchedulerKind::RoundRobin;
+            let cfg =
+                MultiPoolConfig::for_trace(&empty, PodStyle::Symmetric, 2, 0.20, scheduler, 7);
+            run_multipool_source(TraceCursor::new(&empty), &cfg, policy.clone())
+        };
+        assert!(is_invalid_config(replay(4)));
+        assert!(replay(8).is_ok());
     }
 
     #[test]

@@ -252,11 +252,6 @@ impl PondPolicy {
         self.trained.monitor.sensitivity()
     }
 
-    /// The trained untouched-memory model.
-    pub fn untouched_model(&self) -> &UntouchedMemoryModel {
-        &self.trained.untouched
-    }
-
     /// The QoS monitor around the trained sensitivity model: the control
     /// plane's mitigation passes consult the same shared forest the
     /// arrival-time decision does.

@@ -242,28 +242,6 @@ impl PondPoolManager {
     pub fn attach_emc(&mut self, config: cxl_hw::emc::EmcConfig) -> EmcId {
         self.pool.attach_emc(config)
     }
-
-    /// Handles a host failure: reclaims every slice the host owns —
-    /// assigned *and* mid-offlining — back to the free buffer immediately
-    /// (the paper's §4.2 host-failure flow), detaches its ports, and drops
-    /// the host's pending releases so a later
-    /// [`PondPoolManager::process_releases`] cannot double-free a slice that
-    /// may already belong to another host. Returns the number of slices
-    /// reclaimed.
-    pub fn fail_host(&mut self, host: HostId) -> u64 {
-        let mut dropped = 0u64;
-        self.pending.retain(|p| {
-            if p.host == host {
-                dropped += p.slices.len() as u64;
-                false
-            } else {
-                true
-            }
-        });
-        self.pending_slices -= dropped;
-        self.next_ready = self.earliest_pending();
-        self.pool.release_host(host)
-    }
 }
 
 #[cfg(test)]
@@ -350,33 +328,6 @@ mod tests {
         assert_eq!(m.available_for(HostId(16)), Bytes::ZERO);
         let err = m.allocate(HostId(16), Bytes::from_gib(1), Duration::ZERO).unwrap_err();
         assert!(matches!(err, PondError::PoolExhausted { .. }));
-    }
-
-    #[test]
-    fn host_failure_mid_offlining_cannot_double_free_or_leak_a_port() {
-        // Regression for the port-lifecycle race: host 0 departs a VM and
-        // its slices start offlining; the host then dies before the release
-        // completes. The reclaim must not leave a pending entry behind —
-        // otherwise the release event still in the queue would later
-        // complete_release slices that were already freed (and possibly
-        // reassigned to another host: a double-free).
-        let mut m = manager();
-        let slices = m.allocate(HostId(0), Bytes::from_gib(60), Duration::ZERO).unwrap();
-        let ready = m.release_async(HostId(0), slices, Duration::from_secs(10)).unwrap().unwrap();
-        assert_eq!(m.pending_release(), Bytes::from_gib(60));
-
-        assert_eq!(m.fail_host(HostId(0)), 60);
-        // The capacity is back instantly and nothing is stuck in flight.
-        assert_eq!(m.pending_release(), Bytes::ZERO);
-        assert_eq!(m.available(), Bytes::from_gib(64));
-        // Another host can take the freed slices (the port was not leaked)…
-        let stolen = m.allocate(HostId(1), Bytes::from_gib(60), Duration::from_secs(11)).unwrap();
-        assert_eq!(stolen.len(), 60);
-        // …and the stale release deadline passing must not take them back.
-        assert_eq!(m.process_releases(ready + Duration::from_secs(1)), Bytes::ZERO);
-        assert_eq!(m.pool().capacity_of(HostId(1)), Bytes::from_gib(60));
-        // A dead host with nothing in flight reclaims nothing.
-        assert_eq!(m.fail_host(HostId(0)), 0);
     }
 
     #[test]

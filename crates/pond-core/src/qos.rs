@@ -136,12 +136,6 @@ impl MitigationManager {
         self.mitigated
     }
 
-    /// The reconfiguration engine, exposing the per-GiB copy cost and the
-    /// total copy time charged so far.
-    pub fn engine(&self) -> &ReconfigurationEngine {
-        &self.engine
-    }
-
     /// Whether the budget allows another mitigation right now.
     pub fn within_budget(&self) -> bool {
         let allowed = (self.monitored as f64 * self.budget_fraction).floor() as u64;

@@ -76,7 +76,6 @@ pub struct SensitivityModel {
 impl SensitivityModel {
     /// Trains the model on the workload suite (the "offline test runs" of
     /// Figure 12). The decision threshold defaults to 0.5; use
-    /// [`SensitivityModel::with_threshold`] or
     /// [`SensitivityModel::calibrate_threshold`] to pick an operating point.
     pub fn train(suite: &WorkloadSuite, config: &SensitivityModelConfig, seed: u64) -> Self {
         let data = training_dataset(suite, config, seed);
@@ -92,12 +91,6 @@ impl SensitivityModel {
     /// The current decision threshold.
     pub fn threshold(&self) -> f64 {
         self.threshold
-    }
-
-    /// Returns the model with a fixed decision threshold.
-    pub fn with_threshold(mut self, threshold: f64) -> Self {
-        self.threshold = threshold;
-        self
     }
 
     /// Probability that the workload behind these counters is latency
@@ -274,13 +267,13 @@ mod tests {
     #[test]
     fn threshold_accessors() {
         let (suite, config) = setup();
-        let model = SensitivityModel::train(&suite, &config, 6).with_threshold(0.8);
-        assert_eq!(model.threshold(), 0.8);
+        let model = SensitivityModel::train(&suite, &config, 6);
+        assert_eq!(model.threshold(), 0.5);
         assert_eq!(model.config().pdm, 0.05);
         let sampler = TelemetrySampler::default();
         let counters = sampler.sample(suite.at(0).unwrap(), 0);
         let p = model.try_insensitive_probability(&counters).unwrap();
-        assert_eq!(model.try_is_insensitive(&counters).unwrap(), p >= 0.8);
+        assert_eq!(model.try_is_insensitive(&counters).unwrap(), p >= 0.5);
     }
 
     #[test]

@@ -85,11 +85,6 @@ impl CustomerHistory {
         own.len() + seed.len()
     }
 
-    /// Whether the customer has any history at all.
-    pub fn has_history(&self, customer: CustomerId) -> bool {
-        self.count(customer) > 0
-    }
-
     /// The 0/25/50/75/100th percentiles of the customer's past untouched
     /// fractions (Figure 14 lists these as the model's key features).
     /// Returns `None` when the customer has no history.
@@ -569,7 +564,7 @@ mod tests {
     #[test]
     fn history_percentiles_are_ordered() {
         let mut history = CustomerHistory::new();
-        assert!(!history.has_history(CustomerId(1)));
+        assert_eq!(history.count(CustomerId(1)), 0);
         assert!(history.percentiles(CustomerId(1)).is_none());
         for v in [0.2, 0.8, 0.5, 0.4, 0.9] {
             history.record(CustomerId(1), v);

@@ -362,11 +362,6 @@ impl MetricsObserver {
     pub fn registry(&self) -> &MetricsRegistry {
         &self.registry
     }
-
-    /// Consumes the observer and returns the registry.
-    pub fn into_registry(self) -> MetricsRegistry {
-        self.registry
-    }
 }
 
 impl ReplayObserver for MetricsObserver {

@@ -3,12 +3,11 @@
 //!
 //! Everything here is ordinary owned state — no interior mutability, no
 //! wall-clock reads, no background aggregation — so a registry filled by a
-//! deterministic replay renders byte-identically across runs, threads, and
-//! machines. Names are free-form dotted strings (`events.arrival`,
+//! deterministic replay compares equal across runs, threads, and machines.
+//! Names are free-form dotted strings (`events.arrival`,
 //! `ladder.group2.pooled_home`); the registry stores them in sorted order.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// A fixed-bucket histogram over `u64` values (seconds, GiB, counts).
 ///
@@ -52,11 +51,6 @@ impl Histogram {
     /// Sum of recorded values (saturating).
     pub fn sum(&self) -> u64 {
         self.sum
-    }
-
-    /// The inclusive upper bucket edges.
-    pub fn bounds(&self) -> &[u64] {
-        &self.bounds
     }
 
     /// Per-bucket counts: one per edge, plus the trailing overflow bucket.
@@ -119,16 +113,6 @@ impl MetricsRegistry {
         self.histograms.get(name)
     }
 
-    /// All counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(name, &value)| (name.as_str(), value))
-    }
-
-    /// All gauges in name order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.gauges.iter().map(|(name, &value)| (name.as_str(), value))
-    }
-
     /// Sum of the values of every counter whose name starts with `prefix` —
     /// e.g. `events.` totals every event class.
     pub fn counter_prefix_sum(&self, prefix: &str) -> u64 {
@@ -137,33 +121,6 @@ impl MetricsRegistry {
             .take_while(|(name, _)| name.starts_with(prefix))
             .map(|(_, &value)| value)
             .sum()
-    }
-
-    /// A deterministic text dump: counters, gauges, then histograms, each in
-    /// name order — byte-identical for identical registries.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for (name, value) in &self.counters {
-            let _ = writeln!(out, "counter {name} {value}");
-        }
-        for (name, value) in &self.gauges {
-            let _ = writeln!(out, "gauge {name} {value}");
-        }
-        for (name, histogram) in &self.histograms {
-            let _ = write!(out, "histogram {name} total={} sum={}", histogram.total, histogram.sum);
-            for (i, count) in histogram.counts.iter().enumerate() {
-                match histogram.bounds.get(i) {
-                    Some(edge) => {
-                        let _ = write!(out, " le{edge}={count}");
-                    }
-                    None => {
-                        let _ = write!(out, " inf={count}");
-                    }
-                }
-            }
-            let _ = writeln!(out);
-        }
-        out
     }
 }
 
@@ -201,8 +158,7 @@ mod tests {
         b.inc("a.early");
         b.inc("z.late");
         assert_eq!(a, b);
-        assert_eq!(a.render(), b.render());
-        assert!(a.render().starts_with("counter a.early 1\n"));
+        assert_eq!(a.counter("a.early"), 1);
     }
 
     #[test]

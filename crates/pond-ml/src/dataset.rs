@@ -143,30 +143,6 @@ impl Dataset {
         (self.subset(&indices[..cut]), self.subset(&indices[cut..]))
     }
 
-    /// Produces `k` cross-validation folds as `(train, test)` pairs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k < 2` or `k` exceeds the number of samples.
-    pub fn k_folds(&self, k: usize, seed: u64) -> Vec<(Dataset, Dataset)> {
-        assert!(k >= 2, "k-fold requires k >= 2");
-        assert!(k <= self.len(), "k-fold requires k <= number of samples");
-        let mut indices: Vec<usize> = (0..self.len()).collect();
-        let mut rng = Pcg64::seed_from_u64(seed);
-        indices.shuffle(&mut rng);
-        let fold_size = self.len().div_ceil(k);
-        (0..k)
-            .map(|fold| {
-                let start = fold * fold_size;
-                let end = ((fold + 1) * fold_size).min(self.len());
-                let test_idx = &indices[start..end];
-                let train_idx: Vec<usize> =
-                    indices[..start].iter().chain(indices[end..].iter()).copied().collect();
-                (self.subset(&train_idx), self.subset(test_idx))
-            })
-            .collect()
-    }
-
     /// Draws a bootstrap sample (sampling rows with replacement) of the same
     /// size as the dataset. Used by the random forest.
     pub fn bootstrap(&self, seed: u64) -> Dataset {
@@ -255,18 +231,6 @@ mod tests {
     }
 
     #[test]
-    fn k_folds_cover_every_sample_exactly_once_as_test() {
-        let d = toy(23);
-        let folds = d.k_folds(4, 1);
-        assert_eq!(folds.len(), 4);
-        let total_test: usize = folds.iter().map(|(_, t)| t.len()).sum();
-        assert_eq!(total_test, 23);
-        for (train, test) in &folds {
-            assert_eq!(train.len() + test.len(), 23);
-        }
-    }
-
-    #[test]
     fn bootstrap_has_same_size_and_is_deterministic() {
         let d = toy(50);
         let b1 = d.bootstrap(7);
@@ -279,12 +243,6 @@ mod tests {
     #[should_panic(expected = "train fraction")]
     fn split_rejects_bad_fraction() {
         toy(10).train_test_split(1.5, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "k-fold requires k >= 2")]
-    fn k_folds_rejects_k1() {
-        toy(10).k_folds(1, 0);
     }
 
     proptest! {

@@ -1,12 +1,12 @@
-//! Model-evaluation utilities: confusion matrices, the false-positive
-//! trade-off curve from Figure 17, and the overprediction metrics from
-//! Figure 18.
+//! Model-evaluation utilities: confusion matrices and the false-positive
+//! trade-off curve from Figure 17.
 //!
 //! Conventions follow the paper: a *false positive* of the latency
 //! insensitivity model is a workload marked insensitive whose slowdown
 //! actually exceeds the PDM, reported as a percentage of **all** workloads
-//! (so Eq. (1)'s `FP + OP ≤ 100 − TP` adds up); an *overprediction* of the
-//! untouched-memory model is a VM that touches more memory than predicted.
+//! (so Eq. (1)'s `FP + OP ≤ 100 − TP` adds up). The untouched-memory
+//! model's overprediction rate (Figure 18) is measured in `pond-core`,
+//! where a VM's pool share is whole slices.
 
 use serde::{Deserialize, Serialize};
 
@@ -50,34 +50,6 @@ impl ConfusionMatrix {
     /// Total number of samples.
     pub fn total(&self) -> usize {
         self.true_positives + self.false_positives + self.true_negatives + self.false_negatives
-    }
-
-    /// Fraction of samples classified correctly.
-    pub fn accuracy(&self) -> f64 {
-        if self.total() == 0 {
-            return 0.0;
-        }
-        (self.true_positives + self.true_negatives) as f64 / self.total() as f64
-    }
-
-    /// Precision: TP / (TP + FP). Zero when nothing was predicted positive.
-    pub fn precision(&self) -> f64 {
-        let denom = self.true_positives + self.false_positives;
-        if denom == 0 {
-            0.0
-        } else {
-            self.true_positives as f64 / denom as f64
-        }
-    }
-
-    /// Recall: TP / (TP + FN). Zero when there are no actual positives.
-    pub fn recall(&self) -> f64 {
-        let denom = self.true_positives + self.false_negatives;
-        if denom == 0 {
-            0.0
-        } else {
-            self.true_positives as f64 / denom as f64
-        }
     }
 
     /// Fraction of all samples that were predicted positive.
@@ -154,69 +126,6 @@ pub fn best_point_within_fp_budget(
         .copied()
 }
 
-/// Mean squared error.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths or are empty.
-pub fn mean_squared_error(predictions: &[f64], targets: &[f64]) -> f64 {
-    assert_eq!(predictions.len(), targets.len(), "predictions and targets must align");
-    assert!(!predictions.is_empty(), "cannot compute the MSE of nothing");
-    predictions.iter().zip(targets).map(|(p, t)| (p - t).powi(2)).sum::<f64>()
-        / predictions.len() as f64
-}
-
-/// Mean absolute error.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths or are empty.
-pub fn mean_absolute_error(predictions: &[f64], targets: &[f64]) -> f64 {
-    assert_eq!(predictions.len(), targets.len(), "predictions and targets must align");
-    assert!(!predictions.is_empty(), "cannot compute the MAE of nothing");
-    predictions.iter().zip(targets).map(|(p, t)| (p - t).abs()).sum::<f64>()
-        / predictions.len() as f64
-}
-
-/// Pinball (quantile) loss at quantile `q` — the loss the untouched-memory
-/// model optimizes.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths, are empty, or `q` is outside `(0, 1)`.
-pub fn pinball_loss(predictions: &[f64], targets: &[f64], q: f64) -> f64 {
-    assert_eq!(predictions.len(), targets.len(), "predictions and targets must align");
-    assert!(!predictions.is_empty(), "cannot compute the pinball loss of nothing");
-    assert!(q > 0.0 && q < 1.0, "quantile must be in (0, 1)");
-    predictions
-        .iter()
-        .zip(targets)
-        .map(|(p, t)| {
-            let diff = t - p;
-            if diff >= 0.0 {
-                q * diff
-            } else {
-                (q - 1.0) * diff
-            }
-        })
-        .sum::<f64>()
-        / predictions.len() as f64
-}
-
-/// Fraction of samples whose prediction exceeds the actual value — the
-/// "overprediction" rate of the untouched-memory model (Figure 18): the VM
-/// would spill into its zNUMA node because less memory was untouched than
-/// predicted.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths or are empty.
-pub fn overprediction_rate(predicted: &[f64], actual: &[f64]) -> f64 {
-    assert_eq!(predicted.len(), actual.len(), "predicted and actual must align");
-    assert!(!predicted.is_empty(), "cannot compute an overprediction rate of nothing");
-    predicted.iter().zip(actual).filter(|(p, a)| p > a).count() as f64 / predicted.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,9 +141,6 @@ mod tests {
         assert_eq!(m.false_negatives, 1);
         assert_eq!(m.true_negatives, 1);
         assert_eq!(m.total(), 4);
-        assert_eq!(m.accuracy(), 0.5);
-        assert_eq!(m.precision(), 0.5);
-        assert_eq!(m.recall(), 0.5);
         assert_eq!(m.positive_fraction(), 0.5);
         assert_eq!(m.false_positive_fraction(), 0.25);
     }
@@ -243,9 +149,7 @@ mod tests {
     fn empty_matrix_is_all_zero() {
         let m = ConfusionMatrix::from_scores(&[], &[], 0.5);
         assert_eq!(m.total(), 0);
-        assert_eq!(m.accuracy(), 0.0);
-        assert_eq!(m.precision(), 0.0);
-        assert_eq!(m.recall(), 0.0);
+        assert_eq!(m.positive_fraction(), 0.0);
         assert_eq!(m.false_positive_fraction(), 0.0);
     }
 
@@ -275,38 +179,13 @@ mod tests {
     }
 
     #[test]
-    fn regression_metrics() {
-        let preds = [1.0, 2.0, 3.0];
-        let targets = [1.0, 3.0, 1.0];
-        assert!((mean_squared_error(&preds, &targets) - 5.0 / 3.0).abs() < 1e-12);
-        assert!((mean_absolute_error(&preds, &targets) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pinball_loss_penalizes_asymmetrically() {
-        // Under-predictions are penalized by q, over-predictions by 1-q.
-        let under = pinball_loss(&[0.0], &[1.0], 0.1);
-        let over = pinball_loss(&[1.0], &[0.0], 0.1);
-        assert!((under - 0.1).abs() < 1e-12);
-        assert!((over - 0.9).abs() < 1e-12);
-    }
-
-    #[test]
-    fn overprediction_rate_counts_spills() {
-        let predicted = [0.5, 0.2, 0.9, 0.0];
-        let actual = [0.4, 0.3, 0.9, 0.1];
-        // Only the first element predicts more untouched memory than reality.
-        assert_eq!(overprediction_rate(&predicted, &actual), 0.25);
-    }
-
-    #[test]
     #[should_panic(expected = "must align")]
     fn mismatched_lengths_rejected() {
-        let _ = overprediction_rate(&[1.0], &[1.0, 2.0]);
+        let _ = ConfusionMatrix::from_scores(&[1.0], &[1.0, 2.0], 0.5);
     }
 
     proptest! {
-        /// Accuracy, precision, recall and the FP fraction are all within [0, 1].
+        /// The positive and FP fractions are both within [0, 1].
         #[test]
         fn metrics_are_bounded(
             scores in proptest::collection::vec(0.0f64..1.0, 1..50),
@@ -317,19 +196,10 @@ mod tests {
                 .map(|(i, _)| if (i as u64 + seed) % 3 == 0 { 1.0 } else { 0.0 })
                 .collect();
             let m = ConfusionMatrix::from_scores(&scores, &labels, threshold);
-            for v in [m.accuracy(), m.precision(), m.recall(), m.positive_fraction(), m.false_positive_fraction()] {
+            for v in [m.positive_fraction(), m.false_positive_fraction()] {
                 prop_assert!((0.0..=1.0).contains(&v));
             }
             prop_assert_eq!(m.total(), scores.len());
-        }
-
-        /// The pinball loss is always non-negative and zero for perfect predictions.
-        #[test]
-        fn pinball_loss_properties(targets in proptest::collection::vec(-5.0f64..5.0, 1..30), q in 0.01f64..0.99) {
-            let loss_perfect = pinball_loss(&targets, &targets, q);
-            prop_assert!(loss_perfect.abs() < 1e-12);
-            let shifted: Vec<f64> = targets.iter().map(|t| t + 1.0).collect();
-            prop_assert!(pinball_loss(&shifted, &targets, q) > 0.0);
         }
     }
 }

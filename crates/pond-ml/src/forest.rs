@@ -132,21 +132,6 @@ impl RandomForest {
     pub fn n_features(&self) -> usize {
         self.n_features
     }
-
-    /// Aggregated per-feature split counts across all trees (importance proxy).
-    pub fn feature_importance(&self) -> Vec<f64> {
-        let mut counts = vec![0usize; self.n_features];
-        for tree in &self.trees {
-            for (i, c) in tree.feature_split_counts().into_iter().enumerate() {
-                counts[i] += c;
-            }
-        }
-        let total: usize = counts.iter().sum();
-        if total == 0 {
-            return vec![0.0; self.n_features];
-        }
-        counts.into_iter().map(|c| c as f64 / total as f64).collect()
-    }
 }
 
 #[cfg(test)]
@@ -252,16 +237,6 @@ mod tests {
             forest.predict_proba_batch(&wrong),
             Err(MlError::FeatureCountMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn importance_prefers_informative_features() {
-        let data = classification_data(600, 6);
-        let forest = RandomForest::fit(&data, &ForestConfig { trees: 30, ..Default::default() }, 0);
-        let imp = forest.feature_importance();
-        assert_eq!(imp.len(), 4);
-        assert!((imp.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        assert!(imp[0] + imp[1] > imp[2] + imp[3], "informative features should dominate: {imp:?}");
     }
 
     #[test]

@@ -248,17 +248,6 @@ impl GradientBoostedTrees {
         Ok(self.predict(features))
     }
 
-    /// Predictions for every row of a dataset.
-    pub fn predict_batch(&self, data: &Dataset) -> Result<Vec<f64>, MlError> {
-        if data.n_features() != self.n_features {
-            return Err(MlError::FeatureCountMismatch {
-                got: data.n_features(),
-                expected: self.n_features,
-            });
-        }
-        Ok(data.rows().iter().map(|r| self.predict(r)).collect())
-    }
-
     /// Number of boosting rounds in the fitted model.
     pub fn n_trees(&self) -> usize {
         self.trees.len()
@@ -518,17 +507,6 @@ mod tests {
         let a = GradientBoostedTrees::fit(&data, &GbmConfig::default(), 9);
         let b = GradientBoostedTrees::fit(&data, &GbmConfig::default(), 9);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn batch_prediction_validates_features() {
-        let data = linear_data(50, 1.0, 6);
-        let model =
-            GradientBoostedTrees::fit(&data, &GbmConfig { rounds: 5, ..Default::default() }, 0);
-        assert_eq!(model.predict_batch(&data).unwrap().len(), 50);
-        let wrong =
-            Dataset::new(vec!["a".into(), "b".into()], vec![vec![1.0, 2.0]], vec![0.0]).unwrap();
-        assert!(model.predict_batch(&wrong).is_err());
     }
 
     #[test]

@@ -530,20 +530,6 @@ impl DecisionTree {
             && self.n_features == other.n_features
             && self.n_leaves == other.n_leaves
     }
-
-    /// Per-feature split counts, a crude importance measure.
-    pub fn feature_split_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.n_features];
-        fn walk(node: &Node, counts: &mut [usize]) {
-            if let Node::Split { feature, left, right, .. } = node {
-                counts[*feature] += 1;
-                walk(left, counts);
-                walk(right, counts);
-            }
-        }
-        walk(&self.root, &mut counts);
-        counts
-    }
 }
 
 /// The per-node-sort builder the presorted search replaced: every node copies
@@ -695,6 +681,20 @@ pub(crate) mod tests {
     use proptest::prelude::*;
     use rand::Rng;
 
+    /// How many splits of `tree` test each feature.
+    fn split_counts(tree: &DecisionTree) -> Vec<usize> {
+        fn walk(node: &Node, counts: &mut [usize]) {
+            if let Node::Split { feature, left, right, .. } = node {
+                counts[*feature] += 1;
+                walk(left, counts);
+                walk(right, counts);
+            }
+        }
+        let mut counts = vec![0; tree.n_features];
+        walk(&tree.root, &mut counts);
+        counts
+    }
+
     /// Fits `targets` with the presorted search and with the per-node-sort
     /// oracle, and asserts the two trees match bit for bit (`PartialEq` on
     /// `f64` would let −0.0 pass for 0.0).
@@ -797,7 +797,7 @@ pub(crate) mod tests {
         let data = Dataset::new(vec!["a".into(), "b".into()], rows, labels).unwrap();
         assert_matches_oracle(&data, data.labels(), &TreeConfig::default(), 0);
         let tree = DecisionTree::fit(&data, &TreeConfig::default(), 0);
-        assert_eq!(tree.feature_split_counts(), vec![1, 0]);
+        assert_eq!(split_counts(&tree), vec![1, 0]);
     }
 
     fn step_dataset(n: usize) -> Dataset {
@@ -869,7 +869,7 @@ pub(crate) mod tests {
     fn feature_split_counts_identify_the_informative_feature() {
         let data = step_dataset(100);
         let tree = DecisionTree::fit(&data, &TreeConfig::default(), 0);
-        let counts = tree.feature_split_counts();
+        let counts = split_counts(&tree);
         assert!(counts[0] >= 1, "feature 0 is informative: {counts:?}");
         assert_eq!(counts[1], 0, "constant bias feature should never be split on");
     }

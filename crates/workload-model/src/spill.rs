@@ -19,17 +19,6 @@ use serde::{Deserialize, Serialize};
 /// workload's memory footprint allocated on pool memory.
 pub const FIGURE16_SPILL_FRACTIONS: [f64; 7] = [0.0, 0.10, 0.20, 0.40, 0.60, 0.75, 1.00];
 
-/// One measurement point of the spill sensitivity study.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SpillPoint {
-    /// Fraction of the footprint allocated on pool memory (spilled).
-    pub spill_fraction: f64,
-    /// Fraction of memory *accesses* that hit the pool.
-    pub pool_access_fraction: f64,
-    /// Resulting slowdown relative to all-local memory.
-    pub slowdown: f64,
-}
-
 /// The spill model: converts "fraction of footprint on the pool" into
 /// "fraction of accesses on the pool" using the workload's access skew, then
 /// applies the [`SlowdownModel`].
@@ -40,11 +29,6 @@ pub struct SpillModel {
 }
 
 impl SpillModel {
-    /// Creates a spill model over a specific slowdown model.
-    pub fn new(slowdown: SlowdownModel) -> Self {
-        SpillModel { slowdown }
-    }
-
     /// Fraction of memory accesses that land on the pool when `spill_fraction`
     /// of the footprint is allocated there.
     ///
@@ -93,22 +77,6 @@ impl SpillModel {
         self.slowdown.slowdown(profile, scenario.multiplier(), access_fraction)
     }
 
-    /// The full Figure 16 sweep for one workload.
-    pub fn figure16_sweep(
-        &self,
-        profile: &WorkloadProfile,
-        scenario: LatencyScenario,
-    ) -> Vec<SpillPoint> {
-        FIGURE16_SPILL_FRACTIONS
-            .iter()
-            .map(|&spill_fraction| SpillPoint {
-                spill_fraction,
-                pool_access_fraction: self.pool_access_fraction(profile, spill_fraction),
-                slowdown: self.spill_slowdown(profile, scenario, spill_fraction),
-            })
-            .collect()
-    }
-
     /// Fraction of accesses that reach a *correctly sized* zNUMA node
     /// (Figure 15): the working set fits in local memory, and only guest-OS
     /// metadata allocated per-node touches the zNUMA node. The paper measures
@@ -152,14 +120,12 @@ mod tests {
     fn slowdown_is_monotone_in_spill_fraction() {
         let model = SpillModel::default();
         for w in suite().workloads() {
-            let sweep = model.figure16_sweep(w, LatencyScenario::Increase182);
-            assert_eq!(sweep.len(), FIGURE16_SPILL_FRACTIONS.len());
+            let sweep: Vec<f64> = FIGURE16_SPILL_FRACTIONS
+                .iter()
+                .map(|&f| model.spill_slowdown(w, LatencyScenario::Increase182, f))
+                .collect();
             for pair in sweep.windows(2) {
-                assert!(
-                    pair[1].slowdown >= pair[0].slowdown - 1e-12,
-                    "{} slowdown must grow with spill",
-                    w.name
-                );
+                assert!(pair[1] >= pair[0] - 1e-12, "{} slowdown must grow with spill", w.name);
             }
         }
     }

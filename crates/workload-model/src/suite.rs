@@ -352,11 +352,6 @@ impl WorkloadSuite {
         self.workloads.is_empty()
     }
 
-    /// The seed the suite was generated from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Iterates over all workloads.
     pub fn workloads(&self) -> impl Iterator<Item = &WorkloadProfile> {
         self.workloads.iter().map(Arc::as_ref)

@@ -110,29 +110,6 @@ impl TelemetrySampler {
             memory_parallelism: self.jitter(profile.mlp, &mut rng).max(1.0),
         }
     }
-
-    /// Samples `count` snapshots (e.g. one per sampling interval over a VM's
-    /// lifetime) and returns their element-wise mean — the aggregate Pond's
-    /// QoS monitor consumes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` is zero.
-    pub fn sample_mean(&self, profile: &WorkloadProfile, seed: u64, count: usize) -> TmaCounters {
-        assert!(count > 0, "at least one sample is required");
-        let samples: Vec<TmaCounters> =
-            (0..count).map(|i| self.sample(profile, seed.wrapping_add(i as u64))).collect();
-        let n = samples.len() as f64;
-        TmaCounters {
-            backend_bound: samples.iter().map(|s| s.backend_bound).sum::<f64>() / n,
-            memory_bound: samples.iter().map(|s| s.memory_bound).sum::<f64>() / n,
-            dram_bound: samples.iter().map(|s| s.dram_bound).sum::<f64>() / n,
-            store_bound: samples.iter().map(|s| s.store_bound).sum::<f64>() / n,
-            llc_mpki: samples.iter().map(|s| s.llc_mpki).sum::<f64>() / n,
-            memory_bandwidth_gbps: samples.iter().map(|s| s.memory_bandwidth_gbps).sum::<f64>() / n,
-            memory_parallelism: samples.iter().map(|s| s.memory_parallelism).sum::<f64>() / n,
-        }
-    }
 }
 
 /// A tiny deterministic string hash (FNV-1a) so per-workload sampling streams
@@ -185,30 +162,12 @@ mod tests {
     }
 
     #[test]
-    fn sample_mean_reduces_noise() {
-        let suite = WorkloadSuite::standard();
-        let w = suite.get("gapbs/pr-twitter").unwrap();
-        let sampler = TelemetrySampler::new(0.2);
-        let mean = sampler.sample_mean(w, 0, 64);
-        // The mean of many noisy samples should be closer to the true value
-        // than the worst-case single-sample error bound.
-        assert!((mean.dram_bound - w.dram_bound).abs() < w.dram_bound * 0.1 + 1e-9);
-    }
-
-    #[test]
     fn zero_noise_reproduces_the_profile_exactly() {
         let suite = WorkloadSuite::standard();
         let w = suite.at(10).unwrap();
         let c = TelemetrySampler::new(0.0).sample(w, 3);
         assert!((c.dram_bound - w.dram_bound).abs() < 1e-12);
         assert!((c.llc_mpki - w.llc_mpki).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one sample")]
-    fn sample_mean_requires_samples() {
-        let suite = WorkloadSuite::standard();
-        let _ = TelemetrySampler::default().sample_mean(suite.at(0).unwrap(), 0, 0);
     }
 
     #[test]

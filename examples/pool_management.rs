@@ -1,11 +1,9 @@
 //! Pool management (Figure 9): drive the EMC slice-ownership flows directly —
 //! add capacity to hosts, release it asynchronously when VMs depart, and
-//! observe the permission checks and failure blast radius.
+//! observe the permission checks and what an EMC failure takes down (§4.2).
 //!
 //! Run with: `cargo run -p pond-examples --example pool_management`
 
-use cxl_hw::failure::{FailureKind, VmHandle, VmPlacementMap};
-use cxl_hw::pool::PoolState;
 use cxl_hw::topology::PoolTopology;
 use cxl_hw::units::{Bytes, EmcId, HostId};
 use pond_core::pool_manager::PondPoolManager;
@@ -27,9 +25,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("t=0  host1 owns {} of pool memory", manager.pool().capacity_of(HostId(1)));
 
     // The EMC enforces ownership on every access.
-    let mut placements = VmPlacementMap::new();
-    placements.place(VmHandle(1), HostId(1), vm1.clone());
-    placements.place(VmHandle(2), HostId(1), vm2.clone());
     let emc = manager.pool().emc(EmcId(0)).expect("EMC 0 exists");
     println!(
         "access checks: owner -> {:?}, other host -> {:?}",
@@ -50,26 +45,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("t=2  offlining finished: {freed} returned, buffer now {}", manager.available());
 
     // t=3: a new VM on host 2 takes 1 GB from the replenished buffer.
-    let vm3 = manager.allocate(HostId(2), Bytes::from_gib(1), Duration::from_secs(3))?;
-    placements.place(VmHandle(3), HostId(2), vm3);
+    manager.allocate(HostId(2), Bytes::from_gib(1), Duration::from_secs(3))?;
     println!("t=3  host2 owns {}", manager.pool().capacity_of(HostId(2)));
 
-    // Failure analysis: an EMC failure only affects VMs with slices on it.
-    let radius = placements.blast_radius(FailureKind::Emc(EmcId(0)));
+    // t=4: the EMC fails. Every slice on it is lost, assigned or
+    // mid-release, and so is every host's CXL port; the control plane maps
+    // the lost slices back to VMs (`PondControlPlane::handle_emc_failure`).
+    let report = manager.fail_emc(EmcId(0))?;
+    let ports: Vec<String> = report.ports_lost.iter().map(ToString::to_string).collect();
     println!(
-        "EMC0 failure would affect {} of {} VMs; a Pool Manager failure affects none (datapath unaffected)",
-        radius.affected_vms.len(),
-        placements.len()
-    );
-    let pm = placements.blast_radius(FailureKind::PoolManager);
-    assert!(pm.affected_vms.is_empty());
-
-    // Host failure: reclaim every slice the dead host owned.
-    let mut raw_pool: PoolState = manager.pool().clone();
-    let dead = placements.fail_host(&mut raw_pool, HostId(1));
-    println!(
-        "host1 failure reclaims its slices and removes {} VM(s) from the placement map",
-        dead.len()
+        "t=4  {} failed: {} slice(s) lost, ports lost by {}, buffer now {}",
+        report.emc,
+        report.lost.len(),
+        ports.join(" and "),
+        manager.available()
     );
     Ok(())
 }

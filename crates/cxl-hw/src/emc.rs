@@ -22,26 +22,24 @@ pub struct EmcConfig {
     pub ddr5_channels: u16,
     /// Total DRAM capacity behind this EMC.
     pub capacity: Bytes,
-    /// Maximum number of hosts the permission table can encode.
-    pub max_hosts: u16,
 }
 
 impl EmcConfig {
     /// Configuration for a 16-socket Pond EMC (Figure 6, middle).
     pub fn pond_16_socket(capacity: Bytes) -> Self {
-        EmcConfig { ports: 16, ddr5_channels: 12, capacity, max_hosts: 64 }
+        EmcConfig { ports: 16, ddr5_channels: 12, capacity }
     }
 
     /// Configuration for an 8-socket Pond EMC (Figure 6, left): half the IO
     /// budget — 64 PCIe 5.0 lanes and 6 DDR5 channels.
     pub fn pond_8_socket(capacity: Bytes) -> Self {
-        EmcConfig { ports: 8, ddr5_channels: 6, capacity, max_hosts: 64 }
+        EmcConfig { ports: 8, ddr5_channels: 6, capacity }
     }
 
     /// Configuration for the EMCs used behind switches in 32/64-socket pools
     /// (Figure 6, right): 4 EMC-side ×8 links, 12 DDR5 channels.
     pub fn pond_switched(capacity: Bytes) -> Self {
-        EmcConfig { ports: 4, ddr5_channels: 12, capacity, max_hosts: 64 }
+        EmcConfig { ports: 4, ddr5_channels: 12, capacity }
     }
 }
 
@@ -88,11 +86,10 @@ impl Emc {
     /// Creates an EMC with all slices unassigned.
     pub fn new(id: EmcId, config: EmcConfig) -> Self {
         let slices = config.capacity.slices_floor();
-        let max_hosts = config.max_hosts;
         Emc {
             id,
             config,
-            table: PermissionTable::new(slices, max_hosts),
+            table: PermissionTable::new(slices),
             attached_hosts: Vec::new(),
             failed: false,
         }
@@ -472,7 +469,7 @@ mod tests {
     fn port_limit_bounds_attached_hosts() {
         let mut emc = Emc::new(
             EmcId(0),
-            EmcConfig { ports: 2, ddr5_channels: 2, capacity: Bytes::from_gib(4), max_hosts: 64 },
+            EmcConfig { ports: 2, ddr5_channels: 2, capacity: Bytes::from_gib(4) },
         );
         emc.attach_host(HostId(0)).unwrap();
         emc.attach_host(HostId(1)).unwrap();
@@ -486,7 +483,7 @@ mod tests {
     fn detached_ports_can_be_reused_by_other_hosts() {
         let mut emc = Emc::new(
             EmcId(0),
-            EmcConfig { ports: 2, ddr5_channels: 2, capacity: Bytes::from_gib(8), max_hosts: 64 },
+            EmcConfig { ports: 2, ddr5_channels: 2, capacity: Bytes::from_gib(8) },
         );
         emc.assign_slices(HostId(0), 1).unwrap();
         emc.assign_slices(HostId(1), 1).unwrap();

@@ -71,7 +71,7 @@ impl SliceState {
 /// ```
 /// use cxl_hw::slice::{PermissionTable, SliceId};
 /// use cxl_hw::units::HostId;
-/// let table = PermissionTable::new(1024, 64);
+/// let table = PermissionTable::new(1024);
 /// assert_eq!(table.free_count(), 1024);
 /// assert_eq!(table.first_free(), Some(SliceId(0)));
 /// assert!(!table.access_allowed(SliceId(0), HostId(3)), "nobody owns a free slice");
@@ -79,16 +79,16 @@ impl SliceState {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PermissionTable {
     entries: Vec<SliceState>,
-    max_hosts: u16,
     /// Number of non-free entries; kept in sync by [`PermissionTable::set`].
     assigned: u64,
     /// Free-slice index: bit `i` of `free.levels[0]` is set iff entry `i` is
     /// free, with each higher level summarizing 64 words of the one below.
     free: FreeBitmap,
     /// Per-host owned-slice counts (assigned + releasing), kept in sync by
-    /// [`PermissionTable::set`]. At most `max_hosts` entries ever exist and
-    /// in practice at most one per CXL port, so linear search beats a map.
-    /// Entries are removed when a host's count reaches zero.
+    /// [`PermissionTable::set`]. There is at most one entry per attached
+    /// CXL port (a host, or a cross-pod port lending to another pod), so
+    /// linear search beats a map. Entries are removed when a host's count
+    /// reaches zero.
     owners: Vec<(HostId, u64)>,
 }
 
@@ -167,26 +167,20 @@ impl FreeBitmap {
     }
 }
 
-/// Equality is over the logical table (entries and host width); the derived
-/// occupancy fields are excluded so tables that reached the same state via
-/// different histories still compare equal.
+/// Equality is over the logical table (the entries); the derived occupancy
+/// fields are excluded so tables that reached the same state via different
+/// histories still compare equal.
 impl PartialEq for PermissionTable {
     fn eq(&self, other: &Self) -> bool {
-        self.entries == other.entries && self.max_hosts == other.max_hosts
+        self.entries == other.entries
     }
 }
 
 impl PermissionTable {
-    /// Creates a table for `slices` slices shared by up to `max_hosts` hosts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_hosts` is zero.
-    pub fn new(slices: u64, max_hosts: u16) -> Self {
-        assert!(max_hosts > 0, "a pool must allow at least one host");
+    /// Creates a table for `slices` slices, all unassigned.
+    pub fn new(slices: u64) -> Self {
         PermissionTable {
             entries: vec![SliceState::Unassigned; slices as usize],
-            max_hosts,
             assigned: 0,
             free: FreeBitmap::all_free(slices as usize),
             owners: Vec::new(),
@@ -314,7 +308,7 @@ mod tests {
 
     #[test]
     fn new_table_is_fully_free() {
-        let table = PermissionTable::new(16, 8);
+        let table = PermissionTable::new(16);
         assert_eq!(table.len(), 16);
         assert_eq!(table.free_count(), 16);
         assert_eq!(table.assigned_count(), 0);
@@ -324,7 +318,7 @@ mod tests {
 
     #[test]
     fn set_and_get_round_trip() {
-        let mut table = PermissionTable::new(4, 8);
+        let mut table = PermissionTable::new(4);
         let prev = table.set(SliceId(2), SliceState::Assigned(HostId(3)));
         assert_eq!(prev, Some(SliceState::Unassigned));
         assert_eq!(table.get(SliceId(2)), Some(SliceState::Assigned(HostId(3))));
@@ -334,14 +328,14 @@ mod tests {
 
     #[test]
     fn out_of_range_returns_none() {
-        let mut table = PermissionTable::new(4, 8);
+        let mut table = PermissionTable::new(4);
         assert_eq!(table.get(SliceId(4)), None);
         assert_eq!(table.set(SliceId(9), SliceState::Unassigned), None);
     }
 
     #[test]
     fn access_check_matches_ownership() {
-        let mut table = PermissionTable::new(4, 8);
+        let mut table = PermissionTable::new(4);
         table.set(SliceId(1), SliceState::Assigned(HostId(0)));
         assert!(table.access_allowed(SliceId(1), HostId(0)));
         assert!(!table.access_allowed(SliceId(1), HostId(1)));
@@ -351,17 +345,11 @@ mod tests {
 
     #[test]
     fn releasing_slice_still_owned() {
-        let mut table = PermissionTable::new(4, 8);
+        let mut table = PermissionTable::new(4);
         table.set(SliceId(0), SliceState::Releasing(HostId(5)));
         assert_eq!(table.get(SliceId(0)).unwrap().owner(), Some(HostId(5)));
         assert!(!table.get(SliceId(0)).unwrap().is_free());
         assert_eq!(table.first_free(), Some(SliceId(1)));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one host")]
-    fn zero_hosts_rejected() {
-        let _ = PermissionTable::new(4, 0);
     }
 
     proptest! {
@@ -369,7 +357,7 @@ mod tests {
         /// sequence of state updates is applied.
         #[test]
         fn counts_partition_table(ops in proptest::collection::vec((0u64..32, 0u16..8, 0u8..3), 0..64)) {
-            let mut table = PermissionTable::new(32, 8);
+            let mut table = PermissionTable::new(32);
             for (slice, host, kind) in ops {
                 let state = match kind {
                     0 => SliceState::Unassigned,
@@ -385,7 +373,7 @@ mod tests {
         /// per-host ownership never exceeds the assigned count.
         #[test]
         fn ownership_is_exclusive(assignments in proptest::collection::vec((0u64..16, 0u16..4), 0..40)) {
-            let mut table = PermissionTable::new(16, 4);
+            let mut table = PermissionTable::new(16);
             for (slice, host) in assignments {
                 table.set(SliceId(slice), SliceState::Assigned(HostId(host)));
             }
@@ -400,7 +388,7 @@ mod tests {
         /// three bitmap words) under arbitrary churn.
         #[test]
         fn first_free_matches_a_naive_scan(ops in proptest::collection::vec((0u64..130, 0u8..3), 0..200)) {
-            let mut table = PermissionTable::new(130, 8);
+            let mut table = PermissionTable::new(130);
             for (slice, kind) in ops {
                 let state = match kind {
                     0 => SliceState::Unassigned,

@@ -152,6 +152,8 @@ impl fmt::Display for Bytes {
 /// Identifier of a host (a hypervisor instance / CPU socket pair) attached to a pool.
 ///
 /// The paper's EMC tracks up to 64 hosts with a 6-bit owner field per slice.
+/// This model does not enforce that width: the cross-pod ports of a
+/// borrowing fleet take ids up to 2 × hosts − 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct HostId(pub u16);
 

@@ -10,11 +10,11 @@
 //!   that fills the local vNUMA node before touching zNUMA, and the resulting
 //!   traffic split (Figures 15 and 16).
 //! * [`host`] — host-side physical memory accounting: the hypervisor-private
-//!   partition that contains fragmentation, VM memory preallocation, and
-//!   pool-slice onlining.
+//!   partition that contains fragmentation, and the local and pool memory
+//!   pinned for VMs.
 //! * [`reconfig`] — the QoS mitigation path: a one-time reconfiguration that
 //!   copies a VM's pool memory to local DRAM behind a temporarily disabled
-//!   virtualization accelerator (50 ms per GiB).
+//!   virtualization accelerator, and its copy time (50 ms per GiB).
 //!
 //! # Example
 //!
@@ -49,6 +49,5 @@ pub mod vnuma;
 
 pub use guest::GuestAllocation;
 pub use host::HostMemory;
-pub use reconfig::ReconfigurationEngine;
 pub use vm::{VirtualMachine, VmConfig, VmId};
 pub use vnuma::{VNumaNode, VNumaTopology};

@@ -5,195 +5,77 @@
 //! working set sits on pool memory, the hypervisor temporarily disables the
 //! virtualization accelerator, copies the VM's pool memory into local DRAM
 //! (about 50 ms per GiB), re-enables the accelerator, and releases the pool
-//! capacity back to the Pool Manager.
+//! capacity back to the Pool Manager. The same copy rate prices a VM's move
+//! between hosts.
 
 use crate::host::{HostMemory, HostMemoryError};
-use crate::vm::VirtualMachine;
 use cxl_hw::units::Bytes;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
-/// The result of one reconfiguration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ReconfigurationReport {
-    /// Pool memory that was copied into local DRAM.
-    pub moved: Bytes,
-    /// Time the copy took (the VM runs degraded, not paused, during this).
-    pub copy_duration: Duration,
-    /// Whether the virtualization accelerator had to be toggled.
-    pub accelerator_toggled: bool,
+/// Copy cost per started GiB (the paper's "50 ms per GB").
+pub const COPY_COST_PER_GIB: Duration = Duration::from_millis(50);
+
+/// How long copying `amount` of memory takes: [`COPY_COST_PER_GIB`] per
+/// started GiB. The VM runs degraded, not paused, during the copy.
+pub fn copy_time(amount: Bytes) -> Duration {
+    COPY_COST_PER_GIB * amount.slices_ceil() as u32
 }
 
-/// Executes reconfigurations and tracks how many were performed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ReconfigurationEngine {
-    /// Copy cost per GiB of pool memory (the paper's "50 ms per GB").
-    pub copy_cost_per_gib: Duration,
-    performed: u64,
-    total_copy_time: Duration,
-}
-
-impl Default for ReconfigurationEngine {
-    fn default() -> Self {
-        ReconfigurationEngine::new(Duration::from_millis(50))
-    }
-}
-
-impl ReconfigurationEngine {
-    /// Creates an engine with a custom per-GiB copy cost.
-    pub fn new(copy_cost_per_gib: Duration) -> Self {
-        ReconfigurationEngine { copy_cost_per_gib, performed: 0, total_copy_time: Duration::ZERO }
-    }
-
-    /// Number of reconfigurations performed so far.
-    pub fn performed(&self) -> u64 {
-        self.performed
-    }
-
-    /// Total time spent copying pool memory to local DRAM across all
-    /// reconfigurations — the degraded-mode time the mitigations charged to
-    /// the event timeline.
-    pub fn total_copy_time(&self) -> Duration {
-        self.total_copy_time
-    }
-
-    /// Charges a memory copy of `amount` at the engine's per-GiB rate
-    /// without touching host state — the failure-evacuation path, where the
-    /// copy runs between *different* hosts (the dying pod's host streams the
-    /// VM to its new home) so there is no single `HostMemory` to convert.
-    /// Counts toward [`ReconfigurationEngine::performed`] and
-    /// [`ReconfigurationEngine::total_copy_time`] like any other
-    /// reconfiguration copy, and returns the copy duration to charge on the
-    /// event timeline.
-    pub fn charge_copy(&mut self, amount: Bytes) -> Duration {
-        let copy_duration = self.copy_cost_per_gib * amount.slices_ceil() as u32;
-        self.performed += 1;
-        self.total_copy_time += copy_duration;
-        copy_duration
-    }
-
-    /// Moves a VM entirely onto local DRAM.
-    ///
-    /// The host-side allocation is converted first; only if that succeeds is
-    /// the VM's own configuration updated, so a failure leaves both sides
-    /// unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`HostMemoryError`] when the host lacks local DRAM or does
-    /// not know the VM.
-    pub fn reconfigure(
-        &mut self,
-        host: &mut HostMemory,
-        vm: &mut VirtualMachine,
-    ) -> Result<ReconfigurationReport, HostMemoryError> {
-        let moved = host.convert_pool_to_local(vm.id())?;
-        if moved.is_zero() {
-            // Nothing to move: either the VM was all-local already or a
-            // previous mitigation ran. No accelerator toggle needed.
-            return Ok(ReconfigurationReport {
-                moved,
-                copy_duration: Duration::ZERO,
-                accelerator_toggled: false,
-            });
-        }
-        vm.mark_reconfigured();
-        self.performed += 1;
-        let copy_duration = self.copy_cost_per_gib * moved.slices_ceil() as u32;
-        self.total_copy_time += copy_duration;
-        Ok(ReconfigurationReport { moved, copy_duration, accelerator_toggled: true })
-    }
+/// Moves `pool` of a VM's pinned pool memory into local DRAM on `host` and
+/// returns how long the copy takes.
+///
+/// # Errors
+///
+/// Propagates [`HostMemoryError`], changing nothing, when the host lacks
+/// the local DRAM or pins less pool memory than `pool`.
+pub fn reconfigure(host: &mut HostMemory, pool: Bytes) -> Result<Duration, HostMemoryError> {
+    host.convert_pool_to_local(pool)?;
+    Ok(copy_time(pool))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vm::{VmConfig, VmId};
-    use workload_model::WorkloadSuite;
 
-    fn setup(pool_gib: u64, host_local_gib: u64) -> (HostMemory, VirtualMachine) {
-        let suite = WorkloadSuite::standard();
-        let workload = suite.get("voltdb/tpcc").unwrap().clone();
-        let memory = workload.footprint + Bytes::from_gib(pool_gib);
-        let vm = VirtualMachine::launch(
-            11,
-            VmConfig { cores: 8, memory, pool_memory: Bytes::from_gib(pool_gib) },
-            workload,
-        );
-        let mut host = HostMemory::new(Bytes::from_gib(host_local_gib), Bytes::from_gib(4));
-        host.online_pool(Bytes::from_gib(pool_gib));
-        host.pin_vm(VmId(11), vm.config().local_memory(), vm.config().pool_memory).unwrap();
-        (host, vm)
+    fn host(local_gib: u64, pinned_local_gib: u64, pool_gib: u64) -> HostMemory {
+        let mut host = HostMemory::new(Bytes::from_gib(local_gib), Bytes::from_gib(4));
+        host.pin(Bytes::from_gib(pinned_local_gib), Bytes::from_gib(pool_gib)).unwrap();
+        host
     }
 
     #[test]
     fn reconfiguration_moves_pool_memory_local() {
-        let (mut host, mut vm) = setup(16, 512);
-        let mut engine = ReconfigurationEngine::default();
-        let report = engine.reconfigure(&mut host, &mut vm).unwrap();
-        assert_eq!(report.moved, Bytes::from_gib(16));
-        assert!(report.accelerator_toggled);
+        let mut host = host(512, 32, 16);
         // 16 GiB at 50 ms/GiB = 800 ms.
-        assert_eq!(report.copy_duration, Duration::from_millis(800));
-        assert_eq!(engine.total_copy_time(), Duration::from_millis(800));
-        assert!(vm.is_reconfigured());
-        assert_eq!(vm.pool_memory(), Bytes::ZERO);
-        assert_eq!(engine.performed(), 1);
-        // The pool capacity is free on the host afterwards.
-        assert_eq!(host.pool_free(), Bytes::from_gib(16));
+        assert_eq!(reconfigure(&mut host, Bytes::from_gib(16)), Ok(Duration::from_millis(800)));
+        // The pool capacity is no longer pinned on the host afterwards.
+        assert_eq!(host.pool_allocated(), Bytes::ZERO);
+        assert_eq!(host.local_allocated(), Bytes::from_gib(48));
     }
 
     #[test]
     fn reconfiguring_an_all_local_vm_is_a_noop() {
-        let (mut host, mut vm) = setup(0, 512);
-        let mut engine = ReconfigurationEngine::default();
-        let report = engine.reconfigure(&mut host, &mut vm).unwrap();
-        assert_eq!(report.moved, Bytes::ZERO);
-        assert!(!report.accelerator_toggled);
-        assert!(!vm.is_reconfigured());
-        assert_eq!(engine.performed(), 0);
+        let mut host = host(512, 32, 0);
+        assert_eq!(reconfigure(&mut host, Bytes::ZERO), Ok(Duration::ZERO));
+        assert_eq!(host.local_allocated(), Bytes::from_gib(32));
     }
 
     #[test]
     fn reconfiguration_fails_cleanly_without_local_headroom() {
         // Host local DRAM barely fits the VM's local share; the pool share
         // cannot be absorbed.
-        let suite = WorkloadSuite::standard();
-        let workload = suite.get("voltdb/tpcc").unwrap().clone();
-        let local_needed = workload.footprint;
-        let mut host = HostMemory::new(local_needed + Bytes::from_gib(6), Bytes::from_gib(2));
-        host.online_pool(Bytes::from_gib(16));
-        let vm_memory = workload.footprint + Bytes::from_gib(16);
-        let mut vm = VirtualMachine::launch(
-            12,
-            VmConfig { cores: 8, memory: vm_memory, pool_memory: Bytes::from_gib(16) },
-            workload,
-        );
-        host.pin_vm(VmId(12), vm.config().local_memory(), vm.config().pool_memory).unwrap();
-
-        let mut engine = ReconfigurationEngine::default();
-        let err = engine.reconfigure(&mut host, &mut vm).unwrap_err();
+        let mut host = host(36, 30, 16);
+        let err = reconfigure(&mut host, Bytes::from_gib(16)).unwrap_err();
         assert!(matches!(err, HostMemoryError::InsufficientLocal { .. }));
         // Nothing changed.
-        assert!(!vm.is_reconfigured());
-        assert_eq!(vm.pool_memory(), Bytes::from_gib(16));
-        assert_eq!(engine.performed(), 0);
+        assert_eq!(host.pool_allocated(), Bytes::from_gib(16));
+        assert_eq!(host.local_allocated(), Bytes::from_gib(30));
     }
 
     #[test]
-    fn charge_copy_uses_the_engine_rate_without_a_host() {
-        let mut engine = ReconfigurationEngine::default();
-        // 8 GiB at the default 50 ms/GiB.
-        assert_eq!(engine.charge_copy(Bytes::from_gib(8)), Duration::from_millis(400));
-        assert_eq!(engine.performed(), 1);
-        assert_eq!(engine.total_copy_time(), Duration::from_millis(400));
-    }
-
-    #[test]
-    fn custom_copy_cost_is_applied() {
-        let (mut host, mut vm) = setup(4, 512);
-        let mut engine = ReconfigurationEngine::new(Duration::from_millis(100));
-        let report = engine.reconfigure(&mut host, &mut vm).unwrap();
-        assert_eq!(report.copy_duration, Duration::from_millis(400));
+    fn copy_time_charges_50_ms_per_started_gib() {
+        assert_eq!(copy_time(Bytes::from_gib(8)), Duration::from_millis(400));
+        assert_eq!(copy_time(Bytes::from_mib(1536)), Duration::from_millis(100));
+        assert_eq!(copy_time(Bytes::ZERO), Duration::ZERO);
     }
 }

@@ -3,7 +3,6 @@
 use cxl_hw::units::Bytes;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::Arc;
 use workload_model::WorkloadProfile;
 
 /// Identifier of a VM on a host.
@@ -66,32 +65,26 @@ impl VmConfig {
     }
 }
 
-/// A running VM: its configuration, the workload inside it, and whether its
-/// memory mapping has been reconfigured by the QoS mitigation.
-///
-/// The workload profile is shared, not owned: VMs launched from one
-/// [`workload_model::WorkloadSuite`] entry hold the suite's one copy, so a
-/// VM costs a pointer for its profile, and launching one allocates nothing.
+/// A running VM as its guest sees it: its configuration and the workload
+/// inside it (the guest model of Figures 15 and 16).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct VirtualMachine {
     id: VmId,
     config: VmConfig,
-    workload: Arc<WorkloadProfile>,
-    reconfigured: bool,
+    workload: WorkloadProfile,
 }
 
 impl VirtualMachine {
-    /// Launches a VM with the given configuration and workload: an owned
-    /// profile, or a shared one ([`workload_model::WorkloadSuite::at`]).
+    /// Launches a VM with the given configuration and workload.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid (see [`VmConfig::validate`]).
-    pub fn launch(id: u64, config: VmConfig, workload: impl Into<Arc<WorkloadProfile>>) -> Self {
+    pub fn launch(id: u64, config: VmConfig, workload: WorkloadProfile) -> Self {
         if let Err(reason) = config.validate() {
             panic!("invalid VM configuration: {reason}");
         }
-        VirtualMachine { id: VmId(id), config, workload: workload.into(), reconfigured: false }
+        VirtualMachine { id: VmId(id), config, workload }
     }
 
     /// The VM's identifier.
@@ -125,18 +118,7 @@ impl VirtualMachine {
         self.untouched_memory().as_u64() as f64 / self.config.memory.as_u64() as f64
     }
 
-    /// Whether the QoS mitigation has moved this VM to all-local memory.
-    pub fn is_reconfigured(&self) -> bool {
-        self.reconfigured
-    }
-
-    /// Applies the one-time mitigation: all memory becomes local.
-    pub(crate) fn mark_reconfigured(&mut self) {
-        self.reconfigured = true;
-        self.config.pool_memory = Bytes::ZERO;
-    }
-
-    /// Current pool memory (zero after reconfiguration).
+    /// Memory backed by the CXL pool (the zNUMA node's size).
     pub fn pool_memory(&self) -> Bytes {
         self.config.pool_memory
     }
@@ -193,22 +175,6 @@ mod tests {
         let vm = VirtualMachine::launch(2, VmConfig::all_local(4, small), w);
         assert_eq!(vm.untouched_memory(), Bytes::ZERO);
         assert_eq!(vm.touched_memory(), small);
-    }
-
-    #[test]
-    fn reconfiguration_clears_pool_memory() {
-        let w = workload();
-        let mut vm = VirtualMachine::launch(
-            3,
-            VmConfig { cores: 4, memory: Bytes::from_gib(32), pool_memory: Bytes::from_gib(8) },
-            w,
-        );
-        assert!(!vm.is_reconfigured());
-        assert_eq!(vm.pool_memory(), Bytes::from_gib(8));
-        vm.mark_reconfigured();
-        assert!(vm.is_reconfigured());
-        assert_eq!(vm.pool_memory(), Bytes::ZERO);
-        assert_eq!(vm.config().local_memory(), Bytes::from_gib(32));
     }
 
     #[test]

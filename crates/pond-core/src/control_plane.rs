@@ -20,11 +20,10 @@ use cxl_hw::pool::SliceLease;
 use cxl_hw::topology::PoolTopology;
 use cxl_hw::units::{Bytes, EmcId, HostId};
 use hypervisor_sim::host::HostMemory;
-use hypervisor_sim::vm::{VirtualMachine, VmConfig, VmId};
+use hypervisor_sim::vm::{VmConfig, VmId};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Static configuration of a control-plane instance.
@@ -229,13 +228,16 @@ pub struct AffectedVm {
 }
 
 /// Per-VM bookkeeping inside the control plane, boxed in
-/// [`PondControlPlane`]'s running map. Its `vm` shares the policy suite's
-/// workload profile instead of owning a copy, so a placement allocates the
-/// record and nothing for the profile.
+/// [`PondControlPlane`]'s running map: the replay's one record of a live
+/// VM. Its host keeps only pinned sums, so the record is where the VM's
+/// local/pool split lives (local is `request.memory - pool`).
 #[derive(Debug, Clone)]
 struct VmRecord {
-    vm: VirtualMachine,
-    host: usize,
+    host: u16,
+    /// Pool memory pinned on the host: the share placed, zero after a
+    /// mitigation. An EMC failure strips `slices` but leaves this pin, so
+    /// it is not derived from them.
+    pool: Bytes,
     /// Slices served by this plane's own pool. Empty for all-local VMs and
     /// for VMs whose pool share was borrowed (`borrowed` holds those: a
     /// VM's slices come from exactly one pool).
@@ -262,18 +264,20 @@ struct VmRecord {
 // A live VM's record is one heap allocation of at most this size on 64-bit
 // targets. A new field must restate the budget here and in
 // `tests/tests/live_vm_memory.rs`.
-const _: () = assert!(std::mem::size_of::<VmRecord>() <= 200);
+const _: () = assert!(std::mem::size_of::<VmRecord>() <= 152);
 
 impl VmRecord {
     /// The QoS monitor's verdict on this VM, from a fresh PMU sample
     /// through the policy's sampler, the one the arrival-time decision
     /// reads.
     fn evaluate_qos(&self, policy: &PondPolicy) -> Result<QosDecision, PondError> {
+        let workload = policy.workload(self.request.workload_index);
         let observation = VmObservation {
-            counters: policy.sampler().sample(self.vm.workload(), self.vm.id().0),
-            pool_memory: self.vm.pool_memory(),
+            counters: policy.sampler().sample(workload, self.request.id),
+            pool_memory: self.pool,
             predicted_untouched: self.predicted_untouched,
-            observed_untouched: self.vm.untouched_memory(),
+            // Rented minus footprint, as `VirtualMachine::untouched_memory`.
+            observed_untouched: self.request.memory.saturating_sub(workload.footprint),
         };
         policy
             .qos_monitor()
@@ -576,8 +580,9 @@ impl PondControlPlane {
     /// [`Backing::Lease`] comes back with the error: the caller must hand
     /// it to the lender's [`PondControlPlane::release_lent`].
     ///
-    /// * [`PondError::HostMemory`] when a VM with the request's id already
-    ///   runs on this plane.
+    /// * [`PondError::HostMemory`] when the request asks for zero cores or
+    ///   zero memory, its pool share exceeds its memory, or a VM with the
+    ///   request's id already runs on this plane.
     /// * [`PondError::NoFeasibleHost`] when no host has the local share free.
     /// * [`PondError::PoolExhausted`] when the buffer this plane's pool
     ///   offers the chosen host cannot cover a [`Backing::Own`] share.
@@ -598,6 +603,12 @@ impl PondControlPlane {
                 (PooledPlan { pool: Bytes::ZERO, predicted_untouched: Bytes::ZERO }, None)
             }
         };
+        let config =
+            VmConfig { cores: request.cores, memory: request.memory, pool_memory: plan.pool };
+        if let Err(reason) = config.validate() {
+            let error = PondError::HostMemory(format!("{}: {reason}", VmId(request.id)));
+            return Err((error, lease));
+        }
         if self.running.contains_key(&request.id) {
             let error = PondError::HostMemory(format!("{} is already running", VmId(request.id)));
             return Err((error, lease));
@@ -620,10 +631,8 @@ impl PondControlPlane {
             }
         };
 
-        let host = &mut self.hosts[host_index];
-        host.online_pool(pool);
-        host.pin_vm(VmId(request.id), local, pool)
-            .expect("the id is new to this plane and the host fits the local share");
+        // The Pool Manager onlined exactly the slices the VM pins.
+        self.hosts[host_index].pin(local, pool).expect("the host fits the local share");
         self.touch_host(host_index, old_free);
         self.pinned_slices += slices.len() as u64;
         self.borrowed_slices += lease.as_ref().map_or(0, |lease| lease.slices.len() as u64);
@@ -631,14 +640,8 @@ impl PondControlPlane {
         // the sites that force a pool-peak resample.
         self.pool_dirty = true;
 
-        let vm = VirtualMachine::launch(
-            request.id,
-            VmConfig { cores: request.cores, memory: request.memory, pool_memory: pool },
-            Arc::clone(self.policy.workload(request.workload_index)),
-        );
-
         let summary = PlacementSummary {
-            vm: vm.id(),
+            vm: VmId(request.id),
             host: host_index,
             local,
             pool,
@@ -649,8 +652,8 @@ impl PondControlPlane {
         self.running.insert(
             request.id,
             Box::new(VmRecord {
-                vm,
-                host: host_index,
+                host: host_index as u16,
+                pool,
                 slices,
                 borrowed: lease,
                 predicted_untouched: plan.predicted_untouched,
@@ -825,19 +828,20 @@ impl PondControlPlane {
             .running
             .remove(&vm.0)
             .ok_or_else(|| PondError::HostMemory(format!("{vm} is not running")))?;
-        let old_free = self.hosts[record.host].local_free();
-        let host = &mut self.hosts[record.host];
-        let allocation = host.unpin_vm(vm).map_err(|e| PondError::HostMemory(e.to_string()))?;
-        host.offline_pool(allocation.pool).map_err(|e| PondError::HostMemory(e.to_string()))?;
+        let host = usize::from(record.host);
+        let old_free = self.hosts[host].local_free();
+        self.hosts[host]
+            .unpin(record.request.memory - record.pool, record.pool)
+            .map_err(|e| PondError::HostMemory(format!("{vm}: {e}")))?;
         let slices = std::mem::take(&mut record.slices);
         let slice_count = slices.len() as u64;
-        let ready = self.pool.release_async(HostId(record.host as u16), slices, now)?;
+        let ready = self.pool.release_async(HostId(record.host), slices, now)?;
         self.pinned_slices -= slice_count;
         let lease = record.borrowed.take();
         if let Some(lease) = &lease {
             self.borrowed_slices -= lease.slices.len() as u64;
         }
-        self.touch_host(record.host, old_free);
+        self.touch_host(host, old_free);
         Ok((DepartureOutcome { release_ready: ready, lease }, record))
     }
 
@@ -1008,15 +1012,16 @@ impl PondControlPlane {
         let mut running = std::mem::take(&mut self.running);
         let walked = running.iter_mut().try_for_each(|(&id, record)| {
             let decision = verdict(&self.policy, record)?;
-            let host = &mut self.hosts[record.host];
-            let old_free = host.local_free();
-            let Some(report) = self.mitigation.apply(decision, host, &mut record.vm) else {
+            let host = usize::from(record.host);
+            let old_free = self.hosts[host].local_free();
+            let moved = record.pool;
+            let Some(copy) = self.mitigation.apply(decision, &mut self.hosts[host], moved) else {
                 return Ok(());
             };
+            record.pool = Bytes::ZERO;
             // The freed pool capacity goes back to the Pool Manager once the
             // pool→local copy has finished.
-            host.offline_pool(report.moved).expect("mitigation freed exactly this much");
-            let copy_done = now + report.copy_duration;
+            let copy_done = now + copy;
             let departure = record.request.departure();
             let release_ready = if let Some(lease) = record.borrowed.take() {
                 // Borrowed slices go back to the lender, not this pool: hand
@@ -1029,21 +1034,21 @@ impl PondControlPlane {
                 let slices = std::mem::take(&mut record.slices);
                 self.pinned_slices -= slices.len() as u64;
                 self.pool
-                    .release_async(HostId(record.host as u16), slices, copy_done)
+                    .release_async(HostId(record.host), slices, copy_done)
                     .expect("slices were allocated by this manager")
             };
             pass.mitigated.push(VmMitigation {
                 vm: VmId(id),
                 departure,
-                moved: report.moved,
+                moved,
                 copy_done,
                 release_ready,
             });
             record.predicted_untouched = Bytes::ZERO;
             record.qos = Some(QosDecision::ContinueMonitoring);
-            pass.copy_time += report.copy_duration;
+            pass.copy_time += copy;
             pass.reconfigured += 1;
-            self.touch_host(record.host, old_free);
+            self.touch_host(host, old_free);
             Ok(())
         });
         self.running = running;
@@ -1103,16 +1108,18 @@ impl PondControlPlane {
     }
 
     /// The full conservation scan: re-derives the pinned and mid-release
-    /// slice counts from the per-VM and per-release records, cross-checks
-    /// the incremental counters (and the free-DRAM index) against them, and
-    /// then checks the conservation invariant itself. The fleet replays run
-    /// this at snapshot ticks and at end of replay; the O(1)
-    /// [`PondControlPlane::assert_pool_conserved`] covers every other event.
+    /// slice counts from the per-VM and per-release records, and every
+    /// host's pinned local and pool sums from the running records,
+    /// cross-checks the incremental counters (and the free-DRAM index)
+    /// against them, and then checks the conservation invariant itself. The
+    /// fleet replays run this at snapshot ticks and at end of replay; the
+    /// O(1) [`PondControlPlane::assert_pool_conserved`] covers every other
+    /// event.
     ///
     /// # Panics
     ///
-    /// Panics when a counter or index drifted from the records it mirrors,
-    /// or when the conservation invariant is violated.
+    /// Panics when a counter, host sum or index drifted from the records it
+    /// mirrors, or when the conservation invariant is violated.
     pub fn assert_pool_conserved_full(&self) {
         let pinned: u64 = self.running.values().map(|r| r.slices.len() as u64).sum();
         assert_eq!(
@@ -1132,8 +1139,19 @@ impl PondControlPlane {
             "borrowed-slice counter drifted from the running records' leases"
         );
         self.pool.assert_pending_conserved();
+        let mut host_sums = vec![(Bytes::ZERO, Bytes::ZERO); self.hosts.len()];
+        for record in self.running.values() {
+            let (local, pool) = &mut host_sums[usize::from(record.host)];
+            *local += record.request.memory - record.pool;
+            *pool += record.pool;
+        }
         assert_eq!(self.free_index.len(), self.hosts.len());
         for (index, host) in self.hosts.iter().enumerate() {
+            assert_eq!(
+                (host.local_allocated(), host.pool_allocated()),
+                host_sums[index],
+                "host {index}'s pinned sums drifted from the running records"
+            );
             assert!(
                 self.free_index.contains(&(host.local_free(), Reverse(index))),
                 "free-DRAM index drifted for host {index}: {} not filed",
@@ -1600,6 +1618,23 @@ mod tests {
     }
 
     #[test]
+    fn a_request_for_zero_cores_or_zero_memory_is_an_error() {
+        let (trace, mut plane) = setup();
+        let now = Duration::from_secs(60);
+        for request in [
+            VmRequest { cores: 0, ..trace.requests[0].clone() },
+            VmRequest { memory: Bytes::ZERO, ..trace.requests[0].clone() },
+        ] {
+            let (error, lease) = plane.place(&request, Backing::AllLocal, now).unwrap_err();
+            assert!(matches!(error, PondError::HostMemory(_)), "{error}");
+            assert!(lease.is_none());
+            assert_eq!(plane.running_vms(), 0);
+            assert!(plane.hosts().iter().all(|h| h.local_allocated() == Bytes::ZERO));
+        }
+        plane.assert_pool_conserved_full();
+    }
+
+    #[test]
     fn a_lease_that_fits_no_host_comes_back_with_the_error() {
         let (trace, mut lender) = setup();
         let mut home =
@@ -1699,7 +1734,8 @@ mod tests {
         /// at random times; one runs the memoized pass, the other evaluates
         /// every VM at every pass. Small hosts make some mitigations fail
         /// for want of local DRAM, and the budget is 0, 1%, 5% or 100%.
-        /// Every step must leave the two planes alike.
+        /// Every step must leave the two planes alike, and every plane's
+        /// counters and host sums equal to a recount of its records.
         #[test]
         fn memoized_qos_passes_match_the_per_pass_evaluation(
             (hosts, local_gib, pool_gib) in (1u16..5, 16u64..128, 1u64..96),
@@ -1802,10 +1838,10 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(memo.state(), oracle.state());
-            }
-            for side in [&memo, &oracle] {
-                side.plane.assert_pool_conserved_full();
-                side.lender.assert_pool_conserved_full();
+                for side in [&memo, &oracle] {
+                    side.plane.assert_pool_conserved_full();
+                    side.lender.assert_pool_conserved_full();
+                }
             }
         }
     }

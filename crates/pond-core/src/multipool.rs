@@ -90,7 +90,7 @@ use cxl_hw::pool::{GroupState, SliceLease};
 use cxl_hw::topology::{PodStyle, PoolGroupTopology};
 use cxl_hw::units::{Bytes, EmcId};
 use cxl_hw::CxlError;
-use hypervisor_sim::reconfig::ReconfigurationEngine;
+use hypervisor_sim::reconfig::copy_time;
 use hypervisor_sim::vm::VmId;
 use pond_metrics::{
     DecisionTrace, FallbackReason, GroupSample, LadderRung, LifecycleOpKind, LifecycleTrace,
@@ -729,9 +729,6 @@ struct Replay<'a, S, O> {
     /// leaves a tombstone depends on the hashes, and so does whether the
     /// table later rehashes in place or doubles. Nothing iterates the map.
     group_of: HashMap<u64, Option<usize>, BuildHasherDefault<DefaultHasher>>,
-    /// Relocation copies reuse the QoS-mitigation machinery: the same
-    /// 50 ms/GiB reconfiguration engine, charged on the event timeline.
-    evacuation_engine: ReconfigurationEngine,
     per_group: Vec<FleetOutcome>,
     peak_local: Vec<Vec<Bytes>>,
     peak_host_pool: Vec<Vec<Bytes>>,
@@ -865,7 +862,6 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
             accounting: ReplayAccounting::new(&config.control),
             events,
             group_of: HashMap::default(),
-            evacuation_engine: ReconfigurationEngine::default(),
             per_group: vec![FleetOutcome::default(); groups],
             peak_local: host_peaks.clone(),
             peak_host_pool: host_peaks.clone(),
@@ -1311,10 +1307,10 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
         let all_local = self.config.control.fallback_all_local || kind == Relocation::Rebalanced;
         let (dest, copy) = match self.ladder(order, &request, now, all_local)? {
             Some((dest, summary)) => {
-                // The copy moves the VM's full memory at the mitigation
-                // engine's 50 ms/GiB; the VM runs degraded until the
-                // MigrationDone event closes the window.
-                let copy = self.evacuation_engine.charge_copy(request.memory);
+                // The copy moves the VM's full memory at the mitigation's
+                // 50 ms/GiB; the VM runs degraded until the MigrationDone
+                // event closes the window.
+                let copy = copy_time(request.memory);
                 self.events.schedule_migration_done(ceil_secs(now + copy), from);
                 self.migrating_of[from] += 1;
                 kind.count(&mut self.per_group[from]);

@@ -267,8 +267,8 @@ impl PondPolicy {
     }
 
     /// The workload suite entry a request's workload index names (taken
-    /// modulo the suite size), shared with the suite.
-    pub(crate) fn workload(&self, workload_index: usize) -> &Arc<WorkloadProfile> {
+    /// modulo the suite size).
+    pub(crate) fn workload(&self, workload_index: usize) -> &WorkloadProfile {
         let suite = &self.trained.suite;
         suite
             .at(workload_index % suite.len())

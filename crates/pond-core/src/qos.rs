@@ -10,10 +10,10 @@
 use crate::sensitivity::SensitivityModel;
 use cxl_hw::units::Bytes;
 use hypervisor_sim::host::HostMemory;
-use hypervisor_sim::reconfig::{ReconfigurationEngine, ReconfigurationReport};
-use hypervisor_sim::vm::VirtualMachine;
+use hypervisor_sim::reconfig::reconfigure;
 use pond_ml::MlError;
 use serde::{Deserialize, Serialize};
+use std::time::Duration;
 use workload_model::telemetry::TmaCounters;
 
 /// The decision the QoS monitor takes for one VM.
@@ -103,7 +103,6 @@ impl QosMonitor {
 /// to 1% of mispredictions).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MitigationManager {
-    engine: ReconfigurationEngine,
     budget_fraction: f64,
     monitored: u64,
     mitigated: u64,
@@ -117,12 +116,7 @@ impl MitigationManager {
     /// Panics unless `budget_fraction` is within `[0, 1]`.
     pub fn new(budget_fraction: f64) -> Self {
         assert!((0.0..=1.0).contains(&budget_fraction), "budget must be in [0, 1]");
-        MitigationManager {
-            engine: ReconfigurationEngine::default(),
-            budget_fraction,
-            monitored: 0,
-            mitigated: 0,
-        }
+        MitigationManager { budget_fraction, monitored: 0, mitigated: 0 }
     }
 
     /// Number of monitoring visits so far: one per VM per QoS pass, so a VM
@@ -143,8 +137,10 @@ impl MitigationManager {
     }
 
     /// Counts one monitoring visit and applies the mitigation `decision`
-    /// asks for, if the budget allows it. Returns the reconfiguration report
-    /// when a mitigation ran.
+    /// asks for, if the budget allows it: moves the VM's `pool` memory into
+    /// local DRAM on `host`. Returns the copy time when a mitigation ran;
+    /// a VM without pool memory has nothing to move, and one whose host
+    /// lacks the local DRAM stays as it is.
     ///
     /// `decision` is the monitor's verdict on the VM
     /// ([`QosMonitor::try_evaluate`]): the control plane calls this once per
@@ -154,19 +150,15 @@ impl MitigationManager {
         &mut self,
         decision: QosDecision,
         host: &mut HostMemory,
-        vm: &mut VirtualMachine,
-    ) -> Option<ReconfigurationReport> {
+        pool: Bytes,
+    ) -> Option<Duration> {
         self.monitored += 1;
-        if decision == QosDecision::ContinueMonitoring || !self.within_budget() {
+        if decision == QosDecision::ContinueMonitoring || pool.is_zero() || !self.within_budget() {
             return None;
         }
-        match self.engine.reconfigure(host, vm) {
-            Ok(report) if report.accelerator_toggled => {
-                self.mitigated += 1;
-                Some(report)
-            }
-            _ => None,
-        }
+        let copy = reconfigure(host, pool).ok()?;
+        self.mitigated += 1;
+        Some(copy)
     }
 }
 
@@ -174,7 +166,6 @@ impl MitigationManager {
 mod tests {
     use super::*;
     use crate::sensitivity::SensitivityModelConfig;
-    use hypervisor_sim::vm::{VmConfig, VmId};
     use workload_model::telemetry::TelemetrySampler;
     use workload_model::{SlowdownModel, WorkloadSuite};
 
@@ -251,17 +242,8 @@ mod tests {
     fn mitigation_manager_applies_and_counts() {
         let monitor = monitor();
         let (sensitive, _) = most_sensitive_and_insensitive();
-        let suite = WorkloadSuite::standard();
-        let workload = suite.get(&sensitive).unwrap().clone();
         let mut host = HostMemory::new(Bytes::from_gib(512), Bytes::from_gib(8));
-        host.online_pool(Bytes::from_gib(32));
-        let memory = workload.footprint + Bytes::from_gib(8);
-        let mut vm = VirtualMachine::launch(
-            1,
-            VmConfig { cores: 8, memory, pool_memory: Bytes::from_gib(8) },
-            workload,
-        );
-        host.pin_vm(VmId(1), vm.config().local_memory(), Bytes::from_gib(8)).unwrap();
+        host.pin(Bytes::from_gib(24), Bytes::from_gib(8)).unwrap();
 
         let mut manager = MitigationManager::new(1.0);
         let obs = VmObservation {
@@ -272,9 +254,13 @@ mod tests {
         };
         let decision = monitor.try_evaluate(&obs).unwrap();
         assert_eq!(decision, QosDecision::Mitigate);
-        let report = manager.apply(decision, &mut host, &mut vm).unwrap();
-        assert_eq!(report.moved, Bytes::from_gib(8));
-        assert!(vm.is_reconfigured());
+        // 8 GiB at 50 ms/GiB.
+        let copy = manager.apply(decision, &mut host, Bytes::from_gib(8)).unwrap();
+        assert_eq!(copy, Duration::from_millis(400));
+        assert_eq!(
+            (host.local_allocated(), host.pool_allocated()),
+            (Bytes::from_gib(32), Bytes::ZERO)
+        );
         assert_eq!(manager.mitigated(), 1);
         assert_eq!(manager.monitored(), 1);
     }
@@ -283,8 +269,6 @@ mod tests {
     fn mitigation_budget_limits_actions() {
         let monitor = monitor();
         let (sensitive, _) = most_sensitive_and_insensitive();
-        let suite = WorkloadSuite::standard();
-        let workload = suite.get(&sensitive).unwrap().clone();
         // Budget of 0 still allows a single mitigation (floor to at least 1).
         let mut manager = MitigationManager::new(0.0);
         assert!(manager.within_budget());
@@ -295,17 +279,10 @@ mod tests {
             observed_untouched: Bytes::ZERO,
         };
         // Two VMs on two hosts: only the first mitigation fits the budget.
-        for i in 0..2u64 {
+        for _ in 0..2 {
             let mut host = HostMemory::new(Bytes::from_gib(512), Bytes::from_gib(8));
-            host.online_pool(Bytes::from_gib(16));
-            let memory = workload.footprint + Bytes::from_gib(4);
-            let mut vm = VirtualMachine::launch(
-                i,
-                VmConfig { cores: 4, memory, pool_memory: Bytes::from_gib(4) },
-                workload.clone(),
-            );
-            host.pin_vm(VmId(i), vm.config().local_memory(), Bytes::from_gib(4)).unwrap();
-            manager.apply(monitor.try_evaluate(&obs).unwrap(), &mut host, &mut vm);
+            host.pin(Bytes::from_gib(12), Bytes::from_gib(4)).unwrap();
+            manager.apply(monitor.try_evaluate(&obs).unwrap(), &mut host, Bytes::from_gib(4));
         }
         assert_eq!(manager.mitigated(), 1, "budget should cap mitigations");
         assert_eq!(manager.monitored(), 2);

@@ -6,7 +6,7 @@
 //! snapshots — a single opaque number per 75-day drill. This crate adds the
 //! missing visibility without touching replay semantics:
 //!
-//! * [`MetricsRegistry`] — counters, gauges, and fixed-bucket histograms,
+//! * [`MetricsRegistry`] — counters and fixed-bucket histograms,
 //!   keyed by name and recorded in *simulated* time only, so two replays of
 //!   the same trace produce byte-identical registries.
 //! * [`ReplayObserver`] — the hook contract the replay loops call into:
@@ -17,7 +17,7 @@
 //!   unobserved replay monomorphizes to the pre-observability loop.
 //! * [`MetricsObserver`] — an observer that feeds a [`MetricsRegistry`]:
 //!   event counts by class, ladder-rung hits per group, copy-time and
-//!   VM-lifetime histograms, pool occupancy gauges.
+//!   VM-lifetime histograms.
 //! * [`TimeSeriesRecorder`] — an observer that samples per-group
 //!   availability, DRAM savings, and pool occupancy at snapshot ticks, and
 //!   (when the [`EVENT_LOG_ENV`] environment variable names a path) writes

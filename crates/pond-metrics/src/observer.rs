@@ -343,10 +343,11 @@ const COPY_SECS_BOUNDS: [u64; 8] = [1, 5, 15, 60, 300, 1800, 7200, 43_200];
 const LIFETIME_SECS_BOUNDS: [u64; 9] =
     [60, 600, 3600, 21_600, 86_400, 259_200, 604_800, 2_592_000, 7_776_000];
 
-/// An observer that aggregates every hook into a [`MetricsRegistry`]:
-/// event counts by class, ladder-rung and fallback-reason hits per group,
-/// VM-lifetime and copy-time histograms, QoS and lifecycle counters, and
-/// per-group pool-occupancy gauges refreshed at each snapshot tick.
+/// An observer that aggregates the replay's hooks into a
+/// [`MetricsRegistry`]: event counts by class, ladder-rung and
+/// fallback-reason hits per group, VM-lifetime and copy-time histograms, and
+/// QoS and lifecycle counters. Per-snapshot pool state is
+/// [`crate::TimeSeriesRecorder`]'s.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsObserver {
     registry: MetricsRegistry,
@@ -403,27 +404,6 @@ impl ReplayObserver for MetricsObserver {
                 self.registry.observe("migration.copy_secs", &COPY_SECS_BOUNDS, copy.as_secs());
             }
             _ => {}
-        }
-    }
-
-    fn on_snapshot(&mut self, _time: u64, groups: &[GroupSample]) {
-        for sample in groups {
-            let g = sample.group;
-            self.registry
-                .set_gauge(&format!("pool.group{g}.free_bytes"), sample.pool_free.as_u64());
-            self.registry.set_gauge(
-                &format!("pool.group{g}.offlining_bytes"),
-                sample.pool_offlining.as_u64(),
-            );
-            self.registry
-                .set_gauge(&format!("pool.group{g}.pinned_bytes"), sample.pool_pinned.as_u64());
-            self.registry
-                .set_gauge(&format!("pool.group{g}.live_bytes"), sample.pool_live.as_u64());
-            self.registry
-                .set_gauge(&format!("pool.group{g}.lent_bytes"), sample.pool_lent.as_u64());
-            self.registry
-                .set_gauge(&format!("pool.group{g}.borrowed_bytes"), sample.pool_borrowed.as_u64());
-            self.registry.set_gauge(&format!("pool.group{g}.running_vms"), sample.running_vms);
         }
     }
 }

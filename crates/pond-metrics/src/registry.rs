@@ -1,5 +1,5 @@
-//! The deterministic metrics registry: counters, gauges, and fixed-bucket
-//! histograms keyed by name.
+//! The deterministic metrics registry: counters and fixed-bucket histograms
+//! keyed by name.
 //!
 //! Everything here is ordinary owned state — no interior mutability, no
 //! wall-clock reads, no background aggregation — so a registry filled by a
@@ -59,11 +59,10 @@ impl Histogram {
     }
 }
 
-/// The registry: three deterministic name-keyed stores.
+/// The registry: two deterministic name-keyed stores.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, u64>,
     histograms: BTreeMap<String, Histogram>,
 }
 
@@ -83,11 +82,6 @@ impl MetricsRegistry {
         *self.counters.entry(name.to_string()).or_insert(0) += delta;
     }
 
-    /// Sets the named gauge to its latest value.
-    pub fn set_gauge(&mut self, name: &str, value: u64) {
-        self.gauges.insert(name.to_string(), value);
-    }
-
     /// Records `value` into the named histogram, creating it with `bounds`
     /// on first use. Later calls ignore `bounds` — the first caller fixes
     /// the buckets.
@@ -101,11 +95,6 @@ impl MetricsRegistry {
     /// The named counter's value (zero when never incremented).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// The named gauge's latest value, if ever set.
-    pub fn gauge(&self, name: &str) -> Option<u64> {
-        self.gauges.get(name).copied()
     }
 
     /// The named histogram, if ever observed.
@@ -151,10 +140,10 @@ mod tests {
         let mut b = MetricsRegistry::new();
         a.inc("z.late");
         a.inc("a.early");
-        a.set_gauge("g", 7);
         a.observe("h", &[1, 2], 3);
+        a.observe("g", &[5], 9);
+        b.observe("g", &[5], 9);
         b.observe("h", &[1, 2], 3);
-        b.set_gauge("g", 7);
         b.inc("a.early");
         b.inc("z.late");
         assert_eq!(a, b);
@@ -171,6 +160,5 @@ mod tests {
         assert_eq!(r.counter_prefix_sum("events."), 8);
         assert_eq!(r.counter("events.arrival"), 5);
         assert_eq!(r.counter("missing"), 0);
-        assert_eq!(r.gauge("missing"), None);
     }
 }

@@ -14,7 +14,6 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_pcg::Pcg64;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Sensitivity bucket a workload is drawn from. The bucket determines the
 /// target "total sensitivity" — the fractional slowdown per unit of relative
@@ -202,13 +201,9 @@ fn metric_for(class: WorkloadClass) -> PerformanceMetric {
 }
 
 /// The full synthetic workload suite.
-///
-/// Each profile is held once, behind an [`Arc`]: a clone of the suite, and
-/// every VM launched from an entry ([`WorkloadSuite::at`]), shares it
-/// instead of copying it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorkloadSuite {
-    workloads: Vec<Arc<WorkloadProfile>>,
+    workloads: Vec<WorkloadProfile>,
     seed: u64,
 }
 
@@ -266,13 +261,13 @@ impl WorkloadSuite {
                 seen[bucket_idx] += 1;
                 let u = (rank as f64 + 0.5) / totals[bucket_idx].max(1) as f64;
                 let target_sensitivity = bucket.sensitivity(u);
-                workloads.push(Arc::new(Self::realize_profile(
+                workloads.push(Self::realize_profile(
                     name,
                     class,
                     bucket,
                     target_sensitivity,
                     &mut rng,
-                )));
+                ));
             }
         }
         WorkloadSuite { workloads, seed }
@@ -354,7 +349,7 @@ impl WorkloadSuite {
 
     /// Iterates over all workloads.
     pub fn workloads(&self) -> impl Iterator<Item = &WorkloadProfile> {
-        self.workloads.iter().map(Arc::as_ref)
+        self.workloads.iter()
     }
 
     /// All workloads of a given class.
@@ -367,9 +362,8 @@ impl WorkloadSuite {
         self.workloads().find(|w| w.name == name)
     }
 
-    /// The workload at a given index, shared: cloning the [`Arc`] keeps the
-    /// profile without copying it.
-    pub fn at(&self, index: usize) -> Option<&Arc<WorkloadProfile>> {
+    /// The workload at a given index.
+    pub fn at(&self, index: usize) -> Option<&WorkloadProfile> {
         self.workloads.get(index)
     }
 }

@@ -91,12 +91,13 @@ fn control_plane_accounting_is_consistent() {
     assert!(!placed.is_empty());
     assert_eq!(plane.running_vms(), placed.len());
 
-    // Pool capacity assigned to hosts equals what the hosts onlined.
-    let host_pool_online: Bytes = plane.hosts().iter().map(|h| h.pool_online()).sum();
+    // Pool capacity assigned to hosts covers what the hosts pinned (and
+    // so onlined).
+    let host_pool_pinned: Bytes = plane.hosts().iter().map(|h| h.pool_allocated()).sum();
     let pool_assigned = plane.pool().pool().assigned_capacity();
     assert!(
-        pool_assigned >= host_pool_online,
-        "pool assigned {pool_assigned} must cover host onlined {host_pool_online}"
+        pool_assigned >= host_pool_pinned,
+        "pool assigned {pool_assigned} must cover host pinned {host_pool_pinned}"
     );
 
     // QoS pass and departures leave the system consistent.

@@ -11,7 +11,6 @@ use crate::simulation::{Simulation, SimulationConfig, SimulationOutcome};
 use crate::sweep;
 use crate::trace::ClusterTrace;
 use cxl_hw::units::Bytes;
-use serde::{Deserialize, Serialize};
 
 /// DRAM required with pooling, the one formula every replay and simulator
 /// reports. Pooling saves the *sharing gain* of the pool-eligible memory:
@@ -27,8 +26,20 @@ pub fn required_dram(total_peaks: Bytes, host_pool_peaks: Bytes, pool_peak: Byte
     total_peaks.saturating_sub(sharing_gain)
 }
 
+/// [`required_dram`] relative to the pool-less baseline `total_peaks`: the
+/// headline fraction (1.0 = no savings, lower is better; 1.0 for an empty
+/// baseline). One minus it is the DRAM savings every outcome reports.
+pub fn required_dram_fraction(total_peaks: Bytes, host_pool_peaks: Bytes, pool_peak: Bytes) -> f64 {
+    if total_peaks.is_zero() {
+        1.0
+    } else {
+        let required = required_dram(total_peaks, host_pool_peaks, pool_peak);
+        required.as_u64() as f64 / total_peaks.as_u64() as f64
+    }
+}
+
 /// The result of one (pool size, policy) evaluation point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PoolSizePoint {
     /// Pool size in CPU sockets.
     pub pool_sockets: u16,

@@ -11,7 +11,6 @@
 use crate::server::{Placement, Server};
 use crate::trace::VmRequest;
 use cxl_hw::units::Bytes;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Decides how much of a VM's memory is allocated from the CXL pool.
@@ -42,7 +41,7 @@ pub trait MemoryPolicy {
 }
 
 /// The no-pooling baseline: every byte is NUMA-local.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AllLocal;
 
 impl MemoryPolicy for AllLocal {
@@ -57,7 +56,7 @@ impl MemoryPolicy for AllLocal {
 
 /// The static strawman: a fixed percentage of every VM's memory comes from
 /// the pool (the policy Figures 3 and 21 compare Pond against).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FixedPoolFraction {
     fraction: f64,
 }
@@ -129,7 +128,7 @@ pub fn host_selection_key(
 /// bucket index (`free cores -> servers with that many free cores`), so each
 /// placement walks the candidate buckets in tightest-fit order in O(log n)
 /// instead of re-sorting the whole server list per arrival.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlacementEngine {
     servers: Vec<Server>,
     /// Free cores -> indices of servers with exactly that many free cores.

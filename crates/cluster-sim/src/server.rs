@@ -7,14 +7,13 @@
 
 use crate::trace::VmRequest;
 use cxl_hw::units::Bytes;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Index of a NUMA node within a server (0 or 1 for dual-socket servers).
 pub type NodeIndex = usize;
 
 /// Resources of one NUMA node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct NumaNode {
     cores_total: u32,
     cores_used: u32,
@@ -32,7 +31,7 @@ impl NumaNode {
 }
 
 /// A placement decision for one VM on a server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Placement {
     /// NUMA node holding the VM's cores.
     pub core_node: NodeIndex,
@@ -55,7 +54,7 @@ impl Placement {
 }
 
 /// One dual-socket server.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Server {
     id: u32,
     nodes: [NumaNode; 2],

@@ -13,18 +13,17 @@
 //! the final arrival — is drained and recorded before the run ends.
 
 use crate::event::{Event, EventQueue};
-use crate::pooling::required_dram;
+use crate::pooling::required_dram_fraction;
 use crate::scheduler::{align_pool_memory, MemoryPolicy, PlacementEngine};
 use crate::source::TraceCursor;
 use crate::trace::ClusterTrace;
 use cxl_hw::latency::LatencyScenario;
 use cxl_hw::units::Bytes;
-use serde::{Deserialize, Serialize};
 use workload_model::spill::SpillModel;
 use workload_model::WorkloadSuite;
 
 /// Simulator configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimulationConfig {
     /// Pool size in CPU sockets (servers are dual-socket, so a 16-socket pool
     /// spans 8 servers). `0` means one pool spanning the whole cluster.
@@ -59,7 +58,7 @@ impl Default for SimulationConfig {
 }
 
 /// One stranding snapshot (the raw data behind Figure 2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StrandingSample {
     /// Snapshot time in seconds since trace start.
     pub time: u64,
@@ -72,7 +71,7 @@ pub struct StrandingSample {
 }
 
 /// A pool-release event: a departing VM returned this much pool memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolRelease {
     /// Time of the departure in seconds.
     pub time: u64,
@@ -81,7 +80,7 @@ pub struct PoolRelease {
 }
 
 /// Aggregated results of one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimulationOutcome {
     /// Name of the memory policy that ran.
     pub policy: String,
@@ -135,24 +134,15 @@ impl SimulationOutcome {
         }
     }
 
-    /// DRAM required with pooling: [`required_dram`] over the per-server
-    /// total and pool peaks and the per-group pool peaks.
-    pub fn required_dram(&self) -> Bytes {
-        required_dram(self.sum_total_peaks, self.sum_server_pool_peaks, self.sum_pool_peaks)
-    }
-
-    /// DRAM required without pooling (every server provisioned for its own peak).
-    pub fn baseline_dram(&self) -> Bytes {
-        self.sum_total_peaks
-    }
-
-    /// Relative DRAM requirement (1.0 = no savings, lower is better).
+    /// Relative DRAM requirement (1.0 = no savings, lower is better):
+    /// [`required_dram_fraction`] over the per-server total and pool peaks
+    /// and the per-group pool peaks.
     pub fn required_dram_fraction(&self) -> f64 {
-        if self.baseline_dram().is_zero() {
-            1.0
-        } else {
-            self.required_dram().as_u64() as f64 / self.baseline_dram().as_u64() as f64
-        }
+        required_dram_fraction(
+            self.sum_total_peaks,
+            self.sum_server_pool_peaks,
+            self.sum_pool_peaks,
+        )
     }
 
     /// DRAM savings relative to the pool-less baseline.
@@ -302,16 +292,9 @@ impl<P: MemoryPolicy> Simulation<P> {
                 }
                 // This simulator models pool offlining and mitigation copies
                 // as instantaneous and runs no failure or lifecycle drills,
-                // so it never schedules release-completion, copy-completion,
-                // EMC-failure, or lifecycle events; those paths are
-                // exercised by `pond-core`'s fleet replays.
-                Event::Release { .. }
-                | Event::ReconfigDone { .. }
-                | Event::MigrationDone { .. }
-                | Event::EmcFailure { .. }
-                | Event::EmcRepair { .. }
-                | Event::GroupDecommission { .. }
-                | Event::GroupExpansion { .. } => {}
+                // so it never schedules completions or lifecycle operations;
+                // those paths are exercised by `pond-core`'s fleet replays.
+                Event::Completion { .. } | Event::Lifecycle { .. } => {}
                 Event::Snapshot { time } => take_snapshot(time, &engine, &mut outcome),
                 Event::Arrival { time: _, request_index } => {
                     let request = &trace.requests[request_index];
@@ -578,7 +561,7 @@ mod tests {
         let frac = outcome.pool_dram_fraction();
         assert!((0.25..=0.45).contains(&frac), "pool fraction {frac}");
         // Pooling should reduce the DRAM requirement relative to the baseline.
-        assert!(outcome.required_dram() <= outcome.baseline_dram());
+        assert!(outcome.required_dram_fraction() <= 1.0);
         // Some VMs spill and violate the PDM (Figure 16's lesson).
         assert!(outcome.violations > 0);
         assert!(!outcome.pool_releases.is_empty());
@@ -646,7 +629,11 @@ mod tests {
         )
         .run(&trace);
         let sharing_gain = outcome.sum_server_pool_peaks.saturating_sub(outcome.sum_pool_peaks);
-        assert_eq!(outcome.required_dram(), outcome.sum_total_peaks.saturating_sub(sharing_gain));
+        let required = outcome.sum_total_peaks.saturating_sub(sharing_gain);
+        assert_eq!(
+            outcome.required_dram_fraction(),
+            required.as_u64() as f64 / outcome.sum_total_peaks.as_u64() as f64
+        );
         assert!(outcome.sum_server_pool_peaks >= outcome.sum_pool_peaks);
         assert!(
             (outcome.violation_fraction()

@@ -22,12 +22,11 @@
 
 use crate::trace::{ClusterTrace, VmRequest};
 use cxl_hw::units::Bytes;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The cluster shape and horizon a source replays against: everything a
 /// [`ClusterTrace`] carries except the request vector itself.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceHeader {
     /// Cluster identifier.
     pub cluster_id: u32,
@@ -201,7 +200,7 @@ impl<S: ArrivalSource> ArrivalSource for Validated<S> {
 
 /// Whole-trace statistics computed in one streaming pass, so summary lines
 /// don't need the materialized request vector.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceSummary {
     /// Number of requests in the stream.
     pub requests: u64,

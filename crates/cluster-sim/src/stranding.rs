@@ -6,10 +6,9 @@
 
 use crate::simulation::StrandingSample;
 use cxl_hw::units::Bytes;
-use serde::{Deserialize, Serialize};
 
 /// Aggregate stranding statistics for one scheduled-cores bucket.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StrandingBucket {
     /// Lower edge of the bucket (fraction of cores scheduled, inclusive).
     pub cores_from: f64,
@@ -74,7 +73,7 @@ pub fn bucket_by_scheduled_cores(
 }
 
 /// Stranding time series for one rack (Figure 2b).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RackSeries {
     /// Rack index.
     pub rack: usize,

@@ -1,13 +1,12 @@
 //! VM request traces: the events the cluster simulator replays.
 
 use cxl_hw::units::Bytes;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a customer (tenant). Customers exhibit correlated behaviour
 /// across their VMs, which is what makes Pond's metadata-based predictions
 /// work (§4.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CustomerId(pub u32);
 
 impl fmt::Display for CustomerId {
@@ -18,7 +17,7 @@ impl fmt::Display for CustomerId {
 
 /// Guest operating system, one of the metadata features of the
 /// untouched-memory model (Figure 14).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GuestOs {
     /// A Linux distribution.
     Linux,
@@ -27,7 +26,7 @@ pub enum GuestOs {
 }
 
 /// VM series/type, loosely mirroring cloud VM families.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VmType {
     /// General-purpose (balanced DRAM:core ratio).
     GeneralPurpose,
@@ -70,7 +69,7 @@ impl VmType {
 }
 
 /// One VM request in a trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VmRequest {
     /// Unique id within the trace.
     pub id: u64,
@@ -147,7 +146,7 @@ impl VmRequest {
 
 /// A whole cluster's trace: the server shape plus every VM request, sorted by
 /// arrival time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterTrace {
     /// Cluster identifier.
     pub cluster_id: u32,

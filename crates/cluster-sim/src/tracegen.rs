@@ -14,11 +14,10 @@ use crate::trace::{ClusterTrace, CustomerId, GuestOs, VmRequest, VmType};
 use cxl_hw::units::Bytes;
 use rand::{Rng, SeedableRng};
 use rand_pcg::Pcg64;
-use serde::{Deserialize, Serialize};
 use workload_model::WorkloadSuite;
 
 /// Static configuration for generating one cluster's trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
     /// Number of dual-socket servers.
     pub servers: u32,

@@ -7,14 +7,13 @@
 use crate::error::CxlError;
 use crate::slice::{PermissionTable, SliceId, SliceState};
 use crate::units::{Bytes, EmcId, HostId};
-use serde::{Deserialize, Serialize};
 
 /// Static configuration of an EMC ASIC.
 ///
 /// The defaults mirror the 16-socket Pond design point: 128 PCIe 5.0 lanes
 /// (16 ×8 CXL ports) and 12 DDR5 channels, roughly the IO budget of AMD
 /// Genoa's IO die (Figure 6).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EmcConfig {
     /// Number of ×8 CXL ports (one per directly-attached host).
     pub ports: u16,
@@ -73,7 +72,7 @@ pub enum AccessOutcome {
 /// assert_eq!(emc.assigned_capacity(), Bytes::from_gib(2));
 /// # Ok::<(), cxl_hw::CxlError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Emc {
     id: EmcId,
     config: EmcConfig,

@@ -8,11 +8,10 @@
 //! drives Pond's "small pool" design decision.
 
 use crate::topology::PoolTopology;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A latency value in nanoseconds.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Latency(f64);
 
 impl Latency {
@@ -86,7 +85,7 @@ impl fmt::Display for Latency {
 }
 
 /// Named latency component on the access path (Figure 7's legend).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Component {
     /// Core, last-level cache, and on-die fabric on the requesting CPU.
     CoreLlcFabric,
@@ -111,7 +110,7 @@ pub enum Component {
 
 /// One entry in a latency breakdown: which component, how many times it is
 /// traversed, and the latency it contributes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BreakdownEntry {
     /// The component.
     pub component: Component,
@@ -123,7 +122,7 @@ pub struct BreakdownEntry {
 
 /// Per-component latency parameters. The defaults are the paper's published
 /// numbers (Figure 7 "Latency assumptions").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyModel {
     /// Core/LLC/fabric latency on the CPU (40 ns).
     pub core_llc_fabric: Latency,
@@ -259,7 +258,7 @@ impl LatencyModel {
 }
 
 /// Convenience: the latency scenarios the paper evaluates workloads under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LatencyScenario {
     /// 182% of local latency (Intel testbed: 78 ns → 142 ns).
     Increase182,

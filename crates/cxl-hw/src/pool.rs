@@ -10,12 +10,11 @@ use crate::error::CxlError;
 use crate::slice::SliceId;
 use crate::topology::PoolTopology;
 use crate::units::{Bytes, EmcId, HostId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// A (EMC, slice) pair — the global identity of a slice within a pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PoolSlice {
     /// The EMC that owns the DRAM.
     pub emc: EmcId,
@@ -29,7 +28,7 @@ pub struct PoolSlice {
 /// port-consuming host identity the borrow occupies on the lender's EMCs
 /// (a real CXL port — see `PoolGroupTopology::borrow_port_host`), and the
 /// slices themselves.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SliceLease {
     /// The pool group that lent the slices.
     pub lender: usize,
@@ -60,7 +59,7 @@ impl SliceLease {
 /// [`Online`]: GroupState::Online
 /// [`Draining`]: GroupState::Draining
 /// [`Decommissioned`]: GroupState::Decommissioned
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GroupState {
     /// In service: the group schedules arrivals and accepts migrations.
     Online,
@@ -104,7 +103,7 @@ impl Ord for GroupState {
 
 /// What one EMC failure took down, as seen by the pool
 /// ([`PoolState::fail_emc`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EmcFailureReport {
     /// The EMC that failed.
     pub emc: EmcId,
@@ -118,7 +117,7 @@ pub struct EmcFailureReport {
 /// Timing of memory offlining (§4.2). Onlining is near instantaneous and
 /// offlining takes 10–100 ms/GiB; the pool plans every release for the upper
 /// bound.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransitionTiming {
     /// Upper bound on offlining one 1 GiB slice (100 ms/GiB).
     pub offline_per_gib_max: Duration,
@@ -153,7 +152,7 @@ impl TransitionTiming {
 /// assert_eq!(pool.capacity_of(HostId(0)), Bytes::from_gib(2));
 /// # Ok::<(), cxl_hw::CxlError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PoolState {
     emcs: BTreeMap<EmcId, Emc>,
     timing: TransitionTiming,

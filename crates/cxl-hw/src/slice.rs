@@ -6,11 +6,10 @@
 //! permission table and rejects accesses from any other host (§4.1).
 
 use crate::units::HostId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of a 1 GiB slice within a single EMC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SliceId(pub u64);
 
 impl SliceId {
@@ -27,7 +26,7 @@ impl fmt::Display for SliceId {
 }
 
 /// Ownership state of a single slice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SliceState {
     /// The slice is not assigned to any host (offline from every host's view).
     #[default]
@@ -76,7 +75,7 @@ impl SliceState {
 /// assert_eq!(table.first_free(), Some(SliceId(0)));
 /// assert!(!table.access_allowed(SliceId(0), HostId(3)), "nobody owns a free slice");
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PermissionTable {
     entries: Vec<SliceState>,
     /// Number of non-free entries; kept in sync by [`PermissionTable::set`].
@@ -100,7 +99,7 @@ pub struct PermissionTable {
 /// enough here: each time a low slice frees and is re-taken, a cursor has to
 /// re-scan forward across the whole occupied run, which made allocation
 /// O(slices) again on large fragmented pools.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 struct FreeBitmap {
     /// `levels[0]` is the bit-per-slice layer; the last level is one word.
     levels: Vec<Vec<u64>>,

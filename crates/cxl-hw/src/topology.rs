@@ -10,10 +10,9 @@ use crate::emc::EmcConfig;
 use crate::error::CxlError;
 use crate::latency::{Latency, LatencyModel};
 use crate::units::{Bytes, HostId};
-use serde::{Deserialize, Serialize};
 
 /// The interconnect path between a CPU socket and the EMC that owns a line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Interconnect {
     /// Direct CXL attach. `retimers` is the number of retimers on the path
     /// (each adds latency in both directions); paths longer than ~500 mm
@@ -68,7 +67,7 @@ impl Interconnect {
 /// assert!(switch64.interconnect().switch_count() >= 2);
 /// # Ok::<(), cxl_hw::CxlError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PoolTopology {
     sockets: u16,
     interconnect: Interconnect,
@@ -183,7 +182,7 @@ impl PoolTopology {
 
 /// How a fleet's hosts are grouped around pools: the pod shape that, next to
 /// the pool *size*, drives how much stranding a pooled fleet recovers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PodStyle {
     /// Symmetric pods: every host reaches exactly its home pod's pool — the
     /// shape Pond evaluates (one pool per 8–64 sockets, Figures 6/7).
@@ -246,7 +245,7 @@ impl PodStyle {
 /// assert_eq!(topo.total_capacity(), Bytes::from_gib(1026));
 /// # Ok::<(), cxl_hw::CxlError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PoolGroupTopology {
     style: PodStyle,
     pools: Vec<PoolTopology>,

@@ -5,7 +5,6 @@
 //! and EMCs. Newtypes keep these from being mixed up
 //! (C-NEWTYPE) and give each a small, focused API.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A byte quantity.
@@ -20,9 +19,7 @@ use std::fmt;
 /// let cap = Bytes::from_gib(2);
 /// assert_eq!(cap.as_mib(), 2048);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Bytes(u64);
 
 impl Bytes {
@@ -154,7 +151,7 @@ impl fmt::Display for Bytes {
 /// The paper's EMC tracks up to 64 hosts with a 6-bit owner field per slice.
 /// This model does not enforce that width: the cross-pod ports of a
 /// borrowing fleet take ids up to 2 × hosts − 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct HostId(pub u16);
 
 impl fmt::Display for HostId {
@@ -164,7 +161,7 @@ impl fmt::Display for HostId {
 }
 
 /// Identifier of an External Memory Controller within a pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EmcId(pub u16);
 
 impl fmt::Display for EmcId {

@@ -9,11 +9,10 @@
 use crate::vm::VirtualMachine;
 use cxl_hw::latency::LatencyScenario;
 use cxl_hw::units::Bytes;
-use serde::{Deserialize, Serialize};
 use workload_model::spill::SpillModel;
 
 /// The outcome of the guest's NUMA-preferential allocation for one VM.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GuestAllocation {
     footprint: Bytes,
     local_allocated: Bytes,
@@ -100,7 +99,7 @@ impl GuestAllocation {
 
 /// Performance of a VM given its guest allocation: the slowdown relative to
 /// an all-local VM and the share of traffic reaching the zNUMA node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GuestPerformance {
     /// Fractional slowdown relative to all-local memory.
     pub slowdown: f64,

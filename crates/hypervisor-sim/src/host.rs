@@ -10,7 +10,6 @@
 //! split from it when the VM starts, leaves, or is reconfigured.
 
 use cxl_hw::units::Bytes;
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
@@ -51,7 +50,7 @@ impl fmt::Display for HostMemoryError {
 impl Error for HostMemoryError {}
 
 /// The physical memory state of one host.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HostMemory {
     local_total: Bytes,
     private_partition: Bytes,

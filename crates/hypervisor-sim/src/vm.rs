@@ -1,12 +1,11 @@
 //! Virtual machines as the hypervisor sees them.
 
 use cxl_hw::units::Bytes;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use workload_model::WorkloadProfile;
 
 /// Identifier of a VM on a host.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VmId(pub u64);
 
 impl fmt::Display for VmId {
@@ -16,7 +15,7 @@ impl fmt::Display for VmId {
 }
 
 /// The resources requested for a VM plus Pond's local/pool split decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VmConfig {
     /// Number of virtual cores.
     pub cores: u32,
@@ -67,7 +66,7 @@ impl VmConfig {
 
 /// A running VM as its guest sees it: its configuration and the workload
 /// inside it (the guest model of Figures 15 and 16).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VirtualMachine {
     id: VmId,
     config: VmConfig,

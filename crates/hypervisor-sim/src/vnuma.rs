@@ -8,12 +8,11 @@
 
 use cxl_hw::latency::LatencyScenario;
 use cxl_hw::units::Bytes;
-use serde::{Deserialize, Serialize};
 
 use crate::vm::VmConfig;
 
 /// One virtual NUMA node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VNumaNode {
     /// Node index as seen by the guest.
     pub id: u32,
@@ -25,7 +24,7 @@ pub struct VNumaNode {
 
 /// The full virtual NUMA topology of a VM, including the SLIT-style distance
 /// matrix (relative access cost, 10 = local, following ACPI convention).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VNumaTopology {
     nodes: Vec<VNumaNode>,
     /// `distances[i][j]` is the relative cost for node `i`'s CPUs to reach

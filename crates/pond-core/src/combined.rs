@@ -16,10 +16,9 @@
 
 use crate::untouched::UntouchedEvalPoint;
 use pond_ml::eval::OperatingPoint;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the combined model: the QoS target it must respect.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CombinedModelConfig {
     /// Performance degradation margin (e.g. 0.05).
     pub pdm: f64,
@@ -42,7 +41,7 @@ impl CombinedModelConfig {
 
 /// A candidate operating point of the untouched-memory model: the quantile it
 /// was trained at plus its measured trade-off.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UntouchedCandidate {
     /// Quantile the model predicts.
     pub quantile: f64,
@@ -51,7 +50,7 @@ pub struct UntouchedCandidate {
 }
 
 /// The chosen combination of operating points.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CombinedChoice {
     /// Operating point of the sensitivity model (threshold, LI, FP).
     pub sensitivity: OperatingPoint,
@@ -88,7 +87,7 @@ impl CombinedChoice {
 }
 
 /// The combined model: the solved choice for a given configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CombinedModel {
     /// The configuration that was solved for.
     pub config: CombinedModelConfig,
@@ -144,7 +143,7 @@ impl CombinedModel {
 }
 
 /// One point of the Figure 20 curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TradeoffPoint {
     /// The misprediction budget used (`100 − TP`).
     pub budget: f64,

@@ -21,13 +21,13 @@ use cxl_hw::topology::PoolTopology;
 use cxl_hw::units::{Bytes, EmcId, HostId};
 use hypervisor_sim::host::HostMemory;
 use hypervisor_sim::vm::{VmConfig, VmId};
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 /// Static configuration of a control-plane instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ControlPlaneConfig {
     /// Number of hosts sharing the pool (one per socket pair in the paper's
     /// terms; each host here is one hypervisor).
@@ -69,7 +69,7 @@ impl Default for ControlPlaneConfig {
 }
 
 /// Summary of one VM placement returned to the caller.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlacementSummary {
     /// The VM's id.
     pub vm: VmId,
@@ -796,7 +796,8 @@ impl PondControlPlane {
     ///
     /// # Errors
     ///
-    /// Returns [`PondError::HostMemory`] when the VM is unknown.
+    /// Returns [`PondError::HostMemory`] when the VM is unknown, or when its
+    /// host pins less than its record holds; the VM then stays running.
     pub fn handle_departure_split(
         &mut self,
         vm: VmId,
@@ -824,15 +825,17 @@ impl PondControlPlane {
         vm: VmId,
         now: Duration,
     ) -> Result<(DepartureOutcome, Box<VmRecord>), PondError> {
-        let mut record = self
-            .running
-            .remove(&vm.0)
-            .ok_or_else(|| PondError::HostMemory(format!("{vm} is not running")))?;
+        let Entry::Occupied(entry) = self.running.entry(vm.0) else {
+            return Err(PondError::HostMemory(format!("{vm} is not running")));
+        };
+        let record = entry.get();
         let host = usize::from(record.host);
         let old_free = self.hosts[host].local_free();
+        // A refused unpin changes nothing, so the record stays running.
         self.hosts[host]
             .unpin(record.request.memory - record.pool, record.pool)
             .map_err(|e| PondError::HostMemory(format!("{vm}: {e}")))?;
+        let mut record = entry.remove();
         let slices = std::mem::take(&mut record.slices);
         let slice_count = slices.len() as u64;
         let ready = self.pool.release_async(HostId(record.host), slices, now)?;
@@ -856,7 +859,8 @@ impl PondControlPlane {
     ///
     /// # Errors
     ///
-    /// Returns [`PondError::HostMemory`] when the VM is unknown.
+    /// Returns [`PondError::HostMemory`] when the VM is unknown, or when its
+    /// host pins less than its record holds; the VM then stays running.
     pub fn evacuate_vm_split(
         &mut self,
         vm: VmId,
@@ -977,7 +981,9 @@ impl PondControlPlane {
     /// Returns [`PondError::Model`] when the sensitivity model rejects its
     /// feature row (schema drift between training and serving) — the same
     /// validating path the arrival-time decision takes, so one malformed
-    /// row cannot panic a replay out of a QoS pass.
+    /// row cannot panic a replay out of a QoS pass. Returns
+    /// [`PondError::HostMemory`] when a VM to mitigate is pinned on its host
+    /// with less pool memory than its record holds.
     pub fn run_qos_pass(&mut self, now: Duration) -> Result<QosPassReport, PondError> {
         self.qos_pass(now, |policy, record| match record.qos {
             Some(verdict) => Ok(verdict),
@@ -1007,15 +1013,17 @@ impl PondControlPlane {
     ) -> Result<QosPassReport, PondError> {
         let mut pass = QosPassReport::default();
         // The records leave the plane for the walk, so a mitigation can
-        // re-file its host through `touch_host`; they come back before a
-        // model error is returned.
+        // re-file its host through `touch_host`; they come back before an
+        // error is returned.
         let mut running = std::mem::take(&mut self.running);
         let walked = running.iter_mut().try_for_each(|(&id, record)| {
             let decision = verdict(&self.policy, record)?;
             let host = usize::from(record.host);
             let old_free = self.hosts[host].local_free();
             let moved = record.pool;
-            let Some(copy) = self.mitigation.apply(decision, &mut self.hosts[host], moved) else {
+            let applied = self.mitigation.apply(decision, &mut self.hosts[host], moved);
+            let Some(copy) = applied.map_err(|e| PondError::HostMemory(format!("vm {id}: {e}")))?
+            else {
                 return Ok(());
             };
             record.pool = Bytes::ZERO;
@@ -1615,6 +1623,48 @@ mod tests {
         assert!(lease.is_none());
         assert_eq!(plane.pinned_pool(), pinned);
         plane.assert_pool_conserved_full();
+    }
+
+    /// Places the trace's first pooled VM, then makes its host forget the
+    /// VM's pool share, so the record and its host disagree. Returns the
+    /// VM's request, its host and the share.
+    fn place_and_unpin_its_pool(plane: &mut PondControlPlane) -> (VmRequest, usize, Bytes) {
+        let trace = TraceGenerator::new(ClusterConfig::small(), 1).generate(0);
+        let request = place_first_pooled(&trace, plane);
+        let record = &plane.running[&request.id];
+        let (host, pool) = (usize::from(record.host), record.pool);
+        // The first pooled VM is the only one with pool memory on its host.
+        plane.hosts[host].unpin(Bytes::ZERO, pool).unwrap();
+        (request, host, pool)
+    }
+
+    #[test]
+    fn a_departure_its_host_refuses_leaves_the_vm_running() {
+        let (_, mut plane) = setup();
+        let (request, host, pool) = place_and_unpin_its_pool(&mut plane);
+        let (vm, now) = (VmId(request.id), Duration::from_secs(request.departure()));
+        let error = plane.handle_departure_split(vm, now).unwrap_err();
+        assert!(matches!(error, PondError::HostMemory(_)), "{error}");
+        assert!(plane.request(vm).is_some(), "the record is still running");
+        // With the share pinned again, the departure goes through.
+        plane.hosts[host].pin(Bytes::ZERO, pool).unwrap();
+        let outcome = plane.handle_departure_split(vm, now).unwrap();
+        assert!(outcome.release_ready.is_some(), "its slices start offlining");
+        assert!(plane.request(vm).is_none());
+        plane.assert_pool_conserved_full();
+    }
+
+    #[test]
+    fn a_mitigation_its_host_refuses_fails_the_qos_pass() {
+        let (_, mut plane) = setup();
+        let (request, _, _) = place_and_unpin_its_pool(&mut plane);
+        // The monitor's verdict on the VM is to mitigate it.
+        plane.running.get_mut(&request.id).unwrap().qos = Some(QosDecision::Mitigate);
+        let running = plane.running_vms();
+        let error = plane.run_qos_pass(Duration::from_secs(request.arrival)).unwrap_err();
+        assert!(matches!(error, PondError::HostMemory(_)), "{error}");
+        assert_eq!(plane.running_vms(), running, "the pass put the records back");
+        assert_eq!(plane.mitigations(), 0);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! split. This module closes that loop: every arrival gets a live
 //! [`crate::policy::PondDecision`] from the trained prediction models, Pool
 //! Manager slice offlining completes as first-class
-//! [`Event::Release`](cluster_sim::event::Event) events, and periodic QoS
+//! [`CompletionKind::Release`] events, and periodic QoS
 //! passes reconfigure mispredicted VMs back to all-local memory with their
 //! 50 ms/GiB copy cost charged on the event timeline before the freed slices
 //! start offlining.
@@ -31,18 +31,17 @@ use crate::control_plane::PondControlPlane;
 use crate::error::PondError;
 use crate::multipool::MultiPoolConfig;
 use crate::policy::PondPolicy;
-use cluster_sim::event::{Event, ReferenceEventQueue};
-use cluster_sim::pooling::required_dram;
+use cluster_sim::event::{CompletionKind, Event, ReferenceEventQueue};
+use cluster_sim::pooling::{required_dram, required_dram_fraction};
 use cluster_sim::trace::ClusterTrace;
 use cxl_hw::units::Bytes;
 use hypervisor_sim::vm::VmId;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 use workload_model::spill::SpillModel;
 use workload_model::WorkloadProfile;
 
 /// Aggregated results of one fleet replay.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FleetOutcome {
     /// VMs placed by the control plane.
     pub scheduled_vms: u64,
@@ -59,7 +58,7 @@ pub struct FleetOutcome {
     /// Total pool→local copy time the mitigations charged.
     pub mitigation_copy_time: Duration,
     /// Reconfiguration-copy completion events processed: each mitigation's
-    /// degraded-mode window ends with one first-class `ReconfigDone` event.
+    /// degraded-mode window ends with one first-class `Reconfig` completion.
     pub reconfig_completions: u64,
     /// Peak number of mitigation copies in flight at once — the widest
     /// degraded-mode window any snapshot could observe.
@@ -80,7 +79,7 @@ pub struct FleetOutcome {
     /// the VM ran in.
     pub vms_killed: u64,
     /// Migration-copy completion events processed: each migrated VM's
-    /// in-migration degraded window ends with one `MigrationDone` event.
+    /// in-migration degraded window ends with one `Migration` completion.
     pub migration_completions: u64,
     /// Total evacuation copy time the migrations charged (50 ms/GiB of each
     /// migrated VM's full memory, like the QoS mitigation copies).
@@ -155,13 +154,10 @@ impl FleetOutcome {
         required_dram(self.sum_total_peaks, self.sum_host_pool_peaks, self.pool_peak)
     }
 
-    /// Relative DRAM requirement (1.0 = no savings, lower is better).
+    /// Relative DRAM requirement (1.0 = no savings, lower is better), as
+    /// [`required_dram_fraction`] computes it.
     pub fn required_dram_fraction(&self) -> f64 {
-        if self.baseline_dram().is_zero() {
-            1.0
-        } else {
-            self.required_dram().as_u64() as f64 / self.baseline_dram().as_u64() as f64
-        }
+        required_dram_fraction(self.sum_total_peaks, self.sum_host_pool_peaks, self.pool_peak)
     }
 
     /// DRAM savings relative to the pool-less baseline.
@@ -388,17 +384,6 @@ pub(crate) fn checked_decrement(counter: &mut u64, what: &str) {
     *counter = counter.saturating_sub(1);
 }
 
-/// Which completion event a QoS pass just asked for — the hook that lets
-/// the replay engine and [`run_fleet_reference`], which run on different
-/// queues, share [`ReplayAccounting::record_qos_pass`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ScheduledEvent {
-    /// An asynchronous slice-release completion.
-    Release,
-    /// A mitigation copy completion.
-    ReconfigDone,
-}
-
 /// The per-event outcome accounting shared by the replay engine
 /// ([`crate::multipool`]) and the oracle [`run_fleet_reference`]: both
 /// charge placements and mitigations through these helpers, so the oracle
@@ -448,27 +433,27 @@ impl ReplayAccounting {
     /// (each copy completion becomes a first-class event so snapshots
     /// observe the window, not just the accumulated total), the release of
     /// the freed slices, and the GiB-hour take-back for the pool time the
-    /// mitigated VMs will no longer serve. `schedule` must queue the event
-    /// at the given time (and may attribute it) — taking a closure rather
-    /// than a queue lets every replay variant, whichever queue it runs on,
-    /// share this accounting.
+    /// mitigated VMs will no longer serve. `schedule` must queue the
+    /// completion of the given kind at the given time (and may attribute
+    /// it) — taking a closure rather than a queue lets every replay variant,
+    /// whichever queue it runs on, share this accounting.
     pub(crate) fn record_qos_pass(
         &self,
         outcome: &mut FleetOutcome,
         pass: crate::control_plane::QosPassReport,
         time: u64,
         degraded: &mut u64,
-        mut schedule: impl FnMut(ScheduledEvent, u64),
+        mut schedule: impl FnMut(CompletionKind, u64),
     ) {
         outcome.mitigations += pass.reconfigured;
         outcome.mitigation_copy_time += pass.copy_time;
         outcome.qos_passes += 1;
         for mitigation in pass.mitigated {
-            schedule(ScheduledEvent::ReconfigDone, ceil_secs(mitigation.copy_done));
+            schedule(CompletionKind::Reconfig, ceil_secs(mitigation.copy_done));
             *degraded += 1;
             outcome.peak_degraded_vms = outcome.peak_degraded_vms.max(*degraded);
             if let Some(ready) = mitigation.release_ready {
-                schedule(ScheduledEvent::Release, ceil_secs(ready));
+                schedule(CompletionKind::Release, ceil_secs(ready));
             }
             // The VM was charged for its whole lifetime at arrival; take
             // back the pool GiB-hours it will no longer serve.
@@ -579,32 +564,25 @@ pub fn run_fleet_reference(
                 if placed.remove(&request_index) {
                     let vm = VmId(trace.requests[request_index].id);
                     if let Some(ready) = plane.handle_departure_split(vm, now)?.release_ready {
-                        events.schedule_release(ceil_secs(ready), 0);
+                        events.schedule_completion(ceil_secs(ready), CompletionKind::Release, 0);
                     }
                 }
             }
-            Event::Release { .. } => {
+            Event::Completion { kind: CompletionKind::Release, .. } => {
                 plane.complete_releases(now);
                 outcome.releases_completed += 1;
             }
-            Event::ReconfigDone { .. } => {
+            Event::Completion { kind: CompletionKind::Reconfig, .. } => {
                 checked_decrement(&mut degraded, "in-flight mitigation copies");
                 outcome.reconfig_completions += 1;
             }
-            Event::EmcFailure { .. }
-            | Event::EmcRepair { .. }
-            | Event::GroupDecommission { .. }
-            | Event::GroupExpansion { .. }
-            | Event::MigrationDone { .. } => {
+            Event::Completion { kind: CompletionKind::Migration, .. } | Event::Lifecycle { .. } => {
                 unreachable!("run_fleet_reference schedules no failure-drill or lifecycle events")
             }
             Event::Snapshot { time } => {
                 let pass = plane.run_qos_pass(now)?;
                 accounting.record_qos_pass(&mut outcome, pass, time, &mut degraded, |kind, at| {
-                    match kind {
-                        ScheduledEvent::Release => events.schedule_release(at, 0),
-                        ScheduledEvent::ReconfigDone => events.schedule_reconfig_done(at, 0),
-                    }
+                    events.schedule_completion(at, kind, 0)
                 });
             }
         }
@@ -623,7 +601,7 @@ pub fn run_fleet_reference(
     debug_assert_eq!(degraded, 0, "every mitigation copy must have completed as an event");
     debug_assert_eq!(
         outcome.reconfig_completions, outcome.mitigations,
-        "one ReconfigDone event per mitigation"
+        "one Reconfig completion per mitigation"
     );
 
     outcome.pooled_host_count = pooled_hosts.len() as u64;

@@ -79,10 +79,10 @@ use crate::control_plane::{
     Backing, BorrowedReclaim, ControlPlaneConfig, PlacementSummary, PondControlPlane, PooledPlan,
 };
 use crate::error::PondError;
-use crate::fleet::{ceil_secs, checked_decrement, FleetOutcome, ReplayAccounting, ScheduledEvent};
+use crate::fleet::{ceil_secs, checked_decrement, FleetOutcome, ReplayAccounting};
 use crate::group_index::{scheduler_choice, GroupIndex, Planes};
 use crate::policy::PondPolicy;
-use cluster_sim::event::{Event, EventQueue};
+use cluster_sim::event::{CompletionKind, Event, EventQueue, LifecycleKind};
 use cluster_sim::source::{ArrivalSource, TraceCursor, TraceHeader};
 use cluster_sim::sweep;
 use cluster_sim::trace::{ClusterTrace, VmRequest};
@@ -98,7 +98,6 @@ use pond_metrics::{
 };
 use rand::{Rng, SeedableRng};
 use rand_pcg::Pcg64;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, DefaultHasher};
@@ -131,7 +130,7 @@ impl GroupView {
 }
 
 /// The built-in group-scheduling strategies, selectable from configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GroupSchedulerKind {
     /// Spreads arrivals across groups in rotation, ignoring load.
     RoundRobin,
@@ -208,13 +207,13 @@ fn first_min<K: Ord>(views: &[GroupView], key: impl Fn(&GroupView) -> K) -> usiz
 }
 
 /// What kind of component a failure drill kills.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DrillKind {
     /// External Memory Controllers — the paper's headline blast-radius case
     /// (§4.1): one dead device takes down every slice behind it.
     Emc,
     /// EMC failures with repair: every failed device is replaced
-    /// `mttr_secs` after it dies ([`Event::EmcRepair`]), restoring its
+    /// `mttr_secs` after it dies ([`LifecycleKind::EmcRepair`]), restoring its
     /// capacity to the pool mid-replay (§4.2's operational reality). The
     /// failure schedule is *identical* to [`DrillKind::Emc`] at the same
     /// seed — repairs are planned from the failures, with no extra random
@@ -227,7 +226,7 @@ pub enum DrillKind {
 }
 
 /// A failure drill injected into a multi-pool replay: component failures
-/// become first-class timeline events ([`Event::EmcFailure`]) that the
+/// become first-class timeline events ([`LifecycleKind::EmcFailure`]) that the
 /// evacuation planner must survive.
 ///
 /// The drill plan is generated once, deterministically from the spec alone
@@ -235,7 +234,7 @@ pub enum DrillKind {
 /// the same spec over the same trace yields the same failures — serial and
 /// parallel sweeps stay bit-identical. A rate of zero is exactly a no-drill
 /// replay.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FailureDrillSpec {
     /// Expected component failures per simulated day across the whole
     /// fleet. Drastically higher than production failure rates on purpose:
@@ -248,62 +247,89 @@ pub struct FailureDrillSpec {
     pub seed: u64,
 }
 
-/// One planned failure: which EMC of which pool group dies, and when.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PlannedEmcFailure {
-    time: u64,
-    group: usize,
-    emc: EmcId,
+/// One operation of a replay's lifecycle plan: a drill failure, or a
+/// repair, decommission or expansion — the drill's repair echo or an
+/// operation of the explicit [`LifecyclePlan`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum PlannedOp {
+    /// Which EMC of which pool group dies.
+    EmcFailure {
+        group: usize,
+        emc: EmcId,
+    },
+    Lifecycle(LifecycleOp),
 }
 
-/// Expands a drill spec into the concrete failure plan for one topology.
-/// Exponential inter-arrival times (a Poisson process at `rate_per_day`),
-/// each failure striking a uniformly chosen group and one of its EMCs.
+impl PlannedOp {
+    /// The operation's place in the lifecycle rung of the event order.
+    fn kind(self) -> LifecycleKind {
+        match self {
+            PlannedOp::EmcFailure { .. } => LifecycleKind::EmcFailure,
+            PlannedOp::Lifecycle(LifecycleOp::RepairEmc { .. }) => LifecycleKind::EmcRepair,
+            PlannedOp::Lifecycle(LifecycleOp::DecommissionGroup { .. }) => {
+                LifecycleKind::Decommission
+            }
+            PlannedOp::Lifecycle(LifecycleOp::ExpandGroup { .. }) => LifecycleKind::Expansion,
+        }
+    }
+}
+
+/// Expands a drill spec into its timed operations for one topology:
+/// failures at exponential inter-arrival times (a Poisson process at
+/// `rate_per_day`), each striking a uniformly chosen group and one of its
+/// EMCs, then, for [`DrillKind::EmcWithRepair`], one repair per failure
+/// `mttr_secs` after it. The repairs take no random draws, so both kinds
+/// plan the same failures at the same seed.
 fn plan_drill(
     spec: &FailureDrillSpec,
     duration: u64,
     topology: &PoolGroupTopology,
-) -> Vec<PlannedEmcFailure> {
-    let mut plan = Vec::new();
+) -> Vec<(u64, PlannedOp)> {
     if spec.rate_per_day <= 0.0 || !spec.rate_per_day.is_finite() || duration == 0 {
-        return plan;
-    }
-    // Both kinds share the failure schedule; `EmcWithRepair`'s repairs are
-    // derived from it afterwards without consuming any random draws, so the
-    // failures line up exactly across the two kinds at the same seed.
-    match spec.kind {
-        DrillKind::Emc | DrillKind::EmcWithRepair { .. } => {}
+        return Vec::new();
     }
     let mut rng = Pcg64::seed_from_u64(spec.seed);
     let per_sec = spec.rate_per_day / 86_400.0;
     let mut t = 0.0f64;
+    let mut failures = Vec::new();
     loop {
         let u: f64 = rng.gen();
         // `1 - u` keeps the logarithm's argument in (0, 1].
         t += -(1.0 - u).ln() / per_sec;
         if t >= duration as f64 {
-            return plan;
+            break;
         }
         let group = rng.gen_range(0..topology.group_count());
-        let emc = rng.gen_range(0..topology.pool(group).emc_configs().len() as u16);
-        plan.push(PlannedEmcFailure { time: t as u64, group, emc: EmcId(emc) });
+        let emc = EmcId(rng.gen_range(0..topology.pool(group).emc_configs().len() as u16));
+        failures.push((t as u64, group, emc));
     }
+    let mut plan: Vec<_> = failures
+        .iter()
+        .map(|&(time, group, emc)| (time, PlannedOp::EmcFailure { group, emc }))
+        .collect();
+    if let DrillKind::EmcWithRepair { mttr_secs } = spec.kind {
+        plan.extend(failures.iter().map(|&(time, group, emc)| {
+            let repair = LifecycleOp::RepairEmc { group, emc };
+            (time.saturating_add(mttr_secs), PlannedOp::Lifecycle(repair))
+        }));
+    }
+    plan
 }
 
 /// One scheduled pool-lifecycle operation (§4.2's operational reality as
 /// timeline events): a device replacement, a graceful pod decommission, or
 /// a live capacity expansion.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LifecycleOp {
     /// Replace a failed EMC: its capacity rejoins `group`'s pool empty
-    /// ([`Event::EmcRepair`]). A no-op on a healthy device.
+    /// ([`LifecycleKind::EmcRepair`]). A no-op on a healthy device.
     RepairEmc {
         /// The pool group owning the device.
         group: usize,
         /// The device to repair.
         emc: EmcId,
     },
-    /// Gracefully decommission `group` ([`Event::GroupDecommission`]): the
+    /// Gracefully decommission `group` ([`LifecycleKind::Decommission`]): the
     /// group stops accepting placements, every running VM is *drained* to a
     /// surviving group through the arrival ladder (killed only when no rung
     /// anywhere holds it), and the group reaches `Decommissioned` once its
@@ -313,7 +339,7 @@ pub enum LifecycleOp {
         group: usize,
     },
     /// Attach a fresh EMC of `capacity` to `group`'s pool live
-    /// ([`Event::GroupExpansion`]). Expanding a `Decommissioned` group
+    /// ([`LifecycleKind::Expansion`]). Expanding a `Decommissioned` group
     /// re-onlines it — the replacement-pod case.
     ExpandGroup {
         /// The pool group to grow.
@@ -324,7 +350,7 @@ pub enum LifecycleOp {
 }
 
 /// One lifecycle operation at one timeline instant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LifecycleEvent {
     /// Seconds from trace start.
     pub time: u64,
@@ -334,7 +360,7 @@ pub struct LifecycleEvent {
 
 /// An explicit schedule of lifecycle operations injected into a replay.
 /// An empty plan reproduces the plain replay bit for bit.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LifecyclePlan {
     /// The scheduled operations, in any order (the event queue sorts them).
     pub events: Vec<LifecycleEvent>,
@@ -344,7 +370,7 @@ pub struct LifecyclePlan {
 /// pool-starved group migrates a few VMs to its ring neighbour *before*
 /// pressure turns into rejections. Placements are pre-checked against the
 /// destination, so a rebalance move can never kill a VM.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RebalanceSpec {
     /// A group is starved when its free pool drops below this fraction of
     /// its live pool capacity.
@@ -353,25 +379,8 @@ pub struct RebalanceSpec {
     pub max_moves_per_pass: u32,
 }
 
-/// One planned repair: which EMC of which group comes back, and when.
-/// Merged from the drill's MTTR echo and explicit [`LifecycleOp::RepairEmc`]
-/// events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PlannedEmcRepair {
-    time: u64,
-    group: usize,
-    emc: EmcId,
-}
-
-/// One planned live expansion: the new device's capacity and home group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PlannedExpansion {
-    group: usize,
-    capacity: Bytes,
-}
-
 /// Configuration of a sharded multi-pool fleet replay.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiPoolConfig {
     /// Pod style: symmetric shards or Octopus-style overlapping rings.
     pub pod: PodStyle,
@@ -405,7 +414,6 @@ pub struct MultiPoolConfig {
     /// pool is exhausted may lease slices from a reachable lender pod
     /// instead of re-homing the VM. `false` (the default) reproduces the
     /// slices-follow-host replay bit for bit.
-    #[serde(default)]
     pub borrowing: bool,
 }
 
@@ -517,7 +525,7 @@ impl MultiPoolConfig {
 }
 
 /// Aggregated results of one multi-pool fleet replay.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiPoolOutcome {
     /// Fleet-wide aggregate. Summable fields are sums over groups;
     /// `pool_peak` is the sum of per-group pool peaks (each pool provisions
@@ -745,9 +753,9 @@ struct Replay<'a, S, O> {
     /// `Draining` to `Decommissioned`, and an expansion can bring a
     /// decommissioned pod back. Changed only through [`Replay::set_state`].
     group_state: Vec<GroupState>,
-    drill_plan: Vec<PlannedEmcFailure>,
-    repair_plan: Vec<PlannedEmcRepair>,
-    expansion_plan: Vec<PlannedExpansion>,
+    /// The lifecycle plan: entry `i` is the operation behind
+    /// [`Event::Lifecycle`] index `i`.
+    lifecycle: Vec<PlannedOp>,
     /// The ladder order, reused by arrivals and the lifecycle paths.
     order: Vec<usize>,
 }
@@ -801,29 +809,19 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
         let host_peaks: Vec<Vec<Bytes>> =
             planes.iter().map(|p| vec![Bytes::ZERO; p.hosts().len()]).collect();
 
-        // The failure drill is planned once, up front, deterministically
-        // from the spec (the header's duration is all it needs): every
-        // failure is already an event before the replay starts. Then the
-        // drill's repair echo (one repair per planned failure, `mttr_secs`
-        // later — no random draws, so the failure schedule is untouched),
-        // then the explicit plan's operations.
-        let drill_plan = match &config.drill {
+        // Every lifecycle operation is an event before the replay starts:
+        // the failure drill, planned deterministically from the spec (the
+        // header's duration is all it needs) with its repair echo, then the
+        // explicit plan's operations.
+        let mut plan = match &config.drill {
             Some(spec) => plan_drill(spec, source.header().duration, &topology),
             None => Vec::new(),
         };
-        let mut repair_plan: Vec<PlannedEmcRepair> = Vec::new();
-        if let Some(FailureDrillSpec { kind: DrillKind::EmcWithRepair { mttr_secs }, .. }) =
-            config.drill
-        {
-            repair_plan.extend(drill_plan.iter().map(|failure| PlannedEmcRepair {
-                time: failure.time.saturating_add(mttr_secs),
-                group: failure.group,
-                emc: failure.emc,
-            }));
-        }
-        let mut events = EventQueue::new(source, config.qos_interval);
-        let mut expansion_plan: Vec<PlannedExpansion> = Vec::new();
-        for event in config.lifecycle.iter().flat_map(|plan| &plan.events) {
+        let explicit = config.lifecycle.as_ref().map_or(&[][..], |plan| &plan.events);
+        // Exactly the room the explicit operations need: a plan grown by
+        // doubling raised `drill`'s peak RSS.
+        plan.reserve_exact(explicit.len());
+        for event in explicit {
             let (LifecycleOp::RepairEmc { group, .. }
             | LifecycleOp::DecommissionGroup { group }
             | LifecycleOp::ExpandGroup { group, .. }) = event.op;
@@ -834,24 +832,22 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
                 );
                 return Err(CxlError::InvalidGroupTopology { detail }.into());
             }
-            match event.op {
-                LifecycleOp::RepairEmc { group, emc } => {
-                    repair_plan.push(PlannedEmcRepair { time: event.time, group, emc });
-                }
-                LifecycleOp::DecommissionGroup { group } => {
-                    events.schedule_group_decommission(event.time, group);
-                }
-                LifecycleOp::ExpandGroup { group, capacity } => {
-                    events.schedule_group_expansion(event.time, expansion_plan.len());
-                    expansion_plan.push(PlannedExpansion { group, capacity });
-                }
-            }
+            plan.push((event.time, PlannedOp::Lifecycle(event.op)));
         }
-        for (failure_index, failure) in drill_plan.iter().enumerate() {
-            events.schedule_emc_failure(failure.time, failure_index);
-        }
-        for (repair_index, repair) in repair_plan.iter().enumerate() {
-            events.schedule_emc_repair(repair.time, repair_index);
+        // Same-instant operations of one kind pop in index order, so the
+        // stable sort sets their order: failures in drill order, the drill's
+        // repair echoes before the plan's repairs, expansions in plan order,
+        // and decommissions by group.
+        plan.sort_by_key(|&(time, op)| {
+            let group = match op {
+                PlannedOp::Lifecycle(LifecycleOp::DecommissionGroup { group }) => group,
+                _ => 0,
+            };
+            (time, op.kind(), group)
+        });
+        let mut events = EventQueue::new(source, config.qos_interval);
+        for (index, &(time, op)) in plan.iter().enumerate() {
+            events.schedule_lifecycle(time, op.kind(), index);
         }
 
         Ok(Replay {
@@ -873,9 +869,7 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
             cross_group_placements: 0,
             snapshot_ticks: 0,
             group_state: vec![GroupState::Online; groups],
-            drill_plan,
-            repair_plan,
-            expansion_plan,
+            lifecycle: plan.into_iter().map(|(_, op)| op).collect(),
             order: Vec::with_capacity(groups),
             topology,
             planes: Planes::new(planes),
@@ -892,15 +886,23 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
             match event {
                 Event::Arrival { request_index, .. } => self.arrival(request_index, now)?,
                 Event::Departure { token, .. } => self.departure(token, now)?,
-                Event::Release { group, .. } => self.release(group, now),
-                Event::ReconfigDone { group, .. } => self.reconfig_done(group),
-                Event::MigrationDone { group, .. } => self.migration_done(group),
-                Event::EmcFailure { failure_index, .. } => self.emc_failure(failure_index, now)?,
-                Event::EmcRepair { repair_index, .. } => self.emc_repair(repair_index, now)?,
-                Event::GroupDecommission { group, .. } => self.decommission(group, now)?,
-                Event::GroupExpansion { expansion_index, .. } => {
-                    self.expansion(expansion_index, now)
-                }
+                Event::Completion { kind, group, .. } => match kind {
+                    CompletionKind::Release => self.release(group, now),
+                    CompletionKind::Reconfig => self.reconfig_done(group),
+                    CompletionKind::Migration => self.migration_done(group),
+                },
+                Event::Lifecycle { index, .. } => match self.lifecycle[index] {
+                    PlannedOp::EmcFailure { group, emc } => self.emc_failure(group, emc, now)?,
+                    PlannedOp::Lifecycle(LifecycleOp::RepairEmc { group, emc }) => {
+                        self.emc_repair(group, emc, now)?
+                    }
+                    PlannedOp::Lifecycle(LifecycleOp::DecommissionGroup { group }) => {
+                        self.decommission(group, now)?
+                    }
+                    PlannedOp::Lifecycle(LifecycleOp::ExpandGroup { group, capacity }) => {
+                        self.expansion(group, capacity, now)
+                    }
+                },
                 Event::Snapshot { time } => self.snapshot(time, now)?,
             }
 
@@ -1042,8 +1044,7 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
     /// *online* groups (the home pod's surviving EMCs first, then the
     /// neighbours), then all-local in the same order — or killed when no
     /// rung holds it.
-    fn emc_failure(&mut self, failure_index: usize, now: Duration) -> Result<(), PondError> {
-        let PlannedEmcFailure { group: source, emc, .. } = self.drill_plan[failure_index];
+    fn emc_failure(&mut self, source: usize, emc: EmcId, now: Duration) -> Result<(), PondError> {
         let outcome = self.planes.touch(source).handle_emc_failure(emc, now)?;
         self.per_group[source].emc_failures += 1;
         let affected = outcome.affected.len() as u64;
@@ -1083,8 +1084,7 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
         Ok(())
     }
 
-    fn emc_repair(&mut self, repair_index: usize, now: Duration) -> Result<(), PondError> {
-        let PlannedEmcRepair { group, emc, .. } = self.repair_plan[repair_index];
+    fn emc_repair(&mut self, group: usize, emc: EmcId, now: Duration) -> Result<(), PondError> {
         // The replacement device rejoins the pool empty: live and free
         // capacity grow by exactly the same amount, so the conservation
         // invariant holds through the repair. A repair of a healthy device
@@ -1147,8 +1147,7 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
         Ok(())
     }
 
-    fn expansion(&mut self, expansion_index: usize, now: Duration) {
-        let PlannedExpansion { group, capacity } = self.expansion_plan[expansion_index];
+    fn expansion(&mut self, group: usize, capacity: Bytes, now: Duration) {
         self.planes.touch(group).expand_pool(capacity);
         self.per_group[group].groups_expanded += 1;
         self.lifecycle_op(group, now, LifecycleOpKind::Expansion { capacity });
@@ -1194,13 +1193,12 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
                 pass,
                 time,
                 &mut degraded_of[group],
-                |kind, at| match kind {
-                    ScheduledEvent::ReconfigDone => {
-                        events.schedule_reconfig_done(at, group);
+                |kind, at| {
+                    events.schedule_completion(at, kind, group);
+                    if kind == CompletionKind::Reconfig {
                         *degraded_fleet += 1;
                         *peak_degraded_fleet = (*peak_degraded_fleet).max(*degraded_fleet);
                     }
-                    ScheduledEvent::Release => events.schedule_release(at, group),
                 },
             );
         }
@@ -1272,7 +1270,7 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
     /// pool footprint the VM's GiB-hours are still accruing (the failure
     /// paths measure it before stripping the dead slices).
     ///
-    /// Every counter, the `MigrationDone` completion, and the lifecycle
+    /// Every counter, the `Migration` completion, and the lifecycle
     /// trace are attributed to `from`, the group the VM leaves — so a
     /// group's `availability()` counts kills where the VMs ran. The
     /// destination is credited only with the GiB-hours it will serve.
@@ -1308,10 +1306,11 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
         let (dest, copy) = match self.ladder(order, &request, now, all_local)? {
             Some((dest, summary)) => {
                 // The copy moves the VM's full memory at the mitigation's
-                // 50 ms/GiB; the VM runs degraded until the MigrationDone
-                // event closes the window.
+                // 50 ms/GiB; the VM runs degraded until the `Migration`
+                // completion closes the window.
                 let copy = copy_time(request.memory);
-                self.events.schedule_migration_done(ceil_secs(now + copy), from);
+                let done = ceil_secs(now + copy);
+                self.events.schedule_completion(done, CompletionKind::Migration, from);
                 self.migrating_of[from] += 1;
                 kind.count(&mut self.per_group[from]);
                 self.per_group[from].evacuation_copy_time += copy;
@@ -1501,7 +1500,7 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
     /// Schedules the `Release` event of offlining in `group`'s pool that
     /// completes at `ready`.
     fn schedule_release(&mut self, group: usize, ready: Duration) {
-        self.events.schedule_release(ceil_secs(ready), group);
+        self.events.schedule_completion(ceil_secs(ready), CompletionKind::Release, group);
     }
 
     /// Hands a lease back to its lender, whose pool starts offlining the
@@ -1519,8 +1518,8 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
     /// been drained, its last pending async release has been delivered,
     /// *and* every slice it lent to other pods has been recalled — the
     /// slice ledger must be fully settled before the pod is struck off, or
-    /// a late [`Event::Release`] (or a lease still held by a foreign VM)
-    /// would free slices of a dead pool. Checked at the end of the
+    /// a late [`CompletionKind::Release`] (or a lease still held by a
+    /// foreign VM) would free slices of a dead pool. Checked at the end of the
     /// decommission event and again after every release completion.
     fn finish_decommission_if_drained(&mut self, group: usize, now: Duration) {
         let plane = &self.planes[group];
@@ -1611,7 +1610,7 @@ impl<'a, S: ArrivalSource, O: ReplayObserver> Replay<'a, S, O> {
             debug_assert_eq!(
                 outcome.migration_completions,
                 outcome.vms_migrated + outcome.vms_drained + outcome.vms_rebalanced,
-                "group {group}: one MigrationDone event per migration copy — \
+                "group {group}: one Migration completion per migration copy — \
                  failure evacuations, drains, and rebalances alike"
             );
             // A host held pool slices exactly when its pinned-pool peak is
@@ -1812,9 +1811,9 @@ mod tests {
         let b = plan_drill(&drill(2.0), 4 * 86_400, &topology);
         assert_eq!(a, b, "same spec must plan the same failures");
         assert!(!a.is_empty(), "2/day over 4 days should fire");
-        for failure in &a {
-            assert!(failure.group < 4);
-            assert!(failure.time < 4 * 86_400);
+        for &(time, op) in &a {
+            assert!(matches!(op, PlannedOp::EmcFailure { group, .. } if group < 4), "{op:?}");
+            assert!(time < 4 * 86_400);
         }
         // Different seeds plan different schedules.
         let c = plan_drill(&FailureDrillSpec { seed: 100, ..drill(2.0) }, 4 * 86_400, &topology);
@@ -1849,7 +1848,7 @@ mod tests {
         assert_eq!(a, b, "drilled replays must be deterministic");
         assert!(a.fleet.emc_failures > 0, "4/day over 4 days must fire: {a:?}");
         // Every affected VM was either migrated or killed, and every
-        // migration's copy window closed with a MigrationDone event.
+        // migration's copy window closed with a `Migration` completion.
         assert_eq!(a.fleet.migration_completions, a.fleet.vms_migrated);
         assert!(a.fleet.availability() <= 1.0);
         assert_eq!(
@@ -1884,11 +1883,16 @@ mod tests {
             PoolGroupTopology::new(PodStyle::Octopus, 4, 16, 16, Bytes::from_gib(64)).unwrap();
         let with_repair =
             FailureDrillSpec { kind: DrillKind::EmcWithRepair { mttr_secs: 3_600 }, ..drill(2.0) };
-        assert_eq!(
-            plan_drill(&drill(2.0), 4 * 86_400, &topology),
-            plan_drill(&with_repair, 4 * 86_400, &topology),
-            "repairs must be planned without perturbing the failure schedule"
-        );
+        let failures = plan_drill(&drill(2.0), 4 * 86_400, &topology);
+        let healed = plan_drill(&with_repair, 4 * 86_400, &topology);
+        let (planned, repairs) = healed.split_at(failures.len());
+        assert_eq!(planned, failures, "repairs must not perturb the failure schedule");
+        assert_eq!(repairs.len(), failures.len(), "one repair per failure");
+        for (&(failed, failure), &(repaired, repair)) in failures.iter().zip(repairs) {
+            let PlannedOp::EmcFailure { group, emc } = failure else { panic!("{failure:?}") };
+            assert_eq!(repaired, failed + 3_600);
+            assert_eq!(repair, PlannedOp::Lifecycle(LifecycleOp::RepairEmc { group, emc }));
+        }
     }
 
     #[test]
@@ -2275,6 +2279,52 @@ mod tests {
         );
     }
 
+    /// Records the traces of the replay's repairs, decommission starts and
+    /// expansions: `(time, group, operation)`.
+    #[derive(Default)]
+    struct OpLog(Vec<(u64, usize, &'static str)>);
+
+    impl ReplayObserver for OpLog {
+        fn on_lifecycle_op(&mut self, op: &LifecycleTrace) {
+            let name = match op.kind {
+                LifecycleOpKind::EmcRepair { .. } => "repair",
+                LifecycleOpKind::DecommissionStarted { .. } => "decommission",
+                LifecycleOpKind::Expansion { .. } => "expansion",
+                _ => return,
+            };
+            self.0.push((op.time, op.group, name));
+        }
+    }
+
+    #[test]
+    fn same_instant_lifecycle_operations_apply_in_the_event_order() {
+        // One instant, listed out of order: the expansion first, pod 3's
+        // decommission before pod 1's. The replay repairs, then drains by
+        // group, then expands.
+        let trace = small_trace();
+        let at = |op| LifecycleEvent { time: 86_400, op };
+        let cfg = config(PodStyle::Octopus, 4, GroupSchedulerKind::RoundRobin).with_lifecycle(
+            plan(vec![
+                at(LifecycleOp::ExpandGroup { group: 0, capacity: Bytes::from_gib(32) }),
+                at(LifecycleOp::DecommissionGroup { group: 3 }),
+                at(LifecycleOp::RepairEmc { group: 2, emc: EmcId(0) }),
+                at(LifecycleOp::DecommissionGroup { group: 1 }),
+            ]),
+        );
+        let policy = PondPolicy::train(&trace, &cfg.control.policy, cfg.seed);
+        let mut log = OpLog::default();
+        run_multipool_source_observed(TraceCursor::new(&trace), &cfg, policy, &mut log).unwrap();
+        assert_eq!(
+            log.0,
+            vec![
+                (86_400, 2, "repair"),
+                (86_400, 1, "decommission"),
+                (86_400, 3, "decommission"),
+                (86_400, 0, "expansion"),
+            ]
+        );
+    }
+
     /// Records every drain the replay traces: `(group the VM left, dest)`.
     #[derive(Default)]
     struct DrainLog(Vec<(usize, Option<usize>)>);
@@ -2324,7 +2374,7 @@ mod tests {
             assert_eq!(
                 outcome.migration_completions,
                 outcome.vms_migrated + outcome.vms_drained + outcome.vms_rebalanced,
-                "group {g}: one MigrationDone per move, on the group the VM left: {a:?}"
+                "group {g}: one Migration completion per move, on the group the VM left: {a:?}"
             );
         }
         let recalled_from_1 = recalls.iter().filter(|&&&(group, _)| group == 1).count() as u64;

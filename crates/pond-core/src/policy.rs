@@ -23,14 +23,13 @@ use cluster_sim::source::{ArrivalSource, SourceError};
 use cluster_sim::trace::{ClusterTrace, CustomerId, VmRequest};
 use cxl_hw::latency::LatencyScenario;
 use cxl_hw::units::Bytes;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use workload_model::telemetry::TelemetrySampler;
 use workload_model::{WorkloadProfile, WorkloadSuite};
 
 /// Configuration of the full Pond policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PondPolicyConfig {
     /// Performance degradation margin the deployment promises (e.g. 0.05).
     pub pdm: f64,
@@ -69,7 +68,7 @@ impl PondPolicyConfig {
 }
 
 /// Counts of the allocation decisions the policy has taken.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PolicyStats {
     /// VMs allocated entirely on pool DRAM (predicted latency-insensitive).
     pub fully_pool: u64,
@@ -349,7 +348,7 @@ impl PondPolicy {
 }
 
 /// The three possible outcomes of the Figure 13 scheduling decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PondDecision {
     /// Allocate the entire VM on pool DRAM.
     FullyPool,

@@ -14,12 +14,11 @@ use crate::error::PondError;
 use cxl_hw::pool::{EmcFailureReport, PoolSlice, PoolState};
 use cxl_hw::topology::PoolTopology;
 use cxl_hw::units::{Bytes, EmcId, HostId};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::time::Duration;
 
 /// A release that has been initiated but whose offlining has not finished.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct PendingRelease {
     host: HostId,
     slices: Vec<PoolSlice>,
@@ -27,7 +26,7 @@ struct PendingRelease {
 }
 
 /// The Pool Manager.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PondPoolManager {
     pool: PoolState,
     pending: VecDeque<PendingRelease>,

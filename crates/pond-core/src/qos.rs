@@ -9,15 +9,14 @@
 
 use crate::sensitivity::SensitivityModel;
 use cxl_hw::units::Bytes;
-use hypervisor_sim::host::HostMemory;
+use hypervisor_sim::host::{HostMemory, HostMemoryError};
 use hypervisor_sim::reconfig::reconfigure;
 use pond_ml::MlError;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 use workload_model::telemetry::TmaCounters;
 
 /// The decision the QoS monitor takes for one VM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QosDecision {
     /// The VM is healthy; keep monitoring.
     ContinueMonitoring,
@@ -48,7 +47,7 @@ impl VmObservation {
 }
 
 /// The QoS monitor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QosMonitor {
     sensitivity: SensitivityModel,
 }
@@ -101,7 +100,7 @@ impl QosMonitor {
 /// pass visits every running VM once, so a VM that runs through `n` passes
 /// counts `n` times (the paper's evaluation assumes the monitor mitigates up
 /// to 1% of mispredictions).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MitigationManager {
     budget_fraction: f64,
     monitored: u64,
@@ -146,19 +145,30 @@ impl MitigationManager {
     /// ([`QosMonitor::try_evaluate`]): the control plane calls this once per
     /// running VM every QoS pass, whether or not it evaluated the verdict in
     /// that pass, so the budget counts every running VM at every pass.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HostMemoryError::NotPinned`], changing nothing but the
+    /// visit count, when `host` pins less pool memory than `pool`: the VM's
+    /// record and its host disagree.
     pub(crate) fn apply(
         &mut self,
         decision: QosDecision,
         host: &mut HostMemory,
         pool: Bytes,
-    ) -> Option<Duration> {
+    ) -> Result<Option<Duration>, HostMemoryError> {
         self.monitored += 1;
         if decision == QosDecision::ContinueMonitoring || pool.is_zero() || !self.within_budget() {
-            return None;
+            return Ok(None);
         }
-        let copy = reconfigure(host, pool).ok()?;
-        self.mitigated += 1;
-        Some(copy)
+        match reconfigure(host, pool) {
+            Ok(copy) => {
+                self.mitigated += 1;
+                Ok(Some(copy))
+            }
+            Err(HostMemoryError::InsufficientLocal { .. }) => Ok(None),
+            Err(error) => Err(error),
+        }
     }
 }
 
@@ -255,7 +265,7 @@ mod tests {
         let decision = monitor.try_evaluate(&obs).unwrap();
         assert_eq!(decision, QosDecision::Mitigate);
         // 8 GiB at 50 ms/GiB.
-        let copy = manager.apply(decision, &mut host, Bytes::from_gib(8)).unwrap();
+        let copy = manager.apply(decision, &mut host, Bytes::from_gib(8)).unwrap().unwrap();
         assert_eq!(copy, Duration::from_millis(400));
         assert_eq!(
             (host.local_allocated(), host.pool_allocated()),
@@ -282,7 +292,8 @@ mod tests {
         for _ in 0..2 {
             let mut host = HostMemory::new(Bytes::from_gib(512), Bytes::from_gib(8));
             host.pin(Bytes::from_gib(12), Bytes::from_gib(4)).unwrap();
-            manager.apply(monitor.try_evaluate(&obs).unwrap(), &mut host, Bytes::from_gib(4));
+            let decision = monitor.try_evaluate(&obs).unwrap();
+            manager.apply(decision, &mut host, Bytes::from_gib(4)).unwrap();
         }
         assert_eq!(manager.mitigated(), 1, "budget should cap mitigations");
         assert_eq!(manager.monitored(), 2);

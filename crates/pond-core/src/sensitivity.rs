@@ -13,12 +13,11 @@ use pond_ml::dataset::Dataset;
 use pond_ml::eval::{threshold_sweep, OperatingPoint};
 use pond_ml::forest::{ForestConfig, RandomForest};
 use pond_ml::MlError;
-use serde::{Deserialize, Serialize};
 use workload_model::telemetry::{TelemetrySampler, TmaCounters};
 use workload_model::{SlowdownModel, WorkloadSuite};
 
 /// Configuration of the sensitivity model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SensitivityModelConfig {
     /// Performance degradation margin (e.g. 0.05 for 5%).
     pub pdm: f64,
@@ -66,7 +65,7 @@ pub fn training_dataset(
 }
 
 /// A trained latency-insensitivity model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SensitivityModel {
     forest: RandomForest,
     config: SensitivityModelConfig,
@@ -154,7 +153,7 @@ impl SensitivityModel {
 /// The single-counter heuristics Figure 17 compares against. A workload is
 /// marked insensitive when the chosen counter is *below* a threshold, so the
 /// sweep uses `1 - counter` as the score.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CounterHeuristic {
     /// Threshold on the TMA "memory bound" fraction.
     MemoryBound,

@@ -12,7 +12,6 @@ use cxl_hw::units::Bytes;
 use pond_ml::dataset::Dataset;
 use pond_ml::gbm::{GbmConfig, GradientBoostedTrees};
 use pond_ml::MlError;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -38,7 +37,7 @@ type Runs = BTreeMap<CustomerId, Vec<f64>>;
 ///
 /// The history grows with the trace: it is the one trace-length memory term
 /// in a streamed replay.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CustomerHistory {
     seed: Arc<Runs>,
     own: Runs,
@@ -214,7 +213,7 @@ pub fn request_features(request: &VmRequest, history: &CustomerHistory) -> Vec<f
 }
 
 /// Configuration of the untouched-memory model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UntouchedModelConfig {
     /// Target quantile of the untouched-fraction distribution to predict.
     /// Lower quantiles are more conservative (fewer overpredictions, less
@@ -231,7 +230,7 @@ impl Default for UntouchedModelConfig {
 }
 
 /// A trained untouched-memory model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UntouchedMemoryModel {
     gbm: GradientBoostedTrees,
     config: UntouchedModelConfig,
@@ -313,7 +312,7 @@ impl UntouchedMemoryModel {
 
 /// The strawman Figure 18 compares against: a fixed untouched fraction for
 /// every VM regardless of metadata.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FixedUntouchedStrawman {
     /// The fraction of every VM's memory assumed untouched.
     pub fraction: f64,
@@ -338,7 +337,7 @@ impl FixedUntouchedStrawman {
 
 /// One point of the Figure 18 trade-off: how much memory a predictor labels
 /// untouched versus how often it overpredicts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UntouchedEvalPoint {
     /// Average predicted-untouched share of memory, weighted by GB-hours.
     pub avg_untouched_fraction: f64,

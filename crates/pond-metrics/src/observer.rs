@@ -9,27 +9,30 @@
 //! payload construction entirely at compile time — the unobserved replay
 //! monomorphizes to the pre-observability loop.
 
-use cluster_sim::event::Event;
-use cluster_sim::pooling::required_dram;
+use cluster_sim::event::{CompletionKind, Event, LifecycleKind};
+use cluster_sim::pooling::required_dram_fraction;
 use cxl_hw::pool::GroupState;
 use cxl_hw::units::Bytes;
 use std::time::Duration;
 
 use crate::registry::MetricsRegistry;
 
-/// A stable lowercase name for an event's class, for counter keys and the
-/// structured event log. (`Event::class` itself is private to the event
-/// core's ordering contract; this is the observability-facing spelling.)
+/// A stable lowercase name for an event's class (a lifecycle operation or
+/// completion by its kind), for counter keys and the structured event log.
 pub fn event_class(event: &Event) -> &'static str {
     match event {
-        Event::EmcFailure { .. } => "emc_failure",
-        Event::EmcRepair { .. } => "emc_repair",
-        Event::GroupDecommission { .. } => "decommission",
-        Event::GroupExpansion { .. } => "expansion",
+        Event::Lifecycle { kind, .. } => match kind {
+            LifecycleKind::EmcFailure => "emc_failure",
+            LifecycleKind::EmcRepair => "emc_repair",
+            LifecycleKind::Decommission => "decommission",
+            LifecycleKind::Expansion => "expansion",
+        },
         Event::Departure { .. } => "departure",
-        Event::Release { .. } => "release",
-        Event::ReconfigDone { .. } => "reconfig_done",
-        Event::MigrationDone { .. } => "migration_done",
+        Event::Completion { kind, .. } => match kind {
+            CompletionKind::Release => "release",
+            CompletionKind::Reconfig => "reconfig_done",
+            CompletionKind::Migration => "migration_done",
+        },
         Event::Snapshot { .. } => "snapshot",
         Event::Arrival { .. } => "arrival",
     }
@@ -259,11 +262,10 @@ impl GroupSample {
         availability(self.scheduled_vms, self.vms_killed)
     }
 
-    /// DRAM saved so far versus an all-local fleet: `1 - required /
-    /// baseline`, with `required` from [`required_dram`]. Zero before any
-    /// placement.
+    /// DRAM saved so far versus an all-local fleet: one minus
+    /// [`required_dram_fraction`]. Zero before any placement.
     pub fn dram_savings_fraction(&self) -> f64 {
-        dram_savings(self.sum_total_peaks, self.sum_host_pool_peaks, self.pool_peak)
+        1.0 - required_dram_fraction(self.sum_total_peaks, self.sum_host_pool_peaks, self.pool_peak)
     }
 
     /// Fraction of live pool capacity not free right now (zero for an
@@ -286,16 +288,6 @@ pub(crate) fn availability(scheduled: u64, killed: u64) -> f64 {
     } else {
         1.0 - killed as f64 / scheduled as f64
     }
-}
-
-/// `1 - required / baseline` for the baseline `total_peaks`, per group and
-/// fleet-wide; zero for an empty baseline.
-pub(crate) fn dram_savings(total_peaks: Bytes, host_pool_peaks: Bytes, pool_peak: Bytes) -> f64 {
-    if total_peaks.is_zero() {
-        return 0.0;
-    }
-    let required = required_dram(total_peaks, host_pool_peaks, pool_peak);
-    1.0 - required.as_u64() as f64 / total_peaks.as_u64() as f64
 }
 
 /// The hook contract the replay loops call into.
@@ -420,6 +412,10 @@ mod tests {
         assert_eq!(LifecycleOpKind::DecommissionComplete.name(), "decommission_complete");
         assert_eq!(event_class(&Event::Snapshot { time: 0 }), "snapshot");
         assert_eq!(event_class(&Event::Arrival { time: 3, request_index: 0 }), "arrival");
+        let reconfig = Event::Completion { time: 0, kind: CompletionKind::Reconfig, group: 1 };
+        assert_eq!(event_class(&reconfig), "reconfig_done");
+        let drain = Event::Lifecycle { time: 0, kind: LifecycleKind::Decommission, index: 2 };
+        assert_eq!(event_class(&drain), "decommission");
     }
 
     #[test]

@@ -14,12 +14,13 @@ use std::path::Path;
 use std::time::Duration;
 
 use cluster_sim::event::Event;
+use cluster_sim::pooling::required_dram_fraction;
 use cxl_hw::pool::GroupState;
 use cxl_hw::units::Bytes;
 
 use crate::observer::{
-    availability, dram_savings, DecisionTrace, GroupSample, LifecycleOpKind, LifecycleTrace,
-    QosPassTrace, ReplayObserver,
+    availability, DecisionTrace, GroupSample, LifecycleOpKind, LifecycleTrace, QosPassTrace,
+    ReplayObserver,
 };
 
 /// Environment variable naming the JSONL event-log path. When set,
@@ -243,7 +244,7 @@ impl ReplayObserver for TimeSeriesRecorder {
             });
         }
         let fleet_availability = availability(scheduled, killed);
-        let fleet_savings = dram_savings(sum_total, sum_host_pool, pool_peaks);
+        let fleet_savings = 1.0 - required_dram_fraction(sum_total, sum_host_pool, pool_peaks);
         if self.log.is_some() {
             let mut per_group = String::new();
             for (i, s) in series.iter().enumerate() {

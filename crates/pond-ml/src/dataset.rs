@@ -4,11 +4,10 @@ use crate::error::MlError;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_pcg::Pcg64;
-use serde::{Deserialize, Serialize};
 
 /// A dense dataset: named feature columns, one row per sample, one numeric
 /// label per row. Classification tasks encode labels as 0.0 / 1.0.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     feature_names: Vec<String>,
     rows: Vec<Vec<f64>>,

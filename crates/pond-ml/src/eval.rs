@@ -8,10 +8,8 @@
 //! model's overprediction rate (Figure 18) is measured in `pond-core`,
 //! where a VM's pool share is whole slices.
 
-use serde::{Deserialize, Serialize};
-
 /// Binary confusion counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ConfusionMatrix {
     /// Predicted positive, actually positive.
     pub true_positives: usize,
@@ -71,7 +69,7 @@ impl ConfusionMatrix {
 }
 
 /// One point on the FP-vs-coverage curve (Figure 17).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingPoint {
     /// Score threshold used for this point.
     pub threshold: f64,

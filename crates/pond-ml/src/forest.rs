@@ -10,10 +10,9 @@
 use crate::dataset::Dataset;
 use crate::error::MlError;
 use crate::tree::{DecisionTree, TreeConfig};
-use serde::{Deserialize, Serialize};
 
 /// Hyperparameters for the random forest.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ForestConfig {
     /// Number of trees.
     pub trees: usize,
@@ -32,7 +31,7 @@ impl Default for ForestConfig {
 ///
 /// Labels are interpreted as probabilities of the positive class, so training
 /// labels should be 0.0 or 1.0.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RandomForest {
     trees: Vec<DecisionTree>,
     n_features: usize,

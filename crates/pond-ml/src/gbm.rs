@@ -11,11 +11,10 @@
 use crate::dataset::Dataset;
 use crate::error::MlError;
 use crate::tree::{DecisionTree, Presorted, TreeConfig};
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 
 /// Loss function for gradient boosting.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Loss {
     /// Ordinary least squares (predicts the conditional mean).
     SquaredError,
@@ -24,7 +23,7 @@ pub enum Loss {
 }
 
 /// Hyperparameters for the boosted model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GbmConfig {
     /// Number of boosting rounds.
     pub rounds: usize,
@@ -72,7 +71,7 @@ impl GbmConfig {
 /// assert!((pred - 105.0).abs() < 10.0);
 /// # Ok::<(), pond_ml::MlError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GradientBoostedTrees {
     base_prediction: f64,
     learning_rate: f64,

@@ -48,11 +48,10 @@ use crate::dataset::Dataset;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_pcg::Pcg64;
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// Hyperparameters controlling tree growth.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TreeConfig {
     /// Maximum tree depth (root is depth 0).
     pub max_depth: usize,
@@ -72,7 +71,7 @@ impl Default for TreeConfig {
 }
 
 /// A node in the fitted tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum Node {
     Leaf {
         /// Identifier of the leaf (used by gradient boosting to adjust values).
@@ -106,7 +105,7 @@ enum Node {
 /// assert!(tree.predict(&[90.0]) > 9.0);
 /// # Ok::<(), pond_ml::MlError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecisionTree {
     root: Node,
     n_features: usize,

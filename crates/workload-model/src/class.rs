@@ -1,10 +1,9 @@
 //! Workload classes matching Figure 4's x-axis groups.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The workload families evaluated in the paper (Figure 4, §6.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum WorkloadClass {
     /// Azure-internal production services ("Proprietary", P1–P13).
     Proprietary,

@@ -8,12 +8,11 @@
 
 use crate::class::WorkloadClass;
 use cxl_hw::units::Bytes;
-use serde::{Deserialize, Serialize};
 
 /// What "performance" means for a workload (job runtime, throughput, or tail
 /// latency — §6.1). Slowdowns are always expressed as a ratio to the
 /// all-local baseline, whichever metric underlies them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PerformanceMetric {
     /// Wall-clock job completion time (lower is better).
     Runtime,
@@ -24,7 +23,7 @@ pub enum PerformanceMetric {
 }
 
 /// The memory-behaviour profile of one workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadProfile {
     /// Unique name, e.g. `gapbs/bfs-twitter` or `speccpu/519.lbm_r`.
     pub name: String,

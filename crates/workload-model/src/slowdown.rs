@@ -8,11 +8,10 @@
 
 use crate::profile::WorkloadProfile;
 use cxl_hw::latency::LatencyScenario;
-use serde::{Deserialize, Serialize};
 
 /// Bucketed summary of a suite's slowdown distribution, mirroring how §3.3
 /// reports results.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SlowdownBuckets {
     /// Fraction of workloads with less than 1% slowdown.
     pub under_1pct: f64,
@@ -25,7 +24,7 @@ pub struct SlowdownBuckets {
 }
 
 /// The slowdown model and its bandwidth parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SlowdownModel {
     /// Bandwidth a workload can draw from the CXL pool, in GB/s (the paper's
     /// testbed provides ~30 GB/s, three quarters of a ×8 link).

@@ -13,7 +13,6 @@ use crate::profile::WorkloadProfile;
 use crate::slowdown::SlowdownModel;
 use cxl_hw::latency::LatencyScenario;
 use cxl_hw::units::Bytes;
-use serde::{Deserialize, Serialize};
 
 /// The zNUMA spill sizes evaluated in Figure 16, as fractions of the
 /// workload's memory footprint allocated on pool memory.
@@ -22,7 +21,7 @@ pub const FIGURE16_SPILL_FRACTIONS: [f64; 7] = [0.0, 0.10, 0.20, 0.40, 0.60, 0.7
 /// The spill model: converts "fraction of footprint on the pool" into
 /// "fraction of accesses on the pool" using the workload's access skew, then
 /// applies the [`SlowdownModel`].
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SpillModel {
     /// The underlying latency/bandwidth slowdown model.
     pub slowdown: SlowdownModel,

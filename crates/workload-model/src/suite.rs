@@ -13,7 +13,6 @@ use cxl_hw::units::Bytes;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_pcg::Pcg64;
-use serde::{Deserialize, Serialize};
 
 /// Sensitivity bucket a workload is drawn from. The bucket determines the
 /// target "total sensitivity" — the fractional slowdown per unit of relative
@@ -201,7 +200,7 @@ fn metric_for(class: WorkloadClass) -> PerformanceMetric {
 }
 
 /// The full synthetic workload suite.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSuite {
     workloads: Vec<WorkloadProfile>,
     seed: u64,

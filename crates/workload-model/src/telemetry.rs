@@ -11,10 +11,9 @@
 use crate::profile::WorkloadProfile;
 use rand::{Rng, SeedableRng};
 use rand_pcg::Pcg64;
-use serde::{Deserialize, Serialize};
 
 /// A sampled set of TMA / PMU counters for one VM over one sampling window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TmaCounters {
     /// Fraction of pipeline slots stalled on the backend (memory + core).
     pub backend_bound: f64,
@@ -64,7 +63,7 @@ impl TmaCounters {
 }
 
 /// Generates PMU samples for workloads.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TelemetrySampler {
     /// Relative magnitude of multiplicative sampling noise (0.05 = ±5%).
     pub noise: f64,
